@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     CertificationFailed,
     InvalidK,
     InvalidQ,
+    NonFiniteNumber,
     Nonexistent,
     NonexistentTarget,
     NotDRT,
@@ -30,6 +32,7 @@ from .errors import (
     OrderFour,
     OrderThree,
     SchemaViolation,
+    ShapeMismatch,
     TargetAboveReach,
     TargetTooHigh,
 )
@@ -84,7 +87,10 @@ def _fmt_number(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    return "%.17g" % float(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteNumber(f"{x} has no JSON representation")
+    return "%.17g" % x
 
 
 def _dump_json(obj) -> str:
@@ -98,7 +104,19 @@ def _dump_json(obj) -> str:
         return "[" + ",".join(_dump_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_dump_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, RealMatrix):
+        return "[" + ",".join(_format_rows(obj.data, "[", "]")) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _format_rows(data: np.ndarray, open_: str, close: str) -> list[str]:
+    """Each row as 17-significant-digit values between ``open_`` and
+    ``close``: one format string for every row instead of one call per
+    entry, with the bytes _fmt_number gives entry by entry."""
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteNumber("matrix entries must be finite")
+    template = open_ + ",".join(["%.17g"] * data.shape[1]) + close
+    return [template % tuple(row) for row in data.tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +135,7 @@ def encode_matrix_file(
         "order": matrix.rows,
         "cols": matrix.cols,
         "scale_c": matrix.scale_c,
-        "entries": [[float(x) for x in row] for row in matrix.data],
+        "entries": matrix,
         "plan": plan,
         "certificate": certificate,
         "provenance": provenance,
@@ -132,6 +150,17 @@ def _expect(cond: bool, field: str, message: str) -> None:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """False for NaN, the infinities and integers too large for a double."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+_NUMBER_TYPES = {int, float}
 
 
 _CERT_FIELDS = (
@@ -157,14 +186,16 @@ def decode_matrix_file(text: str) -> dict:
     _expect(isinstance(doc["order"], int) and not isinstance(doc["order"], bool), "order", "must be an integer")
     _expect(isinstance(doc["cols"], int) and not isinstance(doc["cols"], bool), "cols", "must be an integer")
     _expect(doc["scale_c"] is None or _is_number(doc["scale_c"]), "scale_c", "must be a number or null")
+    _expect(doc["scale_c"] is None or _is_finite(doc["scale_c"]), "scale_c", "must be finite")
     entries = doc["entries"]
     _expect(isinstance(entries, list), "entries", "must be an array of arrays")
     _expect(len(entries) == doc["order"], "entries", f"expected {doc['order']} rows, got {len(entries)}")
     for i, row in enumerate(entries):
         _expect(isinstance(row, list), f"entries[{i}]", "must be an array")
         _expect(len(row) == doc["cols"], f"entries[{i}]", f"expected {doc['cols']} values, got {len(row)}")
-        for j, x in enumerate(row):
-            _expect(_is_number(x), f"entries[{i}][{j}]", "must be a number")
+        if not set(map(type, row)) <= _NUMBER_TYPES:  # bool is its own type, so it fails here
+            for j, x in enumerate(row):
+                _expect(_is_number(x), f"entries[{i}][{j}]", "must be a number")
     _expect(doc["plan"] is None or isinstance(doc["plan"], str), "plan", "must be a string or null")
     cert = doc["certificate"]
     if cert is not None:
@@ -181,7 +212,16 @@ def decode_matrix_file(text: str) -> dict:
     _expect(isinstance(prov.get("parameters"), dict), "provenance.parameters", "must be an object")
 
     scale = None if doc["scale_c"] is None else float(doc["scale_c"])
-    data = np.array([[float(x) for x in row] for row in entries], dtype=np.float64)
+    try:
+        data = np.array(entries, dtype=np.float64)
+        finite = bool(np.all(np.isfinite(data)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        i, j = next(
+            (i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if not _is_finite(x)
+        )
+        raise SchemaViolation(f"entries[{i}][{j}]", "must be finite")
     if data.size == 0:
         raise SchemaViolation("entries", "matrix must be nonempty")
     doc["matrix"] = RealMatrix(data, scale_c=scale)
@@ -190,7 +230,11 @@ def decode_matrix_file(text: str) -> dict:
 
 def matrix_to_csv(matrix: RealMatrix) -> str:
     """Entries-only CSV: one row per line, 17-significant-digit values."""
-    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in matrix.data)
+    return "".join(_format_rows(matrix.data, "", "\n"))
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _cert_block(cert) -> dict:
@@ -481,7 +525,9 @@ def _cmd_verify(args, stdout, stderr) -> int:
         cert = certify(matrix, claim_key, k=claim_k, zero_tol=args.zero_tol, res_tol=args.res_tol)
 
     out = dict(_cert_block(cert))
-    out["scale_c"] = cert.scale_c
+    # an overflowed gram leaves c or the residual without a JSON number: null
+    out["max_residual"] = _finite_or_none(cert.max_residual)
+    out["scale_c"] = _finite_or_none(cert.scale_c)
     out["failures"] = list(cert.failures)
     stdout.write(_dump_json(out) + "\n")
     if not cert.passed:
@@ -528,7 +574,7 @@ def _cmd_certify_graph(args, stdout, stderr) -> int:
         matrix_doc = {
             "order": cert.matrix.rows,
             "scale_c": cert.matrix.scale_c,
-            "entries": [[float(x) for x in row] for row in cert.matrix.data],
+            "entries": cert.matrix,
         }
     out = {
         "family": args.family,
@@ -576,7 +622,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except _REFUSALS as e:
         stderr.write(f"{type(e).__name__}: {e}\n")
         return 1
-    except (SchemaViolation, InvalidK, ValueError) as e:
+    except (SchemaViolation, ShapeMismatch, NonFiniteNumber, InvalidK, ValueError) as e:
         stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
     except (CertificationFailed, OmzdError) as e:

@@ -12,7 +12,12 @@ class OmzdError(Exception):
 # --- numerics ---------------------------------------------------------------
 
 class NonSymmetricInput(OmzdError):
-    """Eigensolver input deviates from symmetry beyond the sweep tolerance."""
+    """Eigenvalue input deviates from symmetry beyond the symmetry tolerance."""
+
+
+class NotScaledInvolution(OmzdError):
+    """A matrix is not exactly symmetric with M² = cI, or the tolerance
+    leaves its eigenvalue multiplicities undetermined."""
 
 
 # --- finite fields ----------------------------------------------------------
@@ -98,6 +103,10 @@ class NonSymmetric(OmzdError):
 
 
 # --- serialization ----------------------------------------------------------
+
+class NonFiniteNumber(OmzdError):
+    """A NaN or infinite value cannot be written as strict JSON."""
+
 
 class SchemaViolation(OmzdError):
     """Matrix file does not match the JSON schema; names the field path."""

@@ -5,7 +5,10 @@ q(G) = 2 for a non-null graph exactly when some orthogonal matrix has
 that support.  This module builds such witnesses for complete bipartite
 graphs, matching-deleted complete bipartite graphs, and complete
 multipartite graphs, and certifies each one: labeled edge-set equality
-plus an eigenvalue cluster count of exactly two.
+plus exactly two distinct eigenvalues.  The count is algebraic: an
+exactly symmetric M with M² = cI has only the eigenvalues ±√c, with
+multiplicities (n ± tr M/√c)/2.  A LAPACK spectrum, clustered, must
+agree with it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import construct, planner
-from .errors import NonSymmetric
-from .numerics import RealMatrix, cluster_eigenvalues, jacobi_spectrum, residual_scaled_identity
+from .errors import NonSymmetric, NotScaledInvolution, ShapeMismatch
+from .numerics import (
+    RealMatrix,
+    cluster_eigenvalues,
+    involution_multiplicities,
+    jacobi_spectrum,
+    residual_scaled_identity,
+)
 from .verify import OrthoCertificate
 
 __all__ = [
@@ -48,6 +57,12 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
 
+def _graph_of_mask(mask: np.ndarray) -> Graph:
+    """Graph whose edges are the True entries above the diagonal of ``mask``."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return Graph(order=mask.shape[0], edges=frozenset(zip(rows.tolist(), cols.tolist())))
+
+
 @dataclass(frozen=True)
 class Knn:
     """Complete bipartite graph on parts {0..n-1} and {n..2n-1}."""
@@ -64,8 +79,9 @@ class Knn:
 
     def graph(self) -> Graph:
         n = self.n
-        edges = frozenset((i, n + j) for i in range(n) for j in range(n))
-        return Graph(order=2 * n, edges=edges)
+        mask = np.zeros((2 * n, 2 * n), dtype=bool)
+        mask[:n, n:] = True
+        return _graph_of_mask(mask)
 
 
 @dataclass(frozen=True)
@@ -87,10 +103,10 @@ class Gnk:
 
     def graph(self) -> Graph:
         n, k = self.n, self.k
-        edges = frozenset(
-            (i, n + j) for i in range(n) for j in range(n) if not (i == j and i < k)
-        )
-        return Graph(order=2 * n, edges=edges)
+        mask = np.zeros((2 * n, 2 * n), dtype=bool)
+        mask[:n, n:] = True
+        mask[np.arange(k), n + np.arange(k)] = False
+        return _graph_of_mask(mask)
 
 
 @dataclass(frozen=True)
@@ -112,14 +128,8 @@ class Multipartite:
         return self.n * self.m
 
     def graph(self) -> Graph:
-        n, m = self.n, self.m
-        edges = frozenset(
-            (u, v)
-            for u in range(n * m)
-            for v in range(u + 1, n * m)
-            if u // n != v // n
-        )
-        return Graph(order=n * m, edges=edges)
+        part = np.arange(self.n * self.m) // self.n
+        return _graph_of_mask(part[:, None] != part[None, :])
 
 
 GraphSpec = Knn | Gnk | Multipartite
@@ -147,11 +157,7 @@ def pattern_graph(a: RealMatrix, zero_tol: float = 0.0) -> Graph:
         raise NonSymmetric(f"graph extraction needs a square matrix, got {a.rows}x{a.cols}")
     if not np.array_equal(a.data, a.data.T):
         raise NonSymmetric("matrix is not symmetric")
-    n = a.order
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if abs(a.data[i, j]) > zero_tol
-    )
-    return Graph(order=n, edges=edges)
+    return _graph_of_mask(np.abs(a.data) > zero_tol)
 
 
 def embed_bipartite(b: RealMatrix) -> RealMatrix:
@@ -166,46 +172,39 @@ def embed_bipartite(b: RealMatrix) -> RealMatrix:
     return RealMatrix(out, scale_c=b.scale_c)
 
 
-def _distinct_count(a: RealMatrix, cluster_tol: float | None) -> int:
-    return cluster_eigenvalues(jacobi_spectrum(a), cluster_tol=cluster_tol)
-
-
 def certify_multipartite(
     m_matrix: RealMatrix, part_size: int, parts: int, res_tol: float = 1e-9
 ) -> OrthoCertificate:
     """Certificate that a matrix realizes a complete multipartite pattern:
     symmetric, orthogonal, zero n x n diagonal blocks, nowhere-zero
-    off-diagonal blocks."""
+    off-diagonal blocks.  Raises ShapeMismatch for a non-square matrix."""
+    if not m_matrix.is_square:
+        raise ShapeMismatch(
+            f"certification needs a square matrix, got {m_matrix.rows}x{m_matrix.cols}"
+        )
     failures: list[str] = []
     n, m = part_size, parts
     a = m_matrix.data
-    if a.shape != (n * m, n * m):
-        failures.append(f"expected order {n * m}, got {a.shape}")
-        return OrthoCertificate(
-            claim=f"Multipartite({n},{m})",
-            passed=False,
-            scale_c=0.0,
-            max_residual=math.inf,
-            min_offdiag_magnitude=0.0,
-            symmetry="neither",
-            failures=tuple(failures),
-        )
     symmetry = "symmetric" if np.array_equal(a, a.T) else "neither"
     if symmetry != "symmetric":
         failures.append("matrix is not symmetric")
 
-    block_mask = np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))
-    if np.any(a[block_mask] != 0.0):
-        failures.append("diagonal blocks are not identically zero")
-    off_block = np.abs(a[~block_mask])
-    min_off = float(np.min(off_block)) if off_block.size else math.inf
-    if off_block.size and np.any(off_block == 0.0):
-        failures.append("zero entries inside off-diagonal blocks")
+    min_off = 0.0
+    if a.shape == (n * m, n * m):
+        block_mask = np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))
+        if np.any(a[block_mask] != 0.0):
+            failures.append("diagonal blocks are not identically zero")
+        off_block = np.abs(a[~block_mask])
+        min_off = float(np.min(off_block)) if off_block.size else math.inf
+        if off_block.size and np.any(off_block == 0.0):
+            failures.append("zero entries inside off-diagonal blocks")
+    else:
+        failures.append(f"expected order {n * m}, got {a.shape}")
 
     c, max_residual = residual_scaled_identity(m_matrix)
-    if not (c > 0.0):
-        failures.append(f"recovered scale {c} is not positive")
-    elif max_residual > res_tol * c * (n * m):
+    if not (0.0 < c < math.inf):
+        failures.append(f"recovered scale {c} is not positive and finite")
+    elif not (max_residual <= res_tol * c * m_matrix.order):
         failures.append(f"max residual {max_residual:.3e} too large")
 
     return OrthoCertificate(
@@ -237,7 +236,7 @@ _GNK_IMPOSSIBLE = {
 def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
     member.  Certified results carry the witness matrix, its verified
-    labeled edge set, and the Jacobi cluster count (which must be 2)."""
+    labeled edge set, and the distinct eigenvalue count (which must be 2)."""
     if isinstance(spec, Knn):
         witness = embed_bipartite(construct.nowhere_zero_orthogonal(spec.n))
         return _certify_witness(spec, witness, cluster_tol)
@@ -303,9 +302,25 @@ def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certi
 def _certify_witness(
     spec: GraphSpec, witness: RealMatrix, cluster_tol: float | None
 ) -> Q2Certificate:
-    observed = pattern_graph(witness)
-    pattern_ok = observed == spec.graph()
-    count = _distinct_count(witness, cluster_tol)
+    """Certified only when the pattern matches and both the algebraic
+    count and the clustered LAPACK spectrum give two distinct eigenvalues."""
+    if not np.array_equal(witness.data, witness.data.T):
+        return Q2Certificate(
+            spec=spec,
+            status=STATUS_UNKNOWN,
+            reason="witness check failed: the witness is not exactly symmetric",
+            matrix=witness,
+            distinct_eigenvalue_count=None,
+            pattern_verified=False,
+        )
+    pattern_ok = pattern_graph(witness) == spec.graph()
+    try:
+        algebraic = sum(mult > 0 for mult in involution_multiplicities(witness))
+        algebraic_note = str(algebraic)
+    except NotScaledInvolution as e:
+        algebraic, algebraic_note = None, f"none ({e})"
+    clusters = cluster_eigenvalues(jacobi_spectrum(witness), cluster_tol=cluster_tol)
+    count = algebraic if algebraic == clusters else None
     if pattern_ok and count == 2:
         return Q2Certificate(
             spec=spec,
@@ -315,10 +330,16 @@ def _certify_witness(
             distinct_eigenvalue_count=count,
             pattern_verified=True,
         )
+    reason = (
+        f"witness check failed: pattern_ok={pattern_ok}, "
+        f"algebraic_count={algebraic_note}, clusters={clusters}"
+    )
+    if algebraic is not None and count is None:
+        reason += f"; the algebraic count {algebraic} and the LAPACK cluster count {clusters} disagree"
     return Q2Certificate(
         spec=spec,
         status=STATUS_UNKNOWN,
-        reason=f"witness check failed: pattern_ok={pattern_ok}, clusters={count}",
+        reason=reason,
         matrix=witness,
         distinct_eigenvalue_count=count,
         pattern_verified=pattern_ok,

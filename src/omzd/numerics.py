@@ -1,4 +1,4 @@
-"""Dense real matrix arithmetic and a symmetric eigensolver.
+"""Dense real matrix arithmetic and symmetric eigenvalues.
 
 Scalars are double precision throughout; radical entries are evaluated
 numerically at construction time and checked against tolerances scaled
@@ -7,12 +7,11 @@ by the matrix order and its certified scale constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSymmetricInput
+from .errors import NonSymmetricInput, NotScaledInvolution
 
 __all__ = [
     "RealMatrix",
@@ -20,6 +19,7 @@ __all__ = [
     "gram",
     "residual_scaled_identity",
     "jacobi_spectrum",
+    "involution_multiplicities",
     "cluster_eigenvalues",
 ]
 
@@ -76,7 +76,7 @@ class RealMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalue multiset (ascending) plus the sweep tolerance that produced it."""
+    """Eigenvalue multiset (ascending) plus the symmetry tolerance it was checked at."""
 
     values: tuple[float, ...]
     tol_used: float
@@ -109,63 +109,65 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
     return c, float(np.max(np.abs(res)))
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    if a.shape[0] < 2:
-        return 0.0
-    off = np.abs(a).copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.max(off))
-
-
-_MAX_SWEEPS = 60
-
-
 def jacobi_spectrum(m: RealMatrix, sweep_tol: float | None = None) -> Spectrum:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix, ascending (LAPACK via
+    ``numpy.linalg.eigvalsh``).
 
-    Sweeps run in row-major order over the upper triangle until every
-    off-diagonal magnitude drops below ``sweep_tol`` (default
-    1e-11 * max|entry|).  Raises NonSymmetricInput when max |M - Mᵀ|
-    exceeds the tolerance.
+    Raises NonSymmetricInput when max |M - Mᵀ| exceeds the symmetry
+    tolerance ``sweep_tol`` (default 1e-11 * max|entry|); below it the
+    symmetric part (M + Mᵀ)/2 is solved, which is M itself when M is
+    exactly symmetric.
     """
     if not m.is_square:
         raise ValueError("eigensolver needs a square matrix")
-    a = np.array(m.data, dtype=np.float64)
-    n = a.shape[0]
+    a = m.data
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     tol = 1e-11 * scale if sweep_tol is None else float(sweep_tol)
 
-    asym = float(np.max(np.abs(a - a.T))) if n else 0.0
+    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > tol:
         raise NonSymmetricInput(
-            f"max |M - M^T| = {asym:.3e} exceeds sweep tolerance {tol:.3e}"
+            f"max |M - M^T| = {asym:.3e} exceeds symmetry tolerance {tol:.3e}"
         )
-    a = (a + a.T) / 2.0  # exact no-op on already-symmetric input
+    values = np.linalg.eigvalsh((a + a.T) / 2.0)
+    return Spectrum(values=tuple(values.tolist()), tol_used=tol)
 
-    sweeps = 0
-    while _max_offdiag(a) > tol:
-        sweeps += 1
-        if sweeps > _MAX_SWEEPS:
-            raise ArithmeticError("Jacobi iteration failed to converge")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
 
-    values = tuple(sorted(float(x) for x in np.diag(a)))
-    return Spectrum(values=values, tol_used=tol)
+# residual tolerance of the involution check, the default of verify.certify
+_INVOLUTION_RES_TOL = 1e-9
+
+
+def involution_multiplicities(m: RealMatrix) -> tuple[int, int]:
+    """Multiplicities (p, q) of the eigenvalues +√c and -√c of a scaled
+    involution, read off the trace instead of an eigensolver.
+
+    M must be exactly symmetric with M² = MMᵀ = cI up to 1e-9 * c * n
+    (max-entry residual).  Then p + q = n and p - q = tr M / √c, so
+    p, q = (n ± tr M/√c) / 2.  Every eigenvalue λ has
+    |λ/√c ∓ 1| <= ‖M² - cI‖₂ / c <= n·max_residual / c, so tr M/√c lies
+    within n²·(max_residual/c + (n+1)·eps) of the integer p - q, the last
+    term covering rounding in the gram and the trace.  p must be within
+    half that tolerance of an integer, and the tolerance must stay below
+    1 (p - q has the parity of n), or NotScaledInvolution is raised.
+    """
+    a = m.data
+    if not m.is_square or not np.array_equal(a, a.T):
+        raise NotScaledInvolution("matrix is not exactly symmetric")
+    n = m.order
+    c, max_residual = residual_scaled_identity(m)
+    if not (np.isfinite(c) and c > 0.0 and max_residual <= _INVOLUTION_RES_TOL * c * n):
+        raise NotScaledInvolution(
+            f"M^2 is not cI: c = {c:.6g}, max residual {max_residual:.3e} "
+            f"against {_INVOLUTION_RES_TOL:.1e} * c * n"
+        )
+    tol = n * n * (max_residual / c + (n + 1) * np.finfo(np.float64).eps)
+    plus = (n + float(np.trace(a)) / np.sqrt(c)) / 2.0
+    p = round(plus)
+    if not (tol < 1.0 and abs(plus - p) <= tol / 2.0 and 0 <= p <= n):
+        raise NotScaledInvolution(
+            f"multiplicity {plus:.6g} of +sqrt(c) is not an integer within {tol / 2.0:.3e}"
+        )
+    return p, n - p
 
 
 def cluster_eigenvalues(s: Spectrum, cluster_tol: float | None = None) -> int:

@@ -223,13 +223,14 @@ def certify(
             failures.append("H + H^T != 2I")
 
     # -- orthogonality ----------------------------------------------------
+    # written so that a NaN scale or residual (an overflowing gram) fails
     c, max_residual = residual_scaled_identity(m)
-    if not (c > 0.0):
-        failures.append(f"recovered scale {c} is not positive")
+    if not (0.0 < c < math.inf):
+        failures.append(f"recovered scale {c} is not positive and finite")
     elif exact:
         if max_residual != 0.0:
             failures.append(f"gram deviates from cI by {max_residual} (exact check)")
-    elif max_residual > res_tol * c * n:
+    elif not (max_residual <= res_tol * c * n):
         failures.append(
             f"max residual {max_residual:.3e} exceeds {res_tol:.1e} * c * n = "
             f"{res_tol * c * n:.3e}"

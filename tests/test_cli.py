@@ -2,12 +2,14 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from omzd.cli import decode_matrix_file, encode_matrix_file, matrix_to_csv, run
-from omzd.errors import SchemaViolation
+from omzd import construct
+from omzd.cli import _dump_json, _fmt_number, decode_matrix_file, encode_matrix_file, matrix_to_csv, run
+from omzd.errors import NonFiniteNumber, SchemaViolation
 from omzd.numerics import RealMatrix
 
 
@@ -248,3 +250,115 @@ class TestUsageErrors:
         assert code == 2
         code, _, err = invoke("gen", "--kind", "conference")
         assert code == 2
+
+
+def _old_dump_entries(data) -> str:
+    """Entry-by-entry encoding of a matrix, the reference for the row encoder."""
+    return _dump_json([[float(x) for x in row] for row in data])
+
+
+def _matrix_doc(entries, cols=None) -> str:
+    return json.dumps(
+        {
+            "kind": "omzd",
+            "order": len(entries),
+            "cols": len(entries[0]) if cols is None else cols,
+            "scale_c": None,
+            "entries": entries,
+            "plan": None,
+            "certificate": None,
+            "provenance": {"theorem": "t", "parameters": {}},
+        }
+    )
+
+
+class TestRowEncoder:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (40, 40), (2, 0)])
+    def test_bytes_match_entry_by_entry_dump(self, shape):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        if data.size:
+            data.flat[0] = 5e-324  # subnormal
+            data.flat[-1] = 3.0  # integral float still prints as "3"
+        m = RealMatrix(data)
+        assert _dump_json(m) == _old_dump_entries(m.data)
+        expected_csv = "".join(",".join("%.17g" % x for x in row) + "\n" for row in m.data)
+        assert matrix_to_csv(m) == expected_csv
+
+    def test_generated_file_bytes(self):
+        m = construct.combine(construct.seed("omzd", 6), construct.seed("omzd", 5))
+        text = encode_matrix_file("omzd", m, None, None, {"theorem": "t", "parameters": {}})
+        assert '"entries":' + _old_dump_entries(m.data) + ',"plan"' in text
+
+    def test_refuses_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteNumber):
+                _fmt_number(bad)
+            with pytest.raises(NonFiniteNumber):
+                _dump_json(RealMatrix([[0.0, bad]]))
+
+
+class TestDecoderRejects:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_entry_names_cell(self, bad):
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(_matrix_doc([[0.0, 1.0], [1.0, bad]]))
+        assert exc.value.field == "entries[1][1]"
+
+    def test_non_finite_scale(self):
+        text = _matrix_doc([[0.0, 1.0], [1.0, 0.0]]).replace('"scale_c": null', '"scale_c": Infinity')
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(text)
+        assert exc.value.field == "scale_c"
+
+    def test_bool_entry_still_rejected(self):
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(_matrix_doc([[0.0, True], [1.0, 0.0]]))
+        assert exc.value.field == "entries[0][1]"
+
+    def test_ints_and_floats_mix(self):
+        doc = decode_matrix_file(_matrix_doc([[0, 1.5], [-2, 0.0]]))
+        assert doc["matrix"].data.tolist() == [[0.0, 1.5], [-2.0, 0.0]]
+
+
+class TestVerifyBadInput:
+    def _verify(self, tmp_path, text, claim="omzd"):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        return invoke("verify", "--in", str(path), "--claim", claim)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("claim", ["omzd", "orthogonal", "nowhere-zero"])
+    def test_non_finite_file_is_exit_2(self, tmp_path, bad, claim):
+        code, out, err = self._verify(tmp_path, _matrix_doc([[0.0, bad], [1.0, 0.0]]), claim)
+        assert code == 2 and out == ""
+        assert "SchemaViolation: entries[0][1]" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_does_not_pass(self, tmp_path):
+        # 1e200·(J - I) of order 3: the gram overflows; OMZD(3) does not exist
+        big = (1e200 * (np.ones((3, 3)) - np.eye(3))).tolist()
+        code, out, err = self._verify(tmp_path, _matrix_doc(big))
+        assert code == 1
+        report = json.loads(out)  # strict: c and the residual are null, not inf/nan
+        assert report["passed"] is False
+        assert report["scale_c"] is None and report["max_residual"] is None
+        assert "not positive and finite" in err
+
+    def test_non_square_orthogonal_is_shape_mismatch(self, tmp_path):
+        code, out, err = self._verify(
+            tmp_path, _matrix_doc([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "orthogonal"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ShapeMismatch: ")
+        assert "internal error" not in err
+
+    def test_wrong_order_multipartite_is_valid_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        invoke("gen", "--kind", "multipartite", "--n", "2", "--m", "6", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["provenance"]["parameters"]["n"] = 3
+        code, out, err = self._verify(tmp_path, json.dumps(doc), "multipartite")
+        assert code == 1
+        report = json.loads(out)  # strict: no bare inf or nan
+        assert report["passed"] is False and "expected order 18" in err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omzd import construct, graphs
-from omzd.errors import NonSymmetric
+from omzd.errors import NonSymmetric, ShapeMismatch
 from omzd.graphs import (
     Gnk,
     Knn,
@@ -18,7 +18,7 @@ from omzd.graphs import (
     pattern_graph,
     q2_certificate,
 )
-from omzd.numerics import RealMatrix, jacobi_spectrum
+from omzd.numerics import RealMatrix, involution_multiplicities, jacobi_spectrum
 
 
 class TestGraphSpecs:
@@ -164,3 +164,104 @@ class TestCertifyMultipartite:
         tampered[0, 0] = 0.5  # inside a diagonal block
         bad = graphs.certify_multipartite(RealMatrix(tampered), 2, 6)
         assert not bad.passed
+
+    def test_non_square_raises(self):
+        with pytest.raises(ShapeMismatch):
+            graphs.certify_multipartite(RealMatrix(np.ones((2, 3))), 1, 2)
+
+    def test_wrong_order_reports_finite_numbers(self):
+        w = construct.kron(construct.symmetric_omzd(6), construct.nowhere_zero_orthogonal(2))
+        cert = graphs.certify_multipartite(w, 3, 6)
+        assert not cert.passed
+        assert any("expected order 18" in f for f in cert.failures)
+        assert math.isfinite(cert.max_residual) and math.isfinite(cert.scale_c)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_fails(self):
+        w = construct.kron(construct.seed("omzd", 2), construct.nowhere_zero_orthogonal(2))
+        cert = graphs.certify_multipartite(RealMatrix(1e200 * w.data), 2, 2)
+        assert not cert.passed
+        assert any("not positive and finite" in f for f in cert.failures)
+
+
+def _eigvalsh_signs(a: np.ndarray) -> tuple[int, int]:
+    values = np.linalg.eigvalsh(a)
+    return int(np.sum(values > 0)), int(np.sum(values < 0))
+
+
+def _loop_graph(spec) -> graphs.Graph:
+    """Reference edge sets, one pair at a time."""
+    n = spec.order
+    if isinstance(spec, Multipartite):
+        keep = lambda u, v: u // spec.n != v // spec.n
+    else:
+        h, k = spec.n, getattr(spec, "k", 0)
+        keep = lambda u, v: u < h <= v and not (v - h == u and u < k)
+    return graphs.Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n) if keep(u, v)))
+
+
+class TestVectorisedEdges:
+    @pytest.mark.parametrize(
+        "spec", [Knn(1), Knn(5), Gnk(4, 0), Gnk(4, 3), Gnk(6, 6), Multipartite(1, 2), Multipartite(3, 5)]
+    )
+    def test_matches_pairwise_loop(self, spec):
+        g = spec.graph()
+        assert g == _loop_graph(spec)
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
+    def test_pattern_graph_threshold(self):
+        a = RealMatrix([[9.0, 1e-3, 2.0], [1e-3, 0.0, 0.0], [2.0, 0.0, 1.0]])
+        assert pattern_graph(a).edges == {(0, 1), (0, 2)}
+        assert pattern_graph(a, zero_tol=1e-2).edges == {(0, 2)}
+
+
+class TestAlgebraicCertificate:
+    def _witness(self, spec):
+        return q2_certificate(spec).matrix
+
+    @pytest.mark.parametrize(
+        "spec", [Knn(1), Knn(7), Gnk(5, 4), Gnk(8, 5), Multipartite(2, 2), Multipartite(3, 6)]
+    )
+    def test_witness_multiplicities_match_lapack(self, spec):
+        cert = q2_certificate(spec)
+        assert cert.status == STATUS_CERTIFIED
+        plus, minus = involution_multiplicities(cert.matrix)
+        # every witness has zero trace, so the two eigenvalues split evenly
+        assert plus == minus == spec.order // 2
+        assert _eigvalsh_signs(cert.matrix.data) == (plus, minus)
+
+    def test_symmetric_non_involution_is_unknown(self):
+        rng = np.random.default_rng(3)
+        b = rng.uniform(1.0, 2.0, size=(3, 3))  # nowhere zero, not orthogonal
+        cert = graphs._certify_witness(Knn(3), embed_bipartite(RealMatrix(b)), None)
+        assert cert.status == STATUS_UNKNOWN
+        assert cert.pattern_verified
+        assert "algebraic_count=none (M^2 is not cI" in cert.reason
+        assert cert.distinct_eigenvalue_count is None
+
+    def test_asymmetric_is_unknown(self):
+        a = np.array(self._witness(Knn(3)).data)
+        a[0, 3] += 1e-15 * abs(a[0, 3]) + 1e-300  # breaks exact symmetry only
+        cert = graphs._certify_witness(Knn(3), RealMatrix(a), None)
+        assert cert.status == STATUS_UNKNOWN
+        assert "not exactly symmetric" in cert.reason
+        assert cert.distinct_eigenvalue_count is None and not cert.pattern_verified
+
+    def test_pattern_mismatch_is_unknown(self):
+        cert = graphs._certify_witness(Knn(4), self._witness(Gnk(4, 1)), None)
+        assert cert.status == STATUS_UNKNOWN
+        assert "pattern_ok=False" in cert.reason
+        assert cert.distinct_eigenvalue_count == 2 and not cert.pattern_verified
+
+    def test_cross_check_disagreement_is_unknown(self):
+        # a cluster tolerance wider than the spectrum merges +-sqrt(c)
+        cert = graphs._certify_witness(Knn(3), self._witness(Knn(3)), cluster_tol=100.0)
+        assert cert.status == STATUS_UNKNOWN
+        assert "algebraic count 2 and the LAPACK cluster count 1 disagree" in cert.reason
+        assert cert.distinct_eigenvalue_count is None
+
+    def test_single_eigenvalue_is_unknown(self):
+        # the identity is a scaled involution with one eigenvalue, and an empty pattern
+        cert = graphs._certify_witness(Knn(2), RealMatrix(np.eye(4)), None)
+        assert cert.status == STATUS_UNKNOWN
+        assert cert.distinct_eigenvalue_count == 1

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omzd import construct
-from omzd.errors import NonSymmetricInput
+from omzd import construct, numerics
+from omzd.errors import NonSymmetricInput, NotScaledInvolution
 from omzd.numerics import (
     RealMatrix,
     Spectrum,
     cluster_eigenvalues,
     gram,
+    involution_multiplicities,
     jacobi_spectrum,
     residual_scaled_identity,
 )
@@ -162,3 +165,60 @@ class TestClusterEigenvalues:
         s = Spectrum((0.0, 0.5, 1.0), 0.0)
         assert cluster_eigenvalues(s, cluster_tol=1.0) == 1
         assert cluster_eigenvalues(s, cluster_tol=0.1) == 3
+
+
+def householder(v: np.ndarray) -> np.ndarray:
+    """I - 2vvᵀ/vᵀv: exactly symmetric in floating point, squares to I."""
+    return np.eye(v.size) - 2.0 * np.outer(v, v) / float(v @ v)
+
+
+_reflection_vectors = st.lists(
+    st.floats(-10.0, 10.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3),
+    min_size=1,
+    max_size=12,
+).map(np.array)
+
+
+class TestInvolutionMultiplicities:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vectors=st.lists(_reflection_vectors, min_size=1, max_size=4),
+        signs=st.lists(st.sampled_from([1.0, -1.0]), max_size=4),
+        scale=st.floats(0.1, 100.0),
+    )
+    def test_formula_matches_eigvalsh(self, vectors, signs, scale):
+        # direct sums of Householder reflections and of +-1 give every
+        # split of the order between +sqrt(c) and -sqrt(c)
+        n = sum(v.size for v in vectors) + len(signs)
+        a = np.zeros((n, n))
+        at = 0
+        for block in [householder(v) for v in vectors] + [np.array([[s]]) for s in signs]:
+            size = block.shape[0]
+            a[at : at + size, at : at + size] = block
+            at += size
+        a *= scale
+        values = np.linalg.eigvalsh(a)
+        expected = (int(np.sum(values > 0)), int(np.sum(values < 0)))
+        assert involution_multiplicities(RealMatrix(a)) == expected
+
+    def test_conference_6(self):
+        assert involution_multiplicities(RealMatrix(CONF_6)) == (3, 3)
+
+    def test_identity_and_negation(self):
+        assert involution_multiplicities(RealMatrix(np.eye(4))) == (4, 0)
+        assert involution_multiplicities(RealMatrix(-3.0 * np.eye(4))) == (0, 4)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(NotScaledInvolution, match="not exactly symmetric"):
+            involution_multiplicities(construct.seed("omzd", 4))  # skew conference matrix
+
+    def test_rejects_non_involution(self):
+        with pytest.raises(NotScaledInvolution, match="M\\^2 is not cI"):
+            involution_multiplicities(RealMatrix(np.diag([1.0, 2.0])))
+
+    def test_rejects_undetermined_multiplicity(self, monkeypatch):
+        # at order 2000 a residual of 1e-6 is inside 1e-9 * c * n, but
+        # n^2 * residual / c = 4 leaves the trace bound above 1
+        monkeypatch.setattr(numerics, "residual_scaled_identity", lambda m: (1.0, 1e-6))
+        with pytest.raises(NotScaledInvolution, match="not an integer"):
+            involution_multiplicities(RealMatrix(np.eye(2000)))

@@ -81,6 +81,23 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(RealMatrix(np.eye(2)), "unitary")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("claim", ["omzd", "orthogonal", "conference"])
+    def test_overflowing_gram_fails(self, claim):
+        # the gram of 1e200·(J - I) overflows: c = inf, residual NaN
+        cert = certify(RealMatrix(1e200 * (np.ones((3, 3)) - np.eye(3))), claim)
+        assert not cert.passed
+        assert any("not positive and finite" in f for f in cert.failures)
+
+    def test_nan_residual_fails(self):
+        # a NaN residual with a finite scale must fail the comparison
+        m = RealMatrix([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omzd.verify.residual_scaled_identity", lambda _m: (1.0, float("nan")))
+            cert = certify(m, "omzd")
+        assert not cert.passed
+        assert any("max residual nan" in f for f in cert.failures)
+
     def test_res_tol_monotonicity(self):
         # loosening res_tol never flips a passed certificate to failed
         near = np.eye(5) + 1e-8
