@@ -31,6 +31,7 @@ from .errors import (
     OmzdError,
     OrderFour,
     OrderThree,
+    ResourceLimit,
     SchemaViolation,
     ShapeMismatch,
     TargetAboveReach,
@@ -627,6 +628,10 @@ def run(argv, stdout=None, stderr=None) -> int:
         return 2
     except (CertificationFailed, OmzdError) as e:
         stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return 2
+    except (RecursionError, MemoryError) as e:
+        limit = ResourceLimit(f"{args.command} stopped on {type(e).__name__}; the request is too large")
+        stderr.write(f"{type(limit).__name__}: {limit}\n")
         return 2
 
 

@@ -267,6 +267,7 @@ def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
     Orders below 4 are rejected up front: the core of an order-2 input
     is the 1x1 zero matrix, which would put a zero off the diagonal.
     """
+    units = []
     for label, mat in (("first", m), ("second", n)):
         if not mat.is_square or mat.order < 4:
             raise ValueError(
@@ -276,8 +277,8 @@ def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
         cert = certify(mat, CLAIM_OMZD)
         if not cert.passed:
             raise NotOMZD(f"{label} input failed OMZD certification: {cert.failures}")
-    q = _splice(_unit_scale(m), _unit_scale(n))
-    return RealMatrix(q, scale_c=1.0)
+        units.append(mat.data / math.sqrt(cert.scale_c))  # c from the certificate's gram
+    return RealMatrix(_splice(*units), scale_c=1.0)
 
 
 def ompzd_n_minus_1(n: int) -> RealMatrix:
@@ -306,12 +307,16 @@ def ompzd_n_minus_1(n: int) -> RealMatrix:
 
 
 def _auto_omzd(n: int) -> RealMatrix:
-    """Internal OMZD(n) supplier for splice-based constructions."""
+    """OMZD(n) for ompzd_n_minus_1, built as the planner's auto route
+    builds it: a seed, the symmetric family for even n, and for odd
+    n >= 9 a single splice."""
     if n in (2, 4, 5, 6, 7):
         return seed(KIND_OMZD, n)
     if n % 2 == 0:
         return symmetric_omzd(n)
-    return combine(_auto_omzd(n - 2), seed(KIND_OMZD, 4))
+    if n == 9:
+        return combine(seed(KIND_OMZD, 7), seed(KIND_OMZD, 4))
+    return combine(symmetric_omzd(n - 3), seed(KIND_OMZD, 5))
 
 
 # --------------------------------------------------------------------------
@@ -446,30 +451,33 @@ def conjugate_permute(m: RealMatrix, perm) -> RealMatrix:
     return RealMatrix(m.data[np.ix_(idx, idx)], scale_c=m.scale_c)
 
 
-def _front_permutation(n: int, front: list[int]) -> list[int]:
-    rest = [i for i in range(n) if i not in front]
-    return front + rest
-
-
 _THETA_EXPONENTS = range(4, 41)
 
 
-def _rotate_pair(a: np.ndarray, scale_c: float) -> np.ndarray:
-    """Right-multiply by a 2-plane rotation on columns 0 and 1, taking the
-    first angle in the schedule 2^-t, t = 4..40, that leaves every entry
-    of the two touched columns above 1e-8 * sqrt(c)."""
+def _rotate_pair(a: np.ndarray, i: int, j: int, scale_c: float) -> None:
+    """Right-multiply ``a`` in place by a 2-plane rotation on columns i and j.
+
+    Takes the first angle in the schedule 2^-t, t = 4..40, at which +θ or
+    -θ leaves every entry of the two touched columns above 1e-8 * sqrt(c).
+    Of the two signs it keeps the one whose touched columns have the
+    larger minimum |entry|, + on a tie: when the plane holds a nonzero
+    diagonal entry a_jj, the new one is cos θ·a_jj - sin θ·a_ji, and for
+    one sign the two terms can nearly cancel.
+    """
     floor = 1e-8 * math.sqrt(scale_c)
-    col0, col1 = a[:, 0].copy(), a[:, 1].copy()
+    col_i, col_j = a[:, i].copy(), a[:, j].copy()
     for t in _THETA_EXPONENTS:
         theta = 2.0 ** (-t)
         c, s = math.cos(theta), math.sin(theta)
-        new0 = c * col0 + s * col1
-        new1 = -s * col0 + c * col1
-        if np.min(np.abs(new0)) > floor and np.min(np.abs(new1)) > floor:
-            out = a.copy()
-            out[:, 0] = new0
-            out[:, 1] = new1
-            return out
+        pairs = (
+            (c * col_i + s * col_j, -s * col_i + c * col_j),  # +θ
+            (c * col_i - s * col_j, s * col_i + c * col_j),  # -θ
+        )
+        margins = [min(np.min(np.abs(u)), np.min(np.abs(v))) for u, v in pairs]
+        best = int(margins[1] > margins[0])
+        if margins[best] > floor:
+            a[:, i], a[:, j] = pairs[best]
+            return
     raise NoThetaFound("rotation schedule exhausted; input is pathological")
 
 
@@ -482,6 +490,10 @@ def reduce_zeros(m: RealMatrix, target_k: int, zero_tol: float | None = None) ->
     other touched entry nonzero.  An odd deficit ends with one mixed
     application (one zero and one nonzero diagonal position in the
     plane).  target_k = n-1 is unreachable by rotations and refused.
+
+    The permutations are composed rather than applied: the columns are
+    rotated in place under the composite relabelling, and the matrix is
+    permuted once at the end, with the same result bit for bit.
     """
     if not m.is_square or m.order < 4:
         raise ValueError("zero reduction needs a square input of order >= 4")
@@ -509,22 +521,21 @@ def reduce_zeros(m: RealMatrix, target_k: int, zero_tol: float | None = None) ->
 
     c = cert.scale_c
     a = np.array(m.data)
+    labels = np.arange(n)  # position p of the permuted matrix is row/column labels[p] of a
     while True:
-        diag = np.abs(np.diag(a))
-        zero_pos = [i for i in range(n) if diag[i] <= zero_tol]
+        is_zero = np.abs(a[labels, labels]) <= zero_tol
+        zero_pos = np.flatnonzero(is_zero)
         deficit = len(zero_pos) - target_k
         if deficit == 0:
             break
         if deficit >= 2:
-            front = [zero_pos[0], zero_pos[1]]
+            front = zero_pos[:2]
         else:
-            nonzero_pos = [i for i in range(n) if diag[i] > zero_tol]
-            front = [zero_pos[0], nonzero_pos[0]]
-        perm = _front_permutation(n, front)
-        a = a[np.ix_(perm, perm)]
-        a = _rotate_pair(a, c)
+            front = [zero_pos[0], np.flatnonzero(~is_zero)[0]]
+        labels = labels[np.concatenate((front, np.delete(np.arange(n), front)))]
+        _rotate_pair(a, labels[0], labels[1], c)
 
-    out = RealMatrix(a, scale_c=c)
+    out = RealMatrix(a[np.ix_(labels, labels)], scale_c=c)
     final = certify(out, CLAIM_OMPZD, k=target_k, zero_tol=zero_tol)
     if not final.passed:
         raise RuntimeError(f"zero reduction broke certification: {final.failures}")

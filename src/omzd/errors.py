@@ -102,6 +102,12 @@ class NonSymmetric(OmzdError):
     """Graph extraction requires a symmetric matrix."""
 
 
+# --- resources --------------------------------------------------------------
+
+class ResourceLimit(OmzdError):
+    """A request ran past the interpreter's recursion limit or out of memory."""
+
+
 # --- serialization ----------------------------------------------------------
 
 class NonFiniteNumber(OmzdError):

@@ -86,10 +86,12 @@ def gram(m: RealMatrix) -> RealMatrix:
     """MMᵀ with each off-diagonal entry computed once and mirrored.
 
     The result is exactly symmetric by construction regardless of
-    floating-point evaluation order inside the matrix product.
+    floating-point evaluation order inside the matrix product.  Entries
+    that overflow become inf or NaN silently; certification rejects them.
     """
-    g = m.data @ m.data.T
-    g = np.triu(g) + np.triu(g, 1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = m.data @ m.data.T
+        g = np.triu(g) + np.triu(g, 1).T
     return RealMatrix(g)
 
 
@@ -98,15 +100,18 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
 
     c is the mean of the gram diagonal (averages rounding noise);
     max_residual is max |gram - cI| over all entries.  Both are returned
-    even when the residual is large.
+    even when the residual is large, and even when entries above about
+    1e154 overflow the gram: c and the residual are then inf or NaN, which
+    the caller's verdict rejects, and numpy prints no warning.
     """
     if not m.is_square:
         raise ValueError("residual against a scaled identity needs a square matrix")
     g = gram(m).data
     n = m.order
-    c = float(np.mean(np.diag(g)))
-    res = g - c * np.eye(n)
-    return c, float(np.max(np.abs(res)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = float(np.mean(np.diag(g)))
+        res = g - c * np.eye(n)
+        return c, float(np.max(np.abs(res)))
 
 
 def jacobi_spectrum(m: RealMatrix, sweep_tol: float | None = None) -> Spectrum:

@@ -249,16 +249,20 @@ def _omzd_plan(n: int, route: str, branch: str) -> PlanNode:
         if n in (2, 4, 5, 6, 7):
             return seed_node(KIND_OMZD, n)
         return combine_node(_omzd_plan(n - 2, route, branch), seed_node(KIND_OMZD, 4))
-    # auto: closed-form symmetric construction for even n, seed-backed
-    # splice recursion for odd n (bottoming out at 5 and 7 keeps the
-    # recursion clear of the nonexistent OMZD(3)).
+    # auto: the closed-form symmetric construction for even n.  Odd n
+    # takes one splice, whatever its size: a symmetric OMZD(n-3) (even
+    # order, never 4 for n >= 11) with the OMZD(5) seed, so the plan has
+    # depth 2 and every stage is one matrix of order at most n.  n = 9
+    # keeps its splice of the 7 and 4 seeds; 5 and 7 are seeds.
     if n % 2 == 0:
         if n in (2, 4):
             return seed_node(KIND_OMZD, n)
         return symmetric_node(n)
     if n in (5, 7):
         return seed_node(KIND_OMZD, n)
-    return combine_node(_omzd_plan(n - 2, ROUTE_AUTO, branch), seed_node(KIND_OMZD, 4))
+    if n == 9:
+        return combine_node(seed_node(KIND_OMZD, 7), seed_node(KIND_OMZD, 4))
+    return combine_node(symmetric_node(n - 3), seed_node(KIND_OMZD, 5))
 
 
 def _ompzd_plan(n: int, k: int, route: str, branch: str) -> PlanNode:

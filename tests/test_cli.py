@@ -3,11 +3,12 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from omzd import construct
+from omzd import construct, planner
 from omzd.cli import _dump_json, _fmt_number, decode_matrix_file, encode_matrix_file, matrix_to_csv, run
 from omzd.errors import NonFiniteNumber, SchemaViolation
 from omzd.numerics import RealMatrix
@@ -252,6 +253,26 @@ class TestUsageErrors:
         assert code == 2
 
 
+class TestResourceLimits:
+    def test_deep_recursive_plan_is_exit_2(self):
+        # prefer-recursive nests one Combine per two orders, so order 2001
+        # runs past the interpreter's recursion limit while planning
+        code, out, err = invoke("gen", "--kind", "omzd", "--n", "2001", "--route", "prefer-recursive")
+        assert code == 2 and out == ""
+        assert err.startswith("ResourceLimit: ") and "RecursionError" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_memory_error_is_exit_2(self, monkeypatch):
+        def exhausted(node):
+            raise MemoryError()
+
+        monkeypatch.setattr(planner, "execute", exhausted)
+        code, out, err = invoke("gen", "--kind", "omzd", "--n", "11")
+        assert code == 2 and out == ""
+        assert err.startswith("ResourceLimit: ") and "MemoryError" in err
+        assert err.count("\n") == 1
+
+
 def _old_dump_entries(data) -> str:
     """Entry-by-entry encoding of a matrix, the reference for the row encoder."""
     return _dump_json([[float(x) for x in row] for row in data])
@@ -344,6 +365,15 @@ class TestVerifyBadInput:
         assert report["passed"] is False
         assert report["scale_c"] is None and report["max_residual"] is None
         assert "not positive and finite" in err
+
+    def test_overflowing_gram_prints_no_warning(self, tmp_path):
+        big = (1e200 * (np.ones((3, 3)) - np.eye(3))).tolist()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = self._verify(tmp_path, _matrix_doc(big))
+        assert code == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in err
 
     def test_non_square_orthogonal_is_shape_mismatch(self, tmp_path):
         code, out, err = self._verify(

@@ -465,6 +465,94 @@ class TestReduceZeros:
         b = construct.reduce_zeros(construct.seed("omzd", 7), 1)
         assert np.array_equal(a.data, b.data)
 
+    def test_mixed_step_takes_minus_theta(self):
+        # column 0 has the zero diagonal entry and a_11 = tan(θ)·a_10 at the
+        # first angle θ = 1/16: +θ would make the new diagonal entry
+        # cos θ·a_11 - sin θ·a_10 vanish, -θ doubles it
+        theta = 2.0**-4
+        a = np.array([[0.0, 1.0, 1.0], [1.0, math.tan(theta), 1.0], [1.0, 1.0, 0.5]])
+        before = a.copy()
+        construct._rotate_pair(a, 0, 1, 1.0)
+        c, s = math.cos(theta), -math.sin(theta)
+        assert np.array_equal(a[:, 0], c * before[:, 0] + s * before[:, 1])
+        assert np.array_equal(a[:, 1], -s * before[:, 0] + c * before[:, 1])
+        assert a[1, 1] > 0.1
+
+    def test_mixed_step_keeps_margin(self):
+        # an odd deficit ends on a mixed plane; with +θ only, the new
+        # diagonal entry of OMPZD(50, 3) came out at 5e-6 of max|entry|
+        m = construct.reduce_zeros(construct.symmetric_omzd(50), 3)
+        assert _required_nonzero_margin(m) >= 1e-5
+
+    @pytest.mark.parametrize("n,k", [(11, 6), (50, 3), (201, 100), (1201, 600)])
+    def test_in_place_matches_copying_reduction(self, n, k):
+        m = _auto_route_omzd(n)
+        out = construct.reduce_zeros(m, k)
+        ref = _reduce_zeros_copying(m, k, construct._rotate_pair)
+        assert out.data.tobytes() == (ref + 0.0).tobytes()
+
+    @pytest.mark.parametrize("n,k", [(12, 4), (50, 2), (130, 64)])
+    def test_even_deficit_keeps_plus_theta(self, n, k):
+        # on a plane of two zero diagonal entries the smallest touched
+        # entries are sin θ times its off-diagonal pair for either sign, so
+        # ±θ tie and these outputs are the ones the +θ-only schedule gave
+        m = construct.symmetric_omzd(n)
+        out = construct.reduce_zeros(m, k)
+        ref = _reduce_zeros_copying(m, k, _rotate_plus_theta_only)
+        assert out.data.tobytes() == (ref + 0.0).tobytes()
+
+
+def _auto_route_omzd(n: int) -> RealMatrix:
+    """OMZD(n) as the planner's auto route builds it for these orders."""
+    if n % 2 == 0:
+        return construct.symmetric_omzd(n)
+    return construct.combine(construct.symmetric_omzd(n - 3), construct.seed("omzd", 5))
+
+
+def _required_nonzero_margin(m: RealMatrix) -> float:
+    """min |entry| over the off-diagonal and nonzero diagonal entries, over max|entry|."""
+    a = np.abs(m.data)
+    diag = np.diag(a)
+    required = np.concatenate((a[~np.eye(len(a), dtype=bool)], diag[diag > 1e-12 * a.max()]))
+    return float(required.min() / a.max())
+
+
+def _rotate_plus_theta_only(a, i, j, scale_c):
+    """The rotation schedule without the sign choice: the first +2^-t that
+    keeps both touched columns above 1e-8 * sqrt(c)."""
+    floor = 1e-8 * math.sqrt(scale_c)
+    col_i, col_j = a[:, i].copy(), a[:, j].copy()
+    for t in range(4, 41):
+        theta = 2.0**-t
+        c, s = math.cos(theta), math.sin(theta)
+        new_i, new_j = c * col_i + s * col_j, -s * col_i + c * col_j
+        if min(np.min(np.abs(new_i)), np.min(np.abs(new_j))) > floor:
+            a[:, i], a[:, j] = new_i, new_j
+            return
+    raise AssertionError("schedule exhausted")
+
+
+def _reduce_zeros_copying(m: RealMatrix, target_k: int, rotate) -> np.ndarray:
+    """Reference zero reduction that permutes the whole matrix on every
+    step, moving the chosen pair to columns 0 and 1 before rotating them."""
+    n = m.order
+    zero_tol = 1e-12 * m.max_abs()
+    c, _ = residual_scaled_identity(m)
+    a = np.array(m.data)
+    while True:
+        diag = np.abs(np.diag(a))
+        zero_pos = [i for i in range(n) if diag[i] <= zero_tol]
+        deficit = len(zero_pos) - target_k
+        if deficit == 0:
+            return a
+        if deficit >= 2:
+            front = zero_pos[:2]
+        else:
+            front = [zero_pos[0], next(i for i in range(n) if diag[i] > zero_tol)]
+        perm = front + [i for i in range(n) if i not in front]
+        a = a[np.ix_(perm, perm)]
+        rotate(a, 0, 1, c)
+
 
 # --------------------------------------------------------------------------
 # Kronecker products

@@ -167,11 +167,41 @@ class TestExecute:
         assert np.array_equal(a.data, b.data)
 
 
+def _depth(node) -> int:
+    return 1 + max((_depth(ch) for ch in node.children), default=0)
+
+
+def _required_nonzero_margin(matrix) -> float:
+    """min |entry| over the off-diagonal and nonzero diagonal entries, over max|entry|."""
+    a = np.abs(matrix.data)
+    diag = np.diag(a)
+    required = np.concatenate((a[~np.eye(len(a), dtype=bool)], diag[diag > 1e-12 * a.max()]))
+    return float(required.min() / a.max())
+
+
+class TestFlatOddRoute:
+    @pytest.mark.parametrize("n", [11, 13, 51, 401, 2001])
+    def test_odd_omzd_is_one_splice(self, n):
+        node = plan("omzd", n)
+        assert _depth(node) == 2
+        assert serialize_plan(node) == f"Combine(Symmetric({n - 3}),Seed(omzd,5))"
+
+    @pytest.mark.parametrize("args", [("omzd", 2001), ("ompzd", 1201, 600)])
+    def test_large_orders_execute(self, args):
+        matrix, cert = execute(plan(*args))
+        assert cert.passed and matrix.order == args[1]
+
+    @pytest.mark.parametrize("n,k", [(243, 26), (220, 73), (44, 37)])
+    def test_ompzd_margin(self, n, k):
+        matrix, _ = execute(plan("ompzd", n, k))
+        assert _required_nonzero_margin(matrix) >= 1e-5
+
+
 class TestSerializeRoundTripShapes:
     def test_nested_text_form(self):
         node = plan("ompzd", 11, 6)
         text = serialize_plan(node)
-        assert text == "ReduceZeros(Combine(Combine(Seed(omzd,7),Seed(omzd,4)),Seed(omzd,4)),6)"
+        assert text == "ReduceZeros(Combine(Symmetric(8),Seed(omzd,5)),6)"
 
     def test_theorem_annotations_present(self):
         node = plan("omzd", 15, route="prefer-drt")
