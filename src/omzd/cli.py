@@ -1,10 +1,14 @@
 """Command-line interface, matrix persistence, and certificate reporting.
 
-All machine output (JSON) goes to stdout unless --out is given; all
-diagnostics go to stderr.  Exit codes: 0 success / exists / certified,
-1 nonexistent / verification failed / known impossible, 2 usage or
-internal error.  Output is byte-deterministic: fixed key order and
-17-significant-digit floats (exact double round-trip).
+``gen`` plans every kind with ``planner.plan``, builds it with
+``planner.execute`` (which checks the result once) and writes it;
+``verify`` checks a stored matrix through the claim table of
+``verify.check_claim``.  All machine output (JSON) goes to stdout unless
+--out is given; all diagnostics go to stderr.  Exit codes: 0 success /
+exists / certified, 1 nonexistent / verification failed / known
+impossible, 2 usage or internal error.  Output is byte-deterministic:
+fixed key order and 17-significant-digit floats (exact double
+round-trip).
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import sys
 
 import numpy as np
 
-from . import construct, graphs, planner
+from . import graphs, planner
 from .errors import (
     CertificationFailed,
     InvalidK,
     InvalidQ,
+    NoKnownConstruction,
     NonFiniteNumber,
-    Nonexistent,
     NonexistentTarget,
     NotDRT,
     NotInCatalog,
@@ -38,35 +42,26 @@ from .errors import (
     TargetTooHigh,
 )
 from .numerics import RealMatrix
-from .verify import (
-    CLAIM_CONFERENCE,
-    CLAIM_NOWHERE_ZERO,
-    CLAIM_OMPZD,
-    CLAIM_OMZD,
-    CLAIM_ORTHOGONAL,
-    CLAIM_SKEW_HADAMARD,
-    CLAIM_SYMMETRIC_OMZD,
-    IntMatrix,
-    certify,
-    check_drt,
-    check_skew_hadamard,
-)
+from .verify import CLAIM_CHECKERS, check_claim
 
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
 
-GEN_KINDS = (
-    "omzd",
-    "symmetric-omzd",
-    "ompzd",
-    "conference",
-    "drt",
-    "skew-hadamard",
-    "multipartite",
-)
+# gen kind -> the parameters it records in its provenance, in order; one
+# left unset is a usage error (t and route have defaults)
+_GEN_PARAMETERS = {
+    "omzd": ("n", "route"),
+    "symmetric-omzd": ("n",),
+    "ompzd": ("n", "k"),
+    "conference": ("q",),
+    "drt": ("q", "t"),
+    "skew-hadamard": ("q", "t"),
+    "multipartite": ("n", "m"),
+}
+GEN_KINDS = tuple(_GEN_PARAMETERS)
 
 _REFUSALS = (
     NonexistentTarget,
-    Nonexistent,
+    NoKnownConstruction,
     InvalidQ,
     NotInCatalog,
     OrderFour,
@@ -234,22 +229,6 @@ def matrix_to_csv(matrix: RealMatrix) -> str:
     return "".join(_format_rows(matrix.data, "", "\n"))
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
-def _cert_block(cert) -> dict:
-    return {
-        "claim": cert.claim,
-        "passed": cert.passed,
-        "max_residual": cert.max_residual,
-        "min_offdiag_magnitude": (
-            cert.min_offdiag_magnitude if cert.min_offdiag_magnitude != float("inf") else 0.0
-        ),
-        "symmetry": cert.symmetry,
-    }
-
-
 # --------------------------------------------------------------------------
 # Argument parsing
 # --------------------------------------------------------------------------
@@ -275,21 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a stored matrix against a claim")
     ver.add_argument("--in", dest="path", required=True)
-    ver.add_argument(
-        "--claim",
-        required=True,
-        choices=(
-            "omzd",
-            "symmetric-omzd",
-            "ompzd",
-            "conference",
-            "skew-hadamard",
-            "drt",
-            "nowhere-zero",
-            "multipartite",
-            "orthogonal",
-        ),
-    )
+    ver.add_argument("--claim", required=True, choices=tuple(CLAIM_CHECKERS))
     ver.add_argument("--res-tol", type=float, default=1e-9)
     ver.add_argument("--zero-tol", type=float, default=None)
 
@@ -326,214 +291,50 @@ def _emit(args, text: str, stdout) -> None:
         stdout.write(text)
 
 
-def _require(parser_msg: str, ok: bool, stderr) -> bool:
-    if not ok:
-        stderr.write(parser_msg + "\n")
-    return ok
-
-
-def _gen_planned(args, kind: str):
-    k = args.k
-    if kind == "ompzd":
-        if k is None:
-            raise _Usage("gen --kind ompzd needs --k")
-        node = planner.plan(planner.KIND_OMPZD, args.n, k, route=args.route, branch=args.branch)
-    elif kind == "symmetric-omzd":
-        node = planner.plan(planner.KIND_SYMMETRIC_OMZD, args.n)
-    else:
-        node = planner.plan(planner.KIND_OMZD, args.n, route=args.route, branch=args.branch)
-    matrix, cert = planner.execute(node)
-    params = {"n": args.n}
-    if kind == "ompzd":
-        params["k"] = k
-    if kind == "omzd":
-        params["route"] = args.route
-        if args.route == planner.ROUTE_PREFER_DRT:
-            params["branch"] = args.branch
-    return matrix, _cert_block(cert), planner.serialize_plan(node), node.theorem, params
-
-
 class _Usage(Exception):
     pass
 
 
 def _cmd_gen(args, stdout, stderr) -> int:
     kind = args.kind
-    if kind in ("omzd", "symmetric-omzd", "ompzd", "multipartite"):
-        if args.n is None:
-            raise _Usage(f"gen --kind {kind} needs --n")
-    if kind in ("conference", "drt", "skew-hadamard") and args.q is None:
-        raise _Usage(f"gen --kind {kind} needs --q")
+    params = {}
+    for name in _GEN_PARAMETERS[kind]:
+        if getattr(args, name) is None:
+            raise _Usage(f"gen --kind {kind} needs --{name}")
+        params[name] = getattr(args, name)
+    if kind == "omzd" and args.route == planner.ROUTE_PREFER_DRT:
+        params["branch"] = args.branch
 
-    if kind in ("omzd", "symmetric-omzd", "ompzd"):
-        matrix, cert_block, plan_str, theorem, params = _gen_planned(args, kind)
-    elif kind == "conference":
-        try:
-            conf = construct.paley_conference(args.q)
-        except InvalidQ as e:
-            stderr.write(f"{e}; {planner.BELEVITCH_NOTE}\n")
-            return 1
-        matrix = conf.to_real(scale_c=float(args.q))
-        cert = certify(matrix, CLAIM_CONFERENCE)
-        if not cert.passed:
-            stderr.write(f"construction failed its own certificate: {cert.failures}\n")
-            return 2
-        node = planner.paley_node(args.q)
-        cert_block, plan_str, theorem = _cert_block(cert), planner.serialize_plan(node), node.theorem
-        params = {"q": args.q}
-    elif kind == "drt":
-        t_node = planner.paley_drt_node(args.q)
-        tournament = construct.paley_tournament(args.q)
-        for _ in range(args.t):
-            tournament = construct.double_drt(tournament)
-            t_node = planner.double_node(t_node)
-        verdict = check_drt(tournament)
-        if not verdict.passed:
-            stderr.write(f"construction failed tournament axioms: {verdict.failures}\n")
-            return 2
-        matrix = tournament.to_real()
-        cert_block = {
-            "claim": f"DRT({verdict.q})",
-            "passed": True,
-            "max_residual": 0.0,
-            "min_offdiag_magnitude": 0.0,
-            "symmetry": "neither",
-        }
-        plan_str, theorem = planner.serialize_plan(t_node), t_node.theorem
-        params = {"q": args.q, "t": args.t}
-    elif kind == "skew-hadamard":
-        tournament = construct.paley_tournament(args.q)
-        for _ in range(args.t):
-            tournament = construct.double_drt(tournament)
-        had = construct.drt_to_skew_hadamard(tournament)
-        verdict = check_skew_hadamard(had)
-        if not verdict.passed:
-            stderr.write(f"construction failed skew-Hadamard identities: {verdict.failures}\n")
-            return 2
-        matrix = had.to_real(scale_c=float(verdict.order))
-        cert_block = {
-            "claim": f"SkewHadamard({verdict.order})",
-            "passed": True,
-            "max_residual": 0.0,
-            "min_offdiag_magnitude": 1.0,
-            "symmetry": "neither",
-        }
-        plan_str = None
-        theorem = "a DRT(q) is equivalent to a skew-Hadamard matrix of order q+1"
-        params = {"q": args.q, "t": args.t}
-    else:  # multipartite
-        if args.m is None:
-            raise _Usage("gen --kind multipartite needs --m")
-        if args.m % 2 != 0 or args.m == 4:
-            stderr.write(
-                "no construction is known for an odd part count or exactly 4 parts\n"
-            )
-            return 1
-        witness = construct.kron(
-            construct.symmetric_omzd(args.m), construct.nowhere_zero_orthogonal(args.n)
-        )
-        cert = graphs.certify_multipartite(witness, args.n, args.m)
-        if not cert.passed:
-            stderr.write(f"construction failed its own certificate: {cert.failures}\n")
-            return 2
-        matrix = witness
-        node = planner.kron_node(
-            planner.symmetric_node(args.m) if args.m != 2 else planner.seed_node("omzd", 2),
-            planner.nowhere_zero_node(args.n),
-        )
-        cert_block, plan_str, theorem = _cert_block(cert), planner.serialize_plan(node), node.theorem
-        params = {"n": args.n, "m": args.m}
-
+    node = planner.plan(
+        kind, args.n, args.k, route=args.route, branch=args.branch, q=args.q, t=args.t, m=args.m
+    )
+    matrix, cert = planner.execute(node)
     if args.format == "csv":
         _emit(args, matrix_to_csv(matrix), stdout)
     else:
-        provenance = {"theorem": theorem, "parameters": params}
-        _emit(args, encode_matrix_file(kind, matrix, plan_str, cert_block, provenance), stdout)
+        provenance = {"theorem": node.theorem, "parameters": params}
+        text = encode_matrix_file(kind, matrix, planner.serialize_plan(node), cert.summary(), provenance)
+        _emit(args, text, stdout)
     return 0
-
-
-def _as_int_matrix(matrix: RealMatrix, stderr) -> IntMatrix | None:
-    if not np.all(matrix.data == np.round(matrix.data)):
-        stderr.write("entries are not integral\n")
-        return None
-    return IntMatrix(matrix.data.astype(np.int64))
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
     with open(args.path) as fh:
         doc = decode_matrix_file(fh.read())
-    matrix: RealMatrix = doc["matrix"]
     params = doc["provenance"]["parameters"]
-    claim = args.claim
-
-    if claim == "drt":
-        im = _as_int_matrix(matrix, stderr)
-        if im is None:
-            return 1
-        verdict = check_drt(im)
-        out = {
-            "claim": f"DRT({verdict.q})",
-            "passed": verdict.passed,
-            "q": verdict.q,
-            "k": verdict.k,
-            "lambda": verdict.lam,
-            "failures": list(verdict.failures),
-        }
-        stdout.write(_dump_json(out) + "\n")
-        if not verdict.passed:
-            stderr.write("; ".join(verdict.failures) + "\n")
-        return 0 if verdict.passed else 1
-
-    if claim == "skew-hadamard":
-        im = _as_int_matrix(matrix, stderr)
-        if im is None:
-            return 1
-        verdict = check_skew_hadamard(im)
-        out = {
-            "claim": f"SkewHadamard({verdict.order})",
-            "passed": verdict.passed,
-            "failures": list(verdict.failures),
-        }
-        stdout.write(_dump_json(out) + "\n")
-        if not verdict.passed:
-            stderr.write("; ".join(verdict.failures) + "\n")
-        return 0 if verdict.passed else 1
-
-    if claim == "multipartite":
-        n, m = params.get("n"), params.get("m")
-        if not isinstance(n, int) or not isinstance(m, int):
-            raise _Usage("claim 'multipartite' needs integer provenance parameters n and m")
-        cert = graphs.certify_multipartite(matrix, n, m, res_tol=args.res_tol)
-    else:
-        claim_map = {
-            "omzd": (CLAIM_OMZD, None),
-            "symmetric-omzd": (CLAIM_SYMMETRIC_OMZD, None),
-            "conference": (CLAIM_CONFERENCE, None),
-            "nowhere-zero": (CLAIM_NOWHERE_ZERO, None),
-            "orthogonal": (CLAIM_ORTHOGONAL, None),
-        }
-        if claim == "ompzd":
-            k = params.get("k")
-            if not isinstance(k, int):
-                zero_tol = args.zero_tol
-                if zero_tol is None:
-                    zero_tol = 1e-12 * matrix.max_abs()
-                k = int(np.sum(np.abs(np.diag(matrix.data)) <= zero_tol))
-                stderr.write(f"no k in provenance; inferred k={k} from the diagonal\n")
-            claim_key, claim_k = CLAIM_OMPZD, k
-        else:
-            claim_key, claim_k = claim_map[claim]
-        cert = certify(matrix, claim_key, k=claim_k, zero_tol=args.zero_tol, res_tol=args.res_tol)
-
-    out = dict(_cert_block(cert))
-    # an overflowed gram leaves c or the residual without a JSON number: null
-    out["max_residual"] = _finite_or_none(cert.max_residual)
-    out["scale_c"] = _finite_or_none(cert.scale_c)
-    out["failures"] = list(cert.failures)
-    stdout.write(_dump_json(out) + "\n")
-    if not cert.passed:
-        stderr.write("; ".join(cert.failures) + "\n")
-    return 0 if cert.passed else 1
+    verdict = check_claim(
+        args.claim,
+        doc["matrix"],
+        k=params.get("k"),
+        part_size=params.get("n"),
+        parts=params.get("m"),
+        zero_tol=args.zero_tol,
+        res_tol=args.res_tol,
+    )
+    stdout.write(_dump_json(verdict.report()) + "\n")
+    if not verdict.passed:
+        stderr.write("; ".join(verdict.failures) + "\n")
+    return 0 if verdict.passed else 1
 
 
 def _cmd_plan(args, stdout, stderr) -> int:
@@ -623,7 +424,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except _REFUSALS as e:
         stderr.write(f"{type(e).__name__}: {e}\n")
         return 1
-    except (SchemaViolation, ShapeMismatch, NonFiniteNumber, InvalidK, ValueError) as e:
+    except (SchemaViolation, ShapeMismatch, NonFiniteNumber, InvalidK, ResourceLimit, ValueError) as e:
         stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
     except (CertificationFailed, OmzdError) as e:

@@ -78,14 +78,14 @@ class NoThetaFound(OmzdError):
     """Rotation-angle schedule exhausted without clearing the zeros."""
 
 
-class Nonexistent(OmzdError):
-    """The requested object provably does not exist."""
-
-
 # --- planning ---------------------------------------------------------------
 
 class NonexistentTarget(OmzdError):
     """plan() was asked for an object whose existence verdict is negative."""
+
+
+class NoKnownConstruction(OmzdError):
+    """plan() was asked for an object no implemented construction reaches."""
 
 
 class CertificationFailed(OmzdError):
@@ -105,7 +105,8 @@ class NonSymmetric(OmzdError):
 # --- resources --------------------------------------------------------------
 
 class ResourceLimit(OmzdError):
-    """A request ran past the interpreter's recursion limit or out of memory."""
+    """A request asked for an order above the planner's MAX_ORDER, or ran
+    past the interpreter's recursion limit or out of memory."""
 
 
 # --- serialization ----------------------------------------------------------

@@ -13,21 +13,19 @@ agree with it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import construct, planner
-from .errors import NonSymmetric, NotScaledInvolution, ShapeMismatch
+from .errors import NoKnownConstruction, NonSymmetric, NotScaledInvolution
 from .numerics import (
     RealMatrix,
     cluster_eigenvalues,
     involution_multiplicities,
     jacobi_spectrum,
-    residual_scaled_identity,
 )
-from .verify import OrthoCertificate
+from .verify import certify_multipartite  # re-exported: the checker lives in verify
 
 __all__ = [
     "Knn",
@@ -63,6 +61,13 @@ def _graph_of_mask(mask: np.ndarray) -> Graph:
     return Graph(order=mask.shape[0], edges=frozenset(zip(rows.tolist(), cols.tolist())))
 
 
+def _check_part_size(spec) -> None:
+    """Reject a part size below 1, and a witness order above MAX_ORDER."""
+    if spec.n < 1:
+        raise ValueError(f"part size must be >= 1, got {spec.n}")
+    planner.check_order(spec.order)
+
+
 @dataclass(frozen=True)
 class Knn:
     """Complete bipartite graph on parts {0..n-1} and {n..2n-1}."""
@@ -70,8 +75,7 @@ class Knn:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"part size must be >= 1, got {self.n}")
+        _check_part_size(self)
 
     @property
     def order(self) -> int:
@@ -92,8 +96,7 @@ class Gnk:
     k: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"part size must be >= 1, got {self.n}")
+        _check_part_size(self)
         if not 0 <= self.k <= self.n:
             raise ValueError(f"matching size must satisfy 0 <= k <= n, got {self.k}")
 
@@ -118,8 +121,7 @@ class Multipartite:
     m: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"part size must be >= 1, got {self.n}")
+        _check_part_size(self)
         if self.m < 2:
             raise ValueError(f"part count must be >= 2, got {self.m}")
 
@@ -172,52 +174,6 @@ def embed_bipartite(b: RealMatrix) -> RealMatrix:
     return RealMatrix(out, scale_c=b.scale_c)
 
 
-def certify_multipartite(
-    m_matrix: RealMatrix, part_size: int, parts: int, res_tol: float = 1e-9
-) -> OrthoCertificate:
-    """Certificate that a matrix realizes a complete multipartite pattern:
-    symmetric, orthogonal, zero n x n diagonal blocks, nowhere-zero
-    off-diagonal blocks.  Raises ShapeMismatch for a non-square matrix."""
-    if not m_matrix.is_square:
-        raise ShapeMismatch(
-            f"certification needs a square matrix, got {m_matrix.rows}x{m_matrix.cols}"
-        )
-    failures: list[str] = []
-    n, m = part_size, parts
-    a = m_matrix.data
-    symmetry = "symmetric" if np.array_equal(a, a.T) else "neither"
-    if symmetry != "symmetric":
-        failures.append("matrix is not symmetric")
-
-    min_off = 0.0
-    if a.shape == (n * m, n * m):
-        block_mask = np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))
-        if np.any(a[block_mask] != 0.0):
-            failures.append("diagonal blocks are not identically zero")
-        off_block = np.abs(a[~block_mask])
-        min_off = float(np.min(off_block)) if off_block.size else math.inf
-        if off_block.size and np.any(off_block == 0.0):
-            failures.append("zero entries inside off-diagonal blocks")
-    else:
-        failures.append(f"expected order {n * m}, got {a.shape}")
-
-    c, max_residual = residual_scaled_identity(m_matrix)
-    if not (0.0 < c < math.inf):
-        failures.append(f"recovered scale {c} is not positive and finite")
-    elif not (max_residual <= res_tol * c * m_matrix.order):
-        failures.append(f"max residual {max_residual:.3e} too large")
-
-    return OrthoCertificate(
-        claim=f"Multipartite({n},{m})",
-        passed=not failures,
-        scale_c=c,
-        max_residual=max_residual,
-        min_offdiag_magnitude=min_off,
-        symmetry=symmetry,
-        failures=tuple(failures),
-    )
-
-
 def _zeros_to_front(m: RealMatrix, zero_tol: float) -> RealMatrix:
     """Conjugate-permute so the diagonal zeros occupy the leading indices."""
     diag = np.abs(np.diag(m.data))
@@ -268,8 +224,9 @@ def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certi
         return _certify_witness(spec, witness, cluster_tol)
 
     if isinstance(spec, Multipartite):
-        n, m = spec.n, spec.m
-        if m % 2 != 0 or m == 4:
+        try:
+            node = planner.plan(planner.KIND_MULTIPARTITE, spec.n, m=spec.m)
+        except NoKnownConstruction:
             return Q2Certificate(
                 spec=spec,
                 status=STATUS_UNKNOWN,
@@ -281,19 +238,7 @@ def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certi
                 distinct_eigenvalue_count=None,
                 pattern_verified=False,
             )
-        factor = construct.symmetric_omzd(m)
-        base = construct.nowhere_zero_orthogonal(n)
-        witness = construct.kron(factor, base)
-        cert = certify_multipartite(witness, n, m)
-        if not cert.passed:
-            return Q2Certificate(
-                spec=spec,
-                status=STATUS_UNKNOWN,
-                reason=f"witness failed certification: {cert.failures}",
-                matrix=None,
-                distinct_eigenvalue_count=None,
-                pattern_verified=False,
-            )
+        witness, _ = planner.execute(node)
         return _certify_witness(spec, witness, cluster_tol)
 
     raise TypeError(f"unknown graph family {type(spec).__name__}")

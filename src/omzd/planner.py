@@ -1,9 +1,17 @@
-"""Existence decisions and construction routing.
+"""Existence decisions and construction routing for every gen kind.
 
-Given (kind, n, k) the planner either emits a construction plan that
-realizes the object or a refusal naming the result that forbids it.
-Plans are immutable trees; execution evaluates them bottom-up through
-the construct module and certifies every stage.
+Given a kind and its parameters the planner either emits a construction
+plan that realizes the object or raises a typed refusal naming the result
+that forbids it; every refusal, and the order cap ``MAX_ORDER``, is
+checked before anything is built.  Plans are immutable trees; ``execute``
+evaluates them bottom-up through the construct module.
+
+Each stage is checked at most once.  A stage that feeds another is
+checked by the builder that consumes it, through that builder's own input
+check (``combine`` certifies its OMZD inputs, ``drt_to_skew_hadamard``
+and ``omzd_from_drt`` check their DRT, ``reduce_zeros`` its orthogonal
+input); the root is checked by ``execute`` with the claim table of
+``verify``.
 """
 
 from __future__ import annotations
@@ -11,29 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import construct
-from .errors import CertificationFailed, InvalidK, NonexistentTarget
-from .numerics import RealMatrix
-from .verify import (
-    CLAIM_CONFERENCE,
-    CLAIM_NOWHERE_ZERO,
-    CLAIM_OMPZD,
-    CLAIM_OMZD,
-    CLAIM_ORTHOGONAL,
-    CLAIM_SYMMETRIC_OMZD,
-    IntMatrix,
-    OrthoCertificate,
-    certify,
-    check_drt,
+from .errors import (
+    CertificationFailed,
+    InvalidK,
+    InvalidQ,
+    NoKnownConstruction,
+    NonexistentTarget,
+    ResourceLimit,
 )
+from .verify import IntMatrix, check_claim
 from .gfield import prime_power_decompose
 
 __all__ = [
     "KIND_OMZD",
     "KIND_SYMMETRIC_OMZD",
     "KIND_OMPZD",
+    "KIND_CONFERENCE",
+    "KIND_DRT",
+    "KIND_SKEW_HADAMARD",
+    "KIND_MULTIPARTITE",
+    "MAX_ORDER",
     "ROUTES",
     "PlanNode",
     "ExistenceVerdict",
+    "check_order",
     "exists",
     "plan",
     "execute",
@@ -44,12 +53,21 @@ __all__ = [
 KIND_OMZD = "omzd"
 KIND_SYMMETRIC_OMZD = "symmetric-omzd"
 KIND_OMPZD = "ompzd"
-_KINDS = (KIND_OMZD, KIND_SYMMETRIC_OMZD, KIND_OMPZD)
+KIND_CONFERENCE = "conference"
+KIND_DRT = "drt"
+KIND_SKEW_HADAMARD = "skew-hadamard"
+KIND_MULTIPARTITE = "multipartite"
+_KINDS = (KIND_OMZD, KIND_SYMMETRIC_OMZD, KIND_OMPZD)  # the kinds with an existence table
 
 ROUTE_AUTO = "auto"
 ROUTE_PREFER_DRT = "prefer-drt"
 ROUTE_PREFER_RECURSIVE = "prefer-recursive"
 ROUTES = (ROUTE_AUTO, ROUTE_PREFER_DRT, ROUTE_PREFER_RECURSIVE)
+
+# Largest order of any planned object or graph witness.  An order-4096
+# OMZD takes about 13 s and 1 GB of memory to build and writes 197 MB;
+# without a cap, gen --kind drt --q 7 --t 13 would ask for 34 GB.
+MAX_ORDER = 4096
 
 # Annotation only: attached to conference requests the quadratic-character
 # route cannot serve.  Deliberately not implemented as a number-theory test.
@@ -58,6 +76,7 @@ BELEVITCH_NOTE = (
     "two squares, so orders 22, 34 and 58 are impossible and order 66 is open"
 )
 
+
 _THEOREMS = {
     "seed": "catalog seed matrix",
     "paley": "an odd prime power q yields a conference matrix of order q+1",
@@ -65,11 +84,44 @@ _THEOREMS = {
     "symmetric": "for even n = 2m >= 6, [[J-I, B], [B, I-J]] with B = aI + bJ is a symmetric OMZD(n)",
     "paley-drt": "a prime power q = 3 (mod 4) yields a doubly regular tournament of order q",
     "double": "a DRT(q) yields a DRT(2q+1) via its skew-Hadamard matrix",
+    "skew-hadamard": "a DRT(q) is equivalent to a skew-Hadamard matrix of order q+1",
     "omzd-from-drt": "a DRT(q) with q >= 7 yields an OMZD(q) as alpha*A + J - I",
     "reduce-zeros": "plane rotations reduce the diagonal zero count to any k <= n-2",
     "ompzd-nm1": "splicing a zero-cornered OMPZD(4,3) into an OMZD(n-2) gives an OMPZD(n,n-1)",
     "nowhere-zero": "I - (2/n)J is orthogonal with no zero entries for n >= 3",
     "kron": "a Kronecker product of orthogonal matrices is orthogonal",
+}
+
+_SERIAL_NAMES = {
+    "seed": "Seed",
+    "paley": "Paley",
+    "combine": "Combine",
+    "symmetric": "Symmetric",
+    "paley-drt": "PaleyDRT",
+    "double": "Double",
+    "skew-hadamard": "SkewHadamard",
+    "omzd-from-drt": "OmzdFromDrt",
+    "reduce-zeros": "ReduceZeros",
+    "ompzd-nm1": "OmpzdNm1",
+    "nowhere-zero": "NowhereZero",
+    "kron": "Kron",
+}
+
+# op -> builder over (child results..., args...).  Each looks its construct
+# function up at call time, so a wrapper installed on the module is seen.
+_BUILDERS = {
+    "seed": lambda *args: construct.seed(*args),
+    "paley": lambda q: construct.paley_conference(q),
+    "combine": lambda a, b: construct.combine(a, b),
+    "symmetric": lambda n: construct.symmetric_omzd(n),
+    "paley-drt": lambda q: construct.paley_tournament(q),
+    "double": lambda t: construct.double_drt(t),
+    "skew-hadamard": lambda t: construct.drt_to_skew_hadamard(t),
+    "omzd-from-drt": lambda t, branch: construct.omzd_from_drt(t, branch),
+    "reduce-zeros": lambda m, k: construct.reduce_zeros(m, k),
+    "ompzd-nm1": lambda omzd, n: construct.ompzd_n_minus_1(omzd),
+    "nowhere-zero": lambda n: construct.nowhere_zero_orthogonal(n),
+    "kron": lambda a, b: construct.kron(a, b),
 }
 
 
@@ -105,7 +157,7 @@ def seed_node(kind: str, n: int, k: int | None = None) -> PlanNode:
 
 
 def paley_node(q: int) -> PlanNode:
-    return _node("paley", (q,), kind="conference", n=q + 1)
+    return _node("paley", (q,), kind=KIND_CONFERENCE, n=q + 1)
 
 
 def combine_node(a: PlanNode, b: PlanNode) -> PlanNode:
@@ -117,11 +169,15 @@ def symmetric_node(n: int) -> PlanNode:
 
 
 def paley_drt_node(q: int) -> PlanNode:
-    return _node("paley-drt", (q,), kind="drt", n=q)
+    return _node("paley-drt", (q,), kind=KIND_DRT, n=q)
 
 
 def double_node(child: PlanNode) -> PlanNode:
-    return _node("double", (), (child,), kind="drt", n=2 * child.n + 1)
+    return _node("double", (), (child,), kind=KIND_DRT, n=2 * child.n + 1)
+
+
+def skew_hadamard_node(child: PlanNode) -> PlanNode:
+    return _node("skew-hadamard", (), (child,), kind=KIND_SKEW_HADAMARD, n=child.n + 1)
 
 
 def omzd_from_drt_node(child: PlanNode, branch: str = "minus") -> PlanNode:
@@ -132,8 +188,10 @@ def reduce_zeros_node(child: PlanNode, target_k: int) -> PlanNode:
     return _node("reduce-zeros", (target_k,), (child,), kind=KIND_OMPZD, n=child.n, k=target_k)
 
 
-def ompzd_nm1_node(n: int) -> PlanNode:
-    return _node("ompzd-nm1", (n,), kind=KIND_OMPZD, n=n, k=n - 1)
+def ompzd_nm1_node(child: PlanNode) -> PlanNode:
+    """OMPZD(n, n-1) from the plan of an OMZD(n-2)."""
+    n = child.n + 2
+    return _node("ompzd-nm1", (n,), (child,), kind=KIND_OMPZD, n=n, k=n - 1)
 
 
 def nowhere_zero_node(n: int) -> PlanNode:
@@ -141,22 +199,7 @@ def nowhere_zero_node(n: int) -> PlanNode:
 
 
 def kron_node(a: PlanNode, b: PlanNode) -> PlanNode:
-    return _node("kron", (), (a, b), kind="multipartite", n=a.n * b.n)
-
-
-_SERIAL_NAMES = {
-    "seed": "Seed",
-    "paley": "Paley",
-    "combine": "Combine",
-    "symmetric": "Symmetric",
-    "paley-drt": "PaleyDRT",
-    "double": "Double",
-    "omzd-from-drt": "OmzdFromDrt",
-    "reduce-zeros": "ReduceZeros",
-    "ompzd-nm1": "OmpzdNm1",
-    "nowhere-zero": "NowhereZero",
-    "kron": "Kron",
-}
+    return _node("kron", (), (a, b), kind=KIND_MULTIPARTITE, n=a.n * b.n)
 
 
 def serialize_plan(node: PlanNode) -> str:
@@ -275,27 +318,86 @@ def _ompzd_plan(n: int, k: int, route: str, branch: str) -> PlanNode:
             return seed_node(KIND_OMPZD, 4, 3)
         if n == 5:
             return seed_node(KIND_OMPZD, 5, 4)
-        return ompzd_nm1_node(n)
+        return ompzd_nm1_node(_omzd_plan(n - 2, ROUTE_AUTO, branch))
     # 1 <= k <= n-2
     if n == 3:
         return seed_node(KIND_OMPZD, 3, 1)
     return reduce_zeros_node(_omzd_plan(n, route, branch), k)
 
 
+def check_order(n: int) -> None:
+    """Raise ResourceLimit when an order is above MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise ResourceLimit(f"order {n} exceeds MAX_ORDER = {MAX_ORDER}")
+
+
+def _paley_plan(q: int) -> PlanNode:
+    node = paley_node(q)
+    check_order(node.n)
+    try:
+        construct.check_paley_q(q)
+    except InvalidQ as e:
+        raise InvalidQ(f"{e}; {BELEVITCH_NOTE}") from None
+    return node
+
+
+def _tournament_plan(q: int, t: int) -> PlanNode:
+    """Double^t(PaleyDRT(q)); the order is checked after every doubling,
+    so a huge t stops at the cap."""
+    node = paley_drt_node(q)
+    check_order(node.n)
+    construct.check_paley_q(q, tournament=True)
+    for _ in range(t):
+        node = double_node(node)
+        check_order(node.n)
+    return node
+
+
+def _multipartite_plan(n: int, m: int) -> PlanNode:
+    """Kron(symmetric OMZD(m), nowhere-zero(n)): m parts of size n."""
+    if m % 2 != 0 or m == 4:
+        raise NoKnownConstruction("no construction is known for an odd part count or exactly 4 parts")
+    check_order(n * m)
+    factor = seed_node(KIND_OMZD, 2) if m == 2 else symmetric_node(m)
+    return kron_node(factor, nowhere_zero_node(n))
+
+
 def plan(
     kind: str,
-    n: int,
+    n: int | None = None,
     k: int | None = None,
     route: str = ROUTE_AUTO,
     branch: str = "minus",
+    *,
+    q: int | None = None,
+    t: int = 0,
+    m: int | None = None,
 ) -> PlanNode:
-    """Deterministic construction routing for an existing object."""
+    """Deterministic construction routing for every gen kind.
+
+    The OMZD kinds take the order n (and the zero count k for ompzd);
+    conference, drt and skew-hadamard take the prime power q and t
+    doublings; multipartite takes the part size n and the part count m.
+    Refusals (NonexistentTarget, InvalidQ, NoKnownConstruction, InvalidK)
+    and ResourceLimit for an order above MAX_ORDER are raised here,
+    before anything is built.
+    """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
+    if kind == KIND_CONFERENCE:
+        return _paley_plan(q)
+    if kind == KIND_DRT:
+        return _tournament_plan(q, t)
+    if kind == KIND_SKEW_HADAMARD:
+        # a DRT order is odd and at most MAX_ORDER, so one more is too
+        return skew_hadamard_node(_tournament_plan(q, t))
+    if kind == KIND_MULTIPARTITE:
+        return _multipartite_plan(n, m)
+
     verdict = exists(kind, n, k)
     if not verdict.exists:
         raise NonexistentTarget(verdict.reason)
-
+    check_order(n)
     if kind == KIND_OMZD:
         return _omzd_plan(n, route, branch)
     if kind == KIND_SYMMETRIC_OMZD:
@@ -309,108 +411,44 @@ def plan(
 # Execution
 # --------------------------------------------------------------------------
 
-def _certify_stage(node: PlanNode, result) -> OrthoCertificate | None:
-    """Certify one evaluated stage; tournaments use the exact checker."""
-    if isinstance(result, IntMatrix):
-        if node.kind == "drt":
-            verdict = check_drt(result)
-            if not verdict.passed:
-                raise CertificationFailed(
-                    f"stage {serialize_plan(node)} failed tournament axioms: {verdict.failures}"
-                )
-            return None
-        # conference matrices ride through certify on the real carrier
-        cert = certify(result.to_real(), CLAIM_CONFERENCE)
-    else:
-        claims = {
-            KIND_OMZD: (CLAIM_OMZD, None),
-            KIND_SYMMETRIC_OMZD: (CLAIM_SYMMETRIC_OMZD, None),
-            KIND_OMPZD: (CLAIM_OMPZD, node.k),
-            "multipartite": (CLAIM_ORTHOGONAL, None),
-        }
-        claim, k = claims[node.kind]
-        if node.kind == KIND_OMPZD and node.k == 0:
-            claim, k = CLAIM_NOWHERE_ZERO, None
-        cert = certify(result, claim, k=k)
-    if not cert.passed:
-        raise CertificationFailed(
-            f"stage {serialize_plan(node)} failed certification: {cert.failures}"
-        )
-    return cert
-
-
 def _eval(node: PlanNode):
-    op = node.op
-    if op == "seed":
-        result = construct.seed(*node.args)
-    elif op == "paley":
-        result = construct.paley_conference(*node.args)
-    elif op == "combine":
-        result = construct.combine(_eval_checked(node.children[0]), _eval_checked(node.children[1]))
-    elif op == "symmetric":
-        result = construct.symmetric_omzd(*node.args)
-    elif op == "paley-drt":
-        result = construct.paley_tournament(*node.args)
-    elif op == "double":
-        result = construct.double_drt(_eval_checked(node.children[0]))
-    elif op == "omzd-from-drt":
-        result = construct.omzd_from_drt(_eval_checked(node.children[0]), *node.args)
-    elif op == "reduce-zeros":
-        result = construct.reduce_zeros(_eval_checked(node.children[0]), *node.args)
-    elif op == "ompzd-nm1":
-        result = construct.ompzd_n_minus_1(*node.args)
-    elif op == "nowhere-zero":
-        result = construct.nowhere_zero_orthogonal(*node.args)
-    elif op == "kron":
-        result = construct.kron(_eval_checked(node.children[0]), _eval_checked(node.children[1]))
-    else:
-        raise ValueError(f"unknown plan op {op!r}")
-
-    order = result.order
-    if order != node.n:
+    """Build a stage from its children's results, with no certificate:
+    each child is checked, if at all, by the builder it feeds."""
+    inputs = [_eval(child) for child in node.children]
+    result = _BUILDERS[node.op](*inputs, *node.args)
+    if result.order != node.n:
         raise CertificationFailed(
-            f"stage {serialize_plan(node)} produced order {order}, annotated {node.n}"
+            f"stage {serialize_plan(node)} produced order {result.order}, annotated {node.n}"
         )
     return result
 
 
-def _eval_checked(node: PlanNode):
-    result = _eval(node)
-    _certify_stage(node, result)
-    return result
+def _claim_parameters(node: PlanNode) -> dict:
+    """The root's claim parameters: its zero count, or for a Kronecker
+    witness Kron(factor, base) the part size and the part count."""
+    if node.kind == KIND_MULTIPARTITE:
+        factor, base = node.children
+        return {"part_size": base.n, "parts": factor.n}
+    return {"k": node.k}
 
 
-def execute(node: PlanNode, res_tol: float = 1e-9) -> tuple[RealMatrix, OrthoCertificate]:
-    """Evaluate a plan bottom-up, certifying every stage.
+def execute(node: PlanNode, res_tol: float = 1e-9):
+    """Evaluate a plan bottom-up and check its root once, at ``res_tol``,
+    against the claim of its kind.
 
-    The root must produce an orthogonal matrix (tournament nodes are
-    internal stages); the returned certificate re-checks the final
-    matrix at ``res_tol``.
+    Returns the root as a RealMatrix (an integer root carries the scale
+    its verdict recovered: q for a conference matrix, the order for a
+    skew-Hadamard matrix, none for a tournament) and its verdict, an
+    OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  Raises
+    CertificationFailed when the root fails.
     """
     result = _eval(node)
-    if isinstance(result, IntMatrix):
-        if node.kind == "drt":
-            raise ValueError(
-                "plan root is a tournament and carries no orthogonality "
-                "certificate; run its construction directly"
-            )
-        result_real = result.to_real(scale_c=float(node.n - 1))
-        cert = certify(result_real, CLAIM_CONFERENCE, res_tol=res_tol)
-        final = result_real
-    else:
-        claims = {
-            KIND_OMZD: (CLAIM_OMZD, None),
-            KIND_SYMMETRIC_OMZD: (CLAIM_SYMMETRIC_OMZD, None),
-            KIND_OMPZD: (CLAIM_OMPZD, node.k),
-            "multipartite": (CLAIM_ORTHOGONAL, None),
-        }
-        claim, k = claims[node.kind]
-        if node.kind == KIND_OMPZD and node.k == 0:
-            claim, k = CLAIM_NOWHERE_ZERO, None
-        cert = certify(result, claim, k=k, res_tol=res_tol)
-        final = result
-    if not cert.passed:
+    real = result.to_real() if isinstance(result, IntMatrix) else result
+    verdict = check_claim(node.kind, real, res_tol=res_tol, **_claim_parameters(node))
+    if not verdict.passed:
         raise CertificationFailed(
-            f"plan {serialize_plan(node)} executed but failed certification: {cert.failures}"
+            f"plan {serialize_plan(node)} executed but failed certification: {verdict.failures}"
         )
-    return final, cert
+    if isinstance(result, IntMatrix):
+        real = result.to_real(scale_c=verdict.scale_c)
+    return real, verdict

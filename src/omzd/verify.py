@@ -5,7 +5,9 @@ tournaments) get exact arithmetic and tolerance-free verdicts; real
 matrices are checked against tolerances scaled by the recovered scale
 constant and the order.  Certificates always carry the full diagnostic
 rather than short-circuiting, so callers can assert on specific
-failure kinds.
+failure kinds.  ``CLAIM_CHECKERS`` maps every claim name (a gen kind or a
+``verify --claim`` value) to its checker; the planner and the CLI both
+check through ``check_claim``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import ShapeMismatch
 from .numerics import RealMatrix, residual_scaled_identity
 
 __all__ = [
+    "CLAIM_CHECKERS",
     "CLAIM_OMZD",
     "CLAIM_OMPZD",
     "CLAIM_CONFERENCE",
@@ -32,6 +35,8 @@ __all__ = [
     "DrtVerdict",
     "SkewHadamardVerdict",
     "certify",
+    "certify_multipartite",
+    "check_claim",
     "check_drt",
     "check_skew_hadamard",
 ]
@@ -120,6 +125,10 @@ class PatternMask:
         return [(int(i), int(j)) for i, j in np.argwhere(off_zero)]
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class OrthoCertificate:
     """Verification verdict: recovered scale, worst residual, pattern and
@@ -132,6 +141,27 @@ class OrthoCertificate:
     min_offdiag_magnitude: float
     symmetry: str  # "symmetric" | "skew" | "neither"
     failures: tuple[str, ...]
+
+    def summary(self) -> dict:
+        """The certificate block a matrix file carries."""
+        return {
+            "claim": self.claim,
+            "passed": self.passed,
+            "max_residual": self.max_residual,
+            "min_offdiag_magnitude": (
+                self.min_offdiag_magnitude if self.min_offdiag_magnitude != math.inf else 0.0
+            ),
+            "symmetry": self.symmetry,
+        }
+
+    def report(self) -> dict:
+        """The ``verify`` report: the summary with c and the failures; an
+        overflowed gram leaves c or the residual as null."""
+        out = self.summary()
+        out["max_residual"] = _finite_or_none(self.max_residual)
+        out["scale_c"] = _finite_or_none(self.scale_c)
+        out["failures"] = list(self.failures)
+        return out
 
 
 def _symmetry_class(a: np.ndarray) -> str:
@@ -252,6 +282,18 @@ def certify(
     )
 
 
+def _exact_summary(claim: str, passed: bool, min_offdiag: float) -> dict:
+    """The certificate block of an exact integer check: zero residual, and
+    the matrix is neither symmetric nor skew."""
+    return {
+        "claim": claim,
+        "passed": passed,
+        "max_residual": 0.0,
+        "min_offdiag_magnitude": min_offdiag,
+        "symmetry": "neither",
+    }
+
+
 @dataclass(frozen=True)
 class DrtVerdict:
     """Exact verdict on the doubly-regular-tournament axioms."""
@@ -261,6 +303,25 @@ class DrtVerdict:
     k: int | None
     lam: int | None
     failures: tuple[str, ...]
+
+    scale_c = None  # a tournament is not a scaled orthogonal matrix
+
+    @property
+    def claim(self) -> str:
+        return f"DRT({self.q})"
+
+    def summary(self) -> dict:
+        return _exact_summary(self.claim, self.passed, min_offdiag=0.0)
+
+    def report(self) -> dict:
+        return {
+            "claim": self.claim,
+            "passed": self.passed,
+            "q": self.q,
+            "k": self.k,
+            "lambda": self.lam,
+            "failures": list(self.failures),
+        }
 
 
 def check_drt(t: IntMatrix) -> DrtVerdict:
@@ -312,6 +373,20 @@ class SkewHadamardVerdict:
     order: int
     failures: tuple[str, ...]
 
+    @property
+    def scale_c(self) -> float:
+        return float(self.order)
+
+    @property
+    def claim(self) -> str:
+        return f"SkewHadamard({self.order})"
+
+    def summary(self) -> dict:
+        return _exact_summary(self.claim, self.passed, min_offdiag=1.0)
+
+    def report(self) -> dict:
+        return {"claim": self.claim, "passed": self.passed, "failures": list(self.failures)}
+
 
 def check_skew_hadamard(h: IntMatrix) -> SkewHadamardVerdict:
     """Exact integer check of both skew-Hadamard identities."""
@@ -328,3 +403,133 @@ def check_skew_hadamard(h: IntMatrix) -> SkewHadamardVerdict:
         if not np.array_equal(a + a.T, 2 * np.eye(n, dtype=np.int64)):
             failures.append("H + H^T != 2I")
     return SkewHadamardVerdict(not failures, n, tuple(failures))
+
+
+def certify_multipartite(
+    m_matrix: RealMatrix, part_size: int, parts: int, res_tol: float = 1e-9
+) -> OrthoCertificate:
+    """Certificate that a matrix realizes a complete multipartite pattern:
+    symmetric, orthogonal, zero n x n diagonal blocks, nowhere-zero
+    off-diagonal blocks.  Raises ShapeMismatch for a non-square matrix."""
+    if not m_matrix.is_square:
+        raise ShapeMismatch(
+            f"certification needs a square matrix, got {m_matrix.rows}x{m_matrix.cols}"
+        )
+    failures: list[str] = []
+    n, m = part_size, parts
+    a = m_matrix.data
+    symmetry = "symmetric" if np.array_equal(a, a.T) else "neither"
+    if symmetry != "symmetric":
+        failures.append("matrix is not symmetric")
+
+    min_off = 0.0
+    if a.shape == (n * m, n * m):
+        block_mask = np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))
+        if np.any(a[block_mask] != 0.0):
+            failures.append("diagonal blocks are not identically zero")
+        off_block = np.abs(a[~block_mask])
+        min_off = float(np.min(off_block)) if off_block.size else math.inf
+        if off_block.size and np.any(off_block == 0.0):
+            failures.append("zero entries inside off-diagonal blocks")
+    else:
+        failures.append(f"expected order {n * m}, got {a.shape}")
+
+    c, max_residual = residual_scaled_identity(m_matrix)
+    if not (0.0 < c < math.inf):
+        failures.append(f"recovered scale {c} is not positive and finite")
+    elif not (max_residual <= res_tol * c * m_matrix.order):
+        failures.append(f"max residual {max_residual:.3e} too large")
+
+    return OrthoCertificate(
+        claim=f"Multipartite({n},{m})",
+        passed=not failures,
+        scale_c=c,
+        max_residual=max_residual,
+        min_offdiag_magnitude=min_off,
+        symmetry=symmetry,
+        failures=tuple(failures),
+    )
+
+
+# --------------------------------------------------------------------------
+# The claim table
+# --------------------------------------------------------------------------
+# Every checker takes the matrix and the same keyword parameters: the zero
+# count k (ompzd), the part size and part count (multipartite) and the two
+# tolerances.  Checkers call certify, check_drt and certify_multipartite
+# through their module names at call time.
+
+def _orthogonal_claim(claim: str):
+    def check(m: RealMatrix, zero_tol=None, res_tol=1e-9, **_) -> OrthoCertificate:
+        return certify(m, claim, zero_tol=zero_tol, res_tol=res_tol)
+
+    return check
+
+
+def _check_ompzd(m: RealMatrix, k=None, zero_tol=None, res_tol=1e-9, **_) -> OrthoCertificate:
+    """k = 0 is the nowhere-zero claim; without k, the zero count the
+    diagonal shows is the claim."""
+    if not isinstance(k, int):
+        tol = 1e-12 * m.max_abs() if zero_tol is None else zero_tol
+        k = int(np.sum(np.abs(np.diag(m.data)) <= tol))
+    if k == 0:
+        return certify(m, CLAIM_NOWHERE_ZERO, zero_tol=zero_tol, res_tol=res_tol)
+    return certify(m, CLAIM_OMPZD, k=k, zero_tol=zero_tol, res_tol=res_tol)
+
+
+_NOT_INTEGRAL = ("entries are not integral",)
+
+
+def _check_drt_claim(m: RealMatrix, **_) -> DrtVerdict:
+    if not _is_integral(m.data):
+        return DrtVerdict(False, m.rows, None, None, _NOT_INTEGRAL)
+    return check_drt(IntMatrix(m.data.astype(np.int64)))
+
+
+def _check_skew_hadamard_claim(m: RealMatrix, **_) -> SkewHadamardVerdict:
+    if not _is_integral(m.data):
+        return SkewHadamardVerdict(False, m.rows, _NOT_INTEGRAL)
+    return check_skew_hadamard(IntMatrix(m.data.astype(np.int64)))
+
+
+def _check_multipartite(
+    m: RealMatrix, part_size=None, parts=None, res_tol=1e-9, **_
+) -> OrthoCertificate:
+    if not isinstance(part_size, int) or not isinstance(parts, int):
+        raise ValueError("claim 'multipartite' needs an integer part size n and part count m")
+    return certify_multipartite(m, part_size, parts, res_tol=res_tol)
+
+
+# claim name (a gen kind or a verify --claim value) -> checker
+CLAIM_CHECKERS = {
+    "omzd": _orthogonal_claim(CLAIM_OMZD),
+    "symmetric-omzd": _orthogonal_claim(CLAIM_SYMMETRIC_OMZD),
+    "ompzd": _check_ompzd,
+    "conference": _orthogonal_claim(CLAIM_CONFERENCE),
+    "skew-hadamard": _check_skew_hadamard_claim,
+    "drt": _check_drt_claim,
+    "nowhere-zero": _orthogonal_claim(CLAIM_NOWHERE_ZERO),
+    "multipartite": _check_multipartite,
+    "orthogonal": _orthogonal_claim(CLAIM_ORTHOGONAL),
+}
+
+
+def check_claim(
+    name: str,
+    m: RealMatrix,
+    *,
+    k: int | None = None,
+    part_size: int | None = None,
+    parts: int | None = None,
+    zero_tol: float | None = None,
+    res_tol: float = 1e-9,
+):
+    """Check ``m`` against the claim ``name`` with the checker of
+    CLAIM_CHECKERS.  Returns an OrthoCertificate, DrtVerdict or
+    SkewHadamardVerdict; each has ``passed``, ``failures``, ``scale_c``,
+    ``summary()`` and ``report()``."""
+    try:
+        checker = CLAIM_CHECKERS[name]
+    except KeyError:
+        raise ValueError(f"unknown claim {name!r}") from None
+    return checker(m, k=k, part_size=part_size, parts=parts, zero_tol=zero_tol, res_tol=res_tol)

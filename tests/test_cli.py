@@ -1,8 +1,10 @@
 """CLI surface: gen/verify/plan/exists/certify-graph, persistence, exit codes."""
 
+import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from omzd import construct, planner
 from omzd.cli import _dump_json, _fmt_number, decode_matrix_file, encode_matrix_file, matrix_to_csv, run
-from omzd.errors import NonFiniteNumber, SchemaViolation
+from omzd.errors import NonFiniteNumber, ResourceLimit, SchemaViolation
 from omzd.numerics import RealMatrix
 
 
@@ -272,6 +274,15 @@ class TestResourceLimits:
         assert err.startswith("ResourceLimit: ") and "MemoryError" in err
         assert err.count("\n") == 1
 
+    def test_order_cap_is_one_typed_line(self, monkeypatch):
+        def over_cap(*args, **kwargs):
+            raise ResourceLimit(f"order 8191 exceeds MAX_ORDER = {planner.MAX_ORDER}")
+
+        monkeypatch.setattr(planner, "plan", over_cap)
+        code, out, err = invoke("gen", "--kind", "drt", "--q", "7", "--t", "10")
+        assert (code, out) == (2, "")
+        assert err == "ResourceLimit: order 8191 exceeds MAX_ORDER = 4096\n"
+
 
 def _old_dump_entries(data) -> str:
     """Entry-by-entry encoding of a matrix, the reference for the row encoder."""
@@ -392,3 +403,138 @@ class TestVerifyBadInput:
         assert code == 1
         report = json.loads(out)  # strict: no bare inf or nan
         assert report["passed"] is False and "expected order 18" in err
+
+
+# gen stdout, sha256 of the bytes written before every kind was planned.
+# Two kinds now record a plan where they recorded another: the pin is
+# taken after putting the earlier plan field back.
+GEN_PINS = [
+    ("gen --kind conference --q 27", "03de52fadbd363bc5dca41c751b01f670ed64ab8f046640454c3de6eabad44f2", None),
+    ("gen --kind drt --q 43 --t 1", "38e2e9197e98bab8b4d6091bebd30e0d3e52b9739859e307c433cc1be2c97c67", None),
+    ("gen --kind drt --q 3", "569e96f70ebc17f4c424805ef3cdbfc2f7c3afec9f47cd15034e92c221309c12", None),
+    (
+        "gen --kind skew-hadamard --q 11",
+        "46eb94eef35440b5f23b2f9a263566fad23e344fc42d4cd4d0877e00fe4d1727",
+        ("SkewHadamard(PaleyDRT(11))", None),
+    ),
+    (
+        "gen --kind skew-hadamard --q 7 --t 1",
+        "42f206e9e57ce185082063393688f41db34bfb6f501c47c1170d8f8cba3ddfea",
+        ("SkewHadamard(Double(PaleyDRT(7)))", None),
+    ),
+    ("gen --kind multipartite --n 5 --m 6", "4b02e1f4974102eb4989d52b06aee1dc91485ff7af6566c14da10655b19f8224", None),
+    ("gen --kind multipartite --n 3 --m 2", "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8", None),
+    ("gen --kind omzd --n 51", "a573d0457028cee7a21b05dbd96e6dde742f41051b18380e89d04a1f45848874", None),
+    ("gen --kind ompzd --n 51 --k 20", "dce6acab08a5a01a90da1768ba918d9e536b5f31882777068ee149ffcee1d655", None),
+    (
+        "gen --kind ompzd --n 30 --k 29",
+        "e062867f912f93b91d1233bd75ecdfa1fa765c4142a782a3a883f1659d675ba7",
+        ("OmpzdNm1(Symmetric(28),30)", "OmpzdNm1(30)"),
+    ),
+]
+
+
+class TestGenPinnedBytes:
+    @pytest.mark.parametrize("argv,sha,plan_change", GEN_PINS)
+    def test_stdout_bytes(self, argv, sha, plan_change):
+        code, out, err = invoke(*argv.split())
+        assert code == 0 and err == ""
+        if plan_change is not None:
+            new, old = plan_change
+            assert json.loads(out)["plan"] == new
+            out = out.replace(f'"plan":"{new}"', '"plan":' + ("null" if old is None else f'"{old}"'))
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            ("gen --kind conference --q 21", 1, "InvalidQ: q = 21 is not an odd prime power; note: a symmetric"),
+            ("gen --kind drt --q 5", 1, "InvalidQ: q = 5 is not 3 mod 4"),
+            ("gen --kind skew-hadamard --q 15", 1, "InvalidQ: q = 15 is not an odd prime power"),
+            ("gen --kind multipartite --n 3 --m 3", 1, "NoKnownConstruction: no construction is known for an odd part count or exactly 4 parts"),
+            ("gen --kind multipartite --n 3 --m 4", 1, "NoKnownConstruction: no construction is known"),
+            ("gen --kind multipartite --n 3 --m 0", 1, "OddOrder: a symmetric OMZD(n) exists only for even n, got 0"),
+            ("gen --kind multipartite --n 0 --m 2", 2, "ValueError: order must be >= 1, got 0"),
+            ("gen --kind multipartite --n 3", 2, "usage error: gen --kind multipartite needs --m"),
+            ("gen --kind drt", 2, "usage error: gen --kind drt needs --q"),
+        ],
+    )
+    def test_refusals(self, argv, code, message):
+        got, out, err = invoke(*argv.split())
+        assert (got, out) == (code, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+_CHECKERS = ("certify", "check_drt", "check_skew_hadamard", "certify_multipartite")
+
+
+@pytest.fixture
+def checker_calls(monkeypatch):
+    """Counts every call of the four checkers, wrapped at every module
+    attribute that holds one, and records the matrix each was given."""
+    from omzd import verify
+
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name == "omzd" or name.startswith("omzd.")]
+    for fn_name in _CHECKERS:
+        original = getattr(verify, fn_name)
+
+        def counted(m, *args, _original=original, **kwargs):
+            calls.append(np.array(m.data))
+            return _original(m, *args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _stages(node) -> int:
+    return 1 + sum(_stages(child) for child in node.children)
+
+
+class TestEachStageCheckedOnce:
+    @pytest.mark.parametrize("argv", [argv for argv, _, _ in GEN_PINS])
+    def test_checks_per_gen(self, argv, checker_calls, monkeypatch):
+        nodes, plan = [], planner.plan
+
+        def recording_plan(*args, **kwargs):
+            nodes.append(plan(*args, **kwargs))
+            return nodes[-1]
+
+        monkeypatch.setattr(planner, "plan", recording_plan)
+        code, out, _ = invoke(*argv.split())
+        assert code == 0 and len(nodes) == 1
+        assert len(checker_calls) <= _stages(nodes[0])
+        root = decode_matrix_file(out)["matrix"].data
+        assert sum(np.array_equal(m, root) for m in checker_calls) == 1
+
+
+class TestVerifyIntegerClaims:
+    def test_non_integral_drt_prints_failed_report(self, tmp_path):
+        path = tmp_path / "t.json"
+        invoke("gen", "--kind", "drt", "--q", "7", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][0][1] = 0.5
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "drt")
+        assert code == 1 and err == "entries are not integral\n"
+        assert json.loads(out) == {
+            "claim": "DRT(7)",
+            "passed": False,
+            "q": 7,
+            "k": None,
+            "lambda": None,
+            "failures": ["entries are not integral"],
+        }
+
+    def test_multipartite_without_parameters_is_exit_2(self, tmp_path):
+        path = tmp_path / "w.json"
+        invoke("gen", "--kind", "multipartite", "--n", "2", "--m", "6", "--out", str(path))
+        doc = json.loads(path.read_text())
+        del doc["provenance"]["parameters"]["m"]
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "multipartite")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError: claim 'multipartite' needs")

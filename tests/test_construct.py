@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from omzd import construct
+from omzd import construct, planner
 from omzd.errors import (
     InvalidQ,
-    Nonexistent,
+    NonexistentTarget,
     NotDRT,
     NotInCatalog,
     NotOMZD,
@@ -256,19 +256,22 @@ class TestCombine:
 class TestOmpzdNMinus1:
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 12])
     def test_splice_route(self, n):
-        m = construct.ompzd_n_minus_1(n)
+        omzd, _ = planner.execute(planner.plan("omzd", n - 2))
+        m = construct.ompzd_n_minus_1(omzd)
         cert = certify(m, "ompzd", k=n - 1)
         assert cert.passed, cert.failures
 
     def test_small_orders_routed(self):
-        assert construct.ompzd_n_minus_1(1).data.tolist() == [[1.0]]
-        assert certify(construct.ompzd_n_minus_1(4), "ompzd", k=3).passed
-        assert certify(construct.ompzd_n_minus_1(5), "ompzd", k=4).passed
+        # orders below 6 never reach the splice: the planner takes them
+        # from the catalog, and OMPZD(1, 0) is the nowhere-zero [1]
+        assert planner.serialize_plan(planner.plan("ompzd", 4, 3)) == "Seed(ompzd,4,3)"
+        assert planner.serialize_plan(planner.plan("ompzd", 5, 4)) == "Seed(ompzd,5,4)"
+        assert planner.execute(planner.plan("ompzd", 1, 0))[0].data.tolist() == [[1.0]]
 
     def test_nonexistent(self):
         for n in (2, 3):
-            with pytest.raises(Nonexistent):
-                construct.ompzd_n_minus_1(n)
+            with pytest.raises(NonexistentTarget):
+                planner.plan("ompzd", n, n - 1)
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from omzd import construct, graphs
-from omzd.errors import NonSymmetric, ShapeMismatch
+from omzd import construct, graphs, planner, verify
+from omzd.errors import NonSymmetric, ResourceLimit, ShapeMismatch
 from omzd.graphs import (
     Gnk,
     Knn,
@@ -44,6 +44,16 @@ class TestGraphSpecs:
             Multipartite(2, 1)
         with pytest.raises(ValueError):
             Knn(0)
+
+    def test_witness_order_cap(self):
+        cap = planner.MAX_ORDER
+        for spec in (lambda: Knn(cap // 2 + 1), lambda: Gnk(cap // 2 + 1, 1), lambda: Multipartite(683, 6)):
+            with pytest.raises(ResourceLimit, match="exceeds MAX_ORDER"):
+                spec()
+        assert Knn(cap // 2).order == cap and Multipartite(512, 8).order == cap
+
+    def test_certify_multipartite_lives_in_verify(self):
+        assert graphs.certify_multipartite is verify.certify_multipartite
 
 
 class TestPatternGraph:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omzd import planner
-from omzd.errors import InvalidK, NonexistentTarget
+from omzd.errors import InvalidK, InvalidQ, NoKnownConstruction, NonexistentTarget, ResourceLimit
+from omzd.gfield import prime_power_decompose
 from omzd.planner import execute, exists, plan, serialize_plan
 
 
@@ -71,7 +74,7 @@ class TestPlanRouting:
         )
 
     def test_ompzd_routes(self):
-        assert serialize_plan(plan("ompzd", 6, 5)) == "OmpzdNm1(6)"
+        assert serialize_plan(plan("ompzd", 6, 5)) == "OmpzdNm1(Seed(omzd,4),6)"
         assert serialize_plan(plan("ompzd", 6, 0)) == "NowhereZero(6)"
         assert serialize_plan(plan("ompzd", 6, 6)) == "Symmetric(6)"
         assert serialize_plan(plan("ompzd", 6, 3)) == "ReduceZeros(Symmetric(6),3)"
@@ -130,9 +133,11 @@ class TestExecute:
         assert matrix.order == 6
         assert cert.passed and cert.scale_c == 5.0
 
-    def test_tournament_root_rejected(self):
-        with pytest.raises(ValueError):
-            execute(planner.paley_drt_node(7))
+    def test_tournament_root_certified(self):
+        matrix, verdict = execute(planner.paley_drt_node(7))
+        assert verdict.passed and verdict.claim == "DRT(7)"
+        assert (verdict.k, verdict.lam) == (3, 1)
+        assert matrix.order == 7 and matrix.scale_c is None
 
     def test_order_bookkeeping(self):
         # every subtree annotation matches the produced order
@@ -207,3 +212,122 @@ class TestSerializeRoundTripShapes:
         node = plan("omzd", 15, route="prefer-drt")
         assert node.theorem
         assert all(child.theorem for child in node.children)
+
+
+class TestEveryGenKindPlanned:
+    def test_paley_kinds(self):
+        assert serialize_plan(plan("conference", q=27)) == "Paley(27)"
+        assert serialize_plan(plan("drt", q=43, t=1)) == "Double(PaleyDRT(43))"
+        assert serialize_plan(plan("drt", q=7, t=0)) == "PaleyDRT(7)"
+        assert serialize_plan(plan("skew-hadamard", q=7, t=1)) == "SkewHadamard(Double(PaleyDRT(7)))"
+
+    def test_multipartite(self):
+        assert serialize_plan(plan("multipartite", 5, m=6)) == "Kron(Symmetric(6),NowhereZero(5))"
+        assert serialize_plan(plan("multipartite", 3, m=2)) == "Kron(Seed(omzd,2),NowhereZero(3))"
+
+    def test_refusals_at_plan_time(self):
+        with pytest.raises(InvalidQ, match="not an odd prime power; note: a symmetric conference"):
+            plan("conference", q=21)
+        with pytest.raises(InvalidQ, match="not 3 mod 4"):
+            plan("drt", q=13)
+        with pytest.raises(InvalidQ, match="not an odd prime power"):
+            plan("skew-hadamard", q=2, t=1)
+        for m in (3, 4, 5):
+            with pytest.raises(NoKnownConstruction, match="odd part count or exactly 4 parts"):
+                plan("multipartite", 2, m=m)
+
+    def test_skew_hadamard_root(self):
+        matrix, verdict = execute(plan("skew-hadamard", q=7, t=1))
+        assert verdict.passed and verdict.claim == "SkewHadamard(16)"
+        assert matrix.order == 16 and matrix.scale_c == 16.0
+
+    def test_multipartite_root(self):
+        matrix, cert = execute(plan("multipartite", 3, m=6))
+        assert cert.passed and cert.claim == "Multipartite(3,6)"
+        assert matrix.order == 18
+
+    def test_ompzd_n_minus_1_child_is_the_auto_route(self):
+        for route in planner.ROUTES:
+            node = plan("ompzd", 11, 10, route=route)
+            assert serialize_plan(node) == "OmpzdNm1(Combine(Seed(omzd,7),Seed(omzd,4)),11)"
+
+    def test_ompzd_8_7_margin(self):
+        # the OMZD(6) child is Symmetric(6), not the order-6 conference seed
+        matrix, cert = execute(plan("ompzd", 8, 7))
+        assert serialize_plan(plan("ompzd", 8, 7)) == "OmpzdNm1(Symmetric(6),8)"
+        assert cert.passed and _required_nonzero_margin(matrix) > 0.02
+
+
+class TestOrderCap:
+    """Every over-cap request is refused by plan, before anything is built."""
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            (("omzd", planner.MAX_ORDER + 1), {}),
+            (("omzd", 10**9), {"route": "prefer-recursive"}),
+            (("symmetric-omzd", planner.MAX_ORDER + 2), {}),
+            (("ompzd", 5000, 3), {}),
+            (("conference",), {"q": planner.MAX_ORDER}),
+            (("drt",), {"q": 7, "t": 13}),
+            (("drt",), {"q": 7, "t": 10**9}),
+            (("skew-hadamard",), {"q": 7, "t": 10}),
+            (("multipartite", planner.MAX_ORDER // 2 + 1), {"m": 2}),
+        ],
+    )
+    def test_over_cap(self, args, kwargs):
+        with pytest.raises(ResourceLimit, match="exceeds MAX_ORDER = 4096"):
+            plan(*args, **kwargs)
+
+    def test_at_cap(self):
+        assert plan("omzd", planner.MAX_ORDER).n == planner.MAX_ORDER
+        assert plan("skew-hadamard", q=7, t=9).n == planner.MAX_ORDER
+        assert plan("multipartite", planner.MAX_ORDER // 8, m=8).n == planner.MAX_ORDER
+
+
+def _subtrees(node):
+    yield node
+    for child in node.children:
+        yield from _subtrees(child)
+
+
+def _executes_stage_by_stage(node) -> None:
+    """Every subtree executes as a root to a passed check at its annotated order."""
+    for sub in _subtrees(node):
+        matrix, verdict = execute(sub)
+        assert verdict.passed, serialize_plan(sub)
+        assert matrix.order == sub.n, serialize_plan(sub)
+
+
+_EXISTING = [
+    (kind, n, k)
+    for n in range(1, 41)
+    for kind, ks in (("omzd", [None]), ("symmetric-omzd", [None]), ("ompzd", range(n + 1)))
+    for k in ks
+    if exists(kind, n, k).exists
+]
+_PALEY_Q = [q for q in range(3, 51) if (pk := prime_power_decompose(q)) and pk[0] != 2]
+
+
+class TestPlannedSafetyNet:
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.sampled_from(_EXISTING), route=st.sampled_from(planner.ROUTES))
+    def test_existing_targets_execute(self, target, route):
+        kind, n, k = target
+        _executes_stage_by_stage(plan(kind, n, k, route=route))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["conference", "drt", "skew-hadamard"]),
+        q=st.sampled_from(_PALEY_Q),
+        t=st.integers(0, 2),
+    )
+    def test_paley_kinds_execute(self, kind, q, t):
+        if kind != "conference":
+            assume(q % 4 == 3)
+        _executes_stage_by_stage(plan(kind, q=q, t=t))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 6), m=st.sampled_from([2, 6, 8]))
+    def test_multipartite_executes(self, n, m):
+        _executes_stage_by_stage(plan("multipartite", n, m=m))

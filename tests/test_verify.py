@@ -6,7 +6,7 @@ import pytest
 from omzd import construct
 from omzd.errors import ShapeMismatch
 from omzd.numerics import RealMatrix
-from omzd.verify import IntMatrix, certify, check_drt, check_skew_hadamard
+from omzd.verify import CLAIM_CHECKERS, IntMatrix, certify, check_claim, check_drt, check_skew_hadamard
 
 FANO = np.array(
     [
@@ -182,3 +182,55 @@ class TestSymmetricOmzdParity:
             cert = certify(m, "omzd")
             if cert.passed and m.order % 2 == 1:
                 assert cert.symmetry != "symmetric"
+
+
+class TestClaimTable:
+    def test_names_are_the_gen_kinds_and_verify_claims(self):
+        from omzd import cli
+
+        assert set(cli.GEN_KINDS) < set(CLAIM_CHECKERS)
+        assert set(CLAIM_CHECKERS) - set(cli.GEN_KINDS) == {"nowhere-zero", "orthogonal"}
+
+    def test_unknown_claim(self):
+        with pytest.raises(ValueError, match="unknown claim"):
+            check_claim("hadamard", RealMatrix(np.eye(2)))
+
+    def test_ompzd_zero_count_is_nowhere_zero(self):
+        m = construct.nowhere_zero_orthogonal(5)
+        assert check_claim("ompzd", m, k=0).claim == "NowhereZeroOrthogonal"
+        assert check_claim("ompzd", construct.seed("omzd", 6), k=6).claim == "OMPZD(6)"
+
+    def test_ompzd_without_k_reads_the_diagonal(self):
+        m = construct.reduce_zeros(construct.seed("omzd", 6), 2)
+        cert = check_claim("ompzd", m)
+        assert cert.passed and cert.claim == "OMPZD(2)"
+
+    @pytest.mark.parametrize("claim", ["drt", "skew-hadamard"])
+    def test_integer_claims_check_integrality(self, claim):
+        a = FANO if claim == "drt" else construct.drt_to_skew_hadamard(IntMatrix(FANO)).data
+        good = check_claim(claim, RealMatrix(a.astype(float)))
+        assert good.passed
+        tampered = a.astype(float)
+        tampered[0, 1] += 0.5
+        bad = check_claim(claim, RealMatrix(tampered))
+        assert not bad.passed and bad.failures == ("entries are not integral",)
+        assert bad.report()["passed"] is False
+
+    def test_multipartite_needs_integer_parameters(self):
+        w = construct.kron(construct.symmetric_omzd(6), construct.nowhere_zero_orthogonal(2))
+        assert check_claim("multipartite", w, part_size=2, parts=6).passed
+        with pytest.raises(ValueError, match="part size n and part count m"):
+            check_claim("multipartite", w, part_size=2)
+
+    def test_summaries_of_exact_checks(self):
+        drt = check_claim("drt", RealMatrix(FANO.astype(float)))
+        assert drt.summary() == {
+            "claim": "DRT(7)",
+            "passed": True,
+            "max_residual": 0.0,
+            "min_offdiag_magnitude": 0.0,
+            "symmetry": "neither",
+        }
+        assert drt.scale_c is None
+        h = check_skew_hadamard(construct.drt_to_skew_hadamard(IntMatrix(FANO)))
+        assert h.summary()["min_offdiag_magnitude"] == 1.0 and h.scale_c == 8.0
