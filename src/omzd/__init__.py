@@ -49,7 +49,6 @@ from .verify import (
     DrtVerdict,
     IntMatrix,
     OrthoCertificate,
-    PatternMask,
     SkewHadamardVerdict,
     certify,
     check_drt,
@@ -72,7 +71,6 @@ __all__ = [
     "make_field",
     "chi",
     "elements",
-    "PatternMask",
     "OrthoCertificate",
     "DrtVerdict",
     "SkewHadamardVerdict",

@@ -175,6 +175,8 @@ def decode_matrix_file(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaViolation("$", f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaViolation("$", "nested too deeply") from None
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     for key in ("kind", "order", "cols", "scale_c", "entries", "plan", "certificate", "provenance"):
         _expect(key in doc, key, "missing field")
@@ -183,6 +185,7 @@ def decode_matrix_file(text: str) -> dict:
     _expect(isinstance(doc["cols"], int) and not isinstance(doc["cols"], bool), "cols", "must be an integer")
     _expect(doc["scale_c"] is None or _is_number(doc["scale_c"]), "scale_c", "must be a number or null")
     _expect(doc["scale_c"] is None or _is_finite(doc["scale_c"]), "scale_c", "must be finite")
+    _expect(doc["scale_c"] is None or doc["scale_c"] > 0, "scale_c", "must be positive")
     entries = doc["entries"]
     _expect(isinstance(entries, list), "entries", "must be an array of arrays")
     _expect(len(entries) == doc["order"], "entries", f"expected {doc['order']} rows, got {len(entries)}")

@@ -4,7 +4,7 @@ A symmetric matrix realizes a graph through its off-diagonal support;
 q(G) = 2 for a non-null graph exactly when some orthogonal matrix has
 that support.  This module builds such witnesses for complete bipartite
 graphs, matching-deleted complete bipartite graphs, and complete
-multipartite graphs, and certifies each one: labeled edge-set equality
+multipartite graphs, and certifies each one: adjacency mask equality
 plus exactly two distinct eigenvalues.  The count is algebraic: an
 exactly symmetric M with M² = cI has only the eigenvalues ±√c, with
 multiplicities (n ± tr M/√c)/2.  A LAPACK spectrum, clustered, must
@@ -47,18 +47,40 @@ STATUS_KNOWN_IMPOSSIBLE = "known-impossible"
 STATUS_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Labeled simple graph: vertex count plus a set of (i, j) edges, i < j."""
+    """Labeled simple graph, held as its symmetric boolean adjacency mask;
+    the diagonal of the given mask is ignored.  Two graphs are equal when
+    their masks are."""
 
-    order: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: np.ndarray
+
+    def __post_init__(self):
+        a = np.array(self.adjacency, dtype=bool)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+            raise ValueError(f"an adjacency mask must be square and symmetric, got shape {a.shape}")
+        np.fill_diagonal(a, False)
+        a.setflags(write=False)
+        object.__setattr__(self, "adjacency", a)
+
+    @property
+    def order(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges (i, j), i < j."""
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        return frozenset(zip(rows.tolist(), cols.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
 
 
-def _graph_of_mask(mask: np.ndarray) -> Graph:
-    """Graph whose edges are the True entries above the diagonal of ``mask``."""
-    rows, cols = np.nonzero(np.triu(mask, 1))
-    return Graph(order=mask.shape[0], edges=frozenset(zip(rows.tolist(), cols.tolist())))
+def _bipartite_graph(block: np.ndarray) -> Graph:
+    """Graph of the mask [[0, B], [Bᵀ, 0]]."""
+    empty = np.zeros_like(block)
+    return Graph(np.block([[empty, block], [block.T, empty]]))
 
 
 def _check_part_size(spec) -> None:
@@ -82,10 +104,7 @@ class Knn:
         return 2 * self.n
 
     def graph(self) -> Graph:
-        n = self.n
-        mask = np.zeros((2 * n, 2 * n), dtype=bool)
-        mask[:n, n:] = True
-        return _graph_of_mask(mask)
+        return _bipartite_graph(np.ones((self.n, self.n), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -105,11 +124,9 @@ class Gnk:
         return 2 * self.n
 
     def graph(self) -> Graph:
-        n, k = self.n, self.k
-        mask = np.zeros((2 * n, 2 * n), dtype=bool)
-        mask[:n, n:] = True
-        mask[np.arange(k), n + np.arange(k)] = False
-        return _graph_of_mask(mask)
+        block = np.ones((self.n, self.n), dtype=bool)
+        block[np.arange(self.k), np.arange(self.k)] = False
+        return _bipartite_graph(block)
 
 
 @dataclass(frozen=True)
@@ -122,8 +139,7 @@ class Multipartite:
 
     def __post_init__(self):
         _check_part_size(self)
-        if self.m < 2:
-            raise ValueError(f"part count must be >= 2, got {self.m}")
+        planner.check_part_count(self.m)
 
     @property
     def order(self) -> int:
@@ -131,7 +147,7 @@ class Multipartite:
 
     def graph(self) -> Graph:
         part = np.arange(self.n * self.m) // self.n
-        return _graph_of_mask(part[:, None] != part[None, :])
+        return Graph(part[:, None] != part[None, :])
 
 
 GraphSpec = Knn | Gnk | Multipartite
@@ -159,7 +175,7 @@ def pattern_graph(a: RealMatrix, zero_tol: float = 0.0) -> Graph:
         raise NonSymmetric(f"graph extraction needs a square matrix, got {a.rows}x{a.cols}")
     if not np.array_equal(a.data, a.data.T):
         raise NonSymmetric("matrix is not symmetric")
-    return _graph_of_mask(np.abs(a.data) > zero_tol)
+    return Graph(np.abs(a.data) > zero_tol)
 
 
 def embed_bipartite(b: RealMatrix) -> RealMatrix:
@@ -191,8 +207,8 @@ _GNK_IMPOSSIBLE = {
 
 def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
-    member.  Certified results carry the witness matrix, its verified
-    labeled edge set, and the distinct eigenvalue count (which must be 2)."""
+    member.  Certified results carry the witness matrix, whose adjacency
+    mask is the graph's, and the distinct eigenvalue count (which must be 2)."""
     if isinstance(spec, Knn):
         witness = embed_bipartite(construct.nowhere_zero_orthogonal(spec.n))
         return _certify_witness(spec, witness, cluster_tol)

@@ -43,6 +43,7 @@ __all__ = [
     "PlanNode",
     "ExistenceVerdict",
     "check_order",
+    "check_part_count",
     "exists",
     "plan",
     "execute",
@@ -331,6 +332,12 @@ def check_order(n: int) -> None:
         raise ResourceLimit(f"order {n} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
+def check_part_count(m: int) -> None:
+    """Raise ValueError when a multipartite part count is below 2."""
+    if m < 2:
+        raise ValueError(f"part count must be >= 2, got {m}")
+
+
 def _paley_plan(q: int) -> PlanNode:
     node = paley_node(q)
     check_order(node.n)
@@ -344,6 +351,8 @@ def _paley_plan(q: int) -> PlanNode:
 def _tournament_plan(q: int, t: int) -> PlanNode:
     """Double^t(PaleyDRT(q)); the order is checked after every doubling,
     so a huge t stops at the cap."""
+    if t < 0:
+        raise ValueError(f"doubling count t must be >= 0, got {t}")
     node = paley_drt_node(q)
     check_order(node.n)
     construct.check_paley_q(q, tournament=True)
@@ -355,6 +364,7 @@ def _tournament_plan(q: int, t: int) -> PlanNode:
 
 def _multipartite_plan(n: int, m: int) -> PlanNode:
     """Kron(symmetric OMZD(m), nowhere-zero(n)): m parts of size n."""
+    check_part_count(m)
     if m % 2 != 0 or m == 4:
         raise NoKnownConstruction("no construction is known for an odd part count or exactly 4 parts")
     check_order(n * m)
@@ -378,9 +388,10 @@ def plan(
     The OMZD kinds take the order n (and the zero count k for ompzd);
     conference, drt and skew-hadamard take the prime power q and t
     doublings; multipartite takes the part size n and the part count m.
-    Refusals (NonexistentTarget, InvalidQ, NoKnownConstruction, InvalidK)
-    and ResourceLimit for an order above MAX_ORDER are raised here,
-    before anything is built.
+    Refusals (NonexistentTarget, InvalidQ, NoKnownConstruction, InvalidK),
+    ValueError for a negative t or a part count below 2, and
+    ResourceLimit for an order above MAX_ORDER are raised here, before
+    anything is built.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")

@@ -1,13 +1,27 @@
 """Independent certification of every object class the library builds.
 
-Integer-valued objects (conference matrices, skew-Hadamard matrices,
-tournaments) get exact arithmetic and tolerance-free verdicts; real
-matrices are checked against tolerances scaled by the recovered scale
-constant and the order.  Certificates always carry the full diagnostic
-rather than short-circuiting, so callers can assert on specific
-failure kinds.  ``CLAIM_CHECKERS`` maps every claim name (a gen kind or a
-``verify --claim`` value) to its checker; the planner and the CLI both
-check through ``check_claim``.
+Every real claim is an orthogonal pattern and goes through one
+certificate core, which takes a required-zero mask, a required-nonzero
+mask (an entry in neither is free) and two flags, ``exact`` and
+``symmetric``.  An entry counts as zero iff |entry| <= zero_tol (default
+1e-12 * max|entry|).  The masks per claim:
+
+- omzd, symmetric-omzd (symmetric) and conference (exact): zero on the
+  diagonal, nonzero off it;
+- ompzd: nonzero off the diagonal, and exactly k zeros on it;
+- nowhere-zero: nonzero everywhere;
+- orthogonal: no required entries;
+- multipartite (symmetric): zero n x n diagonal blocks, nonzero
+  elsewhere.
+
+An exact claim must be integral with +-1 at its required nonzeros and
+MMᵀ = cI exactly; the others hold it within res_tol * c * order.
+Tournaments and skew-Hadamard matrices get exact integer checkers of
+their own.  Certificates always carry the full diagnostic rather than
+short-circuiting, so callers can assert on specific failure kinds.
+``CLAIM_CHECKERS`` maps every claim name (a gen kind or a ``verify
+--claim`` value) to its checker; the planner and the CLI both check
+through ``check_claim``.
 """
 
 from __future__ import annotations
@@ -25,11 +39,9 @@ __all__ = [
     "CLAIM_OMZD",
     "CLAIM_OMPZD",
     "CLAIM_CONFERENCE",
-    "CLAIM_SKEW_HADAMARD",
     "CLAIM_SYMMETRIC_OMZD",
     "CLAIM_NOWHERE_ZERO",
     "CLAIM_ORTHOGONAL",
-    "PatternMask",
     "IntMatrix",
     "OrthoCertificate",
     "DrtVerdict",
@@ -44,35 +56,9 @@ __all__ = [
 CLAIM_OMZD = "omzd"
 CLAIM_OMPZD = "ompzd"
 CLAIM_CONFERENCE = "conference"
-CLAIM_SKEW_HADAMARD = "skew-hadamard"
 CLAIM_SYMMETRIC_OMZD = "symmetric-omzd"
 CLAIM_NOWHERE_ZERO = "nowhere-zero"
 CLAIM_ORTHOGONAL = "orthogonal"  # orthogonality only, no pattern constraint
-
-_CLAIMS = {
-    CLAIM_OMZD,
-    CLAIM_OMPZD,
-    CLAIM_CONFERENCE,
-    CLAIM_SKEW_HADAMARD,
-    CLAIM_SYMMETRIC_OMZD,
-    CLAIM_NOWHERE_ZERO,
-    CLAIM_ORTHOGONAL,
-}
-
-
-def claim_label(claim: str, k: int | None = None) -> str:
-    """Human-readable claim name for certificates and reports."""
-    labels = {
-        CLAIM_OMZD: "OMZD",
-        CLAIM_CONFERENCE: "Conference",
-        CLAIM_SKEW_HADAMARD: "SkewHadamard",
-        CLAIM_SYMMETRIC_OMZD: "SymmetricOMZD",
-        CLAIM_NOWHERE_ZERO: "NowhereZeroOrthogonal",
-        CLAIM_ORTHOGONAL: "Orthogonal",
-    }
-    if claim == CLAIM_OMPZD:
-        return f"OMPZD({k})"
-    return labels[claim]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,29 +86,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.data.shape[0]}x{self.data.shape[1]})"
-
-
-@dataclass(frozen=True, eq=False)
-class PatternMask:
-    """Per-entry Zero/NonZero classification of a square matrix."""
-
-    order: int
-    nonzero: np.ndarray  # boolean, True where classified NonZero
-
-    @classmethod
-    def from_matrix(cls, m: RealMatrix, zero_tol: float) -> "PatternMask":
-        if not m.is_square:
-            raise ShapeMismatch(f"pattern needs a square matrix, got {m.rows}x{m.cols}")
-        nz = np.abs(m.data) > zero_tol
-        nz.setflags(write=False)
-        return cls(order=m.order, nonzero=nz)
-
-    def diagonal_zero_count(self) -> int:
-        return int(np.sum(~np.diag(self.nonzero)))
-
-    def offdiagonal_zero_positions(self) -> list[tuple[int, int]]:
-        off_zero = ~self.nonzero & ~np.eye(self.order, dtype=bool)
-        return [(int(i), int(j)) for i, j in np.argwhere(off_zero)]
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -176,83 +139,63 @@ def _is_integral(a: np.ndarray) -> bool:
     return bool(np.all(a == np.round(a)))
 
 
-def certify(
-    m: RealMatrix,
-    claim: str,
-    k: int | None = None,
-    zero_tol: float | None = None,
-    res_tol: float = 1e-9,
-) -> OrthoCertificate:
-    """Check a matrix against a claimed object class.
-
-    Pattern: diagonal entries count as Zero iff |entry| <= zero_tol
-    (default 1e-12 * max|entry|; matrices built by this library write
-    exact 0.0 at zero positions).  Orthogonality: max residual of
-    MMᵀ - cI at most res_tol * c * order, except integer claims
-    (conference, skew-Hadamard) which must hold exactly.  Returns the
-    full certificate whether or not it passed.
-    """
-    if claim not in _CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}")
-    if claim == CLAIM_OMPZD and k is None:
-        raise ValueError("claim 'ompzd' needs the zero count k")
+def _square_order(m: RealMatrix) -> int:
     if not m.is_square:
         raise ShapeMismatch(f"certification needs a square matrix, got {m.rows}x{m.cols}")
+    return m.order
 
+
+def _zero_tol(m: RealMatrix, zero_tol: float | None) -> float:
+    return 1e-12 * m.max_abs() if zero_tol is None else zero_tol
+
+
+def _diagonal_zeros(m: RealMatrix, zero_tol: float | None) -> int:
+    return int(np.sum(np.abs(np.diag(m.data)) <= _zero_tol(m, zero_tol)))
+
+
+def _certify_pattern(
+    m: RealMatrix,
+    claim: str,
+    zero: np.ndarray | None,
+    nonzero: np.ndarray | None,
+    *,
+    exact: bool = False,
+    symmetric: bool = False,
+    zero_tol: float | None = None,
+    res_tol: float = 1e-9,
+    failures: tuple[str, ...] = (),
+) -> OrthoCertificate:
+    """The certificate core of every real claim: pattern, gram and
+    symmetry, each checked once, after the claim's own ``failures``.
+
+    ``zero`` and ``nonzero`` are the required masks of a square ``m``, or
+    None when the claim has no pattern of this order (its failures say
+    why, and the margin is 0).  min_offdiag_magnitude is the smallest
+    off-diagonal |entry| not required to be zero.
+    """
     a = m.data
     n = m.order
-    max_abs = m.max_abs()
-    if zero_tol is None:
-        zero_tol = 1e-12 * max_abs
-    failures: list[str] = []
+    failures = list(failures)
+    min_offdiag = 0.0
+    if zero is not None:
+        magnitude = np.abs(a)
+        is_zero = magnitude <= _zero_tol(m, zero_tol)
+        off = ~np.eye(n, dtype=bool)
+        for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
+            on_diagonal = int(np.sum(np.diag(bad)))
+            if on_diagonal:
+                failures.append(f"{on_diagonal} diagonal entries are {word}")
+            positions = [(int(i), int(j)) for i, j in np.argwhere(bad & off)[:8]]
+            if positions:
+                failures.append(f"off-diagonal {word}s at {positions}")
+        free = magnitude[off & ~zero]
+        min_offdiag = float(np.min(free)) if free.size else math.inf
 
-    pattern = PatternMask.from_matrix(m, zero_tol)
-    diag_nonzero = np.diag(pattern.nonzero)
-    off_mask = ~np.eye(n, dtype=bool)
-    off_values = np.abs(a[off_mask])
-    min_offdiag = float(np.min(off_values)) if off_values.size else math.inf
-
-    exact = claim in (CLAIM_CONFERENCE, CLAIM_SKEW_HADAMARD)
-
-    # -- pattern checks per claim --------------------------------------
-    if claim in (CLAIM_OMZD, CLAIM_SYMMETRIC_OMZD, CLAIM_CONFERENCE):
-        bad_diag = int(np.sum(diag_nonzero))
-        if bad_diag:
-            failures.append(f"{bad_diag} diagonal entries are nonzero")
-        off_zeros = pattern.offdiagonal_zero_positions()
-        if off_zeros:
-            failures.append(f"off-diagonal zeros at {off_zeros[:8]}")
-    elif claim == CLAIM_OMPZD:
-        zeros = pattern.diagonal_zero_count()
-        if zeros != k:
-            failures.append(f"expected exactly {k} diagonal zeros, found {zeros}")
-        off_zeros = pattern.offdiagonal_zero_positions()
-        if off_zeros:
-            failures.append(f"off-diagonal zeros at {off_zeros[:8]}")
-    elif claim == CLAIM_NOWHERE_ZERO:
-        zero_count = int(np.sum(~pattern.nonzero))
-        if zero_count:
-            failures.append(f"{zero_count} entries are zero")
-    elif claim == CLAIM_SKEW_HADAMARD:
-        zero_count = int(np.sum(~pattern.nonzero))
-        if zero_count:
-            failures.append(f"{zero_count} entries are zero")
-
-    # -- entry-domain checks (exact) -------------------------------------
     if exact and not _is_integral(a):
         failures.append("entries are not integral; exact integer check impossible")
-    if claim == CLAIM_CONFERENCE and _is_integral(a):
-        off = a[off_mask]
-        if not np.all(np.abs(off) == 1.0):
-            failures.append("off-diagonal entries are not all +-1")
-    if claim == CLAIM_SKEW_HADAMARD and _is_integral(a):
-        if not np.all(np.abs(a) == 1.0):
-            failures.append("entries are not all +-1")
-        sym_dev = a + a.T - 2.0 * np.eye(n)
-        if np.any(sym_dev != 0.0):
-            failures.append("H + H^T != 2I")
+    elif exact and not np.all(np.abs(a[nonzero]) == 1.0):
+        failures.append("required nonzero entries are not all +-1")
 
-    # -- orthogonality ----------------------------------------------------
     # written so that a NaN scale or residual (an overflowing gram) fails
     c, max_residual = residual_scaled_identity(m)
     if not (0.0 < c < math.inf):
@@ -266,19 +209,62 @@ def certify(
             f"{res_tol * c * n:.3e}"
         )
 
-    # -- symmetry ----------------------------------------------------------
     symmetry = _symmetry_class(a)
-    if claim == CLAIM_SYMMETRIC_OMZD and symmetry != "symmetric":
+    if symmetric and symmetry != "symmetric":
         failures.append(f"matrix is {symmetry}, not symmetric")
 
     return OrthoCertificate(
-        claim=claim_label(claim, k),
+        claim=claim,
         passed=not failures,
         scale_c=c,
         max_residual=max_residual,
         min_offdiag_magnitude=min_offdiag,
         symmetry=symmetry,
         failures=tuple(failures),
+    )
+
+
+# claim -> (label, required-zero mask, required-nonzero mask); each mask is
+# given by its value (on the diagonal, off it), and an entry in neither is free
+_PATTERNS = {
+    CLAIM_OMZD: ("OMZD", (True, False), (False, True)),
+    CLAIM_SYMMETRIC_OMZD: ("SymmetricOMZD", (True, False), (False, True)),
+    CLAIM_CONFERENCE: ("Conference", (True, False), (False, True)),
+    CLAIM_OMPZD: ("OMPZD({k})", (False, False), (False, True)),  # and exactly k diagonal zeros
+    CLAIM_NOWHERE_ZERO: ("NowhereZeroOrthogonal", (False, False), (True, True)),
+    CLAIM_ORTHOGONAL: ("Orthogonal", (False, False), (False, False)),
+}
+
+
+def certify(
+    m: RealMatrix,
+    claim: str,
+    k: int | None = None,
+    zero_tol: float | None = None,
+    res_tol: float = 1e-9,
+) -> OrthoCertificate:
+    """Check a matrix against a claimed object class.
+
+    Pattern: the claim's masks, with |entry| <= zero_tol counted as zero
+    (default 1e-12 * max|entry|; matrices built by this library write
+    exact 0.0 at zero positions).  Orthogonality: max residual of
+    MMᵀ - cI at most res_tol * c * order, except the conference claim,
+    which must hold exactly.  Returns the full certificate whether or not
+    it passed.
+    """
+    if claim not in _PATTERNS:
+        raise ValueError(f"unknown claim {claim!r}")
+    if claim == CLAIM_OMPZD and k is None:
+        raise ValueError("claim 'ompzd' needs the zero count k")
+    label, zero_rule, nonzero_rule = _PATTERNS[claim]
+    eye = np.eye(_square_order(m), dtype=bool)
+    failures = ()
+    if claim == CLAIM_OMPZD and (zeros := _diagonal_zeros(m, zero_tol)) != k:
+        failures = (f"expected exactly {k} diagonal zeros, found {zeros}",)
+    return _certify_pattern(
+        m, label.format(k=k), np.where(eye, *zero_rule), np.where(eye, *nonzero_rule),
+        exact=claim == CLAIM_CONFERENCE, symmetric=claim == CLAIM_SYMMETRIC_OMZD,
+        zero_tol=zero_tol, res_tol=res_tol, failures=failures,
     )
 
 
@@ -406,48 +392,23 @@ def check_skew_hadamard(h: IntMatrix) -> SkewHadamardVerdict:
 
 
 def certify_multipartite(
-    m_matrix: RealMatrix, part_size: int, parts: int, res_tol: float = 1e-9
+    m_matrix: RealMatrix,
+    part_size: int,
+    parts: int,
+    zero_tol: float | None = None,
+    res_tol: float = 1e-9,
 ) -> OrthoCertificate:
     """Certificate that a matrix realizes a complete multipartite pattern:
     symmetric, orthogonal, zero n x n diagonal blocks, nowhere-zero
     off-diagonal blocks.  Raises ShapeMismatch for a non-square matrix."""
-    if not m_matrix.is_square:
-        raise ShapeMismatch(
-            f"certification needs a square matrix, got {m_matrix.rows}x{m_matrix.cols}"
-        )
-    failures: list[str] = []
     n, m = part_size, parts
-    a = m_matrix.data
-    symmetry = "symmetric" if np.array_equal(a, a.T) else "neither"
-    if symmetry != "symmetric":
-        failures.append("matrix is not symmetric")
-
-    min_off = 0.0
-    if a.shape == (n * m, n * m):
-        block_mask = np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))
-        if np.any(a[block_mask] != 0.0):
-            failures.append("diagonal blocks are not identically zero")
-        off_block = np.abs(a[~block_mask])
-        min_off = float(np.min(off_block)) if off_block.size else math.inf
-        if off_block.size and np.any(off_block == 0.0):
-            failures.append("zero entries inside off-diagonal blocks")
-    else:
-        failures.append(f"expected order {n * m}, got {a.shape}")
-
-    c, max_residual = residual_scaled_identity(m_matrix)
-    if not (0.0 < c < math.inf):
-        failures.append(f"recovered scale {c} is not positive and finite")
-    elif not (max_residual <= res_tol * c * m_matrix.order):
-        failures.append(f"max residual {max_residual:.3e} too large")
-
-    return OrthoCertificate(
-        claim=f"Multipartite({n},{m})",
-        passed=not failures,
-        scale_c=c,
-        max_residual=max_residual,
-        min_offdiag_magnitude=min_off,
-        symmetry=symmetry,
-        failures=tuple(failures),
+    claim = f"Multipartite({n},{m})"
+    if _square_order(m_matrix) != n * m:
+        failures = (f"expected order {n * m}, got {m_matrix.data.shape}",)
+        return _certify_pattern(m_matrix, claim, None, None, symmetric=True, res_tol=res_tol, failures=failures)
+    blocks = np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))
+    return _certify_pattern(
+        m_matrix, claim, blocks, ~blocks, symmetric=True, zero_tol=zero_tol, res_tol=res_tol
     )
 
 
@@ -470,8 +431,7 @@ def _check_ompzd(m: RealMatrix, k=None, zero_tol=None, res_tol=1e-9, **_) -> Ort
     """k = 0 is the nowhere-zero claim; without k, the zero count the
     diagonal shows is the claim."""
     if not isinstance(k, int):
-        tol = 1e-12 * m.max_abs() if zero_tol is None else zero_tol
-        k = int(np.sum(np.abs(np.diag(m.data)) <= tol))
+        k = _diagonal_zeros(m, zero_tol)
     if k == 0:
         return certify(m, CLAIM_NOWHERE_ZERO, zero_tol=zero_tol, res_tol=res_tol)
     return certify(m, CLAIM_OMPZD, k=k, zero_tol=zero_tol, res_tol=res_tol)
@@ -493,11 +453,11 @@ def _check_skew_hadamard_claim(m: RealMatrix, **_) -> SkewHadamardVerdict:
 
 
 def _check_multipartite(
-    m: RealMatrix, part_size=None, parts=None, res_tol=1e-9, **_
+    m: RealMatrix, part_size=None, parts=None, zero_tol=None, res_tol=1e-9, **_
 ) -> OrthoCertificate:
-    if not isinstance(part_size, int) or not isinstance(parts, int):
-        raise ValueError("claim 'multipartite' needs an integer part size n and part count m")
-    return certify_multipartite(m, part_size, parts, res_tol=res_tol)
+    if not all(type(x) is int and x >= 1 for x in (part_size, parts)):  # bool is no count
+        raise ValueError("claim 'multipartite' needs a positive integer part size n and part count m")
+    return certify_multipartite(m, part_size, parts, zero_tol=zero_tol, res_tol=res_tol)
 
 
 # claim name (a gen kind or a verify --claim value) -> checker

@@ -9,10 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omzd import construct, planner
 from omzd.cli import _dump_json, _fmt_number, decode_matrix_file, encode_matrix_file, matrix_to_csv, run
-from omzd.errors import NonFiniteNumber, ResourceLimit, SchemaViolation
+from omzd.errors import NonFiniteNumber, OmzdError, ResourceLimit, SchemaViolation
 from omzd.numerics import RealMatrix
 
 
@@ -352,6 +354,82 @@ class TestDecoderRejects:
         doc = decode_matrix_file(_matrix_doc([[0, 1.5], [-2, 0.0]]))
         assert doc["matrix"].data.tolist() == [[0.0, 1.5], [-2.0, 0.0]]
 
+    def test_deeply_nested_json(self):
+        with pytest.raises(SchemaViolation, match="nested too deeply"):
+            decode_matrix_file("[" * 100_000)
+
+    @pytest.mark.parametrize("scale", ["0", "-3.0"])
+    def test_non_positive_scale(self, scale):
+        text = _matrix_doc([[0.0, 1.0], [1.0, 0.0]]).replace('"scale_c": null', f'"scale_c": {scale}')
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(text)
+        assert exc.value.field == "scale_c"
+
+
+# any JSON value, with NaN, the infinities and integers too large for a double
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# a valid file of order 3 (a nowhere-zero orthogonal matrix, c = 9), with a
+# plan, a certificate and parameters
+_SMALL_FILE = encode_matrix_file(
+    "ompzd",
+    RealMatrix([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]], scale_c=9.0),
+    "NowhereZero(3)",
+    {"claim": "NowhereZeroOrthogonal", "passed": True, "max_residual": 0.0, "min_offdiag_magnitude": 2.0, "symmetry": "symmetric"},
+    {"theorem": "t", "parameters": {"n": 3, "k": 0}},
+)
+
+
+def _decodes_or_refuses(text: str) -> None:
+    """The decoder returns a document or raises an OmzdError, nothing else."""
+    try:
+        doc = decode_matrix_file(text)
+    except OmzdError:
+        return
+    assert isinstance(doc["matrix"], RealMatrix)
+
+
+def _mutate(data, doc: dict) -> None:
+    """Replace or delete one value of ``doc``, found by a walk from the root
+    that stops at each level with probability 1/2."""
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+        node = parent[key]
+        parent, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+
+
+class TestDecoderProperty:
+    def test_small_file_is_valid(self):
+        assert decode_matrix_file(_SMALL_FILE)["matrix"].order == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON_VALUES)
+    def test_any_json_value(self, value):
+        _decodes_or_refuses(json.dumps(value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_file(self, data):
+        doc = json.loads(_SMALL_FILE)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, doc)
+        _decodes_or_refuses(json.dumps(doc))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_text(self, data):
+        i = data.draw(st.integers(0, len(_SMALL_FILE)))
+        j = data.draw(st.integers(i, min(i + 8, len(_SMALL_FILE))))
+        _decodes_or_refuses(_SMALL_FILE[:i] + data.draw(st.text(max_size=4)) + _SMALL_FILE[j:])
+
 
 class TestVerifyBadInput:
     def _verify(self, tmp_path, text, claim="omzd"):
@@ -453,7 +531,10 @@ class TestGenPinnedBytes:
             ("gen --kind skew-hadamard --q 15", 1, "InvalidQ: q = 15 is not an odd prime power"),
             ("gen --kind multipartite --n 3 --m 3", 1, "NoKnownConstruction: no construction is known for an odd part count or exactly 4 parts"),
             ("gen --kind multipartite --n 3 --m 4", 1, "NoKnownConstruction: no construction is known"),
-            ("gen --kind multipartite --n 3 --m 0", 1, "OddOrder: a symmetric OMZD(n) exists only for even n, got 0"),
+            ("gen --kind multipartite --n 3 --m 0", 2, "ValueError: part count must be >= 2, got 0"),
+            ("gen --kind multipartite --n 3 --m 1", 2, "ValueError: part count must be >= 2, got 1"),
+            ("gen --kind multipartite --n 3 --m -2", 2, "ValueError: part count must be >= 2, got -2"),
+            ("gen --kind drt --q 7 --t -1", 2, "ValueError: doubling count t must be >= 0, got -1"),
             ("gen --kind multipartite --n 0 --m 2", 2, "ValueError: order must be >= 1, got 0"),
             ("gen --kind multipartite --n 3", 2, "usage error: gen --kind multipartite needs --m"),
             ("gen --kind drt", 2, "usage error: gen --kind drt needs --q"),
@@ -511,6 +592,35 @@ class TestEachStageCheckedOnce:
         assert sum(np.array_equal(m, root) for m in checker_calls) == 1
 
 
+@pytest.mark.parametrize(
+    "gen,claim", [("--kind omzd --n 6", "omzd"), ("--kind multipartite --n 2 --m 6", "multipartite")]
+)
+class TestOneZeroRule:
+    """Every claim counts |entry| <= zero_tol as zero, by default 1e-12 * max|entry|."""
+
+    def _file(self, tmp_path, gen):
+        path = tmp_path / "m.json"
+        invoke("gen", *gen.split(), "--out", str(path))
+        return path
+
+    def test_tiny_entry_at_a_required_zero(self, tmp_path, gen, claim):
+        path = self._file(tmp_path, gen)
+        doc = json.loads(path.read_text())
+        doc["entries"][0][0] = 1e-13
+        path.write_text(json.dumps(doc))
+        verify = lambda *tol: invoke("verify", "--in", str(path), "--claim", claim, *tol)
+        assert verify()[0] == 0
+        assert verify("--zero-tol", "1e-3")[0] == 0
+        code, _, err = verify("--zero-tol", "0")
+        assert (code, err) == (1, "1 diagonal entries are nonzero\n")
+
+    def test_tolerance_above_a_required_nonzero(self, tmp_path, gen, claim):
+        path = self._file(tmp_path, gen)
+        smallest = json.loads(path.read_text())["certificate"]["min_offdiag_magnitude"]
+        code, _, err = invoke("verify", "--in", str(path), "--claim", claim, "--zero-tol", repr(1.01 * smallest))
+        assert code == 1 and err.startswith("off-diagonal zeros at [(")
+
+
 class TestVerifyIntegerClaims:
     def test_non_integral_drt_prints_failed_report(self, tmp_path):
         path = tmp_path / "t.json"
@@ -538,3 +648,14 @@ class TestVerifyIntegerClaims:
         code, out, err = invoke("verify", "--in", str(path), "--claim", "multipartite")
         assert (code, out) == (2, "")
         assert err.startswith("ValueError: claim 'multipartite' needs")
+
+    @pytest.mark.parametrize("n,m", [(True, 12), (-2, -6), (0, 6)])
+    def test_multipartite_parameters_must_be_positive_counts(self, tmp_path, n, m):
+        path = tmp_path / "w.json"
+        invoke("gen", "--kind", "multipartite", "--n", "2", "--m", "6", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["provenance"]["parameters"].update(n=n, m=m)
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "multipartite")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValueError: claim 'multipartite' needs a positive integer")

@@ -200,14 +200,18 @@ def _eigvalsh_signs(a: np.ndarray) -> tuple[int, int]:
 
 
 def _loop_graph(spec) -> graphs.Graph:
-    """Reference edge sets, one pair at a time."""
+    """Reference adjacency masks, one pair at a time."""
     n = spec.order
     if isinstance(spec, Multipartite):
         keep = lambda u, v: u // spec.n != v // spec.n
     else:
         h, k = spec.n, getattr(spec, "k", 0)
         keep = lambda u, v: u < h <= v and not (v - h == u and u < k)
-    return graphs.Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n) if keep(u, v)))
+    mask = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        for v in range(u + 1, n):
+            mask[u, v] = mask[v, u] = keep(u, v)
+    return graphs.Graph(mask)
 
 
 class TestVectorisedEdges:
@@ -223,6 +227,23 @@ class TestVectorisedEdges:
         a = RealMatrix([[9.0, 1e-3, 2.0], [1e-3, 0.0, 0.0], [2.0, 0.0, 1.0]])
         assert pattern_graph(a).edges == {(0, 1), (0, 2)}
         assert pattern_graph(a, zero_tol=1e-2).edges == {(0, 2)}
+
+
+class TestGraphMask:
+    def test_diagonal_ignored_and_mask_read_only(self):
+        g = graphs.Graph(np.eye(3))
+        assert g.order == 3 and g.edges == frozenset() and not g.adjacency.any()
+        assert not g.adjacency.flags.writeable
+
+    @pytest.mark.parametrize("mask", [np.ones((2, 3)), np.ones(3), np.triu(np.ones((3, 3)), 1)])
+    def test_rejects_non_square_or_asymmetric(self, mask):
+        with pytest.raises(ValueError, match="square and symmetric"):
+            graphs.Graph(mask)
+
+    def test_equality_is_mask_equality(self):
+        assert Knn(2).graph() == Multipartite(2, 2).graph()
+        assert Knn(2).graph() != Gnk(2, 1).graph()
+        assert Knn(2).graph() != Knn(2).graph().edges
 
 
 class TestAlgebraicCertificate:

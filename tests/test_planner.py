@@ -236,6 +236,14 @@ class TestEveryGenKindPlanned:
             with pytest.raises(NoKnownConstruction, match="odd part count or exactly 4 parts"):
                 plan("multipartite", 2, m=m)
 
+    def test_parameter_ranges_at_plan_time(self):
+        for kind in ("drt", "skew-hadamard"):
+            with pytest.raises(ValueError, match="doubling count t must be >= 0, got -1"):
+                plan(kind, q=7, t=-1)
+        for m in (1, 0, -2):
+            with pytest.raises(ValueError, match=f"part count must be >= 2, got {m}"):
+                plan("multipartite", 3, m=m)
+
     def test_skew_hadamard_root(self):
         matrix, verdict = execute(plan("skew-hadamard", q=7, t=1))
         assert verdict.passed and verdict.claim == "SkewHadamard(16)"
