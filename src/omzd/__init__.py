@@ -47,7 +47,6 @@ from .construct import (
 from .planner import ExistenceVerdict, PlanNode, execute, exists, plan, serialize_plan
 from .verify import (
     DrtVerdict,
-    IntMatrix,
     OrthoCertificate,
     SkewHadamardVerdict,
     certify,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "OmzdError",
     "RealMatrix",
-    "IntMatrix",
     "Spectrum",
     "gram",
     "residual_scaled_identity",

@@ -28,18 +28,10 @@ from .errors import (
     NoKnownConstruction,
     NonFiniteNumber,
     NonexistentTarget,
-    NotDRT,
-    NotInCatalog,
-    NotOMZD,
-    OddOrder,
     OmzdError,
-    OrderFour,
-    OrderThree,
     ResourceLimit,
     SchemaViolation,
     ShapeMismatch,
-    TargetAboveReach,
-    TargetTooHigh,
 )
 from .numerics import RealMatrix
 from .verify import CLAIM_CHECKERS, check_claim
@@ -59,19 +51,9 @@ _GEN_PARAMETERS = {
 }
 GEN_KINDS = tuple(_GEN_PARAMETERS)
 
-_REFUSALS = (
-    NonexistentTarget,
-    NoKnownConstruction,
-    InvalidQ,
-    NotInCatalog,
-    OrderFour,
-    OddOrder,
-    OrderThree,
-    TargetTooHigh,
-    TargetAboveReach,
-    NotOMZD,
-    NotDRT,
-)
+# the refusals planner.plan raises before anything is built; a builder's
+# own refusal (OrderFour, NotDRT, ...) means a plan bug, an internal error
+_REFUSALS = (NonexistentTarget, NoKnownConstruction, InvalidQ)
 
 
 # --------------------------------------------------------------------------

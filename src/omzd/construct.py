@@ -30,7 +30,6 @@ from .numerics import RealMatrix, residual_scaled_identity
 from .verify import (
     CLAIM_OMPZD,
     CLAIM_OMZD,
-    IntMatrix,
     certify,
     check_drt,
 )
@@ -212,15 +211,16 @@ def _character_core(q: int) -> np.ndarray:
     p, k = check_paley_q(q)
     field = gfield.make_field(p, k)
     elems = gfield.elements(field)
-    core = np.zeros((q, q), dtype=np.int64)
+    core = np.zeros((q, q))
     for i, ai in enumerate(elems):
         for j, aj in enumerate(elems):
             core[i, j] = gfield.chi(field, field.sub(aj, ai))
     return core
 
 
-def paley_conference(q: int) -> IntMatrix:
-    """Conference matrix of order q + 1 from the quadratic character.
+def paley_conference(q: int) -> RealMatrix:
+    """Conference matrix of order q + 1 from the quadratic character,
+    with entries in {0, +-1} and scale c = q.
 
     The core is bordered by a row of +1; the border column is +1 when
     q = 1 (mod 4) (symmetric result) and -1 when q = 3 (mod 4)
@@ -228,19 +228,20 @@ def paley_conference(q: int) -> IntMatrix:
     """
     core = _character_core(q)
     n = q + 1
-    c = np.zeros((n, n), dtype=np.int64)
+    c = np.zeros((n, n))
     c[0, 1:] = 1
     c[1:, 0] = 1 if q % 4 == 1 else -1
     c[1:, 1:] = core
-    return IntMatrix(c)
+    return RealMatrix(c, scale_c=q)
 
 
-def paley_tournament(q: int) -> IntMatrix:
-    """Doubly regular tournament of order q: arc i -> j iff a_j - a_i
-    is a nonzero square in GF(q).  Needs q = 3 (mod 4)."""
+def paley_tournament(q: int) -> RealMatrix:
+    """Doubly regular tournament of order q as a {0, 1} adjacency matrix
+    with no scale: arc i -> j iff a_j - a_i is a nonzero square in GF(q).
+    Needs q = 3 (mod 4)."""
     check_paley_q(q, tournament=True)
     core = _character_core(q)
-    return IntMatrix((core == 1).astype(np.int64))
+    return RealMatrix(core == 1)
 
 
 # --------------------------------------------------------------------------
@@ -326,24 +327,25 @@ def symmetric_omzd(n: int) -> RealMatrix:
 # Tournament route
 # --------------------------------------------------------------------------
 
-def _require_drt(t: IntMatrix) -> int:
+def _require_drt(t: RealMatrix) -> int:
     verdict = check_drt(t)
     if not verdict.passed:
         raise NotDRT(f"input is not a doubly regular tournament: {verdict.failures}")
     return verdict.q
 
 
-def drt_to_skew_hadamard(t: IntMatrix) -> IntMatrix:
-    """Skew-Hadamard matrix of order q + 1 from a DRT(q): border the
-    skew +-1 matrix S + I, S = T - Tᵀ, with a +1 row and -1 column."""
+def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
+    """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
+    DRT(q): border the skew +-1 matrix S + I, S = T - Tᵀ, with a +1 row
+    and -1 column."""
     q = _require_drt(t)
     s = t.data - t.data.T
-    h = np.empty((q + 1, q + 1), dtype=np.int64)
+    h = np.empty((q + 1, q + 1))
     h[0, 0] = 1
     h[0, 1:] = 1
     h[1:, 0] = -1
-    h[1:, 1:] = s + np.eye(q, dtype=np.int64)
-    return IntMatrix(h)
+    h[1:, 1:] = s + np.eye(q)
+    return RealMatrix(h, scale_c=q + 1)
 
 
 def _normalize_skew_hadamard(h: np.ndarray) -> np.ndarray:
@@ -355,8 +357,9 @@ def _normalize_skew_hadamard(h: np.ndarray) -> np.ndarray:
     return d[:, None] * h * d[None, :]
 
 
-def double_drt(t: IntMatrix) -> IntMatrix:
-    """Doubly regular tournament of order 2q + 1 from one of order q.
+def double_drt(t: RealMatrix) -> RealMatrix:
+    """Doubly regular tournament of order 2q + 1 from one of order q, as
+    a {0, 1} matrix with no scale.
 
     Routes through skew-Hadamard matrices: H of order q+1 from the
     input, then H' = [[H, H], [-Hᵀ, Hᵀ]] of order 2q+2, normalized and
@@ -367,12 +370,12 @@ def double_drt(t: IntMatrix) -> IntMatrix:
     """
     h = drt_to_skew_hadamard(t).data
     doubled = _normalize_skew_hadamard(np.block([[h, h], [-h.T, h.T]]))
-    arcs = (doubled[1:, 1:] == 1).astype(np.int64)
-    np.fill_diagonal(arcs, 0)
-    return IntMatrix(arcs)
+    arcs = doubled[1:, 1:] == 1
+    np.fill_diagonal(arcs, False)
+    return RealMatrix(arcs)
 
 
-def omzd_from_drt(t: IntMatrix, branch: str = "minus") -> RealMatrix:
+def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
     """OMZD(q) from a DRT(q), q >= 7, as alpha * A + J - I.
 
     alpha = (-2/(q-3)) * (q - 2 +- sqrt(q - 2)) kills the all-ones
@@ -386,8 +389,7 @@ def omzd_from_drt(t: IntMatrix, branch: str = "minus") -> RealMatrix:
         raise OrderThree("q = 3 is excluded: the coefficient is undefined there")
     sign = 1.0 if branch == "plus" else -1.0
     alpha = (-2.0 / (q - 3)) * ((q - 2) + sign * math.sqrt(q - 2.0))
-    a = t.data.astype(np.float64)
-    out = alpha * a + np.ones((q, q)) - np.eye(q)
+    out = alpha * t.data + np.ones((q, q)) - np.eye(q)
     c = alpha * alpha * (q + 1) / 4.0 + alpha + 1.0
     return RealMatrix(out, scale_c=c)
 

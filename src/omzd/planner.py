@@ -27,7 +27,7 @@ from .errors import (
     NonexistentTarget,
     ResourceLimit,
 )
-from .verify import IntMatrix, check_claim
+from .verify import check_claim
 from .gfield import prime_power_decompose
 
 __all__ = [
@@ -290,9 +290,13 @@ def _omzd_plan(n: int, route: str, branch: str) -> PlanNode:
             return node
         route = ROUTE_AUTO
     if route == ROUTE_PREFER_RECURSIVE:
+        # a balanced splice tree of catalog seeds: for n >= 8 both halves
+        # a and n + 2 - a are >= 5 (never the missing order 3), and the
+        # depth is about log2 n
         if n in (2, 4, 5, 6, 7):
             return seed_node(KIND_OMZD, n)
-        return combine_node(_omzd_plan(n - 2, route, branch), seed_node(KIND_OMZD, 4))
+        a = (n + 2) // 2
+        return combine_node(_omzd_plan(a, route, branch), _omzd_plan(n + 2 - a, route, branch))
     # auto: the closed-form symmetric construction for even n.  Odd n
     # takes one splice, whatever its size: a symmetric OMZD(n-3) (even
     # order, never 4 for n >= 11) with the OMZD(5) seed, so the plan has
@@ -447,19 +451,16 @@ def execute(node: PlanNode, res_tol: float = 1e-9):
     """Evaluate a plan bottom-up and check its root once, at ``res_tol``,
     against the claim of its kind.
 
-    Returns the root as a RealMatrix (an integer root carries the scale
-    its verdict recovered: q for a conference matrix, the order for a
-    skew-Hadamard matrix, none for a tournament) and its verdict, an
-    OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  Raises
+    Returns the root RealMatrix as its builder made it, and its verdict,
+    an OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  The builder
+    sets the scale of an integer root: q for a conference matrix, the
+    order for a skew-Hadamard matrix, none for a tournament.  Raises
     CertificationFailed when the root fails.
     """
     result = _eval(node)
-    real = result.to_real() if isinstance(result, IntMatrix) else result
-    verdict = check_claim(node.kind, real, res_tol=res_tol, **_claim_parameters(node))
+    verdict = check_claim(node.kind, result, res_tol=res_tol, **_claim_parameters(node))
     if not verdict.passed:
         raise CertificationFailed(
             f"plan {serialize_plan(node)} executed but failed certification: {verdict.failures}"
         )
-    if isinstance(result, IntMatrix):
-        real = result.to_real(scale_c=verdict.scale_c)
-    return real, verdict
+    return result, verdict

@@ -16,12 +16,18 @@ mask (an entry in neither is free) and two flags, ``exact`` and
 
 An exact claim must be integral with +-1 at its required nonzeros and
 MMᵀ = cI exactly; the others hold it within res_tol * c * order.
-Tournaments and skew-Hadamard matrices get exact integer checkers of
-their own.  Certificates always carry the full diagnostic rather than
-short-circuiting, so callers can assert on specific failure kinds.
-``CLAIM_CHECKERS`` maps every claim name (a gen kind or a ``verify
---claim`` value) to its checker; the planner and the CLI both check
-through ``check_claim``.
+
+Tournaments and skew-Hadamard matrices get exact checkers of their own,
+``check_drt`` and ``check_skew_hadamard``.  Every claim, these two
+included, takes a float64 ``RealMatrix``.  The two check integrality
+first and then their entry set, {0, 1} or +-1, before any product.
+After that every partial sum of MMᵀ is an integer of magnitude at most
+the order, which the planner caps at 4096, far below 2^53, so the
+float64 (BLAS) products are exact.  Certificates always carry the full
+diagnostic rather than short-circuiting, so callers can assert on
+specific failure kinds.  ``CLAIM_CHECKERS`` maps every claim name (a gen
+kind or a ``verify --claim`` value) to its checker; the planner and the
+CLI both check through ``check_claim``.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ __all__ = [
     "CLAIM_SYMMETRIC_OMZD",
     "CLAIM_NOWHERE_ZERO",
     "CLAIM_ORTHOGONAL",
-    "IntMatrix",
     "OrthoCertificate",
     "DrtVerdict",
     "SkewHadamardVerdict",
@@ -59,33 +64,6 @@ CLAIM_CONFERENCE = "conference"
 CLAIM_SYMMETRIC_OMZD = "symmetric-omzd"
 CLAIM_NOWHERE_ZERO = "nowhere-zero"
 CLAIM_ORTHOGONAL = "orthogonal"  # orthogonality only, no pattern constraint
-
-
-@dataclass(frozen=True, eq=False)
-class IntMatrix:
-    """Dense integer matrix for bit-exact checks; entry domain is
-    enforced by the checker that consumes it, not the constructor."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.data, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
-
-    @property
-    def order(self) -> int:
-        if self.data.shape[0] != self.data.shape[1]:
-            raise ValueError("order undefined for a non-square matrix")
-        return self.data.shape[0]
-
-    def to_real(self, scale_c: float | None = None) -> RealMatrix:
-        return RealMatrix(self.data.astype(np.float64), scale_c=scale_c)
-
-    def __repr__(self):
-        return f"IntMatrix({self.data.shape[0]}x{self.data.shape[1]})"
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -290,8 +268,6 @@ class DrtVerdict:
     lam: int | None
     failures: tuple[str, ...]
 
-    scale_c = None  # a tournament is not a scaled orthogonal matrix
-
     @property
     def claim(self) -> str:
         return f"DRT({self.q})"
@@ -310,15 +286,20 @@ class DrtVerdict:
         }
 
 
-def check_drt(t: IntMatrix) -> DrtVerdict:
-    """Exact integer check of the tournament axioms.
+_NOT_INTEGRAL = ("entries are not integral",)
 
-    Requires: zero diagonal; T + Tᵀ = J - I (an orientation of the
-    complete graph); every out-degree (q-1)/2; every ordered vertex pair
-    jointly dominating exactly (q-3)/4 others, which is the entrywise
-    statement TTᵀ = ((q+1)/4)I + ((q-3)/4)J.
+
+def check_drt(t: RealMatrix) -> DrtVerdict:
+    """Exact check of the tournament axioms.
+
+    Requires: integral entries, all in {0, 1}; zero diagonal; T + Tᵀ =
+    J - I (an orientation of the complete graph); every out-degree
+    (q-1)/2; every ordered vertex pair jointly dominating exactly (q-3)/4
+    others, which is the entrywise statement TTᵀ = ((q+1)/4)I + ((q-3)/4)J.
     """
     a = t.data
+    if not _is_integral(a):
+        return DrtVerdict(False, a.shape[0], None, None, _NOT_INTEGRAL)
     if a.shape[0] != a.shape[1]:
         return DrtVerdict(False, a.shape[0], None, None, ("matrix is not square",))
     q = a.shape[0]
@@ -329,7 +310,7 @@ def check_drt(t: IntMatrix) -> DrtVerdict:
         return DrtVerdict(False, q, None, None, tuple(failures))
     if np.any(np.diag(a) != 0):
         failures.append("diagonal is not zero")
-    j_minus_i = np.ones((q, q), dtype=np.int64) - np.eye(q, dtype=np.int64)
+    j_minus_i = np.ones((q, q)) - np.eye(q)
     if not np.array_equal(a + a.T, j_minus_i):
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
     if q % 4 != 3:
@@ -343,7 +324,7 @@ def check_drt(t: IntMatrix) -> DrtVerdict:
     if not np.all(row_sums == k):
         failures.append(f"out-degrees {sorted(set(int(s) for s in row_sums))} != {k}")
     joint = a @ a.T  # joint[u, w] = #{v : u->v and w->v}
-    expected = lam * j_minus_i + k * np.eye(q, dtype=np.int64)
+    expected = lam * j_minus_i + k * np.eye(q)
     if not np.array_equal(joint, expected):
         failures.append(f"joint domination counts differ from lambda = {lam}")
 
@@ -360,10 +341,6 @@ class SkewHadamardVerdict:
     failures: tuple[str, ...]
 
     @property
-    def scale_c(self) -> float:
-        return float(self.order)
-
-    @property
     def claim(self) -> str:
         return f"SkewHadamard({self.order})"
 
@@ -374,9 +351,11 @@ class SkewHadamardVerdict:
         return {"claim": self.claim, "passed": self.passed, "failures": list(self.failures)}
 
 
-def check_skew_hadamard(h: IntMatrix) -> SkewHadamardVerdict:
-    """Exact integer check of both skew-Hadamard identities."""
+def check_skew_hadamard(h: RealMatrix) -> SkewHadamardVerdict:
+    """Exact check of both skew-Hadamard identities on integral +-1 entries."""
     a = h.data
+    if not _is_integral(a):
+        return SkewHadamardVerdict(False, a.shape[0], _NOT_INTEGRAL)
     if a.shape[0] != a.shape[1]:
         return SkewHadamardVerdict(False, a.shape[0], ("matrix is not square",))
     n = a.shape[0]
@@ -384,9 +363,9 @@ def check_skew_hadamard(h: IntMatrix) -> SkewHadamardVerdict:
     if not np.all(np.abs(a) == 1):
         failures.append("entries are not all +-1")
     else:
-        if not np.array_equal(a @ a.T, n * np.eye(n, dtype=np.int64)):
+        if not np.array_equal(a @ a.T, n * np.eye(n)):
             failures.append("HH^T != nI")
-        if not np.array_equal(a + a.T, 2 * np.eye(n, dtype=np.int64)):
+        if not np.array_equal(a + a.T, 2 * np.eye(n)):
             failures.append("H + H^T != 2I")
     return SkewHadamardVerdict(not failures, n, tuple(failures))
 
@@ -428,28 +407,15 @@ def _orthogonal_claim(claim: str):
 
 
 def _check_ompzd(m: RealMatrix, k=None, zero_tol=None, res_tol=1e-9, **_) -> OrthoCertificate:
-    """k = 0 is the nowhere-zero claim; without k, the zero count the
-    diagonal shows is the claim."""
-    if not isinstance(k, int):
+    """k = 0 is the nowhere-zero claim; without k (None), the zero count
+    the diagonal shows is the claim."""
+    if k is None:
         k = _diagonal_zeros(m, zero_tol)
+    elif type(k) is not int or k < 0:  # bool is no count
+        raise ValueError(f"claim 'ompzd' needs a non-negative integer zero count k, got {k!r}")
     if k == 0:
         return certify(m, CLAIM_NOWHERE_ZERO, zero_tol=zero_tol, res_tol=res_tol)
     return certify(m, CLAIM_OMPZD, k=k, zero_tol=zero_tol, res_tol=res_tol)
-
-
-_NOT_INTEGRAL = ("entries are not integral",)
-
-
-def _check_drt_claim(m: RealMatrix, **_) -> DrtVerdict:
-    if not _is_integral(m.data):
-        return DrtVerdict(False, m.rows, None, None, _NOT_INTEGRAL)
-    return check_drt(IntMatrix(m.data.astype(np.int64)))
-
-
-def _check_skew_hadamard_claim(m: RealMatrix, **_) -> SkewHadamardVerdict:
-    if not _is_integral(m.data):
-        return SkewHadamardVerdict(False, m.rows, _NOT_INTEGRAL)
-    return check_skew_hadamard(IntMatrix(m.data.astype(np.int64)))
 
 
 def _check_multipartite(
@@ -466,8 +432,8 @@ CLAIM_CHECKERS = {
     "symmetric-omzd": _orthogonal_claim(CLAIM_SYMMETRIC_OMZD),
     "ompzd": _check_ompzd,
     "conference": _orthogonal_claim(CLAIM_CONFERENCE),
-    "skew-hadamard": _check_skew_hadamard_claim,
-    "drt": _check_drt_claim,
+    "skew-hadamard": lambda m, **_: check_skew_hadamard(m),
+    "drt": lambda m, **_: check_drt(m),
     "nowhere-zero": _orthogonal_claim(CLAIM_NOWHERE_ZERO),
     "multipartite": _check_multipartite,
     "orthogonal": _orthogonal_claim(CLAIM_ORTHOGONAL),
@@ -486,8 +452,8 @@ def check_claim(
 ):
     """Check ``m`` against the claim ``name`` with the checker of
     CLAIM_CHECKERS.  Returns an OrthoCertificate, DrtVerdict or
-    SkewHadamardVerdict; each has ``passed``, ``failures``, ``scale_c``,
-    ``summary()`` and ``report()``."""
+    SkewHadamardVerdict; each has ``passed``, ``failures``, ``summary()``
+    and ``report()``."""
     try:
         checker = CLAIM_CHECKERS[name]
     except KeyError:

@@ -14,7 +14,7 @@ import pytest
 from omzd import construct, graphs, planner
 from omzd.cli import decode_matrix_file, encode_matrix_file, run
 from omzd.numerics import RealMatrix, residual_scaled_identity
-from omzd.verify import IntMatrix, certify, check_drt
+from omzd.verify import certify, check_drt
 
 FANO = np.array(
     [
@@ -107,7 +107,7 @@ def test_criterion_4_paley_and_tournaments():
             assert verdict.passed, (q, verdict.failures)
             assert (verdict.k, verdict.lam) == ((q - 1) // 2, (q - 3) // 4)
 
-        m = construct.omzd_from_drt(IntMatrix(FANO), "minus")
+        m = construct.omzd_from_drt(RealMatrix(FANO), "minus")
         alpha = -(5.0 - math.sqrt(5.0)) / 2.0
         assert abs(m.data[0, 1] - (alpha + 1.0)) <= 1e-12
         c, _ = residual_scaled_identity(m)
@@ -116,7 +116,7 @@ def test_criterion_4_paley_and_tournaments():
 
 def test_criterion_5_doubling_chain():
     with _Clock(5.0, "5 (doubling chain 7 -> 15 -> 31)"):
-        t7 = IntMatrix(FANO)
+        t7 = RealMatrix(FANO)
         t15 = construct.double_drt(t7)
         t31 = construct.double_drt(t15)
         for t, q in ((t7, 7), (t15, 15), (t31, 31)):

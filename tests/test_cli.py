@@ -258,13 +258,24 @@ class TestUsageErrors:
 
 
 class TestResourceLimits:
-    def test_deep_recursive_plan_is_exit_2(self):
-        # prefer-recursive nests one Combine per two orders, so order 2001
-        # runs past the interpreter's recursion limit while planning
+    def test_deep_recursive_plan_is_exit_2(self, monkeypatch):
+        # a plan deep enough to pass the interpreter's recursion limit
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(planner, "plan", too_deep)
         code, out, err = invoke("gen", "--kind", "omzd", "--n", "2001", "--route", "prefer-recursive")
         assert code == 2 and out == ""
         assert err.startswith("ResourceLimit: ") and "RecursionError" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_builder_refusal_is_an_internal_error(self, monkeypatch):
+        # plan refuses every case a builder would, so a builder refusal
+        # that reaches the CLI is a planner bug, not a legitimate refusal
+        monkeypatch.setattr(planner, "plan", lambda *args, **kwargs: planner.symmetric_node(4))
+        code, out, err = invoke("gen", "--kind", "symmetric-omzd", "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == "internal error: OrderFour: no symmetric OMZD(4) exists\n"
 
     def test_memory_error_is_exit_2(self, monkeypatch):
         def exhausted(node):
@@ -659,3 +670,14 @@ class TestVerifyIntegerClaims:
         code, out, err = invoke("verify", "--in", str(path), "--claim", "multipartite")
         assert (code, out) == (2, "")
         assert err.startswith("ValueError: claim 'multipartite' needs a positive integer")
+
+    @pytest.mark.parametrize("k", [True, 1.5, "1", -3])
+    def test_ompzd_zero_count_must_be_a_count(self, tmp_path, k):
+        path = tmp_path / "p.json"
+        invoke("gen", "--kind", "ompzd", "--n", "9", "--k", "1", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["provenance"]["parameters"]["k"] = k
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "ompzd")
+        assert (code, out) == (2, "")
+        assert err == f"ValueError: claim 'ompzd' needs a non-negative integer zero count k, got {k!r}\n"

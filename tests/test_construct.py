@@ -20,9 +20,9 @@ from omzd.errors import (
     TargetTooHigh,
 )
 from omzd.numerics import RealMatrix, residual_scaled_identity
-from omzd.verify import IntMatrix, certify, check_drt, check_skew_hadamard
+from omzd.verify import certify, check_drt, check_skew_hadamard
 
-FANO = IntMatrix(
+FANO = RealMatrix(
     [
         [0, 1, 1, 0, 1, 0, 0],
         [0, 0, 1, 1, 0, 1, 0],
@@ -183,7 +183,7 @@ class TestPaleyConference:
         # equality is not asserted: they may differ by an equivalence)
         built = construct.paley_conference(5)
         printed = construct.seed("omzd", 6)
-        for m in (built.to_real(), printed):
+        for m in (built, printed):
             cert = certify(m, "conference")
             assert cert.passed
             assert cert.symmetry == "symmetric"
@@ -322,8 +322,8 @@ class TestSymmetricOmzd:
 # Tournament route
 # --------------------------------------------------------------------------
 
-def _drt3() -> IntMatrix:
-    return IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+def _drt3() -> RealMatrix:
+    return RealMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 class TestSkewHadamardRoute:
@@ -337,7 +337,7 @@ class TestSkewHadamardRoute:
         assert check_skew_hadamard(h).passed
 
     def test_not_drt(self):
-        bad = IntMatrix(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+        bad = RealMatrix(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
         with pytest.raises(NotDRT):
             construct.drt_to_skew_hadamard(bad)
 
@@ -356,7 +356,7 @@ class TestDoubleDrt:
 
     def test_not_drt(self):
         with pytest.raises(NotDRT):
-            construct.double_drt(IntMatrix(np.zeros((4, 4), dtype=np.int64)))
+            construct.double_drt(RealMatrix(np.zeros((4, 4), dtype=np.int64)))
 
 
 class TestOmzdFromDrt:
@@ -394,7 +394,7 @@ class TestOmzdFromDrt:
 
     def test_not_drt(self):
         with pytest.raises(NotDRT):
-            construct.omzd_from_drt(IntMatrix(np.eye(7, dtype=np.int64)))
+            construct.omzd_from_drt(RealMatrix(np.eye(7, dtype=np.int64)))
 
     def test_bad_branch(self):
         with pytest.raises(ValueError):

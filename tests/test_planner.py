@@ -70,7 +70,7 @@ class TestPlanRouting:
 
     def test_prefer_recursive(self):
         assert serialize_plan(plan("omzd", 10, route="prefer-recursive")) == (
-            "Combine(Combine(Seed(omzd,6),Seed(omzd,4)),Seed(omzd,4))"
+            "Combine(Seed(omzd,6),Seed(omzd,6))"
         )
 
     def test_ompzd_routes(self):
@@ -182,6 +182,15 @@ def _required_nonzero_margin(matrix) -> float:
     diag = np.diag(a)
     required = np.concatenate((a[~np.eye(len(a), dtype=bool)], diag[diag > 1e-12 * a.max()]))
     return float(required.min() / a.max())
+
+
+class TestBalancedRecursiveRoute:
+    def test_order_2001_executes(self):
+        # a balanced splice tree: depth about log2 n, not one Combine per two orders
+        node = plan("omzd", 2001, route="prefer-recursive")
+        assert _depth(node) <= 11
+        matrix, cert = execute(node)
+        assert cert.passed and matrix.order == 2001
 
 
 class TestFlatOddRoute:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from omzd import construct
+from omzd import construct, planner
 from omzd.errors import ShapeMismatch
 from omzd.numerics import RealMatrix
-from omzd.verify import CLAIM_CHECKERS, IntMatrix, certify, check_claim, check_drt, check_skew_hadamard
+from omzd.verify import CLAIM_CHECKERS, certify, check_claim, check_drt, check_skew_hadamard
 
 FANO = np.array(
     [
@@ -119,24 +119,24 @@ class TestCertify:
 
 class TestCheckDrt:
     def test_fano(self):
-        verdict = check_drt(IntMatrix(FANO))
+        verdict = check_drt(RealMatrix(FANO))
         assert verdict.passed
         assert (verdict.q, verdict.k, verdict.lam) == (7, 3, 1)
 
     def test_j_minus_i_is_not_an_orientation(self):
         j_minus_i = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-        verdict = check_drt(IntMatrix(j_minus_i))
+        verdict = check_drt(RealMatrix(j_minus_i))
         assert not verdict.passed
         assert any("orientation" in f for f in verdict.failures)
 
     def test_doubled_fano(self):
-        t15 = construct.double_drt(IntMatrix(FANO))
+        t15 = construct.double_drt(RealMatrix(FANO))
         verdict = check_drt(t15)
         assert verdict.passed
         assert (verdict.q, verdict.k, verdict.lam) == (15, 7, 3)
 
     def test_rejects_bad_entries(self):
-        verdict = check_drt(IntMatrix(2 * FANO))
+        verdict = check_drt(RealMatrix(2 * FANO))
         assert not verdict.passed
         assert any("{0, 1}" in f for f in verdict.failures)
 
@@ -146,27 +146,27 @@ class TestCheckDrt:
         for i in range(5):
             a[i, (i + 1) % 5] = 1
             a[i, (i + 2) % 5] = 1
-        verdict = check_drt(IntMatrix(a))
+        verdict = check_drt(RealMatrix(a))
         assert not verdict.passed
 
 
 class TestCheckSkewHadamard:
     def test_order_2(self):
-        assert check_skew_hadamard(IntMatrix([[1, 1], [-1, 1]])).passed
+        assert check_skew_hadamard(RealMatrix([[1, 1], [-1, 1]])).passed
 
     def test_bordered_fano(self):
-        h = construct.drt_to_skew_hadamard(IntMatrix(FANO))
+        h = construct.drt_to_skew_hadamard(RealMatrix(FANO))
         verdict = check_skew_hadamard(h)
         assert verdict.passed
         assert verdict.order == 8
 
     def test_all_ones_fails(self):
-        verdict = check_skew_hadamard(IntMatrix([[1, 1], [1, 1]]))
+        verdict = check_skew_hadamard(RealMatrix([[1, 1], [1, 1]]))
         assert not verdict.passed
         assert any("H + H^T" in f for f in verdict.failures)
 
     def test_wrong_entries_fail(self):
-        verdict = check_skew_hadamard(IntMatrix([[1, 0], [0, 1]]))
+        verdict = check_skew_hadamard(RealMatrix([[1, 0], [0, 1]]))
         assert not verdict.passed
 
 
@@ -177,7 +177,7 @@ class TestSymmetricOmzdParity:
         mats = [construct.seed("omzd", n) for n in (2, 4, 5, 6, 7)]
         mats += [construct.symmetric_omzd(n) for n in (6, 8, 10)]
         mats += [construct.combine(construct.seed("omzd", 6), construct.seed("omzd", 5))]
-        mats += [construct.omzd_from_drt(IntMatrix(FANO))]
+        mats += [construct.omzd_from_drt(RealMatrix(FANO))]
         for m in mats:
             cert = certify(m, "omzd")
             if cert.passed and m.order % 2 == 1:
@@ -207,7 +207,7 @@ class TestClaimTable:
 
     @pytest.mark.parametrize("claim", ["drt", "skew-hadamard"])
     def test_integer_claims_check_integrality(self, claim):
-        a = FANO if claim == "drt" else construct.drt_to_skew_hadamard(IntMatrix(FANO)).data
+        a = FANO if claim == "drt" else construct.drt_to_skew_hadamard(RealMatrix(FANO)).data
         good = check_claim(claim, RealMatrix(a.astype(float)))
         assert good.passed
         tampered = a.astype(float)
@@ -231,6 +231,60 @@ class TestClaimTable:
             "min_offdiag_magnitude": 0.0,
             "symmetry": "neither",
         }
-        assert drt.scale_c is None
-        h = check_skew_hadamard(construct.drt_to_skew_hadamard(IntMatrix(FANO)))
-        assert h.summary()["min_offdiag_magnitude"] == 1.0 and h.scale_c == 8.0
+        h = check_skew_hadamard(construct.drt_to_skew_hadamard(RealMatrix(FANO)))
+        assert h.summary()["min_offdiag_magnitude"] == 1.0
+
+    def test_builders_carry_the_integer_scales(self):
+        # the scale of an integer root comes from its builder, not its verdict
+        skew, _ = planner.execute(planner.plan("skew-hadamard", q=7))
+        conference, _ = planner.execute(planner.plan("conference", q=27))
+        drt, _ = planner.execute(planner.plan("drt", q=7))
+        assert (skew.scale_c, conference.scale_c, drt.scale_c) == (8.0, 27.0, None)
+
+
+def _flip_arc(t: np.ndarray) -> np.ndarray:
+    """A copy of a tournament with the arcs between 0 and 1 reversed."""
+    out = t.copy()
+    out[0, 1], out[1, 0] = out[1, 0], out[0, 1]
+    return out
+
+
+def _drt_reference(a: np.ndarray) -> bool:
+    """The DRT axioms in int64, independent of check_drt."""
+    q = a.shape[0]
+    eye = np.eye(q, dtype=np.int64)
+    j_minus_i = np.ones((q, q), dtype=np.int64) - eye
+    return (
+        q % 4 == 3
+        and np.array_equal(a + a.T, j_minus_i)
+        and np.array_equal(a @ a.T, (q - 3) // 4 * j_minus_i + (q - 1) // 2 * eye)
+    )
+
+
+def _skew_hadamard_reference(a: np.ndarray) -> bool:
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    return np.array_equal(a @ a.T, n * eye) and np.array_equal(a + a.T, 2 * eye)
+
+
+class TestFloatChecksAreExact:
+    """check_drt and check_skew_hadamard run their products in float64;
+    they must agree with an int64 reference, on DRTs up to order 511 and
+    on the same matrices with one arc pair reversed."""
+
+    @pytest.mark.parametrize("t", range(7))
+    @pytest.mark.parametrize("flip", [False, True], ids=["drt", "flipped"])
+    def test_against_int64_reference(self, t, flip):
+        drt, _ = planner.execute(planner.plan("drt", q=7, t=t))
+        a = drt.data.astype(np.int64)
+        if flip:
+            a = _flip_arc(a)
+        assert check_drt(RealMatrix(a)).passed == _drt_reference(a) == (not flip)
+        h = np.ones((a.shape[0] + 1, a.shape[0] + 1), dtype=np.int64)
+        h[1:, 0] = -1
+        h[1:, 1:] = a - a.T + np.eye(a.shape[0], dtype=np.int64)
+        assert check_skew_hadamard(RealMatrix(h)).passed == _skew_hadamard_reference(h) == (not flip)
+
+    def test_half_entries_are_not_integral(self):
+        verdict = check_drt(RealMatrix([[0, 0.5], [0.5, 0]]))
+        assert not verdict.passed and verdict.failures == ("entries are not integral",)
