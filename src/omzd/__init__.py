@@ -11,7 +11,7 @@ and complete multipartite graphs.
 """
 
 from .errors import OmzdError
-from .gfield import FieldElement, FiniteField, chi, elements, make_field
+from .gfield import FiniteField, chi, make_field
 from .graphs import (
     Gnk,
     Graph,
@@ -65,10 +65,8 @@ __all__ = [
     "jacobi_spectrum",
     "cluster_eigenvalues",
     "FiniteField",
-    "FieldElement",
     "make_field",
     "chi",
-    "elements",
     "OrthoCertificate",
     "DrtVerdict",
     "SkewHadamardVerdict",

@@ -206,15 +206,14 @@ def check_paley_q(q: int, tournament: bool = False) -> tuple[int, int]:
 
 
 def _character_core(q: int) -> np.ndarray:
-    """q x q core with entry (i, j) = chi(a_j - a_i) over the canonical
-    element order of GF(q)."""
+    """q x q core with entry (i, j) = chi(j - i) over the element indices
+    of GF(q), one chi-table gather per row (a q x k temporary, not q x q x k)."""
     p, k = check_paley_q(q)
     field = gfield.make_field(p, k)
-    elems = gfield.elements(field)
-    core = np.zeros((q, q))
-    for i, ai in enumerate(elems):
-        for j, aj in enumerate(elems):
-            core[i, j] = gfield.chi(field, field.sub(aj, ai))
+    elems = np.arange(q)
+    core = np.empty((q, q))
+    for i in range(q):
+        core[i] = field.chi_table[field.sub(elems, i)]
     return core
 
 

@@ -1,25 +1,25 @@
 """Finite fields GF(p^k) of odd order with the quadratic character.
 
-Elements are length-k coefficient vectors over GF(p), little-endian in
-the root of a canonical modulus polynomial: the lexicographically
-smallest monic irreducible of degree k (coefficient vectors compared
-constant term first).  That canonical choice makes every matrix built
-on top of a field reproducible bit for bit.
+A field element is its index 0..q-1: element i is the polynomial in the
+modulus root whose coefficients, constant term first, are the k base-p
+digits of i, most significant first.  The modulus is the
+lexicographically smallest monic irreducible of degree k under that
+order, so every matrix built on a field is reproducible bit for bit.
+The quadratic character is one length-q table, built once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvenCharacteristic, NotPrime
 
 __all__ = [
-    "FieldElement",
     "FiniteField",
     "make_field",
     "chi",
-    "elements",
     "is_prime",
     "prime_power_decompose",
 ]
@@ -54,16 +54,6 @@ def prime_power_decompose(q: int) -> tuple[int, int] | None:
             return (p, k) if rest == 1 else None
         p += 1
     return (q, 1)  # q itself is prime
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Coefficient vector over GF(p), little-endian in the modulus root."""
-
-    coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 # --- polynomial helpers over GF(p), little-endian coefficient lists ---------
@@ -112,50 +102,34 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 class FiniteField:
-    """GF(p^k) with a fixed modulus, a canonical element order, and a
-    square table built once for the quadratic character."""
+    """GF(p^k) on a fixed modulus.  Element i has coefficient vector
+    ``digits[i]`` and quadratic character ``chi_table[i]``."""
 
     def __init__(self, p: int, k: int, modulus_poly: tuple[int, ...]):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus_poly = modulus_poly
-        self.element_order: tuple[FieldElement, ...] = tuple(
-            FieldElement(c) for c in itertools.product(range(p), repeat=k)
-        )
-        self._squares = frozenset(
-            self.mul(e, e).coeffs for e in self.element_order if not e.is_zero()
-        )
+        self._place = p ** np.arange(k - 1, -1, -1)
+        self.digits = np.arange(self.q)[:, None] // self._place % p
+        self.chi_table = np.full(self.q, -1)
+        self.chi_table[0] = 0
+        self.chi_table[[self.mul(x, x) for x in range(1, self.q)]] = 1
 
-    # -- arithmetic -----------------------------------------------------
+    def sub(self, a, b):
+        """Index of a - b; broadcasts over index arrays."""
+        return (self.digits[a] - self.digits[b]) % self.p @ self._place
 
-    def _check(self, x: FieldElement) -> None:
-        if len(x.coeffs) != self.k or any(not 0 <= c < self.p for c in x.coeffs):
-            raise ValueError(f"{x} is not an element of GF({self.p}^{self.k})")
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return FieldElement(tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return FieldElement(tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        return FieldElement(tuple((-x) % self.p for x in a.coeffs))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+    def mul(self, a: int, b: int) -> int:
         prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a.coeffs):
+        bd = self.digits[b].tolist()
+        for i, x in enumerate(self.digits[a].tolist()):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bd):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
         _, rem = _poly_divmod(prod, self.modulus_poly, self.p)
         rem += [0] * (self.k - len(rem))
-        return FieldElement(tuple(rem))
-
-    def minus_one(self) -> FieldElement:
-        coeffs = [0] * self.k
-        coeffs[0] = (-1) % self.p
-        return FieldElement(tuple(coeffs))
+        return int(np.dot(rem, self._place))
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, k={self.k}, modulus={self.modulus_poly})"
@@ -164,30 +138,27 @@ class FiniteField:
 def make_field(p: int, k: int) -> FiniteField:
     """Build GF(p^k) on the lexicographically smallest irreducible modulus.
 
-    Rejects p = 2 (the quadratic character degenerates) and non-primes.
+    Rejects p = 2 (the quadratic character degenerates), k < 1, orders
+    over the cap and then non-primes, so no oversized p is trial-divided.
     """
     if p == 2:
         raise EvenCharacteristic("characteristic 2 is not supported; q must be odd")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    if p**k > _MAX_ORDER:
+    # 3^13 > 2^20, so k > 12 is over the cap for every odd p >= 3
+    if p > 2 and (k > 12 or p**k > _MAX_ORDER):
         raise ValueError(f"field order {p}^{k} exceeds the supported cap 2^20")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     for poly in _monic_polys(k, p):
         if _is_irreducible(poly, p):
             return FiniteField(p, k, poly)
     raise AssertionError("no irreducible modulus found")  # unreachable: one always exists
 
 
-def chi(field: FiniteField, x: FieldElement) -> int:
-    """Quadratic character: 0 at zero, +1 on nonzero squares, -1 otherwise."""
-    field._check(x)
-    if x.is_zero():
-        return 0
-    return 1 if x.coeffs in field._squares else -1
-
-
-def elements(field: FiniteField) -> tuple[FieldElement, ...]:
-    """All q field elements in the canonical order (zero first)."""
-    return field.element_order
+def chi(field: FiniteField, x: int) -> int:
+    """Quadratic character of element x: 0 at zero, +1 on nonzero
+    squares, -1 otherwise."""
+    if not 0 <= x < field.q:
+        raise ValueError(f"{x} is not an element index of GF({field.p}^{field.k})")
+    return int(field.chi_table[x])

@@ -453,7 +453,11 @@ def check_claim(
     """Check ``m`` against the claim ``name`` with the checker of
     CLAIM_CHECKERS.  Returns an OrthoCertificate, DrtVerdict or
     SkewHadamardVerdict; each has ``passed``, ``failures``, ``summary()``
-    and ``report()``."""
+    and ``report()``.  Raises ValueError unless ``res_tol`` is finite and
+    >= 0 and ``zero_tol`` is None or finite and >= 0."""
+    for label, tol in (("res_tol", res_tol), ("zero_tol", zero_tol)):
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{label} must be finite and >= 0, got {tol!r}")
     try:
         checker = CLAIM_CHECKERS[name]
     except KeyError:

@@ -499,6 +499,9 @@ class TestVerifyBadInput:
 # taken after putting the earlier plan field back.
 GEN_PINS = [
     ("gen --kind conference --q 27", "03de52fadbd363bc5dca41c751b01f670ed64ab8f046640454c3de6eabad44f2", None),
+    ("gen --kind conference --q 81", "d6bda5b03b079f859265abaf2b49689f71fc9be7d10c3a5bcc6cee4b4cfde080", None),
+    ("gen --kind conference --q 243", "2ef47274cea65283ca9c1220aa13fe69d3f7ac98d65758eb84238b93a87b4f48", None),
+    ("gen --kind drt --q 343", "758837bb36d2d4455fc70726dc2db90ec0d093cb730eb694666d3c2fd84dfb60", None),
     ("gen --kind drt --q 43 --t 1", "38e2e9197e98bab8b4d6091bebd30e0d3e52b9739859e307c433cc1be2c97c67", None),
     ("gen --kind drt --q 3", "569e96f70ebc17f4c424805ef3cdbfc2f7c3afec9f47cd15034e92c221309c12", None),
     (
@@ -630,6 +633,26 @@ class TestOneZeroRule:
         smallest = json.loads(path.read_text())["certificate"]["min_offdiag_magnitude"]
         code, _, err = invoke("verify", "--in", str(path), "--claim", claim, "--zero-tol", repr(1.01 * smallest))
         assert code == 1 and err.startswith("off-diagonal zeros at [(")
+
+
+class TestVerifyTolerances:
+    """A tolerance that is not finite and >= 0 is a usage error, not a verdict."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [(flag, value) for flag in ("--res-tol", "--zero-tol") for value in ("inf", "nan", "-1")],
+    )
+    def test_rejected(self, tmp_path, flag, value):
+        path = tmp_path / "m.json"
+        invoke("gen", "--kind", "omzd", "--n", "9", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][0][1] *= 1.5  # breaks orthogonality
+        path.write_text(json.dumps(doc))
+        assert invoke("verify", "--in", str(path), "--claim", "omzd")[0] == 1
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "omzd", flag, value)
+        name = flag[2:].replace("-", "_")
+        assert (code, out) == (2, "")
+        assert err == f"ValueError: {name} must be finite and >= 0, got {float(value)!r}\n"
 
 
 class TestVerifyIntegerClaims:

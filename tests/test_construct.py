@@ -1,12 +1,13 @@
 """Construction operations: golden values, exact checks, and error paths."""
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from omzd import construct, planner
+from omzd import construct, gfield, planner
 from omzd.errors import (
     InvalidQ,
     NonexistentTarget,
@@ -214,6 +215,67 @@ class TestPaleyTournament:
             construct.paley_tournament(5)
         with pytest.raises(InvalidQ):
             construct.paley_tournament(9)
+
+
+def _reference_core(q):
+    """chi(a_j - a_i) over GF(q) from coefficient tuples alone: the
+    elements in itertools.product order, the lexicographically first
+    monic polynomial that is no product of two monic factors as modulus,
+    and the squares by polynomial multiplication and long division."""
+    p, k = next((p, k) for p in range(3, q + 1) for k in range(1, 8) if p**k == q)
+
+    def polymul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def monic(d):
+        return [(*low, 1) for low in itertools.product(range(p), repeat=d)]
+
+    factors = {tuple(polymul(a, b)) for d in range(1, k // 2 + 1) for a in monic(d) for b in monic(k - d)}
+    modulus = next(m for m in monic(k) if k == 1 or m not in factors)
+
+    def reduce(poly):
+        poly = list(poly)
+        for top in range(len(poly) - 1, k - 1, -1):
+            c = poly[top]
+            for j, mj in enumerate(modulus):
+                poly[top - k + j] = (poly[top - k + j] - c * mj) % p
+        return tuple(poly[:k])
+
+    elems = list(itertools.product(range(p), repeat=k))
+    squares = {reduce(polymul(x, x)) for x in elems[1:]}
+
+    def chi(x):
+        return 0 if not any(x) else 1 if x in squares else -1
+
+    return np.array(
+        [[chi(tuple((y - x) % p for x, y in zip(ai, aj))) for aj in elems] for ai in elems]
+    )
+
+
+class TestCharacterCore:
+    @pytest.mark.parametrize(
+        "q", [q for q in range(3, 126, 2) if gfield.prime_power_decompose(q)] + [243]
+    )
+    def test_matches_coefficient_tuple_reference(self, q):
+        assert np.array_equal(construct._character_core(q), _reference_core(q))
+
+    def test_no_character_call_per_entry(self, monkeypatch):
+        calls = 0
+        chi = gfield.chi
+
+        def counting_chi(*args):
+            nonlocal calls
+            calls += 1
+            return chi(*args)
+
+        monkeypatch.setattr(gfield, "chi", counting_chi)
+        construct.paley_conference(243)
+        construct.paley_tournament(243)
+        assert calls <= 243
 
 
 # --------------------------------------------------------------------------

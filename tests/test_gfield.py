@@ -4,15 +4,11 @@ import itertools
 
 import pytest
 
+import numpy as np
+
+from omzd import gfield
 from omzd.errors import EvenCharacteristic, NotPrime
-from omzd.gfield import (
-    FieldElement,
-    chi,
-    elements,
-    is_prime,
-    make_field,
-    prime_power_decompose,
-)
+from omzd.gfield import chi, is_prime, make_field, prime_power_decompose
 
 # odd prime powers small enough for exhaustive property checks
 SMALL_Q = [(3, 1), (5, 1), (7, 1), (9, (3, 2)), (11, 1), (13, 1), (25, (5, 2)),
@@ -28,7 +24,7 @@ class TestMakeField:
     def test_prime_field(self):
         f = make_field(5, 1)
         assert f.q == 5
-        assert [e.coeffs for e in elements(f)] == [(0,), (1,), (2,), (3,), (4,)]
+        assert f.digits.tolist() == [[0], [1], [2], [3], [4]]
 
     def test_gf9_modulus(self):
         # x^2 + 1 is the first irreducible in the lexicographic scan:
@@ -36,8 +32,8 @@ class TestMakeField:
         # little-endian coefficients (1, 0, 1) precede (2, 1, 1) and (2, 2, 1).
         f = make_field(3, 2)
         assert f.modulus_poly == (1, 0, 1)
-        assert len(elements(f)) == 9
-        assert elements(f)[0].is_zero()
+        assert len(f.digits) == 9
+        assert not f.digits[0].any()
 
     def test_rejects_characteristic_2(self):
         with pytest.raises(EvenCharacteristic):
@@ -50,6 +46,18 @@ class TestMakeField:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             make_field(3, 14)  # 3^14 > 2^20
+
+    def test_cap_before_primality(self, monkeypatch):
+        # an oversized prime must be refused without trial division
+        def no_trial_division(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(gfield, "is_prime", no_trial_division)
+        for p, k in [(10**18 + 3, 1), (3, 10**9), (10**18 + 3, 10**18)]:
+            with pytest.raises(ValueError, match="exceeds the supported cap"):
+                make_field(p, k)
+        with pytest.raises(ValueError, match="extension degree"):
+            make_field(10**18 + 3, 0)
 
     def test_modulus_is_irreducible_brute_force(self):
         # independent oracle: no product of two lower-degree monic
@@ -74,73 +82,78 @@ class TestMakeField:
 class TestChi:
     def test_one_is_square(self):
         f = make_field(5, 1)
-        assert chi(f, FieldElement((1,))) == 1
+        assert chi(f, 1) == 1
 
     def test_two_is_nonsquare_mod_5(self):
         # squares mod 5 are {1, 4}
         f = make_field(5, 1)
-        assert chi(f, FieldElement((2,))) == -1
-        assert chi(f, FieldElement((3,))) == -1
-        assert chi(f, FieldElement((4,))) == 1
+        assert chi(f, 2) == -1
+        assert chi(f, 3) == -1
+        assert chi(f, 4) == 1
 
     def test_four_is_square_mod_7(self):
         # squares mod 7 are {1, 2, 4}
         f = make_field(7, 1)
-        assert chi(f, FieldElement((4,))) == 1
-        assert chi(f, FieldElement((3,))) == -1
+        assert chi(f, 4) == 1
+        assert chi(f, 3) == -1
 
     def test_zero(self):
         f = make_field(7, 1)
-        assert chi(f, FieldElement((0,))) == 0
+        assert chi(f, 0) == 0
 
     def test_rejects_foreign_element(self):
         f = make_field(5, 1)
         with pytest.raises(ValueError):
-            chi(f, FieldElement((7,)))
+            chi(f, 7)
         with pytest.raises(ValueError):
-            chi(f, FieldElement((1, 1)))
+            chi(f, 5)
+        with pytest.raises(ValueError):
+            chi(f, -1)
 
 
 @pytest.mark.parametrize("q", [q for q, _ in SMALL_Q])
 class TestCharacterProperties:
     def test_multiplicative(self, q):
         f = _field(q)
-        elems = [e for e in elements(f) if not e.is_zero()]
+        elems = range(1, q)
         for a in elems:
             for b in elems:
                 assert chi(f, f.mul(a, b)) == chi(f, a) * chi(f, b)
 
     def test_square_count_balanced(self, q):
         f = _field(q)
-        values = [chi(f, e) for e in elements(f)]
+        values = [chi(f, e) for e in range(q)]
         assert values.count(1) == (q - 1) // 2
         assert values.count(-1) == (q - 1) // 2
         assert values.count(0) == 1
 
     def test_minus_one_square_iff_q_1_mod_4(self, q):
         f = _field(q)
-        assert (chi(f, f.minus_one()) == 1) == (q % 4 == 1)
+        assert (chi(f, f.sub(0, 1)) == 1) == (q % 4 == 1)
 
     def test_zero_sum(self, q):
         f = _field(q)
-        assert sum(chi(f, e) for e in elements(f)) == 0
+        assert sum(chi(f, e) for e in range(q)) == 0
 
 
 class TestElementOrder:
     @pytest.mark.parametrize("q", [9, 25, 27])
     def test_canonical_order(self, q):
         f = _field(q)
-        seq = [e.coeffs for e in elements(f)]
+        seq = [tuple(d) for d in f.digits.tolist()]
         assert len(seq) == q
         assert len(set(seq)) == q
         assert seq[0] == (0,) * f.k
         assert seq == sorted(seq)  # little-endian lexicographic
+        assert seq == list(itertools.product(range(f.p), repeat=f.k))
 
     def test_arithmetic_round_trip(self):
         f = make_field(3, 2)
-        for a in elements(f):
-            assert f.sub(a, a).is_zero()
-            assert f.add(a, f.neg(a)).is_zero()
+        elems = np.arange(f.q)
+        for b in range(f.q):
+            assert f.sub(b, b) == 0
+            # (a - b) - (0 - b) = a, for every a at once
+            assert np.array_equal(f.sub(f.sub(elems, b), f.sub(0, b)), elems)
 
 
 class TestPrimePower:
