@@ -6,9 +6,9 @@
 ``verify.check_claim``.  All machine output (JSON) goes to stdout unless
 --out is given; all diagnostics go to stderr.  Exit codes: 0 success /
 exists / certified, 1 nonexistent / verification failed / known
-impossible, 2 usage or internal error.  Output is byte-deterministic:
-fixed key order and 17-significant-digit floats (exact double
-round-trip).
+impossible, 2 usage, unreadable input, unwritable output or internal
+error.  Output is byte-deterministic: fixed key order and
+17-significant-digit floats (exact double round-trip).
 """
 
 from __future__ import annotations
@@ -89,12 +89,21 @@ def _dump_json(obj) -> str:
 
 def _format_rows(data: np.ndarray, open_: str, close: str) -> list[str]:
     """Each row as 17-significant-digit values between ``open_`` and
-    ``close``: one format string for every row instead of one call per
-    entry, with the bytes _fmt_number gives entry by entry."""
+    ``close``, with the bytes _fmt_number gives entry by entry.
+
+    The constructions hold few distinct values, so each distinct 64-bit
+    pattern is formatted once and every row is a gather of those strings.
+    Keying on bits rather than values keeps -0.0 apart from 0.0; the
+    gather goes row by row so no n x n array of strings is held at once.
+    """
     if not np.all(np.isfinite(data)):
         raise NonFiniteNumber("matrix entries must be finite")
-    template = open_ + ",".join(["%.17g"] * data.shape[1]) + close
-    return [template % tuple(row) for row in data.tolist()]
+    rows, cols = data.shape
+    bits = np.ascontiguousarray(data).reshape(-1).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    inverse = inverse.reshape(rows, cols)
+    return [open_ + ",".join(text[row].tolist()) + close for row in inverse]
 
 
 # --------------------------------------------------------------------------
@@ -270,14 +279,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text: str, stdout) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _FileError(f"cannot write output: {e}") from None
     else:
         stdout.write(text)
 
 
 class _Usage(Exception):
     pass
+
+
+class _FileError(Exception):
+    """A path given on the command line that cannot be read or written."""
+
+
+def _read_input(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise _FileError(f"cannot read input: {e}") from None
 
 
 def _cmd_gen(args, stdout, stderr) -> int:
@@ -304,8 +328,7 @@ def _cmd_gen(args, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
-    with open(args.path) as fh:
-        doc = decode_matrix_file(fh.read())
+    doc = decode_matrix_file(_read_input(args.path))
     params = doc["provenance"]["parameters"]
     verdict = check_claim(
         args.claim,
@@ -403,8 +426,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     except _Usage as e:
         stderr.write(f"usage error: {e}\n")
         return 2
-    except FileNotFoundError as e:
-        stderr.write(f"cannot read input: {e}\n")
+    except _FileError as e:
+        stderr.write(f"{e}\n")
         return 2
     except _REFUSALS as e:
         stderr.write(f"{type(e).__name__}: {e}\n")

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omzd import construct, planner
-from omzd.cli import _dump_json, _fmt_number, decode_matrix_file, encode_matrix_file, matrix_to_csv, run
+from omzd.cli import (
+    _dump_json,
+    _fmt_number,
+    _format_rows,
+    decode_matrix_file,
+    encode_matrix_file,
+    matrix_to_csv,
+    run,
+)
 from omzd.errors import NonFiniteNumber, OmzdError, ResourceLimit, SchemaViolation
 from omzd.numerics import RealMatrix
 
@@ -132,6 +140,34 @@ class TestVerifyRoundTrip:
     def test_missing_file(self):
         code, _, err = invoke("verify", "--in", "/nonexistent.json", "--claim", "omzd")
         assert code == 2
+        assert err == "cannot read input: [Errno 2] No such file or directory: '/nonexistent.json'\n"
+
+
+class TestBadPaths:
+    """A path that cannot be read or written is exit 2 with one stderr
+    line, not a traceback with the exit code of a failed verification."""
+
+    def test_verify_directory_is_unreadable(self, tmp_path):
+        code, out, err = invoke("verify", "--in", str(tmp_path), "--claim", "omzd")
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read input: ") and str(tmp_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--kind", "omzd", "--n", "5"),
+            ("gen", "--kind", "omzd", "--n", "5", "--format", "csv"),
+            ("certify-graph", "--family", "knn", "--n", "3"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_output(self, tmp_path, argv, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        code, out, err = invoke(*argv, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot write output: ") and str(out_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestMatrixFile:
@@ -335,6 +371,43 @@ class TestRowEncoder:
         text = encode_matrix_file("omzd", m, None, None, {"theorem": "t", "parameters": {}})
         assert '"entries":' + _old_dump_entries(m.data) + ',"plan"' in text
 
+    @staticmethod
+    def _assert_matches_oracles(data):
+        assert "[" + ",".join(_format_rows(data, "[", "]")) + "]" == _old_dump_entries(data)
+        expected_csv = "".join(",".join("%.17g" % x for x in row) + "\n" for row in data)
+        assert "".join(_format_rows(data, "", "\n")) == expected_csv
+
+    def test_both_zero_signs_stay_apart(self):
+        # RealMatrix normalizes -0.0, so the raw encoder gets the mixed array
+        data = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]])
+        assert _format_rows(data, "[", "]") == ["[-0,0,1]", "[0,-0,-1]"]
+        self._assert_matches_oracles(data)
+
+    def test_values_one_ulp_apart(self):
+        x = np.array([1.0 / 3.0, 1.0, -2.5, 1e-300, 5e-324])
+        data = np.stack([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+        rows = _format_rows(data, "", "")
+        assert len({value for row in rows for value in row.split(",")}) == data.size
+        self._assert_matches_oracles(data)
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_non_contiguous_input(self, layout):
+        rng = np.random.default_rng(11)
+        base = rng.integers(-3, 4, size=(7, 5)) / rng.integers(1, 4, size=(7, 5))
+        data = np.asfortranarray(base) if layout == "fortran" else base.T
+        assert not data.flags.c_contiguous
+        self._assert_matches_oracles(data)
+        assert _dump_json(RealMatrix(data)) == _old_dump_entries(data)
+
+    def test_order_300_signed_unit_matrix(self):
+        data = np.random.default_rng(3).integers(-1, 2, size=(300, 300)).astype(np.float64)
+        self._assert_matches_oracles(data)
+
+    def test_splice_output(self):
+        m = construct.combine(construct.symmetric_omzd(98), construct.seed("omzd", 5))
+        assert m.rows == 101
+        self._assert_matches_oracles(m.data)
+
     def test_refuses_non_finite(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(NonFiniteNumber):
@@ -517,6 +590,8 @@ GEN_PINS = [
     ("gen --kind multipartite --n 5 --m 6", "4b02e1f4974102eb4989d52b06aee1dc91485ff7af6566c14da10655b19f8224", None),
     ("gen --kind multipartite --n 3 --m 2", "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8", None),
     ("gen --kind omzd --n 51", "a573d0457028cee7a21b05dbd96e6dde742f41051b18380e89d04a1f45848874", None),
+    ("gen --kind omzd --n 251", "d02dc62bcc44b05e4bd73553b2b77197f51e52f459cf1bc8c13e0832dc7ae0c0", None),
+    ("gen --kind ompzd --n 201 --k 100", "f15da577dea1b06371f7a61c5de4fa5762772bd40d5fed9045afadd3faff65fc", None),
     ("gen --kind ompzd --n 51 --k 20", "dce6acab08a5a01a90da1768ba918d9e536b5f31882777068ee149ffcee1d655", None),
     (
         "gen --kind ompzd --n 30 --k 29",
@@ -526,7 +601,21 @@ GEN_PINS = [
 ]
 
 
+# stdout of runs whose output is not a gen matrix file, sha256 of the
+# bytes written by the entry-by-entry encoder
+OUTPUT_PINS = [
+    ("gen --kind omzd --n 51 --format csv", "43fef309a4a795ef3f355ce9ec1710de25b9c7127bd8c0f8bfd398da327c3b5c"),
+    ("certify-graph --family knn --n 40", "c2557c2a948bf2c78d98bdd5c357e009ab9443a68b7b9248b3c7981592b80f30"),
+]
+
+
 class TestGenPinnedBytes:
+    @pytest.mark.parametrize("argv,sha", OUTPUT_PINS)
+    def test_other_stdout_bytes(self, argv, sha):
+        code, out, err = invoke(*argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
     @pytest.mark.parametrize("argv,sha,plan_change", GEN_PINS)
     def test_stdout_bytes(self, argv, sha, plan_change):
         code, out, err = invoke(*argv.split())
