@@ -14,6 +14,7 @@ error.  Output is byte-deterministic: fixed key order and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -418,7 +419,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr and sys.stdout
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -2,10 +2,19 @@
 
 A symmetric matrix realizes a graph through its off-diagonal support;
 q(G) = 2 for a non-null graph exactly when some orthogonal matrix has
-that support.  This module builds such witnesses for complete bipartite
-graphs, matching-deleted complete bipartite graphs, and complete
-multipartite graphs, and certifies each one: adjacency mask equality
-plus exactly two distinct eigenvalues.  The count is algebraic: an
+that support.  This module certifies q(G) = 2 for K_{n,n} minus a
+matching (Gnk; K_{n,n} itself is Gnk(n, 0)) and for complete
+multipartite graphs.
+
+Every family member takes one route: a refusal table lookup, then one
+``planner.plan`` and one ``planner.execute``.  A Gnk witness is the
+embedding [[0, B], [Bᵀ, 0]] of the planned OMPZD(n, k) B, conjugated so
+that its diagonal zeros come first.  A multipartite witness is the
+planned matrix itself: Kron(symmetric OMZD(m), nowhere-zero(n)), or for
+K_m, whose diagonal is free, the nowhere-zero I - (2/m)J.  Every
+witness keeps its plan root's scale.  It is certified by adjacency mask
+equality, zero meaning |x| <= 1e-12 max|entry| as in ``verify``, plus
+exactly two distinct eigenvalues.  The count is algebraic: an
 exactly symmetric M with M² = cI has only the eigenvalues ±√c, with
 multiplicities (n ± tr M/√c)/2.  A LAPACK spectrum, clustered, must
 agree with it.
@@ -91,23 +100,6 @@ def _check_part_size(spec) -> None:
 
 
 @dataclass(frozen=True)
-class Knn:
-    """Complete bipartite graph on parts {0..n-1} and {n..2n-1}."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_part_size(self)
-
-    @property
-    def order(self) -> int:
-        return 2 * self.n
-
-    def graph(self) -> Graph:
-        return _bipartite_graph(np.ones((self.n, self.n), dtype=bool))
-
-
-@dataclass(frozen=True)
 class Gnk:
     """K_{n,n} minus the canonical matching {i, i'} for i = 0..k-1."""
 
@@ -127,6 +119,11 @@ class Gnk:
         block = np.ones((self.n, self.n), dtype=bool)
         block[np.arange(self.k), np.arange(self.k)] = False
         return _bipartite_graph(block)
+
+
+def Knn(n: int) -> Gnk:
+    """Complete bipartite graph K_{n,n}: K_{n,n} minus the empty matching."""
+    return Gnk(n, 0)
 
 
 @dataclass(frozen=True)
@@ -150,19 +147,20 @@ class Multipartite:
         return Graph(part[:, None] != part[None, :])
 
 
-GraphSpec = Knn | Gnk | Multipartite
+GraphSpec = Gnk | Multipartite
 
 
 @dataclass(frozen=True)
 class Q2Certificate:
-    """Outcome of a q(G) = 2 certification attempt."""
+    """Outcome of a q(G) = 2 certification attempt; a refusal carries no
+    matrix."""
 
     spec: GraphSpec
     status: str
     reason: str | None
-    matrix: RealMatrix | None
-    distinct_eigenvalue_count: int | None
-    pattern_verified: bool
+    matrix: RealMatrix | None = None
+    distinct_eigenvalue_count: int | None = None
+    pattern_verified: bool = False
 
 
 def pattern_graph(a: RealMatrix, zero_tol: float = 0.0) -> Graph:
@@ -190,74 +188,59 @@ def embed_bipartite(b: RealMatrix) -> RealMatrix:
     return RealMatrix(out, scale_c=b.scale_c)
 
 
-def _zeros_to_front(m: RealMatrix, zero_tol: float) -> RealMatrix:
+def _zeros_to_front(m: RealMatrix) -> RealMatrix:
     """Conjugate-permute so the diagonal zeros occupy the leading indices."""
-    diag = np.abs(np.diag(m.data))
-    zeros = [i for i in range(m.order) if diag[i] <= zero_tol]
-    rest = [i for i in range(m.order) if diag[i] > zero_tol]
-    return construct.conjugate_permute(m, zeros + rest)
+    nonzero = np.abs(np.diag(m.data)) > 1e-12 * m.max_abs()
+    return construct.conjugate_permute(m, np.argsort(nonzero, kind="stable"))
 
 
-_GNK_IMPOSSIBLE = {
-    (1, 1): "deleting the matching empties the graph: it has no edges, so one eigenvalue suffices",
-    (2, 1): "the graph is the 4-vertex path, which needs 4 distinct eigenvalues",
-    (3, 3): "the graph is the 6-cycle, which needs 3 distinct eigenvalues",
+# Every refusal: the graphs whose q is known not to be 2, and the one
+# left open.  All other Gnk have an OMPZD(n, k) witness.
+_REFUSALS = {
+    Gnk(1, 1): (
+        STATUS_KNOWN_IMPOSSIBLE,
+        "deleting the matching empties the graph: it has no edges, so one eigenvalue suffices",
+    ),
+    Gnk(2, 1): (STATUS_KNOWN_IMPOSSIBLE, "the graph is the 4-vertex path, which needs 4 distinct eigenvalues"),
+    Gnk(3, 3): (STATUS_KNOWN_IMPOSSIBLE, "the graph is the 6-cycle, which needs 3 distinct eigenvalues"),
+    Gnk(3, 2): (STATUS_UNKNOWN, "bracketed: between 3 and 4 distinct eigenvalues; unresolved"),
 }
+
+_NO_CONSTRUCTION = (
+    "no construction known for an odd part count or exactly 4 parts; "
+    "conjectured to still need only 2 distinct eigenvalues"
+)
+
+
+def _plan(spec: GraphSpec) -> planner.PlanNode:
+    """The plan whose root gives the witness of ``spec``."""
+    if isinstance(spec, Gnk):
+        return planner.plan(planner.KIND_OMPZD, spec.n, spec.k)
+    if isinstance(spec, Multipartite):
+        if spec.n == 1:  # K_m: its diagonal is free, so no zero block is needed
+            return planner.plan(planner.KIND_OMPZD, spec.m, 0)
+        return planner.plan(planner.KIND_MULTIPARTITE, spec.n, m=spec.m)
+    raise TypeError(f"unknown graph family {type(spec).__name__}")
 
 
 def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
-    member.  Certified results carry the witness matrix, whose adjacency
-    mask is the graph's, and the distinct eigenvalue count (which must be 2)."""
-    if isinstance(spec, Knn):
-        witness = embed_bipartite(construct.nowhere_zero_orthogonal(spec.n))
-        return _certify_witness(spec, witness, cluster_tol)
-
-    if isinstance(spec, Gnk):
-        n, k = spec.n, spec.k
-        if (n, k) in _GNK_IMPOSSIBLE:
-            return Q2Certificate(
-                spec=spec,
-                status=STATUS_KNOWN_IMPOSSIBLE,
-                reason=_GNK_IMPOSSIBLE[(n, k)],
-                matrix=None,
-                distinct_eigenvalue_count=None,
-                pattern_verified=False,
-            )
-        if (n, k) == (3, 2):
-            return Q2Certificate(
-                spec=spec,
-                status=STATUS_UNKNOWN,
-                reason="bracketed: between 3 and 4 distinct eigenvalues; unresolved",
-                matrix=None,
-                distinct_eigenvalue_count=None,
-                pattern_verified=False,
-            )
-        node = planner.plan(planner.KIND_OMPZD, n, k)
-        matrix, cert = planner.execute(node)
-        arranged = _zeros_to_front(matrix, zero_tol=1e-12 * matrix.max_abs())
-        witness = embed_bipartite(RealMatrix(arranged.data, scale_c=cert.scale_c))
-        return _certify_witness(spec, witness, cluster_tol)
-
-    if isinstance(spec, Multipartite):
+    member, by one route: the refusal table, then one plan and one
+    execute.  A refusal is known-impossible or unknown; a planner
+    NoKnownConstruction is unknown.  Certified results carry the witness
+    matrix, whose adjacency mask is the graph's, and the distinct
+    eigenvalue count (which must be 2)."""
+    refusal = _REFUSALS.get(spec)
+    if refusal is None:
         try:
-            node = planner.plan(planner.KIND_MULTIPARTITE, spec.n, m=spec.m)
+            node = _plan(spec)
         except NoKnownConstruction:
-            return Q2Certificate(
-                spec=spec,
-                status=STATUS_UNKNOWN,
-                reason=(
-                    "no construction known for an odd part count or exactly 4 parts; "
-                    "conjectured to still need only 2 distinct eigenvalues"
-                ),
-                matrix=None,
-                distinct_eigenvalue_count=None,
-                pattern_verified=False,
-            )
-        witness, _ = planner.execute(node)
-        return _certify_witness(spec, witness, cluster_tol)
-
-    raise TypeError(f"unknown graph family {type(spec).__name__}")
+            refusal = (STATUS_UNKNOWN, _NO_CONSTRUCTION)
+    if refusal is not None:
+        return Q2Certificate(spec, *refusal)
+    root, _ = planner.execute(node)
+    witness = embed_bipartite(_zeros_to_front(root)) if isinstance(spec, Gnk) else root
+    return _certify_witness(spec, witness, cluster_tol)
 
 
 def _certify_witness(
@@ -267,14 +250,9 @@ def _certify_witness(
     count and the clustered LAPACK spectrum give two distinct eigenvalues."""
     if not np.array_equal(witness.data, witness.data.T):
         return Q2Certificate(
-            spec=spec,
-            status=STATUS_UNKNOWN,
-            reason="witness check failed: the witness is not exactly symmetric",
-            matrix=witness,
-            distinct_eigenvalue_count=None,
-            pattern_verified=False,
+            spec, STATUS_UNKNOWN, "witness check failed: the witness is not exactly symmetric", witness
         )
-    pattern_ok = pattern_graph(witness) == spec.graph()
+    pattern_ok = pattern_graph(witness, zero_tol=1e-12 * witness.max_abs()) == spec.graph()
     try:
         algebraic = sum(mult > 0 for mult in involution_multiplicities(witness))
         algebraic_note = str(algebraic)
@@ -283,25 +261,11 @@ def _certify_witness(
     clusters = cluster_eigenvalues(jacobi_spectrum(witness), cluster_tol=cluster_tol)
     count = algebraic if algebraic == clusters else None
     if pattern_ok and count == 2:
-        return Q2Certificate(
-            spec=spec,
-            status=STATUS_CERTIFIED,
-            reason=None,
-            matrix=witness,
-            distinct_eigenvalue_count=count,
-            pattern_verified=True,
-        )
+        return Q2Certificate(spec, STATUS_CERTIFIED, None, witness, count, pattern_verified=True)
     reason = (
         f"witness check failed: pattern_ok={pattern_ok}, "
         f"algebraic_count={algebraic_note}, clusters={clusters}"
     )
     if algebraic is not None and count is None:
         reason += f"; the algebraic count {algebraic} and the LAPACK cluster count {clusters} disagree"
-    return Q2Certificate(
-        spec=spec,
-        status=STATUS_UNKNOWN,
-        reason=reason,
-        matrix=witness,
-        distinct_eigenvalue_count=count,
-        pattern_verified=pattern_ok,
-    )
+    return Q2Certificate(spec, STATUS_UNKNOWN, reason, witness, count, pattern_verified=pattern_ok)

@@ -267,6 +267,27 @@ class TestCertifyGraph:
         code, out, _ = invoke("certify-graph", "--family", "knn", "--n", "6")
         assert code == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
+    def test_knn_is_gnk_k0(self, n):
+        code, knn, _ = invoke("certify-graph", "--family", "knn", "--n", str(n))
+        assert code == 0
+        code, gnk, _ = invoke("certify-graph", "--family", "gnk", "--n", str(n), "--k", "0")
+        assert code == 0
+        knn_doc, gnk_doc = json.loads(knn), json.loads(gnk)
+        assert (knn_doc.pop("family"), knn_doc.pop("k")) == ("knn", None)
+        assert (gnk_doc.pop("family"), gnk_doc.pop("k")) == ("gnk", 0)
+        assert knn_doc == gnk_doc
+        # apart from those two fields the bytes agree
+        assert knn.replace('"family":"knn"', '"family":"gnk"').replace('"k":null', '"k":0') == gnk
+
+    @pytest.mark.parametrize("n,k", [(4, 0), (4, 3), (4, 4), (7, 6), (9, 5), (18, 10), (44, 6)])
+    def test_gnk_witness_scale_is_gen_scale(self, n, k):
+        code, out, _ = invoke("certify-graph", "--family", "gnk", "--n", str(n), "--k", str(k))
+        assert code == 0
+        code, gen, _ = invoke("gen", "--kind", "ompzd", "--n", str(n), "--k", str(k))
+        assert code == 0
+        assert json.loads(out)["matrix"]["scale_c"] == json.loads(gen)["scale_c"]
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "cert.json"
         code, out, _ = invoke(
@@ -278,19 +299,30 @@ class TestCertifyGraph:
 
 
 class TestUsageErrors:
+    # argparse's own messages land in the streams handed to run
     def test_unknown_command(self):
-        code, _, _ = invoke("frobnicate")
-        assert code == 2
+        code, out, err = invoke("frobnicate")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'frobnicate'" in err
 
     def test_unknown_kind(self):
-        code, _, _ = invoke("gen", "--kind", "hadamard", "--n", "4")
-        assert code == 2
+        code, out, err = invoke("gen", "--kind", "hadamard", "--n", "4")
+        assert code == 2 and out == ""
+        assert "usage: omzd gen" in err and "invalid choice: 'hadamard'" in err
 
     def test_missing_required(self):
         code, _, err = invoke("gen", "--kind", "omzd")
-        assert code == 2
+        assert code == 2 and err == "usage error: gen --kind omzd needs --n\n"
         code, _, err = invoke("gen", "--kind", "conference")
-        assert code == 2
+        assert code == 2 and err == "usage error: gen --kind conference needs --q\n"
+        code, out, err = invoke("gen", "--n", "4")
+        assert code == 2 and out == ""
+        assert "the following arguments are required: --kind" in err
+
+    def test_help_goes_to_stdout(self):
+        code, out, err = invoke("gen", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: omzd gen")
 
 
 class TestResourceLimits:

@@ -153,11 +153,20 @@ class TestQ2Multipartite:
         assert cert.distinct_eigenvalue_count == 2
         assert pattern_graph(cert.matrix) == Multipartite(n, m).graph()
 
-    @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (2, 5), (1, 7)])
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (2, 5)])
     def test_odd_or_four_parts_unknown(self, n, m):
         cert = q2_certificate(Multipartite(n, m))
         assert cert.status == STATUS_UNKNOWN
         assert "conjectured" in cert.reason
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 7])
+    def test_complete_graph_certifies(self, m):
+        # K_m has a free diagonal, so the nowhere-zero I - (2/m)J is a witness
+        cert = q2_certificate(Multipartite(1, m))
+        assert cert.status == STATUS_CERTIFIED, cert.reason
+        assert cert.distinct_eigenvalue_count == 2 and cert.pattern_verified
+        assert np.array_equal(cert.matrix.data, construct.nowhere_zero_orthogonal(m).data)
+        assert pattern_graph(cert.matrix) == graphs.Graph(~np.eye(m, dtype=bool))
 
     def test_m2_matches_knn(self):
         cert = q2_certificate(Multipartite(3, 2))
@@ -291,8 +300,37 @@ class TestAlgebraicCertificate:
         assert "algebraic count 2 and the LAPACK cluster count 1 disagree" in cert.reason
         assert cert.distinct_eigenvalue_count is None
 
+    def test_entry_below_the_zero_tolerance_is_a_zero(self):
+        # a rotation by 1e-14 is orthogonal, but verify counts its tiny
+        # entries as zeros, so the witness has no K_{2,2} pattern
+        s = 1e-14
+        b = RealMatrix([[math.sqrt(1.0 - s * s), -s], [s, math.sqrt(1.0 - s * s)]], scale_c=1.0)
+        assert not verify.certify(b, "nowhere-zero").passed
+        cert = graphs._certify_witness(Knn(2), embed_bipartite(b), None)
+        assert cert.status == STATUS_UNKNOWN
+        assert not cert.pattern_verified
+        assert "pattern_ok=False" in cert.reason
+
     def test_single_eigenvalue_is_unknown(self):
         # the identity is a scaled involution with one eigenvalue, and an empty pattern
         cert = graphs._certify_witness(Knn(2), RealMatrix(np.eye(4)), None)
         assert cert.status == STATUS_UNKNOWN
         assert cert.distinct_eigenvalue_count == 1
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize(
+        "spec,executes",
+        [(Knn(1), 1), (Knn(6), 1), (Gnk(6, 3), 1), (Gnk(7, 7), 1), (Multipartite(1, 5), 1),
+         (Multipartite(2, 6), 1), (Gnk(3, 3), 0), (Gnk(3, 2), 0), (Multipartite(2, 3), 0)],
+        ids=str,
+    )
+    def test_one_execute_per_witness(self, spec, executes, monkeypatch):
+        calls, execute = [], planner.execute
+        monkeypatch.setattr(planner, "execute", lambda node: calls.append(node) or execute(node))
+        assert (q2_certificate(spec).status == STATUS_CERTIFIED) == bool(executes)
+        assert len(calls) == executes
+
+    def test_knn_is_gnk_with_empty_matching(self):
+        assert Knn(4) == Gnk(4, 0)
+        assert q2_certificate(Knn(4)).spec == Gnk(4, 0)
