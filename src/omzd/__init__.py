@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .numerics import (
     RealMatrix,
-    Spectrum,
     cluster_eigenvalues,
     gram,
     jacobi_spectrum,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "OmzdError",
     "RealMatrix",
-    "Spectrum",
     "gram",
     "residual_scaled_identity",
     "jacobi_spectrum",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -53,7 +54,7 @@ _GEN_PARAMETERS = {
 GEN_KINDS = tuple(_GEN_PARAMETERS)
 
 # the refusals planner.plan raises before anything is built; a builder's
-# own refusal (OrderFour, NotDRT, ...) means a plan bug, an internal error
+# own refusal (BuildRefused) means a plan bug, an internal error
 _REFUSALS = (NonexistentTarget, NoKnownConstruction, InvalidQ)
 
 
@@ -228,7 +229,10 @@ def matrix_to_csv(matrix: RealMatrix) -> str:
 # Argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, and each call starts from the declared defaults."""
     parser = argparse.ArgumentParser(
         prog="omzd",
         description="Construct and certify orthogonal matrices with prescribed zero diagonals.",

@@ -14,18 +14,7 @@ import math
 import numpy as np
 
 from . import gfield
-from .errors import (
-    InvalidQ,
-    NoThetaFound,
-    NotDRT,
-    NotInCatalog,
-    NotOMZD,
-    OddOrder,
-    OrderFour,
-    OrderThree,
-    TargetAboveReach,
-    TargetTooHigh,
-)
+from .errors import BuildRefused, InvalidQ
 from .numerics import RealMatrix, residual_scaled_identity
 from .verify import (
     CLAIM_OMPZD,
@@ -186,7 +175,7 @@ def seed(kind: str, n: int, k: int | None = None) -> RealMatrix:
     try:
         builder = _CATALOG[key]
     except KeyError:
-        raise NotInCatalog(f"no seed for kind={kind!r}, n={n}, k={k}") from None
+        raise BuildRefused(f"no seed for kind={kind!r}, n={n}, k={k}") from None
     return builder()
 
 
@@ -277,7 +266,7 @@ def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
             )
         cert = certify(mat, CLAIM_OMZD)
         if not cert.passed:
-            raise NotOMZD(f"{label} input failed OMZD certification: {cert.failures}")
+            raise BuildRefused(f"{label} input failed OMZD certification: {cert.failures}")
         units.append(mat.data / math.sqrt(cert.scale_c))  # c from the certificate's gram
     return RealMatrix(_splice(*units), scale_c=1.0)
 
@@ -308,9 +297,9 @@ def symmetric_omzd(n: int) -> RealMatrix:
     [[A, B], [B, -A]] squares to m^2 I.
     """
     if n < 2 or n % 2 != 0:
-        raise OddOrder(f"a symmetric OMZD(n) exists only for even n, got {n}")
+        raise BuildRefused(f"a symmetric OMZD(n) exists only for even n, got {n}")
     if n == 4:
-        raise OrderFour("no symmetric OMZD(4) exists")
+        raise BuildRefused("no symmetric OMZD(4) exists")
     if n == 2:
         return seed(KIND_OMZD, 2)
     m = n // 2
@@ -329,7 +318,7 @@ def symmetric_omzd(n: int) -> RealMatrix:
 def _require_drt(t: RealMatrix) -> int:
     verdict = check_drt(t)
     if not verdict.passed:
-        raise NotDRT(f"input is not a doubly regular tournament: {verdict.failures}")
+        raise BuildRefused(f"input is not a doubly regular tournament: {verdict.failures}")
     return verdict.q
 
 
@@ -364,7 +353,7 @@ def double_drt(t: RealMatrix) -> RealMatrix:
     input, then H' = [[H, H], [-Hᵀ, Hᵀ]] of order 2q+2, normalized and
     stripped of its first row and column; the +-1 core yields arcs via
     core(i, j) = +1.  The input is checked once, by
-    ``drt_to_skew_hadamard`` (NotDRT); the output is not checked here
+    ``drt_to_skew_hadamard`` (BuildRefused); the output is not checked here
     but by whatever consumes it.
     """
     h = drt_to_skew_hadamard(t).data
@@ -385,7 +374,7 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     q = _require_drt(t)
     if q == 3:
-        raise OrderThree("q = 3 is excluded: the coefficient is undefined there")
+        raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")
     sign = 1.0 if branch == "plus" else -1.0
     alpha = (-2.0 / (q - 3)) * ((q - 2) + sign * math.sqrt(q - 2.0))
     out = alpha * t.data + np.ones((q, q)) - np.eye(q)
@@ -444,10 +433,10 @@ def _rotate_pair(a: np.ndarray, i: int, j: int, scale_c: float) -> None:
         if margins[best] > floor:
             a[:, i], a[:, j] = pairs[best]
             return
-    raise NoThetaFound("rotation schedule exhausted; input is pathological")
+    raise BuildRefused("rotation schedule exhausted; input is pathological")
 
 
-def reduce_zeros(m: RealMatrix, target_k: int, zero_tol: float | None = None) -> RealMatrix:
+def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     """Reduce the diagonal zero count of an orthogonal matrix to target_k.
 
     Clears zeros two at a time: permute two zero-diagonal positions to
@@ -468,17 +457,16 @@ def reduce_zeros(m: RealMatrix, target_k: int, zero_tol: float | None = None) ->
     n = m.order
     if target_k < 0:
         raise ValueError(f"target zero count must be >= 0, got {target_k}")
-    if zero_tol is None:
-        zero_tol = 1e-12 * m.max_abs()
+    zero_tol = 1e-12 * m.max_abs()  # the zero rule of verify.certify
 
     diag = np.abs(np.diag(m.data))
     j = int(np.sum(diag <= zero_tol))
     if target_k == n - 1:
-        raise TargetAboveReach("k = n-1 cannot be produced by plane rotations")
+        raise BuildRefused("k = n-1 cannot be produced by plane rotations")
     if target_k > j:
-        raise TargetTooHigh(f"input has {j} diagonal zeros, cannot reach {target_k}")
+        raise BuildRefused(f"input has {j} diagonal zeros, cannot reach {target_k}")
 
-    cert = certify(m, CLAIM_OMPZD, k=j, zero_tol=zero_tol)
+    cert = certify(m, CLAIM_OMPZD, k=j)
     if not cert.passed:
         raise ValueError(
             f"input is not an order-{n} orthogonal matrix with all {j} zeros "

@@ -2,6 +2,10 @@
 
 Each name matches the contract of the operation that raises it; all
 inherit from :class:`OmzdError` so callers can catch the whole family.
+Refusals a caller can meet (NonexistentTarget, NoKnownConstruction,
+InvalidQ, InvalidK, ResourceLimit) are raised by ``planner.plan`` before
+anything is built.  A builder's own refusal is one class,
+:class:`BuildRefused`, whose message says which check failed.
 """
 
 
@@ -11,8 +15,10 @@ class OmzdError(Exception):
 
 # --- numerics ---------------------------------------------------------------
 
-class NonSymmetricInput(OmzdError):
-    """Eigenvalue input deviates from symmetry beyond the symmetry tolerance."""
+class NonSymmetric(OmzdError):
+    """A matrix that must be symmetric is not: eigenvalue input beyond the
+    symmetry tolerance, or graph extraction input that is not square and
+    exactly symmetric."""
 
 
 class NotScaledInvolution(OmzdError):
@@ -38,44 +44,15 @@ class ShapeMismatch(OmzdError):
 
 # --- construction -----------------------------------------------------------
 
-class NotInCatalog(OmzdError):
-    """No seed matrix is stored for the requested (kind, n, k)."""
-
-
 class InvalidQ(OmzdError):
     """q does not satisfy the prime-power/congruence condition required."""
 
 
-class NotOMZD(OmzdError):
-    """An input failed zero-diagonal orthogonality certification."""
-
-
-class OddOrder(OmzdError):
-    """Symmetric zero-diagonal orthogonal matrices exist only at even order."""
-
-
-class OrderFour(OmzdError):
-    """No symmetric OMZD(4) exists."""
-
-
-class NotDRT(OmzdError):
-    """An input failed the doubly-regular-tournament axioms."""
-
-
-class OrderThree(OmzdError):
-    """The tournament-to-OMZD map is undefined at q = 3."""
-
-
-class TargetTooHigh(OmzdError):
-    """Requested more diagonal zeros than the input already has."""
-
-
-class TargetAboveReach(OmzdError):
-    """k = n-1 cannot be reached by plane rotations; use the splice route."""
-
-
-class NoThetaFound(OmzdError):
-    """Rotation-angle schedule exhausted without clearing the zeros."""
+class BuildRefused(OmzdError):
+    """A builder refused its input: no catalog seed, an order or target
+    its construction cannot reach, or an input that failed the builder's
+    own check.  The planner refuses every such request first, so one
+    reaching the CLI is a planner bug; the message names the case."""
 
 
 # --- planning ---------------------------------------------------------------
@@ -94,12 +71,6 @@ class CertificationFailed(OmzdError):
 
 class InvalidK(OmzdError):
     """Zero count k outside [0, n]."""
-
-
-# --- graphs -----------------------------------------------------------------
-
-class NonSymmetric(OmzdError):
-    """Graph extraction requires a symmetric matrix."""
 
 
 # --- resources --------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Dense real matrix arithmetic and symmetric eigenvalues.
 
-Scalars are double precision throughout; radical entries are evaluated
-numerically at construction time and checked against tolerances scaled
-by the matrix order and its certified scale constant.
+Every matrix is a frozen float64 ``RealMatrix``; radical entries are
+evaluated numerically at construction time and checked against
+tolerances scaled by the matrix order and its certified scale constant.
+A spectrum is a plain ascending tuple of floats.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonSymmetricInput, NotScaledInvolution
+from .errors import NonSymmetric, NotScaledInvolution
 
 __all__ = [
     "RealMatrix",
-    "Spectrum",
     "gram",
     "residual_scaled_identity",
     "jacobi_spectrum",
@@ -24,12 +25,11 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    a = np.array(values, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-    if dtype == np.float64:
-        a = a + 0.0  # normalizes -0.0 so serialization is sign-stable
+    a = a + 0.0  # normalizes -0.0 so serialization is sign-stable
     a.setflags(write=False)
     return a
 
@@ -42,7 +42,7 @@ class RealMatrix:
     scale_c: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data, np.float64))
+        object.__setattr__(self, "data", _frozen_array(self.data))
         if self.scale_c is not None:
             c = float(self.scale_c)
             if not (c > 0.0):
@@ -72,14 +72,6 @@ class RealMatrix:
 
     def __repr__(self):
         return f"RealMatrix({self.rows}x{self.cols}, scale_c={self.scale_c})"
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue multiset (ascending) plus the symmetry tolerance it was checked at."""
-
-    values: tuple[float, ...]
-    tol_used: float
 
 
 def gram(m: RealMatrix) -> RealMatrix:
@@ -114,28 +106,22 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
         return c, float(np.max(np.abs(res)))
 
 
-def jacobi_spectrum(m: RealMatrix, sweep_tol: float | None = None) -> Spectrum:
+def jacobi_spectrum(m: RealMatrix) -> tuple[float, ...]:
     """Eigenvalues of a symmetric matrix, ascending (LAPACK via
     ``numpy.linalg.eigvalsh``).
 
-    Raises NonSymmetricInput when max |M - Mᵀ| exceeds the symmetry
-    tolerance ``sweep_tol`` (default 1e-11 * max|entry|); below it the
-    symmetric part (M + Mᵀ)/2 is solved, which is M itself when M is
-    exactly symmetric.
+    Raises NonSymmetric when max |M - Mᵀ| exceeds the symmetry tolerance
+    1e-11 * max|entry|; below it the symmetric part (M + Mᵀ)/2 is solved,
+    which is M itself when M is exactly symmetric.
     """
     if not m.is_square:
         raise ValueError("eigensolver needs a square matrix")
     a = m.data
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    tol = 1e-11 * scale if sweep_tol is None else float(sweep_tol)
-
+    tol = 1e-11 * m.max_abs()
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > tol:
-        raise NonSymmetricInput(
-            f"max |M - M^T| = {asym:.3e} exceeds symmetry tolerance {tol:.3e}"
-        )
-    values = np.linalg.eigvalsh((a + a.T) / 2.0)
-    return Spectrum(values=tuple(values.tolist()), tol_used=tol)
+        raise NonSymmetric(f"max |M - M^T| = {asym:.3e} exceeds symmetry tolerance {tol:.3e}")
+    return tuple(np.linalg.eigvalsh((a + a.T) / 2.0).tolist())
 
 
 # residual tolerance of the involution check, the default of verify.certify
@@ -175,13 +161,13 @@ def involution_multiplicities(m: RealMatrix) -> tuple[int, int]:
     return p, n - p
 
 
-def cluster_eigenvalues(s: Spectrum, cluster_tol: float | None = None) -> int:
-    """Count distinct eigenvalues by greedy left-to-right gap clustering.
+def cluster_eigenvalues(values: Sequence[float], cluster_tol: float | None = None) -> int:
+    """Count distinct eigenvalues of an ascending sequence by greedy
+    left-to-right gap clustering.
 
-    Two consecutive sorted values share a cluster iff their gap is at
-    most ``cluster_tol`` (default 1e-6 * max|eigenvalue|).
+    Two consecutive values share a cluster iff their gap is at most
+    ``cluster_tol`` (default 1e-6 * max|eigenvalue|).
     """
-    values = s.values
     if not values:
         return 0
     if cluster_tol is None:

@@ -16,7 +16,9 @@ input); the root is checked by ``execute`` with the claim table of
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import construct
 from .errors import (
@@ -78,51 +80,74 @@ BELEVITCH_NOTE = (
 )
 
 
-_THEOREMS = {
-    "seed": "catalog seed matrix",
-    "paley": "an odd prime power q yields a conference matrix of order q+1",
-    "combine": "unit-scale OMZD(m+1) and OMZD(n+1) splice into an OMZD(m+n)",
-    "symmetric": "for even n = 2m >= 6, [[J-I, B], [B, I-J]] with B = aI + bJ is a symmetric OMZD(n)",
-    "paley-drt": "a prime power q = 3 (mod 4) yields a doubly regular tournament of order q",
-    "double": "a DRT(q) yields a DRT(2q+1) via its skew-Hadamard matrix",
-    "skew-hadamard": "a DRT(q) is equivalent to a skew-Hadamard matrix of order q+1",
-    "omzd-from-drt": "a DRT(q) with q >= 7 yields an OMZD(q) as alpha*A + J - I",
-    "reduce-zeros": "plane rotations reduce the diagonal zero count to any k <= n-2",
-    "ompzd-nm1": "splicing a zero-cornered OMPZD(4,3) into an OMZD(n-2) gives an OMPZD(n,n-1)",
-    "nowhere-zero": "I - (2/n)J is orthogonal with no zero entries for n >= 3",
-    "kron": "a Kronecker product of orthogonal matrices is orthogonal",
-}
+class _Op(NamedTuple):
+    """A plan op: its name in serialized plans, the result that justifies
+    it, and its builder over (child results..., args...).  Each builder
+    looks its construct function up at call time, so a wrapper installed
+    on the module is seen."""
 
-_SERIAL_NAMES = {
-    "seed": "Seed",
-    "paley": "Paley",
-    "combine": "Combine",
-    "symmetric": "Symmetric",
-    "paley-drt": "PaleyDRT",
-    "double": "Double",
-    "skew-hadamard": "SkewHadamard",
-    "omzd-from-drt": "OmzdFromDrt",
-    "reduce-zeros": "ReduceZeros",
-    "ompzd-nm1": "OmpzdNm1",
-    "nowhere-zero": "NowhereZero",
-    "kron": "Kron",
-}
+    serial: str
+    theorem: str
+    build: Callable
 
-# op -> builder over (child results..., args...).  Each looks its construct
-# function up at call time, so a wrapper installed on the module is seen.
-_BUILDERS = {
-    "seed": lambda *args: construct.seed(*args),
-    "paley": lambda q: construct.paley_conference(q),
-    "combine": lambda a, b: construct.combine(a, b),
-    "symmetric": lambda n: construct.symmetric_omzd(n),
-    "paley-drt": lambda q: construct.paley_tournament(q),
-    "double": lambda t: construct.double_drt(t),
-    "skew-hadamard": lambda t: construct.drt_to_skew_hadamard(t),
-    "omzd-from-drt": lambda t, branch: construct.omzd_from_drt(t, branch),
-    "reduce-zeros": lambda m, k: construct.reduce_zeros(m, k),
-    "ompzd-nm1": lambda omzd, n: construct.ompzd_n_minus_1(omzd),
-    "nowhere-zero": lambda n: construct.nowhere_zero_orthogonal(n),
-    "kron": lambda a, b: construct.kron(a, b),
+
+_OPS = {
+    "seed": _Op("Seed", "catalog seed matrix", lambda *args: construct.seed(*args)),
+    "paley": _Op(
+        "Paley",
+        "an odd prime power q yields a conference matrix of order q+1",
+        lambda q: construct.paley_conference(q),
+    ),
+    "combine": _Op(
+        "Combine",
+        "unit-scale OMZD(m+1) and OMZD(n+1) splice into an OMZD(m+n)",
+        lambda a, b: construct.combine(a, b),
+    ),
+    "symmetric": _Op(
+        "Symmetric",
+        "for even n = 2m >= 6, [[J-I, B], [B, I-J]] with B = aI + bJ is a symmetric OMZD(n)",
+        lambda n: construct.symmetric_omzd(n),
+    ),
+    "paley-drt": _Op(
+        "PaleyDRT",
+        "a prime power q = 3 (mod 4) yields a doubly regular tournament of order q",
+        lambda q: construct.paley_tournament(q),
+    ),
+    "double": _Op(
+        "Double",
+        "a DRT(q) yields a DRT(2q+1) via its skew-Hadamard matrix",
+        lambda t: construct.double_drt(t),
+    ),
+    "skew-hadamard": _Op(
+        "SkewHadamard",
+        "a DRT(q) is equivalent to a skew-Hadamard matrix of order q+1",
+        lambda t: construct.drt_to_skew_hadamard(t),
+    ),
+    "omzd-from-drt": _Op(
+        "OmzdFromDrt",
+        "a DRT(q) with q >= 7 yields an OMZD(q) as alpha*A + J - I",
+        lambda t, branch: construct.omzd_from_drt(t, branch),
+    ),
+    "reduce-zeros": _Op(
+        "ReduceZeros",
+        "plane rotations reduce the diagonal zero count to any k <= n-2",
+        lambda m, k: construct.reduce_zeros(m, k),
+    ),
+    "ompzd-nm1": _Op(
+        "OmpzdNm1",
+        "splicing a zero-cornered OMPZD(4,3) into an OMZD(n-2) gives an OMPZD(n,n-1)",
+        lambda omzd, n: construct.ompzd_n_minus_1(omzd),
+    ),
+    "nowhere-zero": _Op(
+        "NowhereZero",
+        "I - (2/n)J is orthogonal with no zero entries for n >= 3",
+        lambda n: construct.nowhere_zero_orthogonal(n),
+    ),
+    "kron": _Op(
+        "Kron",
+        "a Kronecker product of orthogonal matrices is orthogonal",
+        lambda a, b: construct.kron(a, b),
+    ),
 }
 
 
@@ -148,7 +173,7 @@ def _node(op, args=(), children=(), *, kind, n, k=None) -> PlanNode:
         kind=kind,
         n=n,
         k=k,
-        theorem=_THEOREMS[op],
+        theorem=_OPS[op].theorem,
     )
 
 
@@ -207,7 +232,7 @@ def serialize_plan(node: PlanNode) -> str:
     """Nested text form NODE(child,...,arg,...) with children first."""
     parts = [serialize_plan(c) for c in node.children]
     parts += [str(a) for a in node.args]
-    return f"{_SERIAL_NAMES[node.op]}({','.join(parts)})"
+    return f"{_OPS[node.op].serial}({','.join(parts)})"
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +455,7 @@ def _eval(node: PlanNode):
     """Build a stage from its children's results, with no certificate:
     each child is checked, if at all, by the builder it feeds."""
     inputs = [_eval(child) for child in node.children]
-    result = _BUILDERS[node.op](*inputs, *node.args)
+    result = _OPS[node.op].build(*inputs, *node.args)
     if result.order != node.n:
         raise CertificationFailed(
             f"stage {serialize_plan(node)} produced order {result.order}, annotated {node.n}"
@@ -447,9 +472,9 @@ def _claim_parameters(node: PlanNode) -> dict:
     return {"k": node.k}
 
 
-def execute(node: PlanNode, res_tol: float = 1e-9):
-    """Evaluate a plan bottom-up and check its root once, at ``res_tol``,
-    against the claim of its kind.
+def execute(node: PlanNode):
+    """Evaluate a plan bottom-up and check its root once, at the default
+    tolerances of ``verify.check_claim``, against the claim of its kind.
 
     Returns the root RealMatrix as its builder made it, and its verdict,
     an OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  The builder
@@ -458,7 +483,7 @@ def execute(node: PlanNode, res_tol: float = 1e-9):
     CertificationFailed when the root fails.
     """
     result = _eval(node)
-    verdict = check_claim(node.kind, result, res_tol=res_tol, **_claim_parameters(node))
+    verdict = check_claim(node.kind, result, **_claim_parameters(node))
     if not verdict.passed:
         raise CertificationFailed(
             f"plan {serialize_plan(node)} executed but failed certification: {verdict.failures}"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omzd import construct, planner
+from omzd import cli, construct, planner
 from omzd.cli import (
     _dump_json,
     _fmt_number,
@@ -325,6 +325,45 @@ class TestUsageErrors:
         assert out.startswith("usage: omzd gen")
 
 
+class TestParserReuse:
+    """One parser serves every run in a process; no option set in one run
+    reaches the next."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_unset_k_is_not_carried_over(self):
+        assert invoke("gen", "--kind", "ompzd", "--n", "6", "--k", "2")[0] == 0
+        code, out, err = invoke("gen", "--kind", "ompzd", "--n", "6")
+        assert (code, out, err) == (2, "", "usage error: gen --kind ompzd needs --k\n")
+
+    def test_zero_tol_is_not_carried_over(self, tmp_path):
+        # an entry of 1e-13 at a required zero is a zero by default, and
+        # not at --zero-tol 0
+        path = tmp_path / "m.json"
+        invoke("gen", "--kind", "omzd", "--n", "6", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][0][0] = 1e-13
+        path.write_text(json.dumps(doc))
+        verify = ("verify", "--in", str(path), "--claim", "omzd")
+        assert invoke(*verify, "--zero-tol", "0")[0] == 1
+        assert invoke(*verify)[0] == 0
+
+    def test_route_is_not_carried_over(self):
+        gen = ("gen", "--kind", "omzd", "--n", "11")
+        _, default, _ = invoke(*gen)
+        code, recursive, _ = invoke(*gen, "--route", "prefer-recursive")
+        assert code == 0 and json.loads(recursive)["provenance"]["parameters"]["route"] == "prefer-recursive"
+        assert json.loads(recursive)["plan"] != json.loads(default)["plan"]
+        assert invoke(*gen) == (0, default, "")
+
+    def test_usage_goes_to_the_current_streams(self, capsys):
+        assert invoke("gen", "--bogus")[0] == 2
+        assert run(["gen", "--bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: omzd gen")
+
+
 class TestResourceLimits:
     def test_deep_recursive_plan_is_exit_2(self, monkeypatch):
         # a plan deep enough to pass the interpreter's recursion limit
@@ -343,7 +382,7 @@ class TestResourceLimits:
         monkeypatch.setattr(planner, "plan", lambda *args, **kwargs: planner.symmetric_node(4))
         code, out, err = invoke("gen", "--kind", "symmetric-omzd", "--n", "4")
         assert (code, out) == (2, "")
-        assert err == "internal error: OrderFour: no symmetric OMZD(4) exists\n"
+        assert err == "internal error: BuildRefused: no symmetric OMZD(4) exists\n"
 
     def test_memory_error_is_exit_2(self, monkeypatch):
         def exhausted(node):

@@ -8,18 +8,7 @@ import numpy as np
 import pytest
 
 from omzd import construct, gfield, planner
-from omzd.errors import (
-    InvalidQ,
-    NonexistentTarget,
-    NotDRT,
-    NotInCatalog,
-    NotOMZD,
-    OddOrder,
-    OrderFour,
-    OrderThree,
-    TargetAboveReach,
-    TargetTooHigh,
-)
+from omzd.errors import BuildRefused, InvalidQ, NonexistentTarget, OmzdError
 from omzd.numerics import RealMatrix, residual_scaled_identity
 from omzd.verify import certify, check_drt, check_skew_hadamard
 
@@ -145,9 +134,9 @@ class TestSeeds:
         assert cert.passed, cert.failures
 
     def test_missing_seed(self):
-        with pytest.raises(NotInCatalog):
-            construct.seed("omzd", 3)
-        with pytest.raises(NotInCatalog):
+        # an uncatalogued zero count of a catalogued order (order 3 is a
+        # case of test_builder_refusal)
+        with pytest.raises(BuildRefused, match=r"no seed for kind='ompzd', n=4, k=2"):
             construct.seed("ompzd", 4, 2)
 
     def test_determinism(self):
@@ -310,10 +299,6 @@ class TestCombine:
         with pytest.raises(ValueError):
             construct.combine(construct.seed("omzd", 2), construct.seed("omzd", 5))
 
-    def test_not_omzd_rejected(self):
-        with pytest.raises(NotOMZD):
-            construct.combine(RealMatrix(np.eye(4)), construct.seed("omzd", 5))
-
 
 class TestOmpzdNMinus1:
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 12])
@@ -373,10 +358,9 @@ class TestSymmetricOmzd:
         assert construct.symmetric_omzd(2).data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_rejections(self):
-        with pytest.raises(OrderFour):
-            construct.symmetric_omzd(4)
-        for n in (3, 5, 7):
-            with pytest.raises(OddOrder):
+        # orders 4 and 5 are cases of test_builder_refusal
+        for n in (3, 7):
+            with pytest.raises(BuildRefused, match=f"exists only for even n, got {n}"):
                 construct.symmetric_omzd(n)
 
 
@@ -398,11 +382,6 @@ class TestSkewHadamardRoute:
         h = construct.drt_to_skew_hadamard(construct.paley_tournament(11))
         assert check_skew_hadamard(h).passed
 
-    def test_not_drt(self):
-        bad = RealMatrix(np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
-        with pytest.raises(NotDRT):
-            construct.drt_to_skew_hadamard(bad)
-
 
 class TestDoubleDrt:
     def test_chain(self):
@@ -417,7 +396,7 @@ class TestDoubleDrt:
         assert check_drt(construct.double_drt(_drt3())).passed
 
     def test_not_drt(self):
-        with pytest.raises(NotDRT):
+        with pytest.raises(BuildRefused, match="not a doubly regular tournament"):
             construct.double_drt(RealMatrix(np.zeros((4, 4), dtype=np.int64)))
 
 
@@ -450,12 +429,8 @@ class TestOmzdFromDrt:
         t15 = construct.double_drt(FANO)
         assert certify(construct.omzd_from_drt(t15), "omzd").passed
 
-    def test_order_three_excluded(self):
-        with pytest.raises(OrderThree):
-            construct.omzd_from_drt(_drt3())
-
     def test_not_drt(self):
-        with pytest.raises(NotDRT):
+        with pytest.raises(BuildRefused, match="not a doubly regular tournament"):
             construct.omzd_from_drt(RealMatrix(np.eye(7, dtype=np.int64)))
 
     def test_bad_branch(self):
@@ -510,15 +485,6 @@ class TestReduceZeros:
         m = construct.reduce_zeros(construct.seed("omzd", 6), 0)
         c, res = residual_scaled_identity(m)
         assert res <= 1e-11 * c
-
-    def test_target_above_reach(self):
-        with pytest.raises(TargetAboveReach):
-            construct.reduce_zeros(construct.seed("omzd", 6), 5)
-
-    def test_target_too_high(self):
-        m = construct.reduce_zeros(construct.seed("omzd", 6), 2)
-        with pytest.raises(TargetTooHigh):
-            construct.reduce_zeros(m, 4)
 
     def test_noop_when_target_met(self):
         m = construct.reduce_zeros(construct.seed("omzd", 6), 4)
@@ -653,3 +619,52 @@ class TestKron:
         b = construct.nowhere_zero_orthogonal(2)
         assert construct.kron(a, b).scale_c == pytest.approx(6.0)
         assert construct.kron(a, RealMatrix(np.eye(2))).scale_c is None
+
+
+# --------------------------------------------------------------------------
+# Builder refusals
+# --------------------------------------------------------------------------
+
+# Each builder's own refusal, one case per check, with its message.  The
+# planner refuses every such request before a builder sees it.
+BUILDER_REFUSALS = {
+    "no-seed": (lambda: construct.seed("omzd", 3), r"no seed for kind='omzd', n=3, k=None"),
+    "not-omzd": (
+        lambda: construct.combine(RealMatrix(np.eye(4)), construct.seed("omzd", 5)),
+        r"first input failed OMZD certification: ",
+    ),
+    "odd-order": (
+        lambda: construct.symmetric_omzd(5),
+        r"a symmetric OMZD\(n\) exists only for even n, got 5",
+    ),
+    "order-four": (lambda: construct.symmetric_omzd(4), r"^no symmetric OMZD\(4\) exists$"),
+    "not-drt": (
+        lambda: construct.drt_to_skew_hadamard(RealMatrix(np.ones((3, 3)) - np.eye(3))),
+        r"input is not a doubly regular tournament: ",
+    ),
+    "order-three": (
+        lambda: construct.omzd_from_drt(_drt3()),
+        r"^q = 3 is excluded: the coefficient is undefined there$",
+    ),
+    "target-too-high": (
+        lambda: construct.reduce_zeros(construct.reduce_zeros(construct.seed("omzd", 6), 2), 4),
+        r"^input has 2 diagonal zeros, cannot reach 4$",
+    ),
+    "target-above-reach": (
+        lambda: construct.reduce_zeros(construct.seed("omzd", 6), 5),
+        r"^k = n-1 cannot be produced by plane rotations$",
+    ),
+    # no angle helps when the two rotated columns share a zero row
+    "no-theta": (
+        lambda: construct._rotate_pair(np.zeros((4, 4)), 0, 1, 1.0),
+        r"^rotation schedule exhausted; input is pathological$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_REFUSALS)
+def test_builder_refusal(case):
+    build, message = BUILDER_REFUSALS[case]
+    with pytest.raises(BuildRefused, match=message) as info:
+        build()
+    assert isinstance(info.value, OmzdError)

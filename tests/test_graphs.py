@@ -100,7 +100,7 @@ class TestEmbedBipartite:
         b = construct.seed("omzd", 5)
         out = embed_bipartite(b)
         root = math.sqrt(4.0)
-        for v in jacobi_spectrum(out).values:
+        for v in jacobi_spectrum(out):
             assert abs(abs(v) - root) <= 1e-9
 
 
