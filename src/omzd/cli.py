@@ -2,9 +2,9 @@
 
 ``gen`` plans every kind with ``planner.plan``, builds it with
 ``planner.execute`` (which checks the result once) and writes it;
-``verify`` checks a stored matrix through the claim table of
-``verify.check_claim``.  All machine output (JSON) goes to stdout unless
---out is given; all diagnostics go to stderr.  Exit codes: 0 success /
+``verify`` checks a stored matrix with ``verify.check_claim``.  All
+machine output (JSON) goes to stdout unless --out is given; all
+diagnostics go to stderr.  Exit codes: 0 success /
 exists / certified, 1 nonexistent / verification failed / known
 impossible, 2 usage, unreadable input, unwritable output or internal
 error.  Output is byte-deterministic: fixed key order and
@@ -35,8 +35,8 @@ from .errors import (
     SchemaViolation,
     ShapeMismatch,
 )
-from .numerics import RealMatrix
-from .verify import CLAIM_CHECKERS, check_claim
+from .numerics import RES_TOL, RealMatrix
+from .verify import CLAIMS, check_claim
 
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
 
@@ -253,8 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a stored matrix against a claim")
     ver.add_argument("--in", dest="path", required=True)
-    ver.add_argument("--claim", required=True, choices=tuple(CLAIM_CHECKERS))
-    ver.add_argument("--res-tol", type=float, default=1e-9)
+    ver.add_argument("--claim", required=True, choices=CLAIMS)
+    ver.add_argument("--res-tol", type=float, default=RES_TOL)
     ver.add_argument("--zero-tol", type=float, default=None)
 
     pl = sub.add_parser("plan", help="print the construction plan without executing it")
@@ -371,16 +371,23 @@ def _cmd_exists(args, stdout, stderr) -> int:
     return 0 if verdict.exists else 1
 
 
+# certify-graph family -> the option it needs besides --n; it takes no other
+_GRAPH_OPTION = {"knn": None, "gnk": "k", "multipartite": "m"}
+
+
 def _cmd_certify_graph(args, stdout, stderr) -> int:
-    if args.family == "knn":
+    family = args.family
+    for name in ("k", "m"):
+        given = getattr(args, name) is not None
+        if name == _GRAPH_OPTION[family] and not given:
+            raise _Usage(f"certify-graph --family {family} needs --{name}")
+        if name != _GRAPH_OPTION[family] and given:
+            raise _Usage(f"certify-graph --family {family} takes no --{name}")
+    if family == "knn":
         spec = graphs.Knn(args.n)
-    elif args.family == "gnk":
-        if args.k is None:
-            raise _Usage("certify-graph --family gnk needs --k")
+    elif family == "gnk":
         spec = graphs.Gnk(args.n, args.k)
     else:
-        if args.m is None:
-            raise _Usage("certify-graph --family multipartite needs --m")
         spec = graphs.Multipartite(args.n, args.m)
 
     cert = graphs.q2_certificate(spec)

@@ -21,6 +21,7 @@ from .verify import (
     CLAIM_OMZD,
     certify,
     check_drt,
+    zero_tolerance,
 )
 
 __all__ = [
@@ -457,7 +458,7 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     n = m.order
     if target_k < 0:
         raise ValueError(f"target zero count must be >= 0, got {target_k}")
-    zero_tol = 1e-12 * m.max_abs()  # the zero rule of verify.certify
+    zero_tol = zero_tolerance(m)
 
     diag = np.abs(np.diag(m.data))
     j = int(np.sum(diag <= zero_tol))
@@ -468,7 +469,7 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
 
     cert = certify(m, CLAIM_OMPZD, k=j)
     if not cert.passed:
-        raise ValueError(
+        raise BuildRefused(
             f"input is not an order-{n} orthogonal matrix with all {j} zeros "
             f"on the diagonal: {cert.failures}"
         )

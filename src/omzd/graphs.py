@@ -13,7 +13,7 @@ that its diagonal zeros come first.  A multipartite witness is the
 planned matrix itself: Kron(symmetric OMZD(m), nowhere-zero(n)), or for
 K_m, whose diagonal is free, the nowhere-zero I - (2/m)J.  Every
 witness keeps its plan root's scale.  It is certified by adjacency mask
-equality, zero meaning |x| <= 1e-12 max|entry| as in ``verify``, plus
+equality, under the zero rule of ``verify.zero_tolerance``, plus
 exactly two distinct eigenvalues.  The count is algebraic: an
 exactly symmetric M with M² = cI has only the eigenvalues ±√c, with
 multiplicities (n ± tr M/√c)/2.  A LAPACK spectrum, clustered, must
@@ -34,7 +34,7 @@ from .numerics import (
     involution_multiplicities,
     jacobi_spectrum,
 )
-from .verify import certify_multipartite  # re-exported: the checker lives in verify
+from .verify import certify_multipartite, zero_tolerance  # the first is re-exported
 
 __all__ = [
     "Knn",
@@ -163,8 +163,9 @@ class Q2Certificate:
     pattern_verified: bool = False
 
 
-def pattern_graph(a: RealMatrix, zero_tol: float = 0.0) -> Graph:
-    """Graph of a symmetric matrix: i ~ j iff |a_ij| > zero_tol, i != j.
+def pattern_graph(a: RealMatrix, zero_tol: float | None = None) -> Graph:
+    """Graph of a symmetric matrix: i ~ j iff |a_ij| > zero_tol, i != j,
+    with the zero rule of ``verify.zero_tolerance`` when zero_tol is None.
 
     Diagonal entries are ignored.  The input must be exactly symmetric
     (all matrices this library builds for graphs are).
@@ -173,7 +174,7 @@ def pattern_graph(a: RealMatrix, zero_tol: float = 0.0) -> Graph:
         raise NonSymmetric(f"graph extraction needs a square matrix, got {a.rows}x{a.cols}")
     if not np.array_equal(a.data, a.data.T):
         raise NonSymmetric("matrix is not symmetric")
-    return Graph(np.abs(a.data) > zero_tol)
+    return Graph(np.abs(a.data) > zero_tolerance(a, zero_tol))
 
 
 def embed_bipartite(b: RealMatrix) -> RealMatrix:
@@ -190,7 +191,7 @@ def embed_bipartite(b: RealMatrix) -> RealMatrix:
 
 def _zeros_to_front(m: RealMatrix) -> RealMatrix:
     """Conjugate-permute so the diagonal zeros occupy the leading indices."""
-    nonzero = np.abs(np.diag(m.data)) > 1e-12 * m.max_abs()
+    nonzero = np.abs(np.diag(m.data)) > zero_tolerance(m)
     return construct.conjugate_permute(m, np.argsort(nonzero, kind="stable"))
 
 
@@ -252,7 +253,7 @@ def _certify_witness(
         return Q2Certificate(
             spec, STATUS_UNKNOWN, "witness check failed: the witness is not exactly symmetric", witness
         )
-    pattern_ok = pattern_graph(witness, zero_tol=1e-12 * witness.max_abs()) == spec.graph()
+    pattern_ok = pattern_graph(witness) == spec.graph()
     try:
         algebraic = sum(mult > 0 for mult in involution_multiplicities(witness))
         algebraic_note = str(algebraic)

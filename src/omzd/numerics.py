@@ -3,7 +3,9 @@
 Every matrix is a frozen float64 ``RealMatrix``; radical entries are
 evaluated numerically at construction time and checked against
 tolerances scaled by the matrix order and its certified scale constant.
-A spectrum is a plain ascending tuple of floats.
+A spectrum is a plain ascending tuple of floats.  ``RES_TOL`` is the
+residual bound of every orthogonality check: max |MMᵀ - cI| <= RES_TOL *
+c * n.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import NonSymmetric, NotScaledInvolution
 
 __all__ = [
+    "RES_TOL",
     "RealMatrix",
     "gram",
     "residual_scaled_identity",
@@ -23,6 +26,8 @@ __all__ = [
     "involution_multiplicities",
     "cluster_eigenvalues",
 ]
+
+RES_TOL = 1e-9
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -107,32 +112,24 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
 
 
 def jacobi_spectrum(m: RealMatrix) -> tuple[float, ...]:
-    """Eigenvalues of a symmetric matrix, ascending (LAPACK via
+    """Eigenvalues of an exactly symmetric matrix, ascending (LAPACK via
     ``numpy.linalg.eigvalsh``).
 
-    Raises NonSymmetric when max |M - Mᵀ| exceeds the symmetry tolerance
-    1e-11 * max|entry|; below it the symmetric part (M + Mᵀ)/2 is solved,
-    which is M itself when M is exactly symmetric.
+    Raises NonSymmetric unless M = Mᵀ entry for entry, the symmetry rule
+    of every symmetric check in this library.
     """
     if not m.is_square:
         raise ValueError("eigensolver needs a square matrix")
-    a = m.data
-    tol = 1e-11 * m.max_abs()
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > tol:
-        raise NonSymmetric(f"max |M - M^T| = {asym:.3e} exceeds symmetry tolerance {tol:.3e}")
-    return tuple(np.linalg.eigvalsh((a + a.T) / 2.0).tolist())
-
-
-# residual tolerance of the involution check, the default of verify.certify
-_INVOLUTION_RES_TOL = 1e-9
+    if not np.array_equal(m.data, m.data.T):
+        raise NonSymmetric("matrix is not exactly symmetric")
+    return tuple(np.linalg.eigvalsh(m.data).tolist())
 
 
 def involution_multiplicities(m: RealMatrix) -> tuple[int, int]:
     """Multiplicities (p, q) of the eigenvalues +√c and -√c of a scaled
     involution, read off the trace instead of an eigensolver.
 
-    M must be exactly symmetric with M² = MMᵀ = cI up to 1e-9 * c * n
+    M must be exactly symmetric with M² = MMᵀ = cI up to RES_TOL * c * n
     (max-entry residual).  Then p + q = n and p - q = tr M / √c, so
     p, q = (n ± tr M/√c) / 2.  Every eigenvalue λ has
     |λ/√c ∓ 1| <= ‖M² - cI‖₂ / c <= n·max_residual / c, so tr M/√c lies
@@ -146,10 +143,10 @@ def involution_multiplicities(m: RealMatrix) -> tuple[int, int]:
         raise NotScaledInvolution("matrix is not exactly symmetric")
     n = m.order
     c, max_residual = residual_scaled_identity(m)
-    if not (np.isfinite(c) and c > 0.0 and max_residual <= _INVOLUTION_RES_TOL * c * n):
+    if not (np.isfinite(c) and c > 0.0 and max_residual <= RES_TOL * c * n):
         raise NotScaledInvolution(
             f"M^2 is not cI: c = {c:.6g}, max residual {max_residual:.3e} "
-            f"against {_INVOLUTION_RES_TOL:.1e} * c * n"
+            f"against {RES_TOL:.1e} * c * n"
         )
     tol = n * n * (max_residual / c + (n + 1) * np.finfo(np.float64).eps)
     plus = (n + float(np.trace(a)) / np.sqrt(c)) / 2.0

@@ -10,8 +10,7 @@ Each stage is checked at most once.  A stage that feeds another is
 checked by the builder that consumes it, through that builder's own input
 check (``combine`` certifies its OMZD inputs, ``drt_to_skew_hadamard``
 and ``omzd_from_drt`` check their DRT, ``reduce_zeros`` its orthogonal
-input); the root is checked by ``execute`` with the claim table of
-``verify``.
+input); the root is checked by ``execute`` with ``verify.check_claim``.
 """
 
 from __future__ import annotations

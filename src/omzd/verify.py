@@ -3,8 +3,9 @@
 Every real claim is an orthogonal pattern and goes through one
 certificate core, which takes a required-zero mask, a required-nonzero
 mask (an entry in neither is free) and two flags, ``exact`` and
-``symmetric``.  An entry counts as zero iff |entry| <= zero_tol (default
-1e-12 * max|entry|).  The masks per claim:
+``symmetric``.  An entry counts as zero iff |entry| <= zero_tol, by
+default the zero rule of ``zero_tolerance``, 1e-12 * max|entry|, which
+the builders and the graph layer share.  The masks per claim:
 
 - omzd, symmetric-omzd (symmetric) and conference (exact): zero on the
   diagonal, nonzero off it;
@@ -15,7 +16,8 @@ mask (an entry in neither is free) and two flags, ``exact`` and
   elsewhere.
 
 An exact claim must be integral with +-1 at its required nonzeros and
-MMᵀ = cI exactly; the others hold it within res_tol * c * order.
+MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
+``numerics.RES_TOL``).
 
 Tournaments and skew-Hadamard matrices get exact checkers of their own,
 ``check_drt`` and ``check_skew_hadamard``.  Every claim, these two
@@ -25,9 +27,9 @@ After that every partial sum of MMᵀ is an integer of magnitude at most
 the order, which the planner caps at 4096, far below 2^53, so the
 float64 (BLAS) products are exact.  Certificates always carry the full
 diagnostic rather than short-circuiting, so callers can assert on
-specific failure kinds.  ``CLAIM_CHECKERS`` maps every claim name (a gen
-kind or a ``verify --claim`` value) to its checker; the planner and the
-CLI both check through ``check_claim``.
+specific failure kinds.  ``CLAIMS`` names every claim (a gen kind or a
+``verify --claim`` value); ``check_claim`` sends each to its checker, and
+the planner and the CLI both check through it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .numerics import RealMatrix, residual_scaled_identity
+from .numerics import RES_TOL, RealMatrix, residual_scaled_identity
 
 __all__ = [
-    "CLAIM_CHECKERS",
+    "CLAIMS",
     "CLAIM_OMZD",
     "CLAIM_OMPZD",
     "CLAIM_CONFERENCE",
@@ -56,6 +58,7 @@ __all__ = [
     "check_claim",
     "check_drt",
     "check_skew_hadamard",
+    "zero_tolerance",
 ]
 
 CLAIM_OMZD = "omzd"
@@ -64,6 +67,12 @@ CLAIM_CONFERENCE = "conference"
 CLAIM_SYMMETRIC_OMZD = "symmetric-omzd"
 CLAIM_NOWHERE_ZERO = "nowhere-zero"
 CLAIM_ORTHOGONAL = "orthogonal"  # orthogonality only, no pattern constraint
+
+# every claim check_claim accepts, in the order of the verify --claim choices
+CLAIMS = (
+    CLAIM_OMZD, CLAIM_SYMMETRIC_OMZD, CLAIM_OMPZD, CLAIM_CONFERENCE, "skew-hadamard",
+    "drt", CLAIM_NOWHERE_ZERO, "multipartite", CLAIM_ORTHOGONAL,
+)
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -123,12 +132,17 @@ def _square_order(m: RealMatrix) -> int:
     return m.order
 
 
-def _zero_tol(m: RealMatrix, zero_tol: float | None) -> float:
+def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
+    """The zero rule: an entry of ``m`` counts as zero iff |entry| <= this.
+
+    ``zero_tol`` when given, else 1e-12 * max|entry|; matrices built by
+    this library write exact 0.0 at zero positions.
+    """
     return 1e-12 * m.max_abs() if zero_tol is None else zero_tol
 
 
 def _diagonal_zeros(m: RealMatrix, zero_tol: float | None) -> int:
-    return int(np.sum(np.abs(np.diag(m.data)) <= _zero_tol(m, zero_tol)))
+    return int(np.sum(np.abs(np.diag(m.data)) <= zero_tolerance(m, zero_tol)))
 
 
 def _certify_pattern(
@@ -140,7 +154,7 @@ def _certify_pattern(
     exact: bool = False,
     symmetric: bool = False,
     zero_tol: float | None = None,
-    res_tol: float = 1e-9,
+    res_tol: float = RES_TOL,
     failures: tuple[str, ...] = (),
 ) -> OrthoCertificate:
     """The certificate core of every real claim: pattern, gram and
@@ -157,7 +171,7 @@ def _certify_pattern(
     min_offdiag = 0.0
     if zero is not None:
         magnitude = np.abs(a)
-        is_zero = magnitude <= _zero_tol(m, zero_tol)
+        is_zero = magnitude <= zero_tolerance(m, zero_tol)
         off = ~np.eye(n, dtype=bool)
         for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
             on_diagonal = int(np.sum(np.diag(bad)))
@@ -219,16 +233,14 @@ def certify(
     claim: str,
     k: int | None = None,
     zero_tol: float | None = None,
-    res_tol: float = 1e-9,
+    res_tol: float = RES_TOL,
 ) -> OrthoCertificate:
     """Check a matrix against a claimed object class.
 
-    Pattern: the claim's masks, with |entry| <= zero_tol counted as zero
-    (default 1e-12 * max|entry|; matrices built by this library write
-    exact 0.0 at zero positions).  Orthogonality: max residual of
-    MMᵀ - cI at most res_tol * c * order, except the conference claim,
-    which must hold exactly.  Returns the full certificate whether or not
-    it passed.
+    Pattern: the claim's masks, with the zero rule of ``zero_tolerance``.
+    Orthogonality: max residual of MMᵀ - cI at most res_tol * c * order,
+    except the conference claim, which must hold exactly.  Returns the
+    full certificate whether or not it passed.
     """
     if claim not in _PATTERNS:
         raise ValueError(f"unknown claim {claim!r}")
@@ -375,7 +387,7 @@ def certify_multipartite(
     part_size: int,
     parts: int,
     zero_tol: float | None = None,
-    res_tol: float = 1e-9,
+    res_tol: float = RES_TOL,
 ) -> OrthoCertificate:
     """Certificate that a matrix realizes a complete multipartite pattern:
     symmetric, orthogonal, zero n x n diagonal blocks, nowhere-zero
@@ -391,55 +403,6 @@ def certify_multipartite(
     )
 
 
-# --------------------------------------------------------------------------
-# The claim table
-# --------------------------------------------------------------------------
-# Every checker takes the matrix and the same keyword parameters: the zero
-# count k (ompzd), the part size and part count (multipartite) and the two
-# tolerances.  Checkers call certify, check_drt and certify_multipartite
-# through their module names at call time.
-
-def _orthogonal_claim(claim: str):
-    def check(m: RealMatrix, zero_tol=None, res_tol=1e-9, **_) -> OrthoCertificate:
-        return certify(m, claim, zero_tol=zero_tol, res_tol=res_tol)
-
-    return check
-
-
-def _check_ompzd(m: RealMatrix, k=None, zero_tol=None, res_tol=1e-9, **_) -> OrthoCertificate:
-    """k = 0 is the nowhere-zero claim; without k (None), the zero count
-    the diagonal shows is the claim."""
-    if k is None:
-        k = _diagonal_zeros(m, zero_tol)
-    elif type(k) is not int or k < 0:  # bool is no count
-        raise ValueError(f"claim 'ompzd' needs a non-negative integer zero count k, got {k!r}")
-    if k == 0:
-        return certify(m, CLAIM_NOWHERE_ZERO, zero_tol=zero_tol, res_tol=res_tol)
-    return certify(m, CLAIM_OMPZD, k=k, zero_tol=zero_tol, res_tol=res_tol)
-
-
-def _check_multipartite(
-    m: RealMatrix, part_size=None, parts=None, zero_tol=None, res_tol=1e-9, **_
-) -> OrthoCertificate:
-    if not all(type(x) is int and x >= 1 for x in (part_size, parts)):  # bool is no count
-        raise ValueError("claim 'multipartite' needs a positive integer part size n and part count m")
-    return certify_multipartite(m, part_size, parts, zero_tol=zero_tol, res_tol=res_tol)
-
-
-# claim name (a gen kind or a verify --claim value) -> checker
-CLAIM_CHECKERS = {
-    "omzd": _orthogonal_claim(CLAIM_OMZD),
-    "symmetric-omzd": _orthogonal_claim(CLAIM_SYMMETRIC_OMZD),
-    "ompzd": _check_ompzd,
-    "conference": _orthogonal_claim(CLAIM_CONFERENCE),
-    "skew-hadamard": lambda m, **_: check_skew_hadamard(m),
-    "drt": lambda m, **_: check_drt(m),
-    "nowhere-zero": _orthogonal_claim(CLAIM_NOWHERE_ZERO),
-    "multipartite": _check_multipartite,
-    "orthogonal": _orthogonal_claim(CLAIM_ORTHOGONAL),
-}
-
-
 def check_claim(
     name: str,
     m: RealMatrix,
@@ -448,18 +411,34 @@ def check_claim(
     part_size: int | None = None,
     parts: int | None = None,
     zero_tol: float | None = None,
-    res_tol: float = 1e-9,
+    res_tol: float = RES_TOL,
 ):
-    """Check ``m`` against the claim ``name`` with the checker of
-    CLAIM_CHECKERS.  Returns an OrthoCertificate, DrtVerdict or
-    SkewHadamardVerdict; each has ``passed``, ``failures``, ``summary()``
-    and ``report()``.  Raises ValueError unless ``res_tol`` is finite and
-    >= 0 and ``zero_tol`` is None or finite and >= 0."""
+    """Check ``m`` against the claim ``name``, one of CLAIMS.
+
+    ``k`` is the zero count of ompzd: k = 0 is the nowhere-zero claim,
+    and without k the zero count the diagonal shows is the claim.
+    ``part_size`` and ``parts`` are the parameters of multipartite; every
+    other claim ignores all three.  Returns an OrthoCertificate,
+    DrtVerdict or SkewHadamardVerdict; each has ``passed``, ``failures``,
+    ``summary()`` and ``report()``.  Raises ValueError for an unknown
+    claim, a missing or non-integer parameter, or unless ``res_tol`` is
+    finite and >= 0 and ``zero_tol`` is None or finite and >= 0."""
     for label, tol in (("res_tol", res_tol), ("zero_tol", zero_tol)):
         if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"{label} must be finite and >= 0, got {tol!r}")
-    try:
-        checker = CLAIM_CHECKERS[name]
-    except KeyError:
-        raise ValueError(f"unknown claim {name!r}") from None
-    return checker(m, k=k, part_size=part_size, parts=parts, zero_tol=zero_tol, res_tol=res_tol)
+    if name == "drt":
+        return check_drt(m)
+    if name == "skew-hadamard":
+        return check_skew_hadamard(m)
+    if name == "multipartite":
+        if not all(type(x) is int and x >= 1 for x in (part_size, parts)):  # bool is no count
+            raise ValueError("claim 'multipartite' needs a positive integer part size n and part count m")
+        return certify_multipartite(m, part_size, parts, zero_tol=zero_tol, res_tol=res_tol)
+    if name == CLAIM_OMPZD:
+        if k is None:
+            k = _diagonal_zeros(m, zero_tol)
+        elif type(k) is not int or k < 0:  # bool is no count
+            raise ValueError(f"claim 'ompzd' needs a non-negative integer zero count k, got {k!r}")
+        if k == 0:
+            name = CLAIM_NOWHERE_ZERO
+    return certify(m, name, k=k, zero_tol=zero_tol, res_tol=res_tol)

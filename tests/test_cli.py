@@ -288,6 +288,17 @@ class TestCertifyGraph:
         assert code == 0
         assert json.loads(out)["matrix"]["scale_c"] == json.loads(gen)["scale_c"]
 
+    @pytest.mark.parametrize(
+        "family,option",
+        [("knn", "--k"), ("knn", "--m"), ("gnk", "--m"), ("multipartite", "--k")],
+    )
+    def test_option_the_family_does_not_use(self, family, option):
+        # the output would echo the option beside a witness built without it
+        extra = {"gnk": ["--k", "1"], "multipartite": ["--m", "2"]}.get(family, [])
+        code, out, err = invoke("certify-graph", "--family", family, "--n", "2", *extra, option, "1")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: certify-graph --family {family} takes no {option}\n"
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "cert.json"
         code, out, _ = invoke(

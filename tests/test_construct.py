@@ -650,6 +650,10 @@ BUILDER_REFUSALS = {
         lambda: construct.reduce_zeros(construct.reduce_zeros(construct.seed("omzd", 6), 2), 4),
         r"^input has 2 diagonal zeros, cannot reach 4$",
     ),
+    "not-orthogonal": (
+        lambda: construct.reduce_zeros(RealMatrix(np.ones((4, 4))), 0),
+        r"^input is not an order-4 orthogonal matrix with all 0 zeros on the diagonal: ",
+    ),
     "target-above-reach": (
         lambda: construct.reduce_zeros(construct.seed("omzd", 6), 5),
         r"^k = n-1 cannot be produced by plane rotations$",

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from omzd import construct, planner
-from omzd.errors import ShapeMismatch
+from omzd import construct, graphs, planner
+from omzd.errors import BuildRefused, ShapeMismatch
 from omzd.numerics import RealMatrix
-from omzd.verify import CLAIM_CHECKERS, certify, check_claim, check_drt, check_skew_hadamard
+from omzd.verify import CLAIMS, certify, check_claim, check_drt, check_skew_hadamard, zero_tolerance
 
 FANO = np.array(
     [
@@ -188,8 +188,13 @@ class TestClaimTable:
     def test_names_are_the_gen_kinds_and_verify_claims(self):
         from omzd import cli
 
-        assert set(cli.GEN_KINDS) < set(CLAIM_CHECKERS)
-        assert set(CLAIM_CHECKERS) - set(cli.GEN_KINDS) == {"nowhere-zero", "orthogonal"}
+        assert set(cli.GEN_KINDS) < set(CLAIMS)
+        assert set(CLAIMS) - set(cli.GEN_KINDS) == {"nowhere-zero", "orthogonal"}
+        # the verify --claim choices, in their order
+        assert CLAIMS == (
+            "omzd", "symmetric-omzd", "ompzd", "conference", "skew-hadamard",
+            "drt", "nowhere-zero", "multipartite", "orthogonal",
+        )
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError, match="unknown claim"):
@@ -288,3 +293,34 @@ class TestFloatChecksAreExact:
     def test_half_entries_are_not_integral(self):
         verdict = check_drt(RealMatrix([[0, 0.5], [0.5, 0]]))
         assert not verdict.passed and verdict.failures == ("entries are not integral",)
+
+
+class TestSharedZeroRule:
+    """certify, reduce_zeros and the graph layer count the same entries as zero."""
+
+    def _with_diagonal_entry(self, factor):
+        m = construct.symmetric_omzd(6)
+        a = np.array(m.data)
+        a[0, 0] = factor * 1e-12 * m.max_abs()
+        return RealMatrix(a, scale_c=m.scale_c)
+
+    def test_entry_at_the_tolerance_is_a_zero(self):
+        m = self._with_diagonal_entry(1.0)
+        assert abs(m.data[0, 0]) == zero_tolerance(m)
+        assert certify(m, "omzd").passed
+        assert np.array_equal(construct.reduce_zeros(m, 6).data, m.data)  # all 6 zeros
+        assert graphs._zeros_to_front(m).data[0, 0] == m.data[0, 0]
+
+    def test_entry_at_twice_the_tolerance_is_nonzero(self):
+        m = self._with_diagonal_entry(2.0)
+        assert certify(m, "omzd").failures == ("1 diagonal entries are nonzero",)
+        with pytest.raises(BuildRefused, match="^input has 5 diagonal zeros, cannot reach 6$"):
+            construct.reduce_zeros(m, 6)
+        assert graphs._zeros_to_front(m).data[5, 5] == m.data[0, 0]
+
+    def test_pattern_graph_default_drops_a_tiny_entry(self):
+        m = construct.symmetric_omzd(6)
+        a = np.array(m.data)
+        a[0, 1] = a[1, 0] = 1e-13 * m.max_abs()
+        edges = graphs.pattern_graph(RealMatrix(a)).edges
+        assert (0, 1) not in edges and len(edges) == 14
