@@ -34,7 +34,7 @@ from .numerics import (
     involution_multiplicities,
     jacobi_spectrum,
 )
-from .verify import certify_multipartite, zero_tolerance  # the first is re-exported
+from .verify import certify_multipartite, zero_tolerance  # certify_multipartite is re-exported
 
 __all__ = [
     "Knn",
