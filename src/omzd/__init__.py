@@ -14,7 +14,6 @@ from .errors import OmzdError
 from .gfield import FiniteField, chi, make_field
 from .graphs import (
     Gnk,
-    Graph,
     Knn,
     Multipartite,
     Q2Certificate,
@@ -89,7 +88,6 @@ __all__ = [
     "plan",
     "execute",
     "serialize_plan",
-    "Graph",
     "Knn",
     "Gnk",
     "Multipartite",

@@ -41,7 +41,8 @@ from .verify import CLAIMS, check_claim
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
 
 # gen kind -> the parameters it records in its provenance, in order; one
-# left unset is a usage error (t and route have defaults)
+# left unset is a usage error (t and route have defaults), and so is any
+# other of --n, --k, --q, --m; exists and plan read the OMZD kinds' entries
 _GEN_PARAMETERS = {
     "omzd": ("n", "route"),
     "symmetric-omzd": ("n",),
@@ -309,13 +310,23 @@ def _read_input(path: str) -> str:
         raise _FileError(f"cannot read input: {e}") from None
 
 
+def _check_options(args, head: str, takes: tuple[str, ...], required: bool) -> None:
+    """Usage error for ``head`` (say ``gen --kind drt``) when one of
+    --n, --k, --q, --m outside ``takes`` is set, or, if ``required``, an
+    option in ``takes`` is unset."""
+    if required:
+        for name in takes:
+            if getattr(args, name) is None:
+                raise _Usage(f"{head} needs --{name}")
+    for name in ("n", "k", "q", "m"):
+        if name not in takes and getattr(args, name, None) is not None:
+            raise _Usage(f"{head} takes no --{name}")
+
+
 def _cmd_gen(args, stdout, stderr) -> int:
     kind = args.kind
-    params = {}
-    for name in _GEN_PARAMETERS[kind]:
-        if getattr(args, name) is None:
-            raise _Usage(f"gen --kind {kind} needs --{name}")
-        params[name] = getattr(args, name)
+    _check_options(args, f"gen --kind {kind}", _GEN_PARAMETERS[kind], required=True)
+    params = {name: getattr(args, name) for name in _GEN_PARAMETERS[kind]}
     if kind == "omzd" and args.route == planner.ROUTE_PREFER_DRT:
         params["branch"] = args.branch
 
@@ -351,12 +362,14 @@ def _cmd_verify(args, stdout, stderr) -> int:
 
 
 def _cmd_plan(args, stdout, stderr) -> int:
+    _check_options(args, f"plan --kind {args.kind}", _GEN_PARAMETERS[args.kind], required=False)
     node = planner.plan(args.kind, args.n, args.k, route=args.route)
     stdout.write(planner.serialize_plan(node) + "\n")
     return 0
 
 
 def _cmd_exists(args, stdout, stderr) -> int:
+    _check_options(args, f"exists --kind {args.kind}", _GEN_PARAMETERS[args.kind], required=False)
     verdict = planner.exists(args.kind, args.n, args.k)
     out = {
         "kind": args.kind,
@@ -371,18 +384,13 @@ def _cmd_exists(args, stdout, stderr) -> int:
     return 0 if verdict.exists else 1
 
 
-# certify-graph family -> the option it needs besides --n; it takes no other
-_GRAPH_OPTION = {"knn": None, "gnk": "k", "multipartite": "m"}
+# certify-graph family -> the options it needs; it takes no other
+_GRAPH_PARAMETERS = {"knn": ("n",), "gnk": ("n", "k"), "multipartite": ("n", "m")}
 
 
 def _cmd_certify_graph(args, stdout, stderr) -> int:
     family = args.family
-    for name in ("k", "m"):
-        given = getattr(args, name) is not None
-        if name == _GRAPH_OPTION[family] and not given:
-            raise _Usage(f"certify-graph --family {family} needs --{name}")
-        if name != _GRAPH_OPTION[family] and given:
-            raise _Usage(f"certify-graph --family {family} takes no --{name}")
+    _check_options(args, f"certify-graph --family {family}", _GRAPH_PARAMETERS[family], required=True)
     if family == "knn":
         spec = graphs.Knn(args.n)
     elif family == "gnk":

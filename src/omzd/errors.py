@@ -16,14 +16,13 @@ class OmzdError(Exception):
 # --- numerics ---------------------------------------------------------------
 
 class NonSymmetric(OmzdError):
-    """A matrix that must be symmetric is not: eigenvalue input beyond the
-    symmetry tolerance, or graph extraction input that is not square and
-    exactly symmetric."""
+    """A matrix that must be symmetric is not: eigenvalue or graph
+    extraction input that is not square and exactly symmetric."""
 
 
 class NotScaledInvolution(OmzdError):
-    """A matrix is not exactly symmetric with M² = cI, or the tolerance
-    leaves its eigenvalue multiplicities undetermined."""
+    """The tolerance of a certified M² = cI leaves the eigenvalue
+    multiplicities of M undetermined."""
 
 
 # --- finite fields ----------------------------------------------------------

@@ -12,12 +12,14 @@ embedding [[0, B], [Bᵀ, 0]] of the planned OMPZD(n, k) B, conjugated so
 that its diagonal zeros come first.  A multipartite witness is the
 planned matrix itself: Kron(symmetric OMZD(m), nowhere-zero(n)), or for
 K_m, whose diagonal is free, the nowhere-zero I - (2/m)J.  Every
-witness keeps its plan root's scale.  It is certified by adjacency mask
-equality, under the zero rule of ``verify.zero_tolerance``, plus
-exactly two distinct eigenvalues.  The count is algebraic: an
-exactly symmetric M with M² = cI has only the eigenvalues ±√c, with
-multiplicities (n ± tr M/√c)/2.  A LAPACK spectrum, clustered, must
-agree with it.
+witness keeps its plan root's scale.  A graph is its adjacency mask, a
+read-only symmetric bool array with a False diagonal.  A witness is
+certified by one ``verify.certify_graph`` certificate (exact symmetry,
+the graph's off-diagonal pattern under the shared zero rule, and
+MMᵀ = cI) plus exactly two distinct eigenvalues.  The count is
+algebraic: an exactly symmetric M with M² = cI has only the eigenvalues
+±√c, with multiplicities (n ± tr M/√c)/2, read with the certificate's c
+and residual.  A LAPACK spectrum, clustered, must agree with it.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from .numerics import (
     involution_multiplicities,
     jacobi_spectrum,
 )
-from .verify import certify_multipartite, zero_tolerance  # certify_multipartite is re-exported
+from .verify import certify_graph, certify_multipartite, zero_tolerance  # certify_multipartite is re-exported
 
 __all__ = [
     "Knn",
     "Gnk",
     "Multipartite",
-    "Graph",
     "Q2Certificate",
     "STATUS_CERTIFIED",
     "STATUS_KNOWN_IMPOSSIBLE",
@@ -56,40 +57,9 @@ STATUS_KNOWN_IMPOSSIBLE = "known-impossible"
 STATUS_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """Labeled simple graph, held as its symmetric boolean adjacency mask;
-    the diagonal of the given mask is ignored.  Two graphs are equal when
-    their masks are."""
-
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.adjacency, dtype=bool)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
-            raise ValueError(f"an adjacency mask must be square and symmetric, got shape {a.shape}")
-        np.fill_diagonal(a, False)
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
-
-    @property
-    def order(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges (i, j), i < j."""
-        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
-        return frozenset(zip(rows.tolist(), cols.tolist()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
-
-
-def _bipartite_graph(block: np.ndarray) -> Graph:
-    """Graph of the mask [[0, B], [Bᵀ, 0]]."""
-    empty = np.zeros_like(block)
-    return Graph(np.block([[empty, block], [block.T, empty]]))
+def _read_only(mask: np.ndarray) -> np.ndarray:
+    mask.setflags(write=False)
+    return mask
 
 
 def _check_part_size(spec) -> None:
@@ -115,10 +85,13 @@ class Gnk:
     def order(self) -> int:
         return 2 * self.n
 
-    def graph(self) -> Graph:
+    def graph(self) -> np.ndarray:
+        """Adjacency mask [[0, B], [Bᵀ, 0]], B all True but its first k
+        diagonal entries."""
         block = np.ones((self.n, self.n), dtype=bool)
         block[np.arange(self.k), np.arange(self.k)] = False
-        return _bipartite_graph(block)
+        empty = np.zeros_like(block)
+        return _read_only(np.block([[empty, block], [block.T, empty]]))
 
 
 def Knn(n: int) -> Gnk:
@@ -142,9 +115,9 @@ class Multipartite:
     def order(self) -> int:
         return self.n * self.m
 
-    def graph(self) -> Graph:
+    def graph(self) -> np.ndarray:
         part = np.arange(self.n * self.m) // self.n
-        return Graph(part[:, None] != part[None, :])
+        return _read_only(part[:, None] != part[None, :])
 
 
 GraphSpec = Gnk | Multipartite
@@ -160,21 +133,20 @@ class Q2Certificate:
     reason: str | None
     matrix: RealMatrix | None = None
     distinct_eigenvalue_count: int | None = None
-    pattern_verified: bool = False
+    pattern_verified: bool = False  # the witness passed verify.certify_graph
 
 
-def pattern_graph(a: RealMatrix, zero_tol: float | None = None) -> Graph:
-    """Graph of a symmetric matrix: i ~ j iff |a_ij| > zero_tol, i != j,
-    with the zero rule of ``verify.zero_tolerance`` when zero_tol is None.
-
-    Diagonal entries are ignored.  The input must be exactly symmetric
-    (all matrices this library builds for graphs are).
-    """
+def pattern_graph(a: RealMatrix, zero_tol: float | None = None) -> np.ndarray:
+    """Adjacency mask of an exactly symmetric matrix: i ~ j iff i != j
+    and a_ij is no zero under ``verify.zero_tolerance``.  Raises
+    NonSymmetric for any other input."""
     if not a.is_square:
         raise NonSymmetric(f"graph extraction needs a square matrix, got {a.rows}x{a.cols}")
     if not np.array_equal(a.data, a.data.T):
         raise NonSymmetric("matrix is not symmetric")
-    return Graph(np.abs(a.data) > zero_tolerance(a, zero_tol))
+    mask = np.abs(a.data) > zero_tolerance(a, zero_tol)
+    np.fill_diagonal(mask, False)
+    return _read_only(mask)
 
 
 def embed_bipartite(b: RealMatrix) -> RealMatrix:
@@ -224,7 +196,7 @@ def _plan(spec: GraphSpec) -> planner.PlanNode:
     raise TypeError(f"unknown graph family {type(spec).__name__}")
 
 
-def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certificate:
+def q2_certificate(spec: GraphSpec) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
     member, by one route: the refusal table, then one plan and one
     execute.  A refusal is known-impossible or unknown; a planner
@@ -241,32 +213,28 @@ def q2_certificate(spec: GraphSpec, cluster_tol: float | None = None) -> Q2Certi
         return Q2Certificate(spec, *refusal)
     root, _ = planner.execute(node)
     witness = embed_bipartite(_zeros_to_front(root)) if isinstance(spec, Gnk) else root
-    return _certify_witness(spec, witness, cluster_tol)
+    return _certify_witness(spec, witness)
 
 
-def _certify_witness(
-    spec: GraphSpec, witness: RealMatrix, cluster_tol: float | None
-) -> Q2Certificate:
-    """Certified only when the pattern matches and both the algebraic
-    count and the clustered LAPACK spectrum give two distinct eigenvalues."""
-    if not np.array_equal(witness.data, witness.data.T):
-        return Q2Certificate(
-            spec, STATUS_UNKNOWN, "witness check failed: the witness is not exactly symmetric", witness
-        )
-    pattern_ok = pattern_graph(witness) == spec.graph()
+def _certify_witness(spec: GraphSpec, witness: RealMatrix) -> Q2Certificate:
+    """Certified only when the witness passes ``certify_graph`` for the
+    graph's mask and both the algebraic count and the clustered LAPACK
+    spectrum give two distinct eigenvalues."""
+    cert = certify_graph(witness, spec.graph())
+    if not cert.passed:
+        reason = "witness check failed: " + "; ".join(cert.failures)
+        return Q2Certificate(spec, STATUS_UNKNOWN, reason, witness)
     try:
-        algebraic = sum(mult > 0 for mult in involution_multiplicities(witness))
+        plus_minus = involution_multiplicities(witness, cert.scale_c, cert.max_residual)
+        algebraic = sum(mult > 0 for mult in plus_minus)
         algebraic_note = str(algebraic)
     except NotScaledInvolution as e:
         algebraic, algebraic_note = None, f"none ({e})"
-    clusters = cluster_eigenvalues(jacobi_spectrum(witness), cluster_tol=cluster_tol)
+    clusters = cluster_eigenvalues(jacobi_spectrum(witness))
     count = algebraic if algebraic == clusters else None
-    if pattern_ok and count == 2:
+    if count == 2:
         return Q2Certificate(spec, STATUS_CERTIFIED, None, witness, count, pattern_verified=True)
-    reason = (
-        f"witness check failed: pattern_ok={pattern_ok}, "
-        f"algebraic_count={algebraic_note}, clusters={clusters}"
-    )
+    reason = f"witness check failed: algebraic_count={algebraic_note}, clusters={clusters}"
     if algebraic is not None and count is None:
         reason += f"; the algebraic count {algebraic} and the LAPACK cluster count {clusters} disagree"
-    return Q2Certificate(spec, STATUS_UNKNOWN, reason, witness, count, pattern_verified=pattern_ok)
+    return Q2Certificate(spec, STATUS_UNKNOWN, reason, witness, count, pattern_verified=True)

@@ -125,31 +125,23 @@ def jacobi_spectrum(m: RealMatrix) -> tuple[float, ...]:
     return tuple(np.linalg.eigvalsh(m.data).tolist())
 
 
-def involution_multiplicities(m: RealMatrix) -> tuple[int, int]:
+def involution_multiplicities(m: RealMatrix, c: float, max_residual: float) -> tuple[int, int]:
     """Multiplicities (p, q) of the eigenvalues +√c and -√c of a scaled
     involution, read off the trace instead of an eigensolver.
 
-    M must be exactly symmetric with M² = MMᵀ = cI up to RES_TOL * c * n
-    (max-entry residual).  Then p + q = n and p - q = tr M / √c, so
-    p, q = (n ± tr M/√c) / 2.  Every eigenvalue λ has
+    c and max_residual come from a passed certificate that M is exactly
+    symmetric with M² = MMᵀ = cI up to max_residual (max-entry), such
+    as ``verify.certify_graph``.  Then p + q = n and p - q = tr M / √c,
+    so p, q = (n ± tr M/√c) / 2.  Every eigenvalue λ has
     |λ/√c ∓ 1| <= ‖M² - cI‖₂ / c <= n·max_residual / c, so tr M/√c lies
     within n²·(max_residual/c + (n+1)·eps) of the integer p - q, the last
     term covering rounding in the gram and the trace.  p must be within
     half that tolerance of an integer, and the tolerance must stay below
     1 (p - q has the parity of n), or NotScaledInvolution is raised.
     """
-    a = m.data
-    if not m.is_square or not np.array_equal(a, a.T):
-        raise NotScaledInvolution("matrix is not exactly symmetric")
     n = m.order
-    c, max_residual = residual_scaled_identity(m)
-    if not (np.isfinite(c) and c > 0.0 and max_residual <= RES_TOL * c * n):
-        raise NotScaledInvolution(
-            f"M^2 is not cI: c = {c:.6g}, max residual {max_residual:.3e} "
-            f"against {RES_TOL:.1e} * c * n"
-        )
     tol = n * n * (max_residual / c + (n + 1) * np.finfo(np.float64).eps)
-    plus = (n + float(np.trace(a)) / np.sqrt(c)) / 2.0
+    plus = (n + float(np.trace(m.data)) / np.sqrt(c)) / 2.0
     p = round(plus)
     if not (tol < 1.0 and abs(plus - p) <= tol / 2.0 and 0 <= p <= n):
         raise NotScaledInvolution(

@@ -13,7 +13,10 @@ the builders and the graph layer share.  The masks per claim:
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
 - multipartite (symmetric): zero n x n diagonal blocks, nonzero
-  elsewhere.
+  elsewhere;
+- ``certify_graph`` (symmetric), the q(G) = 2 witness check: zero at the
+  graph's non-edges off the diagonal, nonzero at its edges, and a free
+  diagonal.
 
 An exact claim must be integral with +-1 at its required nonzeros and
 MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
@@ -54,6 +57,7 @@ __all__ = [
     "DrtVerdict",
     "SkewHadamardVerdict",
     "certify",
+    "certify_graph",
     "certify_multipartite",
     "check_claim",
     "check_drt",
@@ -401,6 +405,17 @@ def certify_multipartite(
     return _certify_pattern(
         m_matrix, claim, blocks, ~blocks, symmetric=True, zero_tol=zero_tol, res_tol=res_tol
     )
+
+
+def certify_graph(m: RealMatrix, adjacency: np.ndarray) -> OrthoCertificate:
+    """Certificate that a symmetric orthogonal matrix realizes the graph
+    of a symmetric bool ``adjacency`` mask: zero at every non-edge off
+    the diagonal, nonzero at every edge, any diagonal.  Raises
+    ShapeMismatch unless both are square of one order."""
+    if adjacency.shape != (_square_order(m),) * 2:
+        raise ShapeMismatch(f"a graph of order {len(adjacency)} needs a matrix of that order, got {m.order}")
+    off = ~np.eye(m.order, dtype=bool)
+    return _certify_pattern(m, "Graph", off & ~adjacency, adjacency, symmetric=True)
 
 
 def check_claim(

@@ -157,14 +157,14 @@ def test_criterion_6_existence_tables_and_soundness():
 def test_criterion_7_graph_certificates():
     with _Clock(60.0, "7 (graph certificates)"):
         for n in range(1, 13):
-            cert = graphs.q2_certificate(graphs.Knn(n), cluster_tol=1e-6)
+            cert = graphs.q2_certificate(graphs.Knn(n))
             assert cert.status == graphs.STATUS_CERTIFIED, (n, cert.reason)
             assert cert.distinct_eigenvalue_count == 2
 
         exceptional = {(1, 1), (2, 1), (3, 2), (3, 3)}
         for n in range(1, 13):
             for k in range(0, n + 1):
-                cert = graphs.q2_certificate(graphs.Gnk(n, k), cluster_tol=1e-6)
+                cert = graphs.q2_certificate(graphs.Gnk(n, k))
                 if (n, k) == (3, 2):
                     assert cert.status == graphs.STATUS_UNKNOWN
                 elif (n, k) in exceptional:
@@ -176,7 +176,7 @@ def test_criterion_7_graph_certificates():
 
         for n in range(1, 5):
             for m in (2, 6, 8):
-                cert = graphs.q2_certificate(graphs.Multipartite(n, m), cluster_tol=1e-6)
+                cert = graphs.q2_certificate(graphs.Multipartite(n, m))
                 assert cert.status == graphs.STATUS_CERTIFIED, (n, m, cert.reason)
                 assert cert.distinct_eigenvalue_count == 2
 

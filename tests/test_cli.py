@@ -330,6 +330,33 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert "the following arguments are required: --kind" in err
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            ("exists --kind omzd --n 6 --k 3", "--k"),
+            ("exists --kind symmetric-omzd --n 6 --k 5", "--k"),
+            ("plan --kind omzd --n 6 --k 3", "--k"),
+            ("plan --kind symmetric-omzd --n 6 --k 0", "--k"),
+            ("gen --kind omzd --n 6 --k 3", "--k"),
+            ("gen --kind symmetric-omzd --n 6 --m 2", "--m"),
+            ("gen --kind ompzd --n 6 --k 2 --q 5", "--q"),
+            ("gen --kind conference --q 5 --n 9", "--n"),
+            ("gen --kind drt --q 7 --k 1", "--k"),
+            ("gen --kind skew-hadamard --q 7 --m 2", "--m"),
+            ("gen --kind multipartite --n 3 --m 6 --k 1", "--k"),
+        ],
+    )
+    def test_option_the_kind_does_not_use(self, argv, option):
+        # the output would echo the option beside an object built without it
+        words = argv.split()
+        code, out, err = invoke(*words)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {' '.join(words[:3])} takes no {option}\n"
+
+    def test_ompzd_takes_k_in_exists_and_plan(self):
+        assert invoke("exists", "--kind", "ompzd", "--n", "6", "--k", "3")[0] == 0
+        assert invoke("plan", "--kind", "ompzd", "--n", "6", "--k", "3")[0] == 0
+
     def test_help_goes_to_stdout(self):
         code, out, err = invoke("gen", "--help")
         assert code == 0 and err == ""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omzd import construct, graphs, planner, verify
-from omzd.errors import NonSymmetric, ResourceLimit, ShapeMismatch
+from omzd.errors import NonSymmetric, NotScaledInvolution, ResourceLimit, ShapeMismatch
 from omzd.graphs import (
     Gnk,
     Knn,
@@ -21,21 +21,26 @@ from omzd.graphs import (
 from omzd.numerics import RealMatrix, involution_multiplicities, jacobi_spectrum
 
 
+def _edges(mask: np.ndarray) -> set[tuple[int, int]]:
+    """The edges (i, j), i < j, of an adjacency mask."""
+    return {(int(i), int(j)) for i, j in np.argwhere(np.triu(mask, 1))}
+
+
 class TestGraphSpecs:
     def test_knn_edges(self):
         g = Knn(2).graph()
-        assert g.order == 4
-        assert g.edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert g.shape == (4, 4)
+        assert _edges(g) == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_gnk_removes_canonical_matching(self):
         g = Gnk(2, 1).graph()
-        assert g.edges == {(0, 3), (1, 2), (1, 3)}
-        assert Gnk(3, 0).graph() == Knn(3).graph()
+        assert _edges(g) == {(0, 3), (1, 2), (1, 3)}
+        assert np.array_equal(Gnk(3, 0).graph(), Knn(3).graph())
 
     def test_multipartite_edges(self):
         g = Multipartite(2, 2).graph()
-        assert g.order == 4
-        assert g.edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert g.shape == (4, 4)
+        assert _edges(g) == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -59,19 +64,19 @@ class TestGraphSpecs:
 class TestPatternGraph:
     def test_identity_is_empty(self):
         g = pattern_graph(RealMatrix(np.eye(3)))
-        assert g.order == 3 and g.edges == frozenset()
+        assert g.shape == (3, 3) and not g.any()
 
     def test_order_2_conference_single_edge(self):
         g = pattern_graph(construct.seed("omzd", 2))
-        assert g.edges == {(0, 1)}
+        assert _edges(g) == {(0, 1)}
 
     def test_symmetric_omzd6_is_complete(self):
         g = pattern_graph(construct.symmetric_omzd(6))
-        assert len(g.edges) == 15  # K_6
+        assert len(_edges(g)) == 15  # K_6
 
     def test_diagonal_ignored(self):
         g = pattern_graph(RealMatrix([[5.0, 0.0], [0.0, 7.0]]))
-        assert g.edges == frozenset()
+        assert not g.any()
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetric):
@@ -85,11 +90,11 @@ class TestEmbedBipartite:
 
     def test_omzd5_gives_matching_deleted_graph(self):
         out = embed_bipartite(construct.seed("omzd", 5))
-        assert pattern_graph(out) == Gnk(5, 5).graph()
+        assert np.array_equal(pattern_graph(out), Gnk(5, 5).graph())
 
     def test_nowhere_zero_gives_complete_bipartite(self):
         out = embed_bipartite(construct.nowhere_zero_orthogonal(3))
-        assert pattern_graph(out) == Knn(3).graph()
+        assert np.array_equal(pattern_graph(out), Knn(3).graph())
 
     def test_exactly_symmetric(self):
         out = embed_bipartite(RealMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
@@ -133,7 +138,7 @@ class TestQ2Gnk:
     def test_valid_pairs_certify(self, n, k):
         cert = q2_certificate(Gnk(n, k))
         assert cert.status == STATUS_CERTIFIED, cert.reason
-        assert pattern_graph(cert.matrix) == Gnk(n, k).graph()
+        assert np.array_equal(pattern_graph(cert.matrix), Gnk(n, k).graph())
 
     def test_matching_alignment(self):
         # the k deleted edges are exactly the canonical matching slots
@@ -151,7 +156,7 @@ class TestQ2Multipartite:
         cert = q2_certificate(Multipartite(n, m))
         assert cert.status == STATUS_CERTIFIED, cert.reason
         assert cert.distinct_eigenvalue_count == 2
-        assert pattern_graph(cert.matrix) == Multipartite(n, m).graph()
+        assert np.array_equal(pattern_graph(cert.matrix), Multipartite(n, m).graph())
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (2, 5)])
     def test_odd_or_four_parts_unknown(self, n, m):
@@ -166,12 +171,12 @@ class TestQ2Multipartite:
         assert cert.status == STATUS_CERTIFIED, cert.reason
         assert cert.distinct_eigenvalue_count == 2 and cert.pattern_verified
         assert np.array_equal(cert.matrix.data, construct.nowhere_zero_orthogonal(m).data)
-        assert pattern_graph(cert.matrix) == graphs.Graph(~np.eye(m, dtype=bool))
+        assert np.array_equal(pattern_graph(cert.matrix), ~np.eye(m, dtype=bool))
 
     def test_m2_matches_knn(self):
         cert = q2_certificate(Multipartite(3, 2))
         assert cert.status == STATUS_CERTIFIED
-        assert pattern_graph(cert.matrix) == Knn(3).graph()
+        assert np.array_equal(pattern_graph(cert.matrix), Knn(3).graph())
 
 
 class TestCertifyMultipartite:
@@ -208,7 +213,7 @@ def _eigvalsh_signs(a: np.ndarray) -> tuple[int, int]:
     return int(np.sum(values > 0)), int(np.sum(values < 0))
 
 
-def _loop_graph(spec) -> graphs.Graph:
+def _loop_graph(spec) -> np.ndarray:
     """Reference adjacency masks, one pair at a time."""
     n = spec.order
     if isinstance(spec, Multipartite):
@@ -220,7 +225,7 @@ def _loop_graph(spec) -> graphs.Graph:
     for u in range(n):
         for v in range(u + 1, n):
             mask[u, v] = mask[v, u] = keep(u, v)
-    return graphs.Graph(mask)
+    return mask
 
 
 class TestVectorisedEdges:
@@ -229,30 +234,29 @@ class TestVectorisedEdges:
     )
     def test_matches_pairwise_loop(self, spec):
         g = spec.graph()
-        assert g == _loop_graph(spec)
-        assert all(type(u) is int and type(v) is int for u, v in g.edges)
+        assert g.dtype == bool and np.array_equal(g, _loop_graph(spec))
 
     def test_pattern_graph_threshold(self):
         a = RealMatrix([[9.0, 1e-3, 2.0], [1e-3, 0.0, 0.0], [2.0, 0.0, 1.0]])
-        assert pattern_graph(a).edges == {(0, 1), (0, 2)}
-        assert pattern_graph(a, zero_tol=1e-2).edges == {(0, 2)}
+        assert _edges(pattern_graph(a)) == {(0, 1), (0, 2)}
+        assert _edges(pattern_graph(a, zero_tol=1e-2)) == {(0, 2)}
 
 
 class TestGraphMask:
     def test_diagonal_ignored_and_mask_read_only(self):
-        g = graphs.Graph(np.eye(3))
-        assert g.order == 3 and g.edges == frozenset() and not g.adjacency.any()
-        assert not g.adjacency.flags.writeable
+        for g in (pattern_graph(RealMatrix(np.eye(3))), Gnk(3, 3).graph(), Multipartite(3, 2).graph()):
+            assert g.dtype == bool and np.array_equal(g, g.T) and not np.diag(g).any()
+            assert not g.flags.writeable
 
     @pytest.mark.parametrize("mask", [np.ones((2, 3)), np.ones(3), np.triu(np.ones((3, 3)), 1)])
     def test_rejects_non_square_or_asymmetric(self, mask):
-        with pytest.raises(ValueError, match="square and symmetric"):
-            graphs.Graph(mask)
+        # a mask comes from a square, exactly symmetric matrix or from nowhere
+        with pytest.raises((NonSymmetric, ValueError)):
+            pattern_graph(RealMatrix(mask))
 
     def test_equality_is_mask_equality(self):
-        assert Knn(2).graph() == Multipartite(2, 2).graph()
-        assert Knn(2).graph() != Gnk(2, 1).graph()
-        assert Knn(2).graph() != Knn(2).graph().edges
+        assert np.array_equal(Knn(2).graph(), Multipartite(2, 2).graph())
+        assert not np.array_equal(Knn(2).graph(), Gnk(2, 1).graph())
 
 
 class TestAlgebraicCertificate:
@@ -265,7 +269,9 @@ class TestAlgebraicCertificate:
     def test_witness_multiplicities_match_lapack(self, spec):
         cert = q2_certificate(spec)
         assert cert.status == STATUS_CERTIFIED
-        plus, minus = involution_multiplicities(cert.matrix)
+        check = verify.certify_graph(cert.matrix, spec.graph())
+        assert check.passed
+        plus, minus = involution_multiplicities(cert.matrix, check.scale_c, check.max_residual)
         # every witness has zero trace, so the two eigenvalues split evenly
         assert plus == minus == spec.order // 2
         assert _eigvalsh_signs(cert.matrix.data) == (plus, minus)
@@ -273,32 +279,47 @@ class TestAlgebraicCertificate:
     def test_symmetric_non_involution_is_unknown(self):
         rng = np.random.default_rng(3)
         b = rng.uniform(1.0, 2.0, size=(3, 3))  # nowhere zero, not orthogonal
-        cert = graphs._certify_witness(Knn(3), embed_bipartite(RealMatrix(b)), None)
+        cert = graphs._certify_witness(Knn(3), embed_bipartite(RealMatrix(b)))
         assert cert.status == STATUS_UNKNOWN
-        assert cert.pattern_verified
-        assert "algebraic_count=none (M^2 is not cI" in cert.reason
-        assert cert.distinct_eigenvalue_count is None
+        assert cert.reason.startswith("witness check failed: max residual ")
+        assert "exceeds 1.0e-09 * c * n" in cert.reason
+        assert cert.distinct_eigenvalue_count is None and not cert.pattern_verified
 
     def test_asymmetric_is_unknown(self):
         a = np.array(self._witness(Knn(3)).data)
         a[0, 3] += 1e-15 * abs(a[0, 3]) + 1e-300  # breaks exact symmetry only
-        cert = graphs._certify_witness(Knn(3), RealMatrix(a), None)
+        cert = graphs._certify_witness(Knn(3), RealMatrix(a))
         assert cert.status == STATUS_UNKNOWN
-        assert "not exactly symmetric" in cert.reason
+        assert cert.reason == "witness check failed: matrix is neither, not symmetric"
         assert cert.distinct_eigenvalue_count is None and not cert.pattern_verified
 
     def test_pattern_mismatch_is_unknown(self):
-        cert = graphs._certify_witness(Knn(4), self._witness(Gnk(4, 1)), None)
+        cert = graphs._certify_witness(Knn(4), self._witness(Gnk(4, 1)))
         assert cert.status == STATUS_UNKNOWN
-        assert "pattern_ok=False" in cert.reason
-        assert cert.distinct_eigenvalue_count == 2 and not cert.pattern_verified
+        assert cert.reason == "witness check failed: off-diagonal zeros at [(0, 4), (4, 0)]"
+        assert cert.distinct_eigenvalue_count is None and not cert.pattern_verified
 
-    def test_cross_check_disagreement_is_unknown(self):
-        # a cluster tolerance wider than the spectrum merges +-sqrt(c)
-        cert = graphs._certify_witness(Knn(3), self._witness(Knn(3)), cluster_tol=100.0)
+    def test_cross_check_disagreement_is_unknown(self, monkeypatch):
+        # a LAPACK spectrum that merged +-sqrt(c) into one cluster
+        monkeypatch.setattr(graphs, "jacobi_spectrum", lambda m: (1.0,) * m.order)
+        cert = graphs._certify_witness(Knn(3), self._witness(Knn(3)))
         assert cert.status == STATUS_UNKNOWN
-        assert "algebraic count 2 and the LAPACK cluster count 1 disagree" in cert.reason
-        assert cert.distinct_eigenvalue_count is None
+        assert cert.reason == (
+            "witness check failed: algebraic_count=2, clusters=1; "
+            "the algebraic count 2 and the LAPACK cluster count 1 disagree"
+        )
+        assert cert.distinct_eigenvalue_count is None and cert.pattern_verified
+
+    def test_undetermined_multiplicity_is_unknown(self, monkeypatch):
+        # a passed certificate whose residual leaves the trace bound at 1 or above
+        def undetermined(m, c, max_residual):
+            raise NotScaledInvolution("tolerance too wide")
+
+        monkeypatch.setattr(graphs, "involution_multiplicities", undetermined)
+        cert = graphs._certify_witness(Knn(3), self._witness(Knn(3)))
+        assert cert.status == STATUS_UNKNOWN
+        assert cert.reason == "witness check failed: algebraic_count=none (tolerance too wide), clusters=2"
+        assert cert.distinct_eigenvalue_count is None and cert.pattern_verified
 
     def test_entry_below_the_zero_tolerance_is_a_zero(self):
         # a rotation by 1e-14 is orthogonal, but verify counts its tiny
@@ -306,16 +327,19 @@ class TestAlgebraicCertificate:
         s = 1e-14
         b = RealMatrix([[math.sqrt(1.0 - s * s), -s], [s, math.sqrt(1.0 - s * s)]], scale_c=1.0)
         assert not verify.certify(b, "nowhere-zero").passed
-        cert = graphs._certify_witness(Knn(2), embed_bipartite(b), None)
+        cert = graphs._certify_witness(Knn(2), embed_bipartite(b))
         assert cert.status == STATUS_UNKNOWN
         assert not cert.pattern_verified
-        assert "pattern_ok=False" in cert.reason
+        assert cert.reason.startswith("witness check failed: off-diagonal zeros at [(0, 3), (1, 2), ")
 
     def test_single_eigenvalue_is_unknown(self):
-        # the identity is a scaled involution with one eigenvalue, and an empty pattern
-        cert = graphs._certify_witness(Knn(2), RealMatrix(np.eye(4)), None)
+        # the identity is a scaled involution with one eigenvalue, and it
+        # realizes the empty graph Gnk(1, 1)
+        cert = graphs._certify_witness(Gnk(1, 1), RealMatrix(np.eye(2)))
         assert cert.status == STATUS_UNKNOWN
+        assert cert.pattern_verified
         assert cert.distinct_eigenvalue_count == 1
+        assert cert.reason == "witness check failed: algebraic_count=1, clusters=1"
 
 
 class TestOneRoute:

@@ -6,7 +6,15 @@ import pytest
 from omzd import construct, graphs, planner
 from omzd.errors import BuildRefused, ShapeMismatch
 from omzd.numerics import RealMatrix
-from omzd.verify import CLAIMS, certify, check_claim, check_drt, check_skew_hadamard, zero_tolerance
+from omzd.verify import (
+    CLAIMS,
+    certify,
+    certify_graph,
+    check_claim,
+    check_drt,
+    check_skew_hadamard,
+    zero_tolerance,
+)
 
 FANO = np.array(
     [
@@ -115,6 +123,32 @@ class TestCertify:
         bad[0, 1] = -bad[0, 1]
         cert = certify(RealMatrix(bad), "conference", res_tol=1e6)
         assert not cert.passed
+
+
+class TestCertifyGraph:
+    def test_witness_passes(self):
+        spec = graphs.Gnk(4, 2)
+        cert = certify_graph(graphs.q2_certificate(spec).matrix, spec.graph())
+        assert cert.passed and cert.symmetry == "symmetric" and cert.scale_c > 0
+
+    def test_rejects_asymmetric(self):
+        # the skew conference matrix has the K_4 pattern but is not symmetric
+        cert = certify_graph(construct.seed("omzd", 4), ~np.eye(4, dtype=bool))
+        assert cert.failures == ("matrix is skew, not symmetric",)
+
+    def test_rejects_non_involution(self):
+        cert = certify_graph(RealMatrix(np.diag([1.0, 2.0])), np.zeros((2, 2), dtype=bool))
+        # the gram diag(1, 4) has mean diagonal c = 2.5
+        assert cert.failures == ("max residual 1.500e+00 exceeds 1.0e-09 * c * n = 5.000e-09",)
+
+    def test_diagonal_is_free(self):
+        empty = np.zeros((3, 3), dtype=bool)
+        assert certify_graph(RealMatrix(np.eye(3)), empty).passed
+        assert certify_graph(RealMatrix(np.diag([1.0, -1.0, 1.0])), empty).passed
+
+    def test_order_mismatch_raises(self):
+        with pytest.raises(ShapeMismatch):
+            certify_graph(RealMatrix(np.eye(3)), np.zeros((4, 4), dtype=bool))
 
 
 class TestCheckDrt:
@@ -322,5 +356,15 @@ class TestSharedZeroRule:
         m = construct.symmetric_omzd(6)
         a = np.array(m.data)
         a[0, 1] = a[1, 0] = 1e-13 * m.max_abs()
-        edges = graphs.pattern_graph(RealMatrix(a)).edges
-        assert (0, 1) not in edges and len(edges) == 14
+        mask = graphs.pattern_graph(RealMatrix(a))
+        assert not mask[0, 1] and np.sum(mask) == 2 * 14
+
+    def test_witness_edge_at_the_tolerance_is_a_zero(self):
+        spec = graphs.Knn(3)
+        w = graphs.q2_certificate(spec).matrix
+        a = np.array(w.data)
+        a[0, 3] = a[3, 0] = 1e-12 * w.max_abs()
+        m = RealMatrix(a)
+        assert abs(m.data[0, 3]) == zero_tolerance(m)
+        assert not graphs.pattern_graph(m)[0, 3]
+        assert "off-diagonal zeros at [(0, 3), (3, 0)]" in certify_graph(m, spec.graph()).failures
