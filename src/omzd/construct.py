@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gfield
 from .errors import BuildRefused, InvalidQ
@@ -195,16 +196,40 @@ def check_paley_q(q: int, tournament: bool = False) -> tuple[int, int]:
     return pk
 
 
+def _difference_index(field: gfield.FiniteField) -> np.ndarray:
+    """q x q int32 array with entry (i, j) the index of j - i.
+
+    Digits subtract without carry, so the top-left p^m x p^m block is
+    the same array for the field's lowest m digits, and each next block
+    adds ((b - a) mod p) * p^m to it at block (a, b).  Every level is one
+    broadcast add inside the one result; numpy copies the corner it reads
+    from, at most (q/p)^2 entries."""
+    p, q = field.p, field.q
+    step = (np.arange(p) - np.arange(p)[:, None]) % p
+    index = np.empty((q, q), dtype=np.int32)
+    index[0, 0] = 0
+    size = 1
+    while size < q:
+        blocks = index[:p * size, :p * size].reshape(p, size, p, size)
+        np.add(blocks[:1, :, :1], (step * size)[:, None, :, None], out=blocks)
+        size *= p
+    return index
+
+
 def _character_core(q: int) -> np.ndarray:
     """q x q core with entry (i, j) = chi(j - i) over the element indices
-    of GF(q), one chi-table gather per row (a q x k temporary, not q x q x k)."""
+    of GF(q), gathered from a float copy of the chi table.
+
+    For a prime q the core is circulant: row i is the window of
+    [chi, chi] that starts at q - i, so the float64 result is the only
+    q x q array.  A prime power gathers through ``_difference_index``,
+    one q x q int32 array beside the result."""
     p, k = check_paley_q(q)
     field = gfield.make_field(p, k)
-    elems = np.arange(q)
-    core = np.empty((q, q))
-    for i in range(q):
-        core[i] = field.chi_table[field.sub(elems, i)]
-    return core
+    chi = field.chi_table.astype(float)
+    if k == 1:
+        return sliding_window_view(np.concatenate([chi, chi])[1:], q)[::-1].copy()
+    return chi[_difference_index(field)]
 
 
 def paley_conference(q: int) -> RealMatrix:

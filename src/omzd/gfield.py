@@ -5,7 +5,14 @@ modulus root whose coefficients, constant term first, are the k base-p
 digits of i, most significant first.  The modulus is the
 lexicographically smallest monic irreducible of degree k under that
 order, so every matrix built on a field is reproducible bit for bit.
-The quadratic character is one length-q table, built once.
+
+The quadratic character is one length-q table, built once from one
+array squaring of every element: k shifted products of the q x k digit
+array give the q x (2k - 1) coefficients of the squares, and k - 1
+steps by the monic modulus reduce them to degree below k.  For k = 1
+this is x^2 mod p.  The scalar ``FiniteField.mul`` and
+``FiniteField.sub`` are the reference the array kernels are tested
+against; no constructor or table build calls them.
 """
 
 from __future__ import annotations
@@ -103,7 +110,9 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 class FiniteField:
     """GF(p^k) on a fixed modulus.  Element i has coefficient vector
-    ``digits[i]`` and quadratic character ``chi_table[i]``."""
+    ``digits[i]`` and quadratic character ``chi_table[i]``: 0 at zero,
+    +1 at the indices of ``squares()`` and -1 elsewhere.  ``mul`` and
+    ``sub`` are scalar reference arithmetic."""
 
     def __init__(self, p: int, k: int, modulus_poly: tuple[int, ...]):
         self.p = p
@@ -113,8 +122,22 @@ class FiniteField:
         self._place = p ** np.arange(k - 1, -1, -1)
         self.digits = np.arange(self.q)[:, None] // self._place % p
         self.chi_table = np.full(self.q, -1)
+        self.chi_table[self.squares()] = 1
         self.chi_table[0] = 0
-        self.chi_table[[self.mul(x, x) for x in range(1, self.q)]] = 1
+
+    def squares(self) -> np.ndarray:
+        """Index of x * x for every element x, in one array pass."""
+        p, k, d = self.p, self.k, self.digits
+        coef = np.zeros((self.q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            coef[:, i:i + k] += d[:, i:i + 1] * d
+        coef %= p
+        low = np.array(self.modulus_poly[:k])
+        for top in range(2 * k - 2, k - 1, -1):
+            span = coef[:, top - k:top]
+            span -= coef[:, top:top + 1] * low
+            span %= p
+        return coef[:, :k] @ self._place
 
     def sub(self, a, b):
         """Index of a - b; broadcasts over index arrays."""

@@ -207,7 +207,7 @@ def _certify_pattern(
 
     symmetry = _symmetry_class(a)
     if symmetric and symmetry != "symmetric":
-        failures.append(f"matrix is {symmetry}, not symmetric")
+        failures.append("matrix is " + ("skew, " if symmetry == "skew" else "") + "not symmetric")
 
     return OrthoCertificate(
         claim=claim,

@@ -683,6 +683,12 @@ GEN_PINS = [
     ("gen --kind conference --q 27", "03de52fadbd363bc5dca41c751b01f670ed64ab8f046640454c3de6eabad44f2", None),
     ("gen --kind conference --q 81", "d6bda5b03b079f859265abaf2b49689f71fc9be7d10c3a5bcc6cee4b4cfde080", None),
     ("gen --kind conference --q 243", "2ef47274cea65283ca9c1220aa13fe69d3f7ac98d65758eb84238b93a87b4f48", None),
+    # prime fields and even-degree fields, which the powers of 3 above miss
+    ("gen --kind conference --q 49", "625c564194a16dc73a37d524abb68ad6c99425b9d2cb71d41fa359e9242aa35c", None),
+    ("gen --kind conference --q 241", "b8c3fec3cbd825dfffed760103ddad26e64b0c49f33981715fef453fb9f375b5", None),
+    ("gen --kind conference --q 251", "21bb12edb41a5d612ccab9d5322e6911371530cfe117740676d05af48538ee37", None),
+    ("gen --kind conference --q 729", "e4faf20dcf601e0c47b19573241834b37f9d47dc68be44325022b504a45806ca", None),
+    ("gen --kind drt --q 251", "4798302943083652ccc17cbdc1fa60efa1902513fe4d56dc3638896a75f69a03", None),
     ("gen --kind drt --q 343", "758837bb36d2d4455fc70726dc2db90ec0d093cb730eb694666d3c2fd84dfb60", None),
     ("gen --kind drt --q 43 --t 1", "38e2e9197e98bab8b4d6091bebd30e0d3e52b9739859e307c433cc1be2c97c67", None),
     ("gen --kind drt --q 3", "569e96f70ebc17f4c424805ef3cdbfc2f7c3afec9f47cd15034e92c221309c12", None),
@@ -696,6 +702,7 @@ GEN_PINS = [
         "42f206e9e57ce185082063393688f41db34bfb6f501c47c1170d8f8cba3ddfea",
         ("SkewHadamard(Double(PaleyDRT(7)))", None),
     ),
+    ("gen --kind skew-hadamard --q 27 --t 1", "34ea54a57979597c291360376a035e1745ecd6f2534b2e9cfc93755ee44dc4db", None),
     ("gen --kind multipartite --n 5 --m 6", "4b02e1f4974102eb4989d52b06aee1dc91485ff7af6566c14da10655b19f8224", None),
     ("gen --kind multipartite --n 3 --m 2", "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8", None),
     ("gen --kind omzd --n 51", "a573d0457028cee7a21b05dbd96e6dde742f41051b18380e89d04a1f45848874", None),

@@ -266,6 +266,29 @@ class TestCharacterCore:
         construct.paley_tournament(243)
         assert calls <= 243
 
+    @pytest.mark.parametrize("q", [729, 2187, 2003])
+    def test_rows_match_scalar_sub(self, q):
+        f = gfield.make_field(*gfield.prime_power_decompose(q))
+        core, elems = construct._character_core(q), np.arange(q)
+        for i in range(q):
+            assert np.array_equal(core[i], f.chi_table[f.sub(elems, i)]), i
+
+    def test_no_scalar_arithmetic(self, monkeypatch):
+        # the field build and both cores are array kernels: no per-element
+        # mul and no per-row sub
+        calls = []
+
+        def counting(name):
+            method = getattr(gfield.FiniteField, name)
+            return lambda *args: calls.append(name) or method(*args)
+
+        for name in ("mul", "sub"):
+            monkeypatch.setattr(gfield.FiniteField, name, counting(name))
+        gfield.make_field(3, 7)
+        construct.paley_conference(241)
+        construct.paley_tournament(243)
+        assert calls == []
+
 
 # --------------------------------------------------------------------------
 # Splice constructions

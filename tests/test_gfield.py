@@ -156,6 +156,20 @@ class TestElementOrder:
             assert np.array_equal(f.sub(f.sub(elems, b), f.sub(0, b)), elems)
 
 
+# every odd prime field below 200, and every odd prime-power field of
+# degree >= 2 up to 3^7 = 2187
+KERNEL_FIELDS = [(p, 1) for p in range(3, 200) if is_prime(p)] + [
+    (p, k) for p in range(3, 47) if is_prime(p) for k in range(2, 8) if p**k <= 3**7
+]
+
+
+class TestSquaringKernel:
+    @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+    def test_matches_scalar_mul(self, p, k):
+        f = make_field(p, k)
+        assert f.squares().tolist() == [f.mul(x, x) for x in range(f.q)]
+
+
 class TestPrimePower:
     def test_decompose(self):
         assert prime_power_decompose(27) == (3, 3)

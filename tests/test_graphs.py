@@ -290,7 +290,7 @@ class TestAlgebraicCertificate:
         a[0, 3] += 1e-15 * abs(a[0, 3]) + 1e-300  # breaks exact symmetry only
         cert = graphs._certify_witness(Knn(3), RealMatrix(a))
         assert cert.status == STATUS_UNKNOWN
-        assert cert.reason == "witness check failed: matrix is neither, not symmetric"
+        assert cert.reason == "witness check failed: matrix is not symmetric"
         assert cert.distinct_eigenvalue_count is None and not cert.pattern_verified
 
     def test_pattern_mismatch_is_unknown(self):
