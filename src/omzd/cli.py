@@ -8,7 +8,8 @@ diagnostics go to stderr.  Exit codes: 0 success /
 exists / certified, 1 nonexistent / verification failed / known
 impossible, 2 usage, unreadable input, unwritable output or internal
 error.  Output is byte-deterministic: fixed key order and
-17-significant-digit floats (exact double round-trip).
+17-significant-digit floats (exact double round-trip); decoding is exact
+too, giving the same doubles as ``json.loads``.
 """
 
 from __future__ import annotations
@@ -138,8 +139,11 @@ def _expect(cond: bool, field: str, message: str) -> None:
         raise SchemaViolation(field, message)
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return type(x) in _NUMBER_TYPES  # bool is its own type, so it fails here
 
 
 def _is_finite(x) -> bool:
@@ -148,9 +152,6 @@ def _is_finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
-
-
-_NUMBER_TYPES = {int, float}
 
 
 _CERT_FIELDS = (
@@ -162,11 +163,40 @@ _CERT_FIELDS = (
 )
 
 
+# the most distinct number texts one decode converts through its memo
+_MEMO_SIZE = 4096
+
+
+class _MemoFull(Exception):
+    """A file holds more than _MEMO_SIZE distinct number texts."""
+
+
+class _FloatMemo(dict):
+    """Number text -> float(text), each distinct text converted once."""
+
+    def __missing__(self, token: str) -> float:
+        if len(self) >= _MEMO_SIZE:
+            raise _MemoFull
+        value = self[token] = float(token)
+        return value
+
+
 def decode_matrix_file(text: str) -> dict:
     """Parse and validate a matrix file; returns the document with the
-    entries materialized as a RealMatrix under the key "matrix"."""
+    entries materialized as a RealMatrix under the key "matrix".
+
+    The generated files hold few distinct values among many entries, so
+    ``json.loads`` converts each distinct number text once, through a memo
+    made for this call; ``float(text)`` is what it does by default, so the
+    doubles are the same.  A file with more than 4096 distinct number texts
+    is parsed again with plain ``json.loads``: that bounds the memo's memory,
+    and the cost of a file whose values rarely repeat, to one extra parse.
+    """
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
+        except _MemoFull:
+            doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaViolation("$", f"not valid JSON: {e}") from None
     except RecursionError:

@@ -558,6 +558,34 @@ class TestDecoderRejects:
             decode_matrix_file(text)
         assert exc.value.field == "scale_c"
 
+    # number texts that reach the decoder's float conversion, not its
+    # NaN/Infinity constants or its integers
+    @pytest.mark.parametrize("token", ["1e999", "-1e999"])
+    def test_overflowing_entry_text(self, token):
+        text = _matrix_doc([[0.0, 1.0], [1.0, 0.5]]).replace("0.5", token)
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(text)
+        assert str(exc.value) == "entries[1][1]: must be finite"
+
+    def test_overflowing_scale_text(self):
+        text = _matrix_doc([[0.0, 1.0], [1.0, 0.0]]).replace('"scale_c": null', '"scale_c": 1e999')
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(text)
+        assert str(exc.value) == "scale_c: must be finite"
+
+    def test_underflowing_entry_text_is_zero(self):
+        text = _matrix_doc([[0.0, 1.0], [1.0, 0.5]]).replace("0.5", "1e-999")
+        assert decode_matrix_file(text)["matrix"].data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_truncated_past_the_memo_names_the_same_json_error(self):
+        text = _matrix_doc(np.random.default_rng(7).standard_normal((70, 70)).tolist())
+        truncated = text[: text.rindex("]]")]  # all 4 900 numbers, no closing brackets
+        with pytest.raises(json.JSONDecodeError) as plain:
+            json.loads(truncated)
+        with pytest.raises(SchemaViolation) as exc:
+            decode_matrix_file(truncated)
+        assert str(exc.value) == f"$: not valid JSON: {plain.value}"
+
 
 # any JSON value, with NaN, the infinities and integers too large for a double
 _JSON_VALUES = st.recursive(
@@ -622,6 +650,87 @@ class TestDecoderProperty:
         i = data.draw(st.integers(0, len(_SMALL_FILE)))
         j = data.draw(st.integers(i, min(i + 8, len(_SMALL_FILE))))
         _decodes_or_refuses(_SMALL_FILE[:i] + data.draw(st.text(max_size=4)) + _SMALL_FILE[j:])
+
+
+def _gen_stdout(argv: str) -> str:
+    code, out, err = invoke(*argv.split())
+    assert code == 0 and err == ""
+    return out
+
+
+def _float_texts(text: str) -> set[str]:
+    """The distinct number texts ``json.loads`` converts as floats."""
+    texts = set()
+    json.loads(text, parse_float=lambda token: texts.add(token) or float(token))
+    return texts
+
+
+def _assert_decodes_like_json_loads(text: str) -> None:
+    doc = decode_matrix_file(text)
+    plain = json.loads(text)
+    expected = RealMatrix(plain["entries"]).data
+    assert np.array_equal(doc.pop("matrix").data.view(np.int64), expected.view(np.int64))
+    assert repr(doc) == repr(plain)  # repr tells 1 from 1.0 and every double apart
+
+
+def _count_float_calls(monkeypatch) -> list:
+    """Swap ``float`` in omzd.cli for a counter; returns the list of what
+    each later call was given."""
+    calls = []
+
+    def counting_float(x):
+        calls.append(x)
+        return float(x)
+
+    monkeypatch.setattr(cli, "float", counting_float, raising=False)
+    return calls
+
+
+def _distinct_values(count: int, seed: int) -> list[float]:
+    values = np.random.default_rng(seed).standard_normal(count)
+    assert np.unique(values).size == count
+    return values.tolist()
+
+
+class TestDecoderMemo:
+    """The decoder converts each distinct number text once, through a memo of
+    at most cli._MEMO_SIZE texts, and gives the doubles ``json.loads`` gives."""
+
+    def test_gen_pin_files_decode_like_json_loads(self):
+        for argv, _, _ in GEN_PINS:
+            _assert_decodes_like_json_loads(_gen_stdout(argv))
+
+    def test_all_distinct_file(self):
+        _assert_decodes_like_json_loads(_matrix_doc(np.reshape(_distinct_values(4900, 1), (70, 70)).tolist()))
+
+    def test_distinct_values_after_a_long_run_of_repeats(self):
+        flat = [0.5] * 1500 + _distinct_values(4900, 2)
+        _assert_decodes_like_json_loads(_matrix_doc(np.reshape(flat, (80, 80)).tolist()))
+
+    def test_each_distinct_text_converted_once(self, monkeypatch):
+        text = _gen_stdout("gen --kind symmetric-omzd --n 400")
+        texts = _float_texts(text)
+        assert 0 < len(texts) < 100
+        float_calls = _count_float_calls(monkeypatch)
+        decode_matrix_file(text)
+        assert len(float_calls) == len(texts) + 1  # and once for scale_c
+
+    @pytest.mark.parametrize("count", [cli._MEMO_SIZE, cli._MEMO_SIZE + 1])
+    def test_memo_holds_at_most_its_size(self, monkeypatch, count):
+        text = _matrix_doc([_distinct_values(count, 3)])
+        assert len(_float_texts(text)) == count
+        float_calls = _count_float_calls(monkeypatch)
+        _assert_decodes_like_json_loads(text)
+        assert len(float_calls) == cli._MEMO_SIZE
+
+    def test_memo_is_per_call(self, monkeypatch):
+        float_calls = _count_float_calls(monkeypatch)
+        first = [[0.25, 0.5], [0.5, 0.25]]
+        second = [[0.75, 0.5], [0.5, 0.75]]
+        for entries in (first, second, first):
+            float_calls.clear()
+            assert decode_matrix_file(_matrix_doc(entries))["matrix"].data.tolist() == entries
+            assert sorted(float_calls) == sorted({str(x) for row in entries for x in row})
 
 
 class TestVerifyBadInput:
