@@ -23,7 +23,6 @@ from .graphs import (
 )
 from .numerics import (
     RealMatrix,
-    cluster_eigenvalues,
     gram,
     jacobi_spectrum,
     residual_scaled_identity,
@@ -60,7 +59,6 @@ __all__ = [
     "gram",
     "residual_scaled_identity",
     "jacobi_spectrum",
-    "cluster_eigenvalues",
     "FiniteField",
     "make_field",
     "chi",

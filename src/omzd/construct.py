@@ -475,8 +475,9 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     The permutations are composed rather than applied: the columns are
     rotated in place under the composite relabelling, and the matrix is
     permuted once at the end, with the same result bit for bit.  The
-    input is certified (its c scales the angle floor); the output is not
-    certified here but by whatever consumes it.
+    input is certified (its gram mean c scales the angle floor); the
+    output keeps the input's exact scale_c when it has one, else that c,
+    and is not certified here but by whatever consumes it.
     """
     if not m.is_square or m.order < 4:
         raise ValueError("zero reduction needs a square input of order >= 4")
@@ -498,8 +499,9 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
             f"input is not an order-{n} orthogonal matrix with all {j} zeros "
             f"on the diagonal: {cert.failures}"
         )
+    scale = cert.scale_c if m.scale_c is None else m.scale_c
     if target_k == j:
-        return RealMatrix(m.data, scale_c=cert.scale_c)
+        return RealMatrix(m.data, scale_c=scale)
 
     c = cert.scale_c
     a = np.array(m.data)
@@ -517,7 +519,7 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
         labels = labels[np.concatenate((front, np.delete(np.arange(n), front)))]
         _rotate_pair(a, labels[0], labels[1], c)
 
-    return RealMatrix(a[np.ix_(labels, labels)], scale_c=c)
+    return RealMatrix(a[np.ix_(labels, labels)], scale_c=scale)
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Dense real matrix arithmetic and symmetric eigenvalues.
+"""Dense real matrix arithmetic and the eigenvalue count of a scaled
+involution.
 
 Every matrix is a frozen float64 ``RealMatrix``; radical entries are
 evaluated numerically at construction time and checked against
 tolerances scaled by the matrix order and its certified scale constant.
-A spectrum is a plain ascending tuple of floats.  ``RES_TOL`` is the
-residual bound of every orthogonality check: max |MMᵀ - cI| <= RES_TOL *
-c * n.
+``RES_TOL`` is the residual bound of every orthogonality check:
+max |MMᵀ - cI| <= RES_TOL * c * n.  ``involution_multiplicities`` counts
+the eigenvalues of a certified symmetric M with M² = cI from its trace;
+``jacobi_spectrum`` is a LAPACK spectrum that only the tests use, as
+their reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "residual_scaled_identity",
     "jacobi_spectrum",
     "involution_multiplicities",
-    "cluster_eigenvalues",
 ]
 
 RES_TOL = 1e-9
@@ -148,21 +149,3 @@ def involution_multiplicities(m: RealMatrix, c: float, max_residual: float) -> t
             f"multiplicity {plus:.6g} of +sqrt(c) is not an integer within {tol / 2.0:.3e}"
         )
     return p, n - p
-
-
-def cluster_eigenvalues(values: Sequence[float], cluster_tol: float | None = None) -> int:
-    """Count distinct eigenvalues of an ascending sequence by greedy
-    left-to-right gap clustering.
-
-    Two consecutive values share a cluster iff their gap is at most
-    ``cluster_tol`` (default 1e-6 * max|eigenvalue|).
-    """
-    if not values:
-        return 0
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * max(abs(v) for v in values)
-    clusters = 1
-    for prev, cur in zip(values, values[1:]):
-        if cur - prev > cluster_tol:
-            clusters += 1
-    return clusters

@@ -44,6 +44,7 @@ __all__ = [
     "PlanNode",
     "ExistenceVerdict",
     "check_order",
+    "check_part_size",
     "check_part_count",
     "exists",
     "plan",
@@ -360,6 +361,12 @@ def check_order(n: int) -> None:
         raise ResourceLimit(f"order {n} exceeds MAX_ORDER = {MAX_ORDER}")
 
 
+def check_part_size(n: int) -> None:
+    """Raise ValueError when a multipartite part size is below 1."""
+    if n < 1:
+        raise ValueError(f"part size must be >= 1, got {n}")
+
+
 def check_part_count(m: int) -> None:
     """Raise ValueError when a multipartite part count is below 2."""
     if m < 2:
@@ -392,6 +399,7 @@ def _tournament_plan(q: int, t: int) -> PlanNode:
 
 def _multipartite_plan(n: int, m: int) -> PlanNode:
     """Kron(symmetric OMZD(m), nowhere-zero(n)): m parts of size n."""
+    check_part_size(n)
     check_part_count(m)
     if m % 2 != 0 or m == 4:
         raise NoKnownConstruction("no construction is known for an odd part count or exactly 4 parts")
@@ -417,9 +425,9 @@ def plan(
     conference, drt and skew-hadamard take the prime power q and t
     doublings; multipartite takes the part size n and the part count m.
     Refusals (NonexistentTarget, InvalidQ, NoKnownConstruction, InvalidK),
-    ValueError for a negative t or a part count below 2, and
-    ResourceLimit for an order above MAX_ORDER are raised here, before
-    anything is built.
+    ValueError for a negative t, a part size below 1 or a part count
+    below 2, and ResourceLimit for an order above MAX_ORDER are raised
+    here, before anything is built.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")

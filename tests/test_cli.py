@@ -786,8 +786,11 @@ class TestVerifyBadInput:
 
 
 # gen stdout, sha256 of the bytes written before every kind was planned.
-# Two kinds now record a plan where they recorded another: the pin is
-# taken after putting the earlier plan field back.
+# Where a deliberate change rewrote one field since, the third column
+# holds its (new, earlier) text: the new text must appear once, and the
+# pin is taken after putting the earlier text back.  Two kinds record a
+# plan where they recorded another, and two OMPZD files carry their
+# root's exact scale_c where they carried the gram mean.
 GEN_PINS = [
     ("gen --kind conference --q 27", "03de52fadbd363bc5dca41c751b01f670ed64ab8f046640454c3de6eabad44f2", None),
     ("gen --kind conference --q 81", "d6bda5b03b079f859265abaf2b49689f71fc9be7d10c3a5bcc6cee4b4cfde080", None),
@@ -804,24 +807,32 @@ GEN_PINS = [
     (
         "gen --kind skew-hadamard --q 11",
         "46eb94eef35440b5f23b2f9a263566fad23e344fc42d4cd4d0877e00fe4d1727",
-        ("SkewHadamard(PaleyDRT(11))", None),
+        ('"plan":"SkewHadamard(PaleyDRT(11))"', '"plan":null'),
     ),
     (
         "gen --kind skew-hadamard --q 7 --t 1",
         "42f206e9e57ce185082063393688f41db34bfb6f501c47c1170d8f8cba3ddfea",
-        ("SkewHadamard(Double(PaleyDRT(7)))", None),
+        ('"plan":"SkewHadamard(Double(PaleyDRT(7)))"', '"plan":null'),
     ),
     ("gen --kind skew-hadamard --q 27 --t 1", "34ea54a57979597c291360376a035e1745ecd6f2534b2e9cfc93755ee44dc4db", None),
     ("gen --kind multipartite --n 5 --m 6", "4b02e1f4974102eb4989d52b06aee1dc91485ff7af6566c14da10655b19f8224", None),
     ("gen --kind multipartite --n 3 --m 2", "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8", None),
     ("gen --kind omzd --n 51", "a573d0457028cee7a21b05dbd96e6dde742f41051b18380e89d04a1f45848874", None),
     ("gen --kind omzd --n 251", "d02dc62bcc44b05e4bd73553b2b77197f51e52f459cf1bc8c13e0832dc7ae0c0", None),
-    ("gen --kind ompzd --n 201 --k 100", "f15da577dea1b06371f7a61c5de4fa5762772bd40d5fed9045afadd3faff65fc", None),
-    ("gen --kind ompzd --n 51 --k 20", "dce6acab08a5a01a90da1768ba918d9e536b5f31882777068ee149ffcee1d655", None),
+    (
+        "gen --kind ompzd --n 201 --k 100",
+        "f15da577dea1b06371f7a61c5de4fa5762772bd40d5fed9045afadd3faff65fc",
+        ('"scale_c":1,', '"scale_c":1.0000000000000024,'),
+    ),
+    (
+        "gen --kind ompzd --n 51 --k 20",
+        "dce6acab08a5a01a90da1768ba918d9e536b5f31882777068ee149ffcee1d655",
+        ('"scale_c":1,', '"scale_c":1.0000000000000009,'),
+    ),
     (
         "gen --kind ompzd --n 30 --k 29",
         "e062867f912f93b91d1233bd75ecdfa1fa765c4142a782a3a883f1659d675ba7",
-        ("OmpzdNm1(Symmetric(28),30)", "OmpzdNm1(30)"),
+        ('"plan":"OmpzdNm1(Symmetric(28),30)"', '"plan":"OmpzdNm1(30)"'),
     ),
 ]
 
@@ -841,14 +852,14 @@ class TestGenPinnedBytes:
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
-    @pytest.mark.parametrize("argv,sha,plan_change", GEN_PINS)
-    def test_stdout_bytes(self, argv, sha, plan_change):
+    @pytest.mark.parametrize("argv,sha,change", GEN_PINS)
+    def test_stdout_bytes(self, argv, sha, change):
         code, out, err = invoke(*argv.split())
         assert code == 0 and err == ""
-        if plan_change is not None:
-            new, old = plan_change
-            assert json.loads(out)["plan"] == new
-            out = out.replace(f'"plan":"{new}"', '"plan":' + ("null" if old is None else f'"{old}"'))
+        if change is not None:
+            new, old = change
+            assert out.count(new) == 1
+            out = out.replace(new, old)
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     @pytest.mark.parametrize(
@@ -863,7 +874,7 @@ class TestGenPinnedBytes:
             ("gen --kind multipartite --n 3 --m 1", 2, "ValueError: part count must be >= 2, got 1"),
             ("gen --kind multipartite --n 3 --m -2", 2, "ValueError: part count must be >= 2, got -2"),
             ("gen --kind drt --q 7 --t -1", 2, "ValueError: doubling count t must be >= 0, got -1"),
-            ("gen --kind multipartite --n 0 --m 2", 2, "ValueError: order must be >= 1, got 0"),
+            ("gen --kind multipartite --n 0 --m 2", 2, "ValueError: part size must be >= 1, got 0"),
             ("gen --kind multipartite --n 3", 2, "usage error: gen --kind multipartite needs --m"),
             ("gen --kind drt", 2, "usage error: gen --kind drt needs --q"),
         ],
@@ -872,6 +883,15 @@ class TestGenPinnedBytes:
         got, out, err = invoke(*argv.split())
         assert (got, out) == (code, "")
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_part_size_refused_before_any_build(self, n, monkeypatch):
+        built = []
+        monkeypatch.setattr(construct, "symmetric_omzd", lambda order: built.append(order))
+        assert invoke("gen", "--kind", "multipartite", "--n", str(n), "--m", "6") == (
+            2, "", f"ValueError: part size must be >= 1, got {n}\n"
+        )
+        assert built == []
 
 
 _CHECKERS = ("certify", "check_drt", "check_skew_hadamard", "certify_multipartite")

@@ -504,6 +504,13 @@ class TestReduceZeros:
         m = construct.reduce_zeros(construct.seed("omzd", 5), 2)
         assert certify(m, "ompzd", k=2).passed
 
+    @pytest.mark.parametrize("n,k", [(12, 4), (44, 6), (44, 44), (50, 3), (100, 0)])
+    def test_keeps_the_input_scale(self, n, k):
+        # the gram mean of the input can differ from its exact scale in the
+        # last bit (484.00000000000017 for OMZD(44)); k = n is the no-op
+        m = construct.symmetric_omzd(n)
+        assert construct.reduce_zeros(m, k).scale_c == m.scale_c
+
     def test_residual_stays_small(self):
         m = construct.reduce_zeros(construct.seed("omzd", 6), 0)
         c, res = residual_scaled_identity(m)

@@ -1,4 +1,5 @@
-"""Matrix arithmetic, residual recovery, eigensolver, and clustering."""
+"""Matrix arithmetic, residual recovery, the reference eigensolver, and
+involution multiplicities."""
 
 import math
 
@@ -11,7 +12,6 @@ from omzd import construct
 from omzd.errors import NonSymmetric, NotScaledInvolution
 from omzd.numerics import (
     RealMatrix,
-    cluster_eigenvalues,
     gram,
     involution_multiplicities,
     jacobi_spectrum,
@@ -144,26 +144,12 @@ class TestJacobiSpectrum:
 
 
 class TestClusterEigenvalues:
-    def test_single_cluster(self):
-        assert cluster_eigenvalues((1.0, 1.0, 1.0)) == 1
-
-    def test_two_clusters(self):
-        s = (-1.0, -1.0, 1.0, 1.0)
-        assert cluster_eigenvalues(s, cluster_tol=1e-8) == 2
-
     def test_kron_of_small_symmetric_factors(self):
-        # symmetric orthogonal product: spectrum within {+-sqrt(c)}
+        # symmetric orthogonal product: the ascending spectrum splits into
+        # two groups, at +-sqrt(c), under the gap rule 1e-6 * max|eigenvalue|
         m = construct.kron(construct.seed("omzd", 2), construct.nowhere_zero_orthogonal(3))
-        s = jacobi_spectrum(m)
-        assert cluster_eigenvalues(s) == 2
-
-    def test_empty(self):
-        assert cluster_eigenvalues(()) == 0
-
-    def test_tol_override_merges(self):
-        s = (0.0, 0.5, 1.0)
-        assert cluster_eigenvalues(s, cluster_tol=1.0) == 1
-        assert cluster_eigenvalues(s, cluster_tol=0.1) == 3
+        s = np.array(jacobi_spectrum(m))
+        assert np.count_nonzero(np.diff(s) > 1e-6 * np.max(np.abs(s))) == 1
 
 
 def householder(v: np.ndarray) -> np.ndarray:

@@ -252,6 +252,9 @@ class TestEveryGenKindPlanned:
         for m in (1, 0, -2):
             with pytest.raises(ValueError, match=f"part count must be >= 2, got {m}"):
                 plan("multipartite", 3, m=m)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"part size must be >= 1, got {n}"):
+                plan("multipartite", n, m=6)
 
     def test_skew_hadamard_root(self):
         matrix, verdict = execute(plan("skew-hadamard", q=7, t=1))
