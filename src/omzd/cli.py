@@ -42,8 +42,9 @@ from .verify import CLAIMS, check_claim
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
 
 # gen kind -> the parameters it records in its provenance, in order; one
-# left unset is a usage error (t and route have defaults), and so is any
-# other of --n, --k, --q, --m; exists and plan read the OMZD kinds' entries
+# left unset is a usage error unless it has a default below, and so is
+# any other of _KIND_OPTIONS set; exists and plan read the OMZD kinds'
+# entries
 _GEN_PARAMETERS = {
     "omzd": ("n", "route"),
     "symmetric-omzd": ("n",),
@@ -54,6 +55,11 @@ _GEN_PARAMETERS = {
     "multipartite": ("n", "m"),
 }
 GEN_KINDS = tuple(_GEN_PARAMETERS)
+# the value an unset --t, --route or --branch takes where it is accepted;
+# --route goes with omzd and ompzd only, and --branch with --route
+# prefer-drt only
+_DEFAULTS = {"t": 0, "route": planner.ROUTE_AUTO, "branch": "minus"}
+_KIND_OPTIONS = ("n", "k", "q", "m", *_DEFAULTS)
 
 # the refusals planner.plan raises before anything is built; a builder's
 # own refusal (BuildRefused) means a plan bug, an internal error
@@ -275,10 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
     gen.add_argument("--q", type=int)
-    gen.add_argument("--t", type=int, default=0, help="tournament doublings")
+    gen.add_argument("--t", type=int, help="tournament doublings (default 0)")
     gen.add_argument("--m", type=int, help="part count for multipartite")
-    gen.add_argument("--route", choices=planner.ROUTES, default=planner.ROUTE_AUTO)
-    gen.add_argument("--branch", choices=("plus", "minus"), default="minus")
+    gen.add_argument("--route", choices=planner.ROUTES, help="default auto")
+    gen.add_argument("--branch", choices=("plus", "minus"), help="with --route prefer-drt; default minus")
     gen.add_argument("--out")
     gen.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -292,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--kind", required=True, choices=planner._KINDS)
     pl.add_argument("--n", type=int, required=True)
     pl.add_argument("--k", type=int)
-    pl.add_argument("--route", choices=planner.ROUTES, default=planner.ROUTE_AUTO)
+    pl.add_argument("--route", choices=planner.ROUTES, help="default auto")
 
     ex = sub.add_parser("exists", help="existence verdict for (kind, n, k)")
     ex.add_argument("--kind", required=True, choices=planner._KINDS)
@@ -340,22 +346,34 @@ def _read_input(path: str) -> str:
         raise _FileError(f"cannot read input: {e}") from None
 
 
+def _kind_takes(args) -> tuple[str, ...]:
+    """The options ``args.kind`` takes in gen, plan or exists."""
+    if args.kind not in ("omzd", "ompzd"):
+        return _GEN_PARAMETERS[args.kind]
+    prefer_drt = getattr(args, "route", None) == planner.ROUTE_PREFER_DRT
+    return _GEN_PARAMETERS[args.kind] + (("route", "branch") if prefer_drt else ("route",))
+
+
 def _check_options(args, head: str, takes: tuple[str, ...], required: bool) -> None:
-    """Usage error for ``head`` (say ``gen --kind drt``) when one of
-    --n, --k, --q, --m outside ``takes`` is set, or, if ``required``, an
-    option in ``takes`` is unset."""
+    """Usage error for ``head`` (say ``gen --kind drt``) when an option
+    outside ``takes`` is set, or, if ``required``, an option in ``takes``
+    with no default is unset.  Then each unset option with a default
+    gets it."""
     if required:
         for name in takes:
-            if getattr(args, name) is None:
+            if name not in _DEFAULTS and getattr(args, name) is None:
                 raise _Usage(f"{head} needs --{name}")
-    for name in ("n", "k", "q", "m"):
+    for name in _KIND_OPTIONS:
         if name not in takes and getattr(args, name, None) is not None:
             raise _Usage(f"{head} takes no --{name}")
+    for name, default in _DEFAULTS.items():
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
 
 
 def _cmd_gen(args, stdout, stderr) -> int:
     kind = args.kind
-    _check_options(args, f"gen --kind {kind}", _GEN_PARAMETERS[kind], required=True)
+    _check_options(args, f"gen --kind {kind}", _kind_takes(args), required=True)
     params = {name: getattr(args, name) for name in _GEN_PARAMETERS[kind]}
     if kind == "omzd" and args.route == planner.ROUTE_PREFER_DRT:
         params["branch"] = args.branch
@@ -392,14 +410,14 @@ def _cmd_verify(args, stdout, stderr) -> int:
 
 
 def _cmd_plan(args, stdout, stderr) -> int:
-    _check_options(args, f"plan --kind {args.kind}", _GEN_PARAMETERS[args.kind], required=False)
+    _check_options(args, f"plan --kind {args.kind}", _kind_takes(args), required=False)
     node = planner.plan(args.kind, args.n, args.k, route=args.route)
     stdout.write(planner.serialize_plan(node) + "\n")
     return 0
 
 
 def _cmd_exists(args, stdout, stderr) -> int:
-    _check_options(args, f"exists --kind {args.kind}", _GEN_PARAMETERS[args.kind], required=False)
+    _check_options(args, f"exists --kind {args.kind}", _kind_takes(args), required=False)
     verdict = planner.exists(args.kind, args.n, args.k)
     out = {
         "kind": args.kind,

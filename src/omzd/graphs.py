@@ -7,19 +7,20 @@ matching (Gnk; K_{n,n} itself is Gnk(n, 0)) and for complete
 multipartite graphs.
 
 Every family member takes one route: a refusal table lookup, then one
-``planner.plan`` and one ``planner.execute``.  A Gnk witness is the
-embedding [[0, B], [Bᵀ, 0]] of the planned OMPZD(n, k) B, conjugated so
-that its diagonal zeros come first.  A multipartite witness is the
-planned matrix itself: Kron(symmetric OMZD(m), nowhere-zero(n)), or for
-K_m, whose diagonal is free, the nowhere-zero I - (2/m)J.  Every
-witness keeps its plan root's scale.  A graph is its adjacency mask, a
-read-only symmetric bool array with a False diagonal.  A witness is
-certified by one ``verify.certify_graph`` certificate (exact symmetry,
-the graph's off-diagonal pattern under the shared zero rule, and
-MMᵀ = cI) plus exactly two distinct eigenvalues.  The count is
-algebraic and needs no eigensolver: an exactly symmetric M with M² = cI
-has only the eigenvalues ±√c, with multiplicities (n ± tr M/√c)/2, read
-with the certificate's c and residual.
+``planner.plan``, one ``planner.build`` and one ``certify_graph``; the
+witness certificate implies the plan root's claim, so the root gets no
+check of its own.  A Gnk witness is the embedding [[0, B], [Bᵀ, 0]] of
+the planned OMPZD(n, k) B, conjugated so that its diagonal zeros come
+first.  A multipartite witness is the planned matrix itself:
+Kron(symmetric OMZD(m), nowhere-zero(n)), or for K_m, whose diagonal is
+free, the nowhere-zero I - (2/m)J.  Every witness keeps its plan root's
+scale.  A graph is its adjacency mask, a read-only symmetric bool array
+with a False diagonal.  A witness is certified by its ``certify_graph``
+certificate (exact symmetry, the graph's off-diagonal pattern under the
+shared zero rule, and MMᵀ = cI) plus exactly two distinct eigenvalues,
+counted algebraically: an exactly symmetric M with M² = cI has only the
+eigenvalues ±√c, with multiplicities (n ± tr M/√c)/2, read with the
+certificate's c and residual.
 """
 
 from __future__ import annotations
@@ -192,11 +193,11 @@ def _plan(spec: GraphSpec) -> planner.PlanNode:
 
 def q2_certificate(spec: GraphSpec) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
-    member, by one route: the refusal table, then one plan and one
-    execute.  A refusal is known-impossible or unknown; a planner
-    NoKnownConstruction is unknown.  Certified results carry the witness
-    matrix, whose adjacency mask is the graph's, and the distinct
-    eigenvalue count (which must be 2)."""
+    member, by one route: the refusal table, then one ``planner.plan``,
+    one ``planner.build`` and one ``certify_graph``.  A refusal is
+    known-impossible or unknown; a planner NoKnownConstruction is unknown.
+    Certified results carry the witness matrix, whose adjacency mask is
+    the graph's, and the distinct eigenvalue count (which must be 2)."""
     refusal = _REFUSALS.get(spec)
     if refusal is None:
         try:
@@ -205,7 +206,7 @@ def q2_certificate(spec: GraphSpec) -> Q2Certificate:
             refusal = (STATUS_UNKNOWN, _NO_CONSTRUCTION)
     if refusal is not None:
         return Q2Certificate(spec, *refusal)
-    root, _ = planner.execute(node)
+    root = planner.build(node)
     witness = embed_bipartite(_zeros_to_front(root)) if isinstance(spec, Gnk) else root
     return _certify_witness(spec, witness)
 

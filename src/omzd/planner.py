@@ -3,14 +3,15 @@
 Given a kind and its parameters the planner either emits a construction
 plan that realizes the object or raises a typed refusal naming the result
 that forbids it; every refusal, and the order cap ``MAX_ORDER``, is
-checked before anything is built.  Plans are immutable trees; ``execute``
+checked before anything is built.  Plans are immutable trees; ``build``
 evaluates them bottom-up through the construct module.
 
 Each stage is checked at most once.  A stage that feeds another is
 checked by the builder that consumes it, through that builder's own input
 check (``combine`` certifies its OMZD inputs, ``drt_to_skew_hadamard``
 and ``omzd_from_drt`` check their DRT, ``reduce_zeros`` its orthogonal
-input); the root is checked by ``execute`` with ``verify.check_claim``.
+input).  ``execute`` is ``build`` plus the root check with
+``verify.check_claim``; ``build`` leaves the root check to its caller.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "check_part_count",
     "exists",
     "plan",
+    "build",
     "execute",
     "serialize_plan",
     "BELEVITCH_NOTE",
@@ -458,10 +460,10 @@ def plan(
 # Execution
 # --------------------------------------------------------------------------
 
-def _eval(node: PlanNode):
-    """Build a stage from its children's results, with no certificate:
-    each child is checked, if at all, by the builder it feeds."""
-    inputs = [_eval(child) for child in node.children]
+def build(node: PlanNode):
+    """Evaluate a plan bottom-up and return its root, unchecked: each inner
+    stage is checked by the builder it feeds, and the root by the caller."""
+    inputs = [build(child) for child in node.children]
     result = _OPS[node.op].build(*inputs, *node.args)
     if result.order != node.n:
         raise CertificationFailed(
@@ -470,18 +472,9 @@ def _eval(node: PlanNode):
     return result
 
 
-def _claim_parameters(node: PlanNode) -> dict:
-    """The root's claim parameters: its zero count, or for a Kronecker
-    witness Kron(factor, base) the part size and the part count."""
-    if node.kind == KIND_MULTIPARTITE:
-        factor, base = node.children
-        return {"part_size": base.n, "parts": factor.n}
-    return {"k": node.k}
-
-
 def execute(node: PlanNode):
-    """Evaluate a plan bottom-up and check its root once, at the default
-    tolerances of ``verify.check_claim``, against the claim of its kind.
+    """``build`` a plan and check its root once, at the default tolerances
+    of ``verify.check_claim``, against the claim of its kind.
 
     Returns the root RealMatrix as its builder made it, and its verdict,
     an OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  The builder
@@ -489,8 +482,13 @@ def execute(node: PlanNode):
     order for a skew-Hadamard matrix, none for a tournament.  Raises
     CertificationFailed when the root fails.
     """
-    result = _eval(node)
-    verdict = check_claim(node.kind, result, **_claim_parameters(node))
+    result = build(node)
+    if node.kind == KIND_MULTIPARTITE:  # Kron(factor, base): factor.n parts of size base.n
+        factor, base = node.children
+        claim = {"part_size": base.n, "parts": factor.n}
+    else:
+        claim = {"k": node.k}
+    verdict = check_claim(node.kind, result, **claim)
     if not verdict.passed:
         raise CertificationFailed(
             f"plan {serialize_plan(node)} executed but failed certification: {verdict.failures}"

@@ -344,6 +344,19 @@ class TestUsageErrors:
             ("gen --kind drt --q 7 --k 1", "--k"),
             ("gen --kind skew-hadamard --q 7 --m 2", "--m"),
             ("gen --kind multipartite --n 3 --m 6 --k 1", "--k"),
+            # --t goes with drt and skew-hadamard only, --route with omzd
+            # and ompzd only, and --branch with --route prefer-drt only
+            ("gen --kind conference --q 27 --t 3", "--t"),
+            ("gen --kind omzd --n 11 --t 0", "--t"),
+            ("gen --kind multipartite --n 2 --m 6 --t 1", "--t"),
+            ("gen --kind conference --q 27 --route prefer-drt", "--route"),
+            ("gen --kind symmetric-omzd --n 8 --route auto", "--route"),
+            ("gen --kind drt --q 7 --route prefer-recursive", "--route"),
+            ("plan --kind symmetric-omzd --n 8 --route prefer-recursive", "--route"),
+            ("gen --kind omzd --n 11 --branch plus", "--branch"),
+            ("gen --kind omzd --n 11 --route prefer-recursive --branch minus", "--branch"),
+            ("gen --kind ompzd --n 11 --k 4 --route auto --branch plus", "--branch"),
+            ("gen --kind conference --q 27 --branch plus", "--branch"),
         ],
     )
     def test_option_the_kind_does_not_use(self, argv, option):

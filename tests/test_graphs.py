@@ -1,6 +1,7 @@
 """Graph families, pattern extraction, bipartite embedding, q(G) = 2."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -254,13 +255,26 @@ class TestGraphMask:
         assert not np.array_equal(Knn(2).graph(), Gnk(2, 1).graph())
 
 
-# every certified Gnk with n <= 8, K_{n,n} up to n = 40, and the
-# multipartite witnesses of both plan routes (K_m for n = 1, Kron above)
+# every certified Gnk with n <= 8, K_{n,n} up to n = 40, the multipartite
+# witnesses of both plan routes (K_m for n = 1, Kron above), and K_m for
+# every m <= 8
 _LAPACK_SPECS = (
     [Gnk(n, k) for n in range(1, 9) for k in range(n + 1) if Gnk(n, k) not in graphs._REFUSALS]
     + [Knn(n) for n in range(9, 41)]
     + [Multipartite(n, m) for m in (2, 6, 8) for n in (1, 2, 3)]
+    + [Multipartite(1, m) for m in (3, 4, 5, 7)]
 )
+
+
+def _root_claim(spec, witness):
+    """The plan root's own claim, which certify-graph leaves to the
+    witness certificate, checked on the witness it returns."""
+    if isinstance(spec, Gnk):
+        block = RealMatrix(witness.data[: spec.n, spec.n :], scale_c=witness.scale_c)
+        return verify.check_claim("ompzd", block, k=spec.k)
+    if spec.n == 1:  # K_m
+        return verify.check_claim("nowhere-zero", witness)
+    return verify.certify_multipartite(witness, spec.n, spec.m)
 
 
 class TestAlgebraicCertificate:
@@ -280,6 +294,9 @@ class TestAlgebraicCertificate:
         # the ascending spectrum splits into two groups under the gap rule
         # 1e-6 * max|eigenvalue|
         assert np.count_nonzero(np.diff(values) > 1e-6 * np.max(np.abs(values))) == 1
+        # and the witness certificate implies the root claim it replaces
+        root = _root_claim(spec, cert.matrix)
+        assert root.passed, root.failures
 
     def test_symmetric_non_involution_is_unknown(self):
         rng = np.random.default_rng(3)
@@ -344,10 +361,28 @@ class TestOneRoute:
         ids=str,
     )
     def test_one_execute_per_witness(self, spec, executes, monkeypatch):
-        calls, execute = [], planner.execute
-        monkeypatch.setattr(planner, "execute", lambda node: calls.append(node) or execute(node))
+        # one run of the witness route: one build of the plan, no check of
+        # its root, one certify_graph of the witness; a refusal builds nothing
+        counts, nested, build = Counter(), [], planner.build
+
+        def counted_build(node):
+            counts["build"] += not nested  # the root call, not its recursion
+            nested.append(node)
+            try:
+                return build(node)
+            finally:
+                nested.pop()
+
+        monkeypatch.setattr(planner, "build", counted_build)
+        for module, name in ((planner, "check_claim"), (graphs, "certify_graph")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
         assert (q2_certificate(spec).status == STATUS_CERTIFIED) == bool(executes)
-        assert len(calls) == executes
+        assert (counts["build"], counts["check_claim"], counts["certify_graph"]) == (executes, 0, executes)
 
     def test_knn_is_gnk_with_empty_matching(self):
         assert Knn(4) == Gnk(4, 0)
