@@ -433,49 +433,65 @@ def conjugate_permute(m: RealMatrix, perm) -> RealMatrix:
 
 
 _THETA_EXPONENTS = range(4, 41)
+_BLOCK_ENTRIES = 1 << 15  # entries per column block of one batched rotation step
 
 
-def _rotate_pair(a: np.ndarray, i: int, j: int, scale_c: float) -> None:
-    """Right-multiply ``a`` in place by a 2-plane rotation on columns i and j.
+def _rotate_pairs(a: np.ndarray, first, second, scale_c: float) -> None:
+    """Right-multiply ``a`` in place by a 2-plane rotation on each column
+    pair (first[r], second[r]); no column may be in two pairs.
 
-    Takes the first angle in the schedule 2^-t, t = 4..40, at which +θ or
-    -θ leaves every entry of the two touched columns above 1e-8 * sqrt(c).
-    Of the two signs it keeps the one whose touched columns have the
-    larger minimum |entry|, + on a tie: when the plane holds a nonzero
-    diagonal entry a_jj, the new one is cos θ·a_jj - sin θ·a_ji, and for
-    one sign the two terms can nearly cancel.
+    Each pair takes the first angle in the schedule 2^-t, t = 4..40, at
+    which +θ or -θ leaves every entry of its two columns above
+    1e-8 * sqrt(c).  Of the two signs it keeps the one whose columns have
+    the larger minimum |entry|, + on a tie: when the plane holds a
+    nonzero diagonal entry a_jj, the new one is cos θ·a_jj - sin θ·a_ji,
+    and for one sign the two terms can nearly cancel.  A pair's angle
+    depends on its own two columns only, so the pairs are rotated
+    together, a block of columns at a time, each step of the schedule
+    applied to the pairs it has not settled yet.
     """
     floor = 1e-8 * math.sqrt(scale_c)
-    col_i, col_j = a[:, i].copy(), a[:, j].copy()
-    for t in _THETA_EXPONENTS:
-        theta = 2.0 ** (-t)
-        c, s = math.cos(theta), math.sin(theta)
-        pairs = (
-            (c * col_i + s * col_j, -s * col_i + c * col_j),  # +θ
-            (c * col_i - s * col_j, s * col_i + c * col_j),  # -θ
-        )
-        margins = [min(np.min(np.abs(u)), np.min(np.abs(v))) for u, v in pairs]
-        best = int(margins[1] > margins[0])
-        if margins[best] > floor:
-            a[:, i], a[:, j] = pairs[best]
-            return
-    raise BuildRefused("rotation schedule exhausted; input is pathological")
+    first, second = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // len(a))
+    for lo in range(0, len(first), step):
+        i, j = first[lo : lo + step], second[lo : lo + step]
+        col_i, col_j = a[:, i], a[:, j]
+        for t in _THETA_EXPONENTS:
+            theta = 2.0 ** (-t)
+            c, s = math.cos(theta), math.sin(theta)
+            pairs = (
+                (c * col_i + s * col_j, -s * col_i + c * col_j),  # +θ
+                (c * col_i - s * col_j, s * col_i + c * col_j),  # -θ
+            )
+            margins = [np.minimum(np.abs(u).min(axis=0), np.abs(v).min(axis=0)) for u, v in pairs]
+            minus = margins[1] > margins[0]
+            done = np.where(minus, margins[1], margins[0]) > floor
+            for keep, (u, v) in zip((done & ~minus, done & minus), pairs):
+                a[:, i[keep]], a[:, j[keep]] = u[:, keep], v[:, keep]
+            i, j, col_i, col_j = i[~done], j[~done], col_i[:, ~done], col_j[:, ~done]
+            if not i.size:
+                break
+        else:
+            raise BuildRefused("rotation schedule exhausted; input is pathological")
 
 
 def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     """Reduce the diagonal zero count of an orthogonal matrix to target_k.
 
-    Clears zeros two at a time: permute two zero-diagonal positions to
-    indices 0 and 1 and rotate those columns by a small angle, which
-    fills both diagonal entries while the angle threshold keeps every
-    other touched entry nonzero.  An odd deficit ends with one mixed
-    application (one zero and one nonzero diagonal position in the
+    Clears zeros two at a time: rotating two zero-diagonal columns by a
+    small angle fills both diagonal entries while the angle threshold
+    keeps every other touched entry nonzero.  An odd deficit ends with one
+    mixed rotation (one zero and one nonzero diagonal position in the
     plane).  target_k = n-1 is unreachable by rotations and refused.
 
-    The permutations are composed rather than applied: the columns are
-    rotated in place under the composite relabelling, and the matrix is
-    permuted once at the end, with the same result bit for bit.  The
-    input is certified (its gram mean c scales the angle floor); the
+    With z the zero-diagonal labels in ascending order and P = deficit //
+    2, pair r rotates columns (z[2r], z[2r+1]); all P pairs are disjoint
+    and rotate in one batch.  The mixed rotation then takes z[2P] with
+    z[2P-2] (when P = 0, the first nonzero-diagonal label).  The result is
+    permuted once, moving each rotated plane to the front, the last first:
+    the planes' labels from the last rotation to the first, each kept at
+    its first occurrence, then the untouched labels in ascending order.
+    The input is certified (its gram mean c scales the angle floor); the
     output keeps the input's exact scale_c when it has one, else that c,
     and is not certified here but by whatever consumes it.
     """
@@ -484,10 +500,9 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     n = m.order
     if target_k < 0:
         raise ValueError(f"target zero count must be >= 0, got {target_k}")
-    zero_tol = zero_tolerance(m)
 
-    diag = np.abs(np.diag(m.data))
-    j = int(np.sum(diag <= zero_tol))
+    is_zero = np.abs(np.diag(m.data)) <= zero_tolerance(m)
+    j = int(np.sum(is_zero))
     if target_k == n - 1:
         raise BuildRefused("k = n-1 cannot be produced by plane rotations")
     if target_k > j:
@@ -503,22 +518,22 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     if target_k == j:
         return RealMatrix(m.data, scale_c=scale)
 
-    c = cert.scale_c
     a = np.array(m.data)
-    labels = np.arange(n)  # position p of the permuted matrix is row/column labels[p] of a
-    while True:
-        is_zero = np.abs(a[labels, labels]) <= zero_tol
-        zero_pos = np.flatnonzero(is_zero)
-        deficit = len(zero_pos) - target_k
-        if deficit == 0:
-            break
-        if deficit >= 2:
-            front = zero_pos[:2]
-        else:
-            front = [zero_pos[0], np.flatnonzero(~is_zero)[0]]
-        labels = labels[np.concatenate((front, np.delete(np.arange(n), front)))]
-        _rotate_pair(a, labels[0], labels[1], c)
+    zeros = np.flatnonzero(is_zero)
+    pairs = (j - target_k) // 2
+    fronts = zeros[: 2 * pairs].reshape(pairs, 2)
+    _rotate_pairs(a, fronts[:, 0], fronts[:, 1], cert.scale_c)
+    if (j - target_k) % 2:
+        partner = fronts[-1, 0] if pairs else np.flatnonzero(~is_zero)[0]
+        mixed = [zeros[2 * pairs], partner]
+        _rotate_pairs(a, mixed[:1], mixed[1:], cert.scale_c)
+        fronts = np.vstack((fronts, mixed))
 
+    order = fronts[::-1].ravel()
+    order = order[np.sort(np.unique(order, return_index=True)[1])]
+    untouched = np.ones(n, dtype=bool)
+    untouched[order] = False
+    labels = np.concatenate((order, np.flatnonzero(untouched)))
     return RealMatrix(a[np.ix_(labels, labels)], scale_c=scale)
 
 

@@ -84,8 +84,10 @@ def gram(m: RealMatrix) -> RealMatrix:
     """MMᵀ with each off-diagonal entry computed once and mirrored.
 
     The result is exactly symmetric by construction regardless of
-    floating-point evaluation order inside the matrix product.  Entries
-    that overflow become inf or NaN silently; certification rejects them.
+    floating-point evaluation order inside the matrix product: its lower
+    triangle is its upper one, which is the triangle the residual of
+    ``residual_scaled_identity`` reads.  Entries that overflow become inf
+    or NaN silently; certification rejects them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = m.data @ m.data.T
@@ -97,19 +99,28 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
     """Recover c and the worst deviation of MMᵀ from cI.
 
     c is the mean of the gram diagonal (averages rounding noise);
-    max_residual is max |gram - cI| over all entries.  Both are returned
-    even when the residual is large, and even when entries above about
-    1e154 overflow the gram: c and the residual are then inf or NaN, which
-    the caller's verdict rejects, and numpy prints no warning.
+    max_residual is max |gram - cI| over the upper triangle of the product,
+    diagonal included, which is every entry of the mirrored ``gram``.  The
+    product is the only n x n array made: cI is subtracted from its
+    diagonal, the magnitudes taken and the lower triangle cleared in place.
+    Both are returned even when the residual is large, and even when
+    entries above about 1e154 overflow the gram: c is then inf or NaN and
+    the residual NaN (an infinite cI holds inf * 0 = NaN off its
+    diagonal), which the caller's verdict rejects, and numpy prints no
+    warning.
     """
     if not m.is_square:
         raise ValueError("residual against a scaled identity needs a square matrix")
-    g = gram(m).data
     n = m.order
     with np.errstate(over="ignore", invalid="ignore"):
+        g = m.data @ m.data.T
         c = float(np.mean(np.diag(g)))
-        res = g - c * np.eye(n)
-        return c, float(np.max(np.abs(res)))
+        if not np.isfinite(c):
+            return c, float("nan")
+        g.flat[:: n + 1] -= c
+        np.abs(g, out=g)
+        np.copyto(g, 0.0, where=np.tri(n, k=-1, dtype=bool))  # below the diagonal
+        return c, float(np.max(g))
 
 
 def jacobi_spectrum(m: RealMatrix) -> tuple[float, ...]:

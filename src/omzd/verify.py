@@ -20,7 +20,12 @@ the builders and the graph layer share.  The masks per claim:
 
 An exact claim must be integral with +-1 at its required nonzeros and
 MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
-``numerics.RES_TOL``).
+``numerics.RES_TOL``).  The residual is read over the upper triangle of
+MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  Besides
+bool masks, the core makes |M|, which serves the zero rule, the pattern
+and the margin, and frees it before it makes the product MMᵀ; only the
+integrality test of an exact claim and the symmetry test of a skew
+matrix make one float n x n array more.
 
 Tournaments and skew-Hadamard matrices get exact checkers of their own,
 ``check_drt`` and ``check_skew_hadamard``.  Every claim, these two
@@ -119,9 +124,12 @@ class OrthoCertificate:
 
 
 def _symmetry_class(a: np.ndarray) -> str:
-    if np.array_equal(a, a.T):
+    """"symmetric", "skew" or "neither"; when the first or last row already
+    breaks a symmetry, no n x n comparison is made for it."""
+    rows, cols = a[[0, -1]], a[:, [0, -1]].T
+    if np.array_equal(rows, cols) and np.array_equal(a, a.T):
         return "symmetric"
-    if np.array_equal(a, -a.T):
+    if np.array_equal(rows, -cols) and np.array_equal(a, -a.T):
         return "skew"
     return "neither"
 
@@ -133,7 +141,12 @@ def _is_integral(a: np.ndarray) -> bool:
 def _square_order(m: RealMatrix) -> int:
     if not m.is_square:
         raise ShapeMismatch(f"certification needs a square matrix, got {m.rows}x{m.cols}")
+    if m.order == 0:
+        raise ShapeMismatch("certification needs a matrix of order >= 1, got 0x0")
     return m.order
+
+
+_ZERO_SHARE = 1e-12  # the default zero tolerance over max|entry|
 
 
 def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
@@ -142,7 +155,7 @@ def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
     ``zero_tol`` when given, else 1e-12 * max|entry|; matrices built by
     this library write exact 0.0 at zero positions.
     """
-    return 1e-12 * m.max_abs() if zero_tol is None else zero_tol
+    return _ZERO_SHARE * m.max_abs() if zero_tol is None else zero_tol
 
 
 def _diagonal_zeros(m: RealMatrix, zero_tol: float | None) -> int:
@@ -159,6 +172,7 @@ def _certify_pattern(
     symmetric: bool = False,
     zero_tol: float | None = None,
     res_tol: float = RES_TOL,
+    diagonal_zeros: int | None = None,
     failures: tuple[str, ...] = (),
 ) -> OrthoCertificate:
     """The certificate core of every real claim: pattern, gram and
@@ -166,31 +180,50 @@ def _certify_pattern(
 
     ``zero`` and ``nonzero`` are the required masks of a square ``m``, or
     None when the claim has no pattern of this order (its failures say
-    why, and the margin is 0).  min_offdiag_magnitude is the smallest
-    off-diagonal |entry| not required to be zero.
+    why, and the margin is 0).  ``diagonal_zeros``, when given, is the
+    exact number of diagonal zeros the claim requires; a wrong count is
+    the first failure.  min_offdiag_magnitude is the smallest off-diagonal
+    |entry| not required to be zero.
+
+    |m| is taken once, for the zero rule (``zero_tolerance``'s, from its
+    maximum), the pattern and the margin, and freed before the gram, whose
+    residual ``residual_scaled_identity`` reads in place over its upper
+    triangle.  The offending positions are looked up only when a mask is
+    violated.
     """
     a = m.data
     n = m.order
     failures = list(failures)
     min_offdiag = 0.0
+    magnitude = np.abs(a)
     if zero is not None:
-        magnitude = np.abs(a)
-        is_zero = magnitude <= zero_tolerance(m, zero_tol)
-        off = ~np.eye(n, dtype=bool)
+        tol = _ZERO_SHARE * float(np.max(magnitude)) if zero_tol is None else zero_tol
+        is_zero = magnitude <= tol
+        if diagonal_zeros is not None:
+            found = int(np.sum(np.diag(is_zero)))
+            if found != diagonal_zeros:
+                failures.append(f"expected exactly {diagonal_zeros} diagonal zeros, found {found}")
         for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
+            if not bad.any():
+                continue
             on_diagonal = int(np.sum(np.diag(bad)))
             if on_diagonal:
                 failures.append(f"{on_diagonal} diagonal entries are {word}")
-            positions = [(int(i), int(j)) for i, j in np.argwhere(bad & off)[:8]]
+            np.fill_diagonal(bad, False)
+            positions = [(int(i), int(j)) for i, j in np.argwhere(bad)[:8]]
             if positions:
                 failures.append(f"off-diagonal {word}s at {positions}")
-        free = magnitude[off & ~zero]
-        min_offdiag = float(np.min(free)) if free.size else math.inf
 
     if exact and not _is_integral(a):
         failures.append("entries are not integral; exact integer check impossible")
-    elif exact and not np.all(np.abs(a[nonzero]) == 1.0):
+    elif exact and not np.all(magnitude[nonzero] == 1.0):
         failures.append("required nonzero entries are not all +-1")
+
+    if zero is not None:  # the margin, over |m| with its required zeros and diagonal set to inf
+        np.copyto(magnitude, math.inf, where=zero)
+        np.fill_diagonal(magnitude, math.inf)
+        min_offdiag = float(np.min(magnitude))
+    del magnitude
 
     # written so that a NaN scale or residual (an overflowing gram) fails
     c, max_residual = residual_scaled_identity(m)
@@ -232,6 +265,12 @@ _PATTERNS = {
 }
 
 
+def _rule_mask(n: int, on_diagonal: bool, off_diagonal: bool) -> np.ndarray:
+    mask = np.full((n, n), off_diagonal)
+    np.fill_diagonal(mask, on_diagonal)
+    return mask
+
+
 def certify(
     m: RealMatrix,
     claim: str,
@@ -251,14 +290,11 @@ def certify(
     if claim == CLAIM_OMPZD and k is None:
         raise ValueError("claim 'ompzd' needs the zero count k")
     label, zero_rule, nonzero_rule = _PATTERNS[claim]
-    eye = np.eye(_square_order(m), dtype=bool)
-    failures = ()
-    if claim == CLAIM_OMPZD and (zeros := _diagonal_zeros(m, zero_tol)) != k:
-        failures = (f"expected exactly {k} diagonal zeros, found {zeros}",)
+    n = _square_order(m)
     return _certify_pattern(
-        m, label.format(k=k), np.where(eye, *zero_rule), np.where(eye, *nonzero_rule),
+        m, label.format(k=k), _rule_mask(n, *zero_rule), _rule_mask(n, *nonzero_rule),
         exact=claim == CLAIM_CONFERENCE, symmetric=claim == CLAIM_SYMMETRIC_OMZD,
-        zero_tol=zero_tol, res_tol=res_tol, failures=failures,
+        zero_tol=zero_tol, res_tol=res_tol, diagonal_zeros=k if claim == CLAIM_OMPZD else None,
     )
 
 

@@ -1,0 +1,284 @@
+"""The certificate core against a plain reference that builds every
+intermediate as a full array (the mirrored gram, cI, the off-diagonal
+gather): the same certificate, field for field and bit for bit, on built
+matrices and on tampered copies of them; plus the core's refusal of an
+empty matrix and the memory it takes."""
+
+import math
+import struct
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from omzd import construct, planner
+from omzd.errors import ShapeMismatch
+from omzd.numerics import RES_TOL, RealMatrix
+from omzd.verify import certify, certify_graph, certify_multipartite, check_claim
+
+# --------------------------------------------------------------------------
+# Reference
+# --------------------------------------------------------------------------
+
+
+def _reference_residual(a: np.ndarray) -> tuple[float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a @ a.T
+        g = np.triu(g) + np.triu(g, 1).T
+        c = float(np.mean(np.diag(g)))
+        return c, float(np.max(np.abs(g - c * np.eye(len(a)))))
+
+
+def _reference_symmetry(a: np.ndarray) -> str:
+    if np.array_equal(a, a.T):
+        return "symmetric"
+    if np.array_equal(a, -a.T):
+        return "skew"
+    return "neither"
+
+
+def _reference_core(
+    m, claim, zero, nonzero, *, exact=False, symmetric=False, zero_tol=None, res_tol=RES_TOL,
+    failures=(),
+):
+    a = m.data
+    n = len(a)
+    failures = list(failures)
+    min_offdiag = 0.0
+    if zero is not None:
+        magnitude = np.abs(a)
+        tol = 1e-12 * float(np.max(np.abs(a))) if zero_tol is None else zero_tol
+        is_zero = magnitude <= tol
+        off = ~np.eye(n, dtype=bool)
+        for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
+            on_diagonal = int(np.sum(np.diag(bad)))
+            if on_diagonal:
+                failures.append(f"{on_diagonal} diagonal entries are {word}")
+            positions = [(int(i), int(j)) for i, j in np.argwhere(bad & off)[:8]]
+            if positions:
+                failures.append(f"off-diagonal {word}s at {positions}")
+        free = magnitude[off & ~zero]
+        min_offdiag = float(np.min(free)) if free.size else math.inf
+    if exact and not np.all(a == np.round(a)):
+        failures.append("entries are not integral; exact integer check impossible")
+    elif exact and not np.all(np.abs(a[nonzero]) == 1.0):
+        failures.append("required nonzero entries are not all +-1")
+    c, max_residual = _reference_residual(a)
+    if not (0.0 < c < math.inf):
+        failures.append(f"recovered scale {c} is not positive and finite")
+    elif exact:
+        if max_residual != 0.0:
+            failures.append(f"gram deviates from cI by {max_residual} (exact check)")
+    elif not (max_residual <= res_tol * c * n):
+        failures.append(
+            f"max residual {max_residual:.3e} exceeds {res_tol:.1e} * c * n = "
+            f"{res_tol * c * n:.3e}"
+        )
+    symmetry = _reference_symmetry(a)
+    if symmetric and symmetry != "symmetric":
+        failures.append("matrix is " + ("skew, " if symmetry == "skew" else "") + "not symmetric")
+    return (claim, not failures, c, max_residual, min_offdiag, symmetry, tuple(failures))
+
+
+# claim -> (label, zero mask, nonzero mask), each mask from the bool identity
+_REFERENCE_MASKS = {
+    "omzd": ("OMZD", lambda e: e, lambda e: ~e),
+    "symmetric-omzd": ("SymmetricOMZD", lambda e: e, lambda e: ~e),
+    "conference": ("Conference", lambda e: e, lambda e: ~e),
+    "ompzd": ("OMPZD({k})", np.zeros_like, lambda e: ~e),
+    "nowhere-zero": ("NowhereZeroOrthogonal", np.zeros_like, np.ones_like),
+    "orthogonal": ("Orthogonal", np.zeros_like, np.zeros_like),
+}
+
+
+def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL):
+    label, zero, nonzero = _REFERENCE_MASKS[claim]
+    eye = np.eye(m.order, dtype=bool)
+    failures = ()
+    if claim == "ompzd":
+        tol = 1e-12 * m.max_abs() if zero_tol is None else zero_tol
+        zeros = int(np.sum(np.abs(np.diag(m.data)) <= tol))
+        if zeros != k:
+            failures = (f"expected exactly {k} diagonal zeros, found {zeros}",)
+    return _reference_core(
+        m, label.format(k=k), zero(eye), nonzero(eye), exact=claim == "conference",
+        symmetric=claim == "symmetric-omzd", zero_tol=zero_tol, res_tol=res_tol, failures=failures,
+    )
+
+
+def _reference_graph(m, adjacency):
+    off = ~np.eye(m.order, dtype=bool)
+    return _reference_core(m, "Graph", off & ~adjacency, adjacency, symmetric=True)
+
+
+def _reference_multipartite(m, n, parts):
+    claim = f"Multipartite({n},{parts})"
+    if m.order != n * parts:
+        failures = (f"expected order {n * parts}, got {m.data.shape}",)
+        return _reference_core(m, claim, None, None, symmetric=True, failures=failures)
+    blocks = np.kron(np.eye(parts, dtype=bool), np.ones((n, n), dtype=bool))
+    return _reference_core(m, claim, blocks, ~blocks, symmetric=True)
+
+
+# --------------------------------------------------------------------------
+# Inputs: built roots and tampered copies
+# --------------------------------------------------------------------------
+
+
+def _root(kind, n=None, k=None, **kw):
+    return planner.execute(planner.plan(kind, n, k, **kw))[0]
+
+
+def _built():
+    return {
+        "omzd-5": construct.seed("omzd", 5),
+        "omzd-11": _root("omzd", 11),
+        "omzd-51": _root("omzd", 51),
+        "omzd-51-transposed": RealMatrix(np.asfortranarray(_root("omzd", 51).data.T)),  # column-major
+        "symmetric-6": _root("symmetric-omzd", 6),
+        "symmetric-50": _root("symmetric-omzd", 50),
+        "conference-6": _root("conference", q=5),
+        "conference-28": _root("conference", q=27),
+        "ompzd-11-6": _root("ompzd", 11, 6),
+        "ompzd-50-3": _root("ompzd", 50, 3),
+        "ompzd-13-12": _root("ompzd", 13, 12),
+        "nowhere-zero-7": _root("ompzd", 7, 0),
+        "identity-5": RealMatrix(np.eye(5)),
+        "multipartite-3-6": _root("multipartite", 3, m=6),
+        "overflow-4": RealMatrix(1e200 * (np.ones((4, 4)) - np.eye(4))),
+    }
+
+
+def _tampered(m: RealMatrix) -> dict:
+    """Copies with one defect each, at entries that every claim requires
+    one way or the other, or that break a symmetry."""
+    a = m.data
+    top = float(np.max(np.abs(a)))
+    out = {}
+
+    def copy_with(label, edit):
+        b = np.array(a)
+        edit(b)
+        out[label] = RealMatrix(b)
+
+    copy_with("zero-off", lambda b: b.__setitem__((0, 1), 0.0))
+    copy_with("zero-diag", lambda b: b.__setitem__((1, 1), 0.0))
+    copy_with("bump-diag", lambda b: b.__setitem__((0, 0), b[0, 0] + 1e-6 * top))
+    copy_with("bump-off", lambda b: b.__setitem__((0, 1), b[0, 1] + 1e-6 * top))
+    copy_with("asymmetric", lambda b: b.__setitem__((0, 1), b[0, 1] * (1 + 2.0**-40)))
+    copy_with("asymmetric-inner", lambda b: b.__setitem__((2, 3), b[2, 3] * (1 + 2.0**-40)))
+    copy_with("half", lambda b: b.__setitem__((0, 1), 1.5))
+    copy_with("two", lambda b: b.__setitem__((0, 1), 2.0))
+    return out
+
+
+def _cases():
+    for name, m in _built().items():
+        yield name, m
+        for label, t in _tampered(m).items():
+            yield f"{name}/{label}", t
+
+
+CASES = dict(_cases())
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _fields(cert) -> tuple:
+    return (
+        cert.claim, cert.passed, _bits(cert.scale_c), _bits(cert.max_residual),
+        _bits(cert.min_offdiag_magnitude), cert.symmetry, cert.failures,
+    )
+
+
+def _reference_fields(ref) -> tuple:
+    claim, passed, c, res, margin, symmetry, failures = ref
+    return (claim, passed, _bits(c), _bits(res), _bits(margin), symmetry, failures)
+
+
+def _diagonal_zero_count(m: RealMatrix) -> int:
+    return int(np.sum(np.abs(np.diag(m.data)) <= 1e-12 * m.max_abs()))
+
+
+# --------------------------------------------------------------------------
+# Tests
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_claim_matches_the_reference(case):
+    m = CASES[case]
+    k = _diagonal_zero_count(m)
+    for claim in _REFERENCE_MASKS:
+        for kk in ((k, k + 1) if claim == "ompzd" else (None,)):
+            got = certify(m, claim, k=kk)
+            assert _fields(got) == _reference_fields(_reference_certify(m, claim, k=kk)), (claim, kk)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_graph_and_multipartite_match_the_reference(case):
+    m = CASES[case]
+    n = m.order
+    support = np.abs(m.data) > 1e-12 * m.max_abs()
+    adjacency = support & support.T & ~np.eye(n, dtype=bool)
+    assert _fields(certify_graph(m, adjacency)) == _reference_fields(_reference_graph(m, adjacency))
+    complete = ~np.eye(n, dtype=bool)
+    assert _fields(certify_graph(m, complete)) == _reference_fields(_reference_graph(m, complete))
+    for part_size, parts in ((3, n // 3), (1, n), (n, 1), (2, 3)):
+        got = certify_multipartite(m, part_size, parts)
+        ref = _reference_multipartite(m, part_size, parts)
+        assert _fields(got) == _reference_fields(ref), (part_size, parts)
+
+
+@pytest.mark.parametrize("zero_tol,res_tol", [(0.5, RES_TOL), (0.0, 0.0), (None, 1e-3)])
+@pytest.mark.parametrize("case", ["omzd-51", "ompzd-50-3/bump-diag", "conference-28/zero-off"])
+def test_tolerances_match_the_reference(case, zero_tol, res_tol):
+    m = CASES[case]
+    for claim in ("omzd", "ompzd", "nowhere-zero"):
+        got = certify(m, claim, k=3, zero_tol=zero_tol, res_tol=res_tol)
+        ref = _reference_certify(m, claim, k=3, zero_tol=zero_tol, res_tol=res_tol)
+        assert _fields(got) == _reference_fields(ref), claim
+
+
+def test_overflowing_gram_keeps_nan_residual():
+    cert = certify(CASES["overflow-4"], "omzd")
+    assert cert.scale_c == math.inf and math.isnan(cert.max_residual)
+    assert cert.failures == ("recovered scale inf is not positive and finite",)
+
+
+class TestEmptyMatrix:
+    EMPTY = RealMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda m: certify(m, "omzd"),
+            lambda m: certify(m, "ompzd", k=0),
+            lambda m: certify_graph(m, np.zeros((0, 0), dtype=bool)),
+            lambda m: certify_multipartite(m, 1, 1),
+            lambda m: check_claim("ompzd", m),
+        ],
+        ids=["certify", "certify-ompzd", "graph", "multipartite", "check-claim"],
+    )
+    def test_raises_shape_mismatch_without_a_warning(self, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch, match=r"^certification needs a matrix of order >= 1, got 0x0$"):
+                check(self.EMPTY)
+
+
+def test_certify_peak_memory():
+    # |m| and then the gram, and bool masks: about 1.7 n^2 doubles here
+    m = _root("omzd", 401)
+    n = m.order
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert certify(m, "omzd").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -533,7 +534,7 @@ class TestReduceZeros:
         theta = 2.0**-4
         a = np.array([[0.0, 1.0, 1.0], [1.0, math.tan(theta), 1.0], [1.0, 1.0, 0.5]])
         before = a.copy()
-        construct._rotate_pair(a, 0, 1, 1.0)
+        construct._rotate_pairs(a, [0], [1], 1.0)
         c, s = math.cos(theta), -math.sin(theta)
         assert np.array_equal(a[:, 0], c * before[:, 0] + s * before[:, 1])
         assert np.array_equal(a[:, 1], -s * before[:, 0] + c * before[:, 1])
@@ -549,7 +550,7 @@ class TestReduceZeros:
     def test_in_place_matches_copying_reduction(self, n, k):
         m = _auto_route_omzd(n)
         out = construct.reduce_zeros(m, k)
-        ref = _reduce_zeros_copying(m, k, construct._rotate_pair)
+        ref = _reduce_zeros_copying(m, k, _rotate_pair_reference)
         assert out.data.tobytes() == (ref + 0.0).tobytes()
 
     @pytest.mark.parametrize("n,k", [(12, 4), (50, 2), (130, 64)])
@@ -561,6 +562,74 @@ class TestReduceZeros:
         out = construct.reduce_zeros(m, k)
         ref = _reduce_zeros_copying(m, k, _rotate_plus_theta_only)
         assert out.data.tobytes() == (ref + 0.0).tobytes()
+
+    def test_every_planned_reduction_matches_copying_reduction(self):
+        # every ReduceZeros plan of order 4 <= n < 60, against the
+        # reference that rotates one pair at a time on a permuted copy
+        cases = 0
+        for n in range(4, 60):
+            root = None
+            for k in range(1, n - 1):
+                node = planner.plan("ompzd", n, k)
+                if node.op != "reduce-zeros":
+                    continue
+                if root is None:
+                    root = planner.build(node.children[0])
+                out = construct.reduce_zeros(root, k)
+                ref = _reduce_zeros_copying(root, k, _rotate_pair_reference)
+                assert out.data.tobytes() == (ref + 0.0).tobytes(), (n, k)
+                cases += 1
+        assert cases > 1600
+
+    def test_mixed_step_with_no_pair_matches_copying_reduction(self):
+        # a deficit of 1 on an input with a nonzero diagonal: the mixed
+        # rotation takes the first nonzero-diagonal label as its partner
+        m = construct.reduce_zeros(construct.seed("omzd", 6), 2)
+        out = construct.reduce_zeros(m, 1)
+        ref = _reduce_zeros_copying(m, 1, _rotate_pair_reference)
+        assert out.data.tobytes() == (ref + 0.0).tobytes()
+        assert certify(out, "ompzd", k=1).passed
+
+    def test_peak_memory(self):
+        # the input's certificate, then the rotated copy with column blocks
+        # of the batch, then the permuted result
+        m = _auto_route_omzd(401)
+        n = m.order
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            construct.reduce_zeros(m, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.9 * 8 * n * n
+
+    @pytest.mark.parametrize("block", [1, 24, 36, 1 << 15])
+    def test_batched_rotation_matches_one_pair_at_a_time(self, monkeypatch, block):
+        # blocks of one column up to the whole batch, on pairs that settle
+        # at different steps of the schedule and with either sign
+        a = _staggered_pairs()
+        first, second = np.arange(0, 10, 2), np.arange(1, 10, 2)
+        ref = a.copy()
+        for i, j in zip(first, second):
+            _rotate_pair_reference(ref, i, j, 1.0)
+        monkeypatch.setattr(construct, "_BLOCK_ENTRIES", block)
+        construct._rotate_pairs(a, first, second, 1.0)
+        assert a.tobytes() == ref.tobytes()
+
+
+def _staggered_pairs() -> np.ndarray:
+    """A 12 x 12 matrix whose column pairs (0, 1), ..., (8, 9) take the
+    schedule's angles 2^-4, 2^-4 with -θ, 2^-5, 2^-6 and 2^-4.
+
+    A row with y = -x / tan θ makes the +θ column cos θ·x + sin θ·y vanish
+    at that θ, and y = x / tan θ the -θ one."""
+    a = np.random.default_rng(7).uniform(1.0, 2.0, (12, 12))
+    kills = {2: [(4, -1)], 4: [(4, -1), (4, 1)], 6: [(4, -1), (4, 1), (5, -1), (5, 1)]}
+    for col, rows in kills.items():
+        for row, (t, sign) in enumerate(rows):
+            a[row, col + 1] = sign * a[row, col] / math.tan(2.0**-t)
+    return a
 
 
 def _auto_route_omzd(n: int) -> RealMatrix:
@@ -576,6 +645,27 @@ def _required_nonzero_margin(m: RealMatrix) -> float:
     diag = np.diag(a)
     required = np.concatenate((a[~np.eye(len(a), dtype=bool)], diag[diag > 1e-12 * a.max()]))
     return float(required.min() / a.max())
+
+
+def _rotate_pair_reference(a, i, j, scale_c):
+    """One rotation of the schedule on columns i and j, in place: the first
+    ±2^-t, t = 4..40, that keeps both columns above 1e-8 * sqrt(c), with
+    -θ only when its smaller |entry| is strictly the larger."""
+    floor = 1e-8 * math.sqrt(scale_c)
+    col_i, col_j = a[:, i].copy(), a[:, j].copy()
+    for t in range(4, 41):
+        theta = 2.0**-t
+        c, s = math.cos(theta), math.sin(theta)
+        pairs = (
+            (c * col_i + s * col_j, -s * col_i + c * col_j),
+            (c * col_i - s * col_j, s * col_i + c * col_j),
+        )
+        margins = [min(np.min(np.abs(u)), np.min(np.abs(v))) for u, v in pairs]
+        best = int(margins[1] > margins[0])
+        if margins[best] > floor:
+            a[:, i], a[:, j] = pairs[best]
+            return
+    raise AssertionError("schedule exhausted")
 
 
 def _rotate_plus_theta_only(a, i, j, scale_c):
@@ -690,7 +780,7 @@ BUILDER_REFUSALS = {
     ),
     # no angle helps when the two rotated columns share a zero row
     "no-theta": (
-        lambda: construct._rotate_pair(np.zeros((4, 4)), 0, 1, 1.0),
+        lambda: construct._rotate_pairs(np.zeros((4, 4)), [0], [1], 1.0),
         r"^rotation schedule exhausted; input is pathological$",
     ),
 }
