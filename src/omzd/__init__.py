@@ -23,7 +23,6 @@ from .graphs import (
 )
 from .numerics import (
     RealMatrix,
-    gram,
     jacobi_spectrum,
     residual_scaled_identity,
 )
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "OmzdError",
     "RealMatrix",
-    "gram",
     "residual_scaled_identity",
     "jacobi_spectrum",
     "FiniteField",

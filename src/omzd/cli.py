@@ -2,7 +2,7 @@
 
 ``gen`` plans every kind with ``planner.plan``, builds it with
 ``planner.execute`` (which checks the result once) and writes it;
-``verify`` checks a stored matrix with ``verify.check_claim``.  All
+``verify`` checks a stored matrix with ``verify.certify``.  All
 machine output (JSON) goes to stdout unless --out is given; all
 diagnostics go to stderr.  Exit codes: 0 success /
 exists / certified, 1 nonexistent / verification failed / known
@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .numerics import RES_TOL, RealMatrix
-from .verify import CLAIMS, check_claim
+from .verify import CLAIMS, certify
 
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
 
@@ -394,9 +394,9 @@ def _cmd_gen(args, stdout, stderr) -> int:
 def _cmd_verify(args, stdout, stderr) -> int:
     doc = decode_matrix_file(_read_input(args.path))
     params = doc["provenance"]["parameters"]
-    verdict = check_claim(
-        args.claim,
+    verdict = certify(
         doc["matrix"],
+        args.claim,
         k=params.get("k"),
         part_size=params.get("n"),
         parts=params.get("m"),

@@ -22,7 +22,6 @@ from .errors import NonSymmetric, NotScaledInvolution
 __all__ = [
     "RES_TOL",
     "RealMatrix",
-    "gram",
     "residual_scaled_identity",
     "jacobi_spectrum",
     "involution_multiplicities",
@@ -35,7 +34,7 @@ def _frozen_array(values) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-    a = a + 0.0  # normalizes -0.0 so serialization is sign-stable
+    a += 0.0  # normalizes -0.0 in place, on the one copy, so serialization is sign-stable
     a.setflags(write=False)
     return a
 
@@ -80,29 +79,15 @@ class RealMatrix:
         return f"RealMatrix({self.rows}x{self.cols}, scale_c={self.scale_c})"
 
 
-def gram(m: RealMatrix) -> RealMatrix:
-    """MMᵀ with each off-diagonal entry computed once and mirrored.
-
-    The result is exactly symmetric by construction regardless of
-    floating-point evaluation order inside the matrix product: its lower
-    triangle is its upper one, which is the triangle the residual of
-    ``residual_scaled_identity`` reads.  Entries that overflow become inf
-    or NaN silently; certification rejects them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = m.data @ m.data.T
-        g = np.triu(g) + np.triu(g, 1).T
-    return RealMatrix(g)
-
-
 def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
     """Recover c and the worst deviation of MMᵀ from cI.
 
-    c is the mean of the gram diagonal (averages rounding noise);
-    max_residual is max |gram - cI| over the upper triangle of the product,
-    diagonal included, which is every entry of the mirrored ``gram``.  The
-    product is the only n x n array made: cI is subtracted from its
-    diagonal, the magnitudes taken and the lower triangle cleared in place.
+    c is the mean of the diagonal of the gram MMᵀ (averages rounding
+    noise); max_residual is max |MMᵀ - cI| over the upper triangle of the
+    product, diagonal included; the lower triangle, which the product may
+    round differently, is not read.  The product is the only n x n array
+    made: cI is subtracted from its diagonal, the magnitudes taken and
+    the lower triangle cleared in place.
     Both are returned even when the residual is large, and even when
     entries above about 1e154 overflow the gram: c is then inf or NaN and
     the residual NaN (an infinite cI holds inf * 0 = NaN off its

@@ -11,7 +11,7 @@ checked by the builder that consumes it, through that builder's own input
 check (``combine`` certifies its OMZD inputs, ``drt_to_skew_hadamard``
 and ``omzd_from_drt`` check their DRT, ``reduce_zeros`` its orthogonal
 input).  ``execute`` is ``build`` plus the root check with
-``verify.check_claim``; ``build`` leaves the root check to its caller.
+``verify.certify``; ``build`` leaves the root check to its caller.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     NonexistentTarget,
     ResourceLimit,
 )
-from .verify import check_claim
+from .verify import certify
 from .gfield import prime_power_decompose
 
 __all__ = [
@@ -474,7 +474,7 @@ def build(node: PlanNode):
 
 def execute(node: PlanNode):
     """``build`` a plan and check its root once, at the default tolerances
-    of ``verify.check_claim``, against the claim of its kind.
+    of ``verify.certify``, against the claim of its kind.
 
     Returns the root RealMatrix as its builder made it, and its verdict,
     an OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  The builder
@@ -488,7 +488,7 @@ def execute(node: PlanNode):
         claim = {"part_size": base.n, "parts": factor.n}
     else:
         claim = {"k": node.k}
-    verdict = check_claim(node.kind, result, **claim)
+    verdict = certify(result, node.kind, **claim)
     if not verdict.passed:
         raise CertificationFailed(
             f"plan {serialize_plan(node)} executed but failed certification: {verdict.failures}"

@@ -36,8 +36,8 @@ the order, which the planner caps at 4096, far below 2^53, so the
 float64 (BLAS) products are exact.  Certificates always carry the full
 diagnostic rather than short-circuiting, so callers can assert on
 specific failure kinds.  ``CLAIMS`` names every claim (a gen kind or a
-``verify --claim`` value); ``check_claim`` sends each to its checker, and
-the planner and the CLI both check through it.
+``verify --claim`` value); ``certify`` sends each to its checker, and the
+planner, the CLI and the builders all check through it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "certify",
     "certify_graph",
     "certify_multipartite",
-    "check_claim",
     "check_drt",
     "check_skew_hadamard",
     "zero_tolerance",
@@ -77,7 +76,7 @@ CLAIM_SYMMETRIC_OMZD = "symmetric-omzd"
 CLAIM_NOWHERE_ZERO = "nowhere-zero"
 CLAIM_ORTHOGONAL = "orthogonal"  # orthogonality only, no pattern constraint
 
-# every claim check_claim accepts, in the order of the verify --claim choices
+# every claim certify accepts, in the order of the verify --claim choices
 CLAIMS = (
     CLAIM_OMZD, CLAIM_SYMMETRIC_OMZD, CLAIM_OMPZD, CLAIM_CONFERENCE, "skew-hadamard",
     "drt", CLAIM_NOWHERE_ZERO, "multipartite", CLAIM_ORTHOGONAL,
@@ -138,11 +137,15 @@ def _is_integral(a: np.ndarray) -> bool:
     return bool(np.all(a == np.round(a)))
 
 
+def _refuse_empty(m: RealMatrix) -> None:
+    if m.data.shape == (0, 0):
+        raise ShapeMismatch("certification needs a matrix of order >= 1, got 0x0")
+
+
 def _square_order(m: RealMatrix) -> int:
     if not m.is_square:
         raise ShapeMismatch(f"certification needs a square matrix, got {m.rows}x{m.cols}")
-    if m.order == 0:
-        raise ShapeMismatch("certification needs a matrix of order >= 1, got 0x0")
+    _refuse_empty(m)
     return m.order
 
 
@@ -156,10 +159,6 @@ def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
     this library write exact 0.0 at zero positions.
     """
     return _ZERO_SHARE * m.max_abs() if zero_tol is None else zero_tol
-
-
-def _diagonal_zeros(m: RealMatrix, zero_tol: float | None) -> int:
-    return int(np.sum(np.abs(np.diag(m.data)) <= zero_tolerance(m, zero_tol)))
 
 
 def _certify_pattern(
@@ -253,15 +252,16 @@ def _certify_pattern(
     )
 
 
-# claim -> (label, required-zero mask, required-nonzero mask); each mask is
-# given by its value (on the diagonal, off it), and an entry in neither is free
+# claim -> (label, required-zero mask, required-nonzero mask, exact, symmetric);
+# each mask is given by its value (on the diagonal, off it), and an entry in
+# neither is free; an exact claim holds MMᵀ = cI exactly on integral entries
 _PATTERNS = {
-    CLAIM_OMZD: ("OMZD", (True, False), (False, True)),
-    CLAIM_SYMMETRIC_OMZD: ("SymmetricOMZD", (True, False), (False, True)),
-    CLAIM_CONFERENCE: ("Conference", (True, False), (False, True)),
-    CLAIM_OMPZD: ("OMPZD({k})", (False, False), (False, True)),  # and exactly k diagonal zeros
-    CLAIM_NOWHERE_ZERO: ("NowhereZeroOrthogonal", (False, False), (True, True)),
-    CLAIM_ORTHOGONAL: ("Orthogonal", (False, False), (False, False)),
+    CLAIM_OMZD: ("OMZD", (True, False), (False, True), False, False),
+    CLAIM_SYMMETRIC_OMZD: ("SymmetricOMZD", (True, False), (False, True), False, True),
+    CLAIM_CONFERENCE: ("Conference", (True, False), (False, True), True, False),
+    CLAIM_OMPZD: ("OMPZD({k})", (False, False), (False, True), False, False),  # and exactly k diagonal zeros
+    CLAIM_NOWHERE_ZERO: ("NowhereZeroOrthogonal", (False, False), (True, True), False, False),
+    CLAIM_ORTHOGONAL: ("Orthogonal", (False, False), (False, False), False, False),
 }
 
 
@@ -275,26 +275,52 @@ def certify(
     m: RealMatrix,
     claim: str,
     k: int | None = None,
+    *,
+    part_size: int | None = None,
+    parts: int | None = None,
     zero_tol: float | None = None,
     res_tol: float = RES_TOL,
-) -> OrthoCertificate:
-    """Check a matrix against a claimed object class.
+):
+    """Check ``m`` against ``claim``, one of CLAIMS; the one map from a
+    claim to its checker.
 
-    Pattern: the claim's masks, with the zero rule of ``zero_tolerance``.
-    Orthogonality: max residual of MMᵀ - cI at most res_tol * c * order,
-    except the conference claim, which must hold exactly.  Returns the
-    full certificate whether or not it passed.
-    """
+    drt and skew-hadamard go to their exact checkers, multipartite to
+    ``certify_multipartite`` with ``part_size`` and ``parts``, and the
+    rest to their row of ``_PATTERNS``: masks under the zero rule of
+    ``zero_tolerance``, and max |MMᵀ - cI| <= res_tol * c * order, or 0
+    for an exact claim.  ``k`` is the zero count of ompzd: k = 0 is the
+    nowhere-zero claim, and without k the zero count the diagonal shows
+    is the claim.  Returns the full OrthoCertificate, DrtVerdict or
+    SkewHadamardVerdict, each with ``passed``, ``failures``, ``summary()``
+    and ``report()``.  Raises ValueError for an unknown claim, a missing
+    or non-integer parameter, or unless ``res_tol`` is finite and >= 0
+    and ``zero_tol`` is None or finite and >= 0."""
+    for label, tol in (("res_tol", res_tol), ("zero_tol", zero_tol)):
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{label} must be finite and >= 0, got {tol!r}")
+    if claim == "drt":
+        return check_drt(m)
+    if claim == "skew-hadamard":
+        return check_skew_hadamard(m)
+    if claim == "multipartite":
+        if not all(type(x) is int and x >= 1 for x in (part_size, parts)):  # bool is no count
+            raise ValueError("claim 'multipartite' needs a positive integer part size n and part count m")
+        return certify_multipartite(m, part_size, parts, zero_tol=zero_tol, res_tol=res_tol)
+    if claim == CLAIM_OMPZD:
+        if k is None:
+            k = int(np.sum(np.abs(np.diag(m.data)) <= zero_tolerance(m, zero_tol)))
+        elif type(k) is not int or k < 0:  # bool is no count
+            raise ValueError(f"claim 'ompzd' needs a non-negative integer zero count k, got {k!r}")
+        if k == 0:
+            claim = CLAIM_NOWHERE_ZERO
     if claim not in _PATTERNS:
         raise ValueError(f"unknown claim {claim!r}")
-    if claim == CLAIM_OMPZD and k is None:
-        raise ValueError("claim 'ompzd' needs the zero count k")
-    label, zero_rule, nonzero_rule = _PATTERNS[claim]
+    label, zero_rule, nonzero_rule, exact, symmetric = _PATTERNS[claim]
     n = _square_order(m)
     return _certify_pattern(
         m, label.format(k=k), _rule_mask(n, *zero_rule), _rule_mask(n, *nonzero_rule),
-        exact=claim == CLAIM_CONFERENCE, symmetric=claim == CLAIM_SYMMETRIC_OMZD,
-        zero_tol=zero_tol, res_tol=res_tol, diagonal_zeros=k if claim == CLAIM_OMPZD else None,
+        exact=exact, symmetric=symmetric, zero_tol=zero_tol, res_tol=res_tol,
+        diagonal_zeros=k if claim == CLAIM_OMPZD else None,
     )
 
 
@@ -348,7 +374,9 @@ def check_drt(t: RealMatrix) -> DrtVerdict:
     J - I (an orientation of the complete graph); every out-degree
     (q-1)/2; every ordered vertex pair jointly dominating exactly (q-3)/4
     others, which is the entrywise statement TTᵀ = ((q+1)/4)I + ((q-3)/4)J.
+    Raises ShapeMismatch for a 0x0 matrix.
     """
+    _refuse_empty(t)
     a = t.data
     if not _is_integral(a):
         return DrtVerdict(False, a.shape[0], None, None, _NOT_INTEGRAL)
@@ -404,7 +432,9 @@ class SkewHadamardVerdict:
 
 
 def check_skew_hadamard(h: RealMatrix) -> SkewHadamardVerdict:
-    """Exact check of both skew-Hadamard identities on integral +-1 entries."""
+    """Exact check of both skew-Hadamard identities on integral +-1
+    entries.  Raises ShapeMismatch for a 0x0 matrix."""
+    _refuse_empty(h)
     a = h.data
     if not _is_integral(a):
         return SkewHadamardVerdict(False, a.shape[0], _NOT_INTEGRAL)
@@ -452,44 +482,3 @@ def certify_graph(m: RealMatrix, adjacency: np.ndarray) -> OrthoCertificate:
         raise ShapeMismatch(f"a graph of order {len(adjacency)} needs a matrix of that order, got {m.order}")
     off = ~np.eye(m.order, dtype=bool)
     return _certify_pattern(m, "Graph", off & ~adjacency, adjacency, symmetric=True)
-
-
-def check_claim(
-    name: str,
-    m: RealMatrix,
-    *,
-    k: int | None = None,
-    part_size: int | None = None,
-    parts: int | None = None,
-    zero_tol: float | None = None,
-    res_tol: float = RES_TOL,
-):
-    """Check ``m`` against the claim ``name``, one of CLAIMS.
-
-    ``k`` is the zero count of ompzd: k = 0 is the nowhere-zero claim,
-    and without k the zero count the diagonal shows is the claim.
-    ``part_size`` and ``parts`` are the parameters of multipartite; every
-    other claim ignores all three.  Returns an OrthoCertificate,
-    DrtVerdict or SkewHadamardVerdict; each has ``passed``, ``failures``,
-    ``summary()`` and ``report()``.  Raises ValueError for an unknown
-    claim, a missing or non-integer parameter, or unless ``res_tol`` is
-    finite and >= 0 and ``zero_tol`` is None or finite and >= 0."""
-    for label, tol in (("res_tol", res_tol), ("zero_tol", zero_tol)):
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"{label} must be finite and >= 0, got {tol!r}")
-    if name == "drt":
-        return check_drt(m)
-    if name == "skew-hadamard":
-        return check_skew_hadamard(m)
-    if name == "multipartite":
-        if not all(type(x) is int and x >= 1 for x in (part_size, parts)):  # bool is no count
-            raise ValueError("claim 'multipartite' needs a positive integer part size n and part count m")
-        return certify_multipartite(m, part_size, parts, zero_tol=zero_tol, res_tol=res_tol)
-    if name == CLAIM_OMPZD:
-        if k is None:
-            k = _diagonal_zeros(m, zero_tol)
-        elif type(k) is not int or k < 0:  # bool is no count
-            raise ValueError(f"claim 'ompzd' needs a non-negative integer zero count k, got {k!r}")
-        if k == 0:
-            name = CLAIM_NOWHERE_ZERO
-    return certify(m, name, k=k, zero_tol=zero_tol, res_tol=res_tol)

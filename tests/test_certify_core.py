@@ -1,8 +1,9 @@
 """The certificate core against a plain reference that builds every
 intermediate as a full array (the mirrored gram, cI, the off-diagonal
 gather): the same certificate, field for field and bit for bit, on built
-matrices and on tampered copies of them; plus the core's refusal of an
-empty matrix and the memory it takes."""
+matrices and on tampered copies of them; ``certify`` giving every claim
+the verdict of its checker; plus the refusal of an empty matrix and the
+memory the core takes."""
 
 import math
 import struct
@@ -15,7 +16,7 @@ import pytest
 from omzd import construct, planner
 from omzd.errors import ShapeMismatch
 from omzd.numerics import RES_TOL, RealMatrix
-from omzd.verify import certify, certify_graph, certify_multipartite, check_claim
+from omzd.verify import CLAIMS, certify, certify_graph, certify_multipartite, check_drt, check_skew_hadamard
 
 # --------------------------------------------------------------------------
 # Reference
@@ -93,6 +94,8 @@ _REFERENCE_MASKS = {
 
 
 def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL):
+    if claim == "ompzd" and k == 0:  # no diagonal zero: the nowhere-zero claim
+        claim = "nowhere-zero"
     label, zero, nonzero = _REFERENCE_MASKS[claim]
     eye = np.eye(m.order, dtype=bool)
     failures = ()
@@ -249,6 +252,66 @@ def test_overflowing_gram_keeps_nan_residual():
     assert cert.failures == ("recovered scale inf is not positive and finite",)
 
 
+# claim -> (a built matrix of it, the keywords of its claim)
+_BUILT = {
+    "omzd": (lambda: _root("omzd", 11), {}),
+    "symmetric-omzd": (lambda: _root("symmetric-omzd", 10), {}),
+    "ompzd": (lambda: _root("ompzd", 11, 3), {"k": 3}),
+    "conference": (lambda: _root("conference", q=13), {}),
+    "skew-hadamard": (lambda: _root("skew-hadamard", q=7, t=1), {}),
+    "drt": (lambda: _root("drt", q=11), {}),
+    "nowhere-zero": (lambda: construct.nowhere_zero_orthogonal(6), {}),
+    "multipartite": (lambda: _root("multipartite", 2, m=6), {"part_size": 2, "parts": 6}),
+    "orthogonal": (lambda: _root("omzd", 9), {}),
+}
+
+
+class TestOneEntry:
+    """``certify`` is the one claim dispatcher: every claim gives the
+    verdict of its direct checker, or of the reference for a pattern
+    claim, field for field."""
+
+    def test_table_covers_every_claim(self):
+        assert set(_BUILT) == set(CLAIMS)
+
+    @pytest.mark.parametrize("claim", CLAIMS)
+    @pytest.mark.parametrize("tampered", [False, True], ids=["built", "tampered"])
+    def test_same_verdict_as_the_direct_checker(self, claim, tampered):
+        build, kw = _BUILT[claim]
+        m = build()
+        if tampered:
+            a = np.array(m.data)
+            a[0, 1] += 1.0
+            m = RealMatrix(a, scale_c=m.scale_c)
+        got = certify(m, claim, **kw)
+        assert got.passed != tampered
+        if claim == "drt":
+            assert got == check_drt(m)
+        elif claim == "skew-hadamard":
+            assert got == check_skew_hadamard(m)
+        elif claim == "multipartite":
+            assert got == certify_multipartite(m, kw["part_size"], kw["parts"])
+        else:
+            assert _fields(got) == _reference_fields(_reference_certify(m, claim, **kw))
+
+    @pytest.mark.parametrize(
+        "claim,tolerance",
+        [
+            ("omzd", {"res_tol": math.inf}),
+            ("omzd", {"zero_tol": -1.0}),
+            ("drt", {"res_tol": math.nan}),
+            ("skew-hadamard", {"zero_tol": math.inf}),
+            ("multipartite", {"res_tol": -1.0}),
+            ("multipartite", {"zero_tol": math.nan}),
+        ],
+    )
+    def test_tolerances_are_refused(self, claim, tolerance):
+        build, kw = _BUILT[claim]
+        ((name, value),) = tolerance.items()
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value!r}$"):
+            certify(build(), claim, **kw, **tolerance)
+
+
 class TestEmptyMatrix:
     EMPTY = RealMatrix(np.zeros((0, 0)))
 
@@ -259,15 +322,27 @@ class TestEmptyMatrix:
             lambda m: certify(m, "ompzd", k=0),
             lambda m: certify_graph(m, np.zeros((0, 0), dtype=bool)),
             lambda m: certify_multipartite(m, 1, 1),
-            lambda m: check_claim("ompzd", m),
+            lambda m: certify(m, "ompzd"),
+            check_drt,
+            check_skew_hadamard,
         ],
-        ids=["certify", "certify-ompzd", "graph", "multipartite", "check-claim"],
+        ids=[
+            "certify", "certify-ompzd", "graph", "multipartite", "certify-ompzd-without-k",
+            "check-drt", "check-skew-hadamard",
+        ],
     )
     def test_raises_shape_mismatch_without_a_warning(self, check):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ShapeMismatch, match=r"^certification needs a matrix of order >= 1, got 0x0$"):
                 check(self.EMPTY)
+
+    @pytest.mark.parametrize("claim", CLAIMS)
+    def test_every_claim_raises_through_certify(self, claim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch, match=r"^certification needs a matrix of order >= 1, got 0x0$"):
+                certify(self.EMPTY, claim, part_size=1, parts=1)
 
 
 def test_certify_peak_memory():

@@ -602,7 +602,7 @@ class TestReduceZeros:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.9 * 8 * n * n
+        assert peak <= 3.6 * 8 * n * n
 
     @pytest.mark.parametrize("block", [1, 24, 36, 1 << 15])
     def test_batched_rotation_matches_one_pair_at_a_time(self, monkeypatch, block):

@@ -271,9 +271,9 @@ def _root_claim(spec, witness):
     witness certificate, checked on the witness it returns."""
     if isinstance(spec, Gnk):
         block = RealMatrix(witness.data[: spec.n, spec.n :], scale_c=witness.scale_c)
-        return verify.check_claim("ompzd", block, k=spec.k)
+        return verify.certify(block, "ompzd", k=spec.k)
     if spec.n == 1:  # K_m
-        return verify.check_claim("nowhere-zero", witness)
+        return verify.certify(witness, "nowhere-zero")
     return verify.certify_multipartite(witness, spec.n, spec.m)
 
 
@@ -374,7 +374,7 @@ class TestOneRoute:
                 nested.pop()
 
         monkeypatch.setattr(planner, "build", counted_build)
-        for module, name in ((planner, "check_claim"), (graphs, "certify_graph")):
+        for module, name in ((planner, "certify"), (graphs, "certify_graph")):
 
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -382,7 +382,7 @@ class TestOneRoute:
 
             monkeypatch.setattr(module, name, counted)
         assert (q2_certificate(spec).status == STATUS_CERTIFIED) == bool(executes)
-        assert (counts["build"], counts["check_claim"], counts["certify_graph"]) == (executes, 0, executes)
+        assert (counts["build"], counts["certify"], counts["certify_graph"]) == (executes, 0, executes)
 
     def test_knn_is_gnk_with_empty_matching(self):
         assert Knn(4) == Gnk(4, 0)

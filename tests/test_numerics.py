@@ -2,6 +2,7 @@
 involution multiplicities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from omzd import construct
 from omzd.errors import NonSymmetric, NotScaledInvolution
 from omzd.numerics import (
     RealMatrix,
-    gram,
     involution_multiplicities,
     jacobi_spectrum,
     residual_scaled_identity,
@@ -26,12 +26,6 @@ CONF_6 = [
     [1, -1, -1, 1, 0, 1],
     [1, 1, -1, -1, 1, 0],
 ]
-
-
-def int_gram(rows):
-    """Independent oracle: exact integer MM^T via pure-Python arithmetic."""
-    n = len(rows)
-    return [[sum(rows[i][t] * rows[j][t] for t in range(n)) for j in range(n)] for i in range(n)]
 
 
 class TestRealMatrix:
@@ -57,28 +51,19 @@ class TestRealMatrix:
         m = RealMatrix([[-0.0]])
         assert math.copysign(1.0, m.data[0, 0]) == 1.0
 
-
-class TestGram:
-    def test_identity(self):
-        g = gram(RealMatrix(np.eye(3)))
-        assert np.array_equal(g.data, np.eye(3))
-
-    def test_order_2_conference(self):
-        g = gram(RealMatrix([[0, 1], [1, 0]]))
-        assert np.array_equal(g.data, np.eye(2))
-
-    def test_order_6_conference_is_5i(self):
-        # oracle: direct integer multiplication of the printed matrix
-        oracle = int_gram(CONF_6)
-        assert oracle == [[5 if i == j else 0 for j in range(6)] for i in range(6)]
-        g = gram(RealMatrix(CONF_6))
-        assert np.array_equal(g.data, 5.0 * np.eye(6))
-
-    def test_exact_symmetry_on_random_input(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((17, 17))
-        g = gram(RealMatrix(a)).data
-        assert np.array_equal(g, g.T)
+    def test_one_copy_of_a_fresh_array(self):
+        # the data is copied once and -0.0 normalized on that copy
+        n = 401
+        a = np.random.default_rng(1).standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            m = RealMatrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m.data, a) and m.data is not a
+        assert peak <= 1.1 * 8 * n * n
 
 
 class TestResidualScaledIdentity:

@@ -10,7 +10,6 @@ from omzd.verify import (
     CLAIMS,
     certify,
     certify_graph,
-    check_claim,
     check_drt,
     check_skew_hadamard,
     zero_tolerance,
@@ -62,9 +61,11 @@ class TestCertify:
         assert not bad.passed
         assert any("expected exactly 2" in f for f in bad.failures)
 
-    def test_ompzd_requires_k(self):
-        with pytest.raises(ValueError):
-            certify(construct.seed("ompzd", 4, 3), "ompzd")
+    @pytest.mark.parametrize("k", [True, -1, 1.5])
+    def test_ompzd_k_must_be_a_count(self, k):
+        # without k the diagonal's zero count is the claim (TestClaimTable)
+        with pytest.raises(ValueError, match=f"^claim 'ompzd' needs a non-negative integer zero count k, got {k!r}$"):
+            certify(construct.seed("ompzd", 4, 3), "ompzd", k=k)
 
     def test_symmetric_claim_rejects_skew(self):
         cert = certify(construct.seed("omzd", 4), "symmetric-omzd")
@@ -232,37 +233,38 @@ class TestClaimTable:
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError, match="unknown claim"):
-            check_claim("hadamard", RealMatrix(np.eye(2)))
+            certify(RealMatrix(np.eye(2)), "hadamard")
 
     def test_ompzd_zero_count_is_nowhere_zero(self):
         m = construct.nowhere_zero_orthogonal(5)
-        assert check_claim("ompzd", m, k=0).claim == "NowhereZeroOrthogonal"
-        assert check_claim("ompzd", construct.seed("omzd", 6), k=6).claim == "OMPZD(6)"
+        assert certify(m, "ompzd", k=0).claim == "NowhereZeroOrthogonal"
+        assert certify(construct.seed("omzd", 6), "ompzd", k=6).claim == "OMPZD(6)"
 
     def test_ompzd_without_k_reads_the_diagonal(self):
         m = construct.reduce_zeros(construct.seed("omzd", 6), 2)
-        cert = check_claim("ompzd", m)
+        cert = certify(m, "ompzd")
         assert cert.passed and cert.claim == "OMPZD(2)"
+        assert cert == certify(m, "ompzd", k=2)
 
     @pytest.mark.parametrize("claim", ["drt", "skew-hadamard"])
     def test_integer_claims_check_integrality(self, claim):
         a = FANO if claim == "drt" else construct.drt_to_skew_hadamard(RealMatrix(FANO)).data
-        good = check_claim(claim, RealMatrix(a.astype(float)))
+        good = certify(RealMatrix(a.astype(float)), claim)
         assert good.passed
         tampered = a.astype(float)
         tampered[0, 1] += 0.5
-        bad = check_claim(claim, RealMatrix(tampered))
+        bad = certify(RealMatrix(tampered), claim)
         assert not bad.passed and bad.failures == ("entries are not integral",)
         assert bad.report()["passed"] is False
 
     def test_multipartite_needs_integer_parameters(self):
         w = construct.kron(construct.symmetric_omzd(6), construct.nowhere_zero_orthogonal(2))
-        assert check_claim("multipartite", w, part_size=2, parts=6).passed
+        assert certify(w, "multipartite", part_size=2, parts=6).passed
         with pytest.raises(ValueError, match="part size n and part count m"):
-            check_claim("multipartite", w, part_size=2)
+            certify(w, "multipartite", part_size=2)
 
     def test_summaries_of_exact_checks(self):
-        drt = check_claim("drt", RealMatrix(FANO.astype(float)))
+        drt = certify(RealMatrix(FANO.astype(float)), "drt")
         assert drt.summary() == {
             "claim": "DRT(7)",
             "passed": True,
