@@ -36,7 +36,7 @@ from .errors import (
     SchemaViolation,
     ShapeMismatch,
 )
-from .numerics import RES_TOL, RealMatrix
+from .numerics import RealMatrix
 from .verify import CLAIMS, certify
 
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a stored matrix against a claim")
     ver.add_argument("--in", dest="path", required=True)
     ver.add_argument("--claim", required=True, choices=CLAIMS)
-    ver.add_argument("--res-tol", type=float, default=RES_TOL)
+    ver.add_argument("--res-tol", type=float, default=None)
     ver.add_argument("--zero-tol", type=float, default=None)
 
     pl = sub.add_parser("plan", help="print the construction plan without executing it")

@@ -16,14 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gfield
 from .errors import BuildRefused, InvalidQ
-from .numerics import RealMatrix, residual_scaled_identity
-from .verify import (
-    CLAIM_OMPZD,
-    CLAIM_OMZD,
-    certify,
-    check_drt,
-    zero_tolerance,
-)
+from .numerics import RealMatrix
+from .verify import CLAIM_OMPZD, CLAIM_OMZD, certify, zero_tolerance
 
 __all__ = [
     "seed",
@@ -43,8 +37,15 @@ __all__ = [
     "conjugate_permute",
 ]
 
-KIND_OMZD = "omzd"
-KIND_OMPZD = "ompzd"
+
+def _checked(m: RealMatrix, claim: str, refusal: str, **claim_args):
+    """The passed verdict of ``certify(m, claim, **claim_args)``, or
+    BuildRefused(f"{refusal}: {failures}").  Every builder that consumes a
+    plan stage checks it here, once; ``kron`` alone checks nothing."""
+    verdict = certify(m, claim, **claim_args)
+    if not verdict.passed:
+        raise BuildRefused(f"{refusal}: {verdict.failures}")
+    return verdict
 
 
 # --------------------------------------------------------------------------
@@ -63,18 +64,6 @@ def _seed_conference_4() -> RealMatrix:
         [-1, -1, 1, 0],
     ]
     return RealMatrix(rows, scale_c=3.0)
-
-
-def _seed_conference_6() -> RealMatrix:
-    rows = [
-        [0, 1, 1, 1, 1, 1],
-        [1, 0, 1, -1, -1, 1],
-        [1, 1, 0, 1, -1, -1],
-        [1, -1, 1, 0, 1, -1],
-        [1, -1, -1, 1, 0, 1],
-        [1, 1, -1, -1, 1, 0],
-    ]
-    return RealMatrix(rows, scale_c=5.0)
 
 
 def _seed_omzd_5() -> RealMatrix:
@@ -155,25 +144,26 @@ def _seed_ompzd_5_4() -> RealMatrix:
 
 
 _CATALOG = {
-    (KIND_OMZD, 2, None): _seed_conference_2,
-    (KIND_OMZD, 4, None): _seed_conference_4,
-    (KIND_OMZD, 5, None): _seed_omzd_5,
-    (KIND_OMZD, 6, None): _seed_conference_6,
-    (KIND_OMZD, 7, None): _seed_omzd_7,
-    (KIND_OMPZD, 3, 1): _seed_ompzd_3_1,
-    (KIND_OMPZD, 4, 3): _seed_ompzd_4_3,
-    (KIND_OMPZD, 5, 4): _seed_ompzd_5_4,
+    (CLAIM_OMZD, 2, None): _seed_conference_2,
+    (CLAIM_OMZD, 4, None): _seed_conference_4,
+    (CLAIM_OMZD, 5, None): _seed_omzd_5,
+    (CLAIM_OMZD, 6, None): lambda: paley_conference(5),
+    (CLAIM_OMZD, 7, None): _seed_omzd_7,
+    (CLAIM_OMPZD, 3, 1): _seed_ompzd_3_1,
+    (CLAIM_OMPZD, 4, 3): _seed_ompzd_4_3,
+    (CLAIM_OMPZD, 5, 4): _seed_ompzd_5_4,
 }
 
 
 def seed_catalog_keys() -> list[tuple[str, int, int | None]]:
-    """All (kind, n, k) triples with a stored literal matrix."""
+    """All (kind, n, k) triples the seed catalog serves."""
     return sorted(_CATALOG, key=lambda t: (t[0], t[1], -1 if t[2] is None else t[2]))
 
 
 def seed(kind: str, n: int, k: int | None = None) -> RealMatrix:
-    """Return the literal catalog matrix for (kind, n, k)."""
-    key = (kind, n, k if kind == KIND_OMPZD else None)
+    """Return the catalog matrix for (kind, n, k): a closed form written
+    out above, or for the OMZD(6) the Paley conference matrix of q = 5."""
+    key = (kind, n, k if kind == CLAIM_OMPZD else None)
     try:
         builder = _CATALOG[key]
     except KeyError:
@@ -262,11 +252,6 @@ def paley_tournament(q: int) -> RealMatrix:
 # Splice (core) construction
 # --------------------------------------------------------------------------
 
-def _unit_scale(m: RealMatrix) -> np.ndarray:
-    c, _ = residual_scaled_identity(m)
-    return m.data / math.sqrt(c)
-
-
 def _splice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block assembly [[B, v x^T], [y u^T, C]] from unit-scale inputs with
     zero upper-left corners, where u/x are first rows and v/y first
@@ -290,9 +275,7 @@ def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
                 f"combine needs square inputs of order >= 4; {label} input is "
                 f"{mat.rows}x{mat.cols}"
             )
-        cert = certify(mat, CLAIM_OMZD)
-        if not cert.passed:
-            raise BuildRefused(f"{label} input failed OMZD certification: {cert.failures}")
+        cert = _checked(mat, CLAIM_OMZD, f"{label} input failed OMZD certification")
         units.append(mat.data / math.sqrt(cert.scale_c))  # c from the certificate's gram
     return RealMatrix(_splice(*units), scale_c=1.0)
 
@@ -303,11 +286,12 @@ def ompzd_n_minus_1(omzd: RealMatrix) -> RealMatrix:
 
     Splices the OMPZD(4,3) seed, permuted so its corner is zero (which
     leaves its single nonzero diagonal entry inside the core), with the
-    OMZD(n-2).  The input is not certified here: the result's own
-    certificate covers it.
+    OMZD(n-2).  The input is certified and rescaled by its certificate's
+    c; the seed's gram mean is exactly 4, so it is halved.
     """
-    m = conjugate_permute(seed(KIND_OMPZD, 4, 3), [1, 0, 2, 3])  # zero corner
-    return RealMatrix(_splice(_unit_scale(m), _unit_scale(omzd)), scale_c=1.0)
+    cert = _checked(omzd, CLAIM_OMZD, "input failed OMZD certification")
+    m = conjugate_permute(seed(CLAIM_OMPZD, 4, 3), [1, 0, 2, 3])  # zero corner
+    return RealMatrix(_splice(m.data / 2.0, omzd.data / math.sqrt(cert.scale_c)), scale_c=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +311,7 @@ def symmetric_omzd(n: int) -> RealMatrix:
     if n == 4:
         raise BuildRefused("no symmetric OMZD(4) exists")
     if n == 2:
-        return seed(KIND_OMZD, 2)
+        return seed(CLAIM_OMZD, 2)
     m = n // 2
     alpha = math.sqrt(m * m - 1.0)
     beta = (-alpha + math.sqrt(2.0 * m - 1.0)) / m
@@ -341,18 +325,11 @@ def symmetric_omzd(n: int) -> RealMatrix:
 # Tournament route
 # --------------------------------------------------------------------------
 
-def _require_drt(t: RealMatrix) -> int:
-    verdict = check_drt(t)
-    if not verdict.passed:
-        raise BuildRefused(f"input is not a doubly regular tournament: {verdict.failures}")
-    return verdict.q
-
-
 def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
     """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
     DRT(q): border the skew +-1 matrix S + I, S = T - Tᵀ, with a +1 row
     and -1 column."""
-    q = _require_drt(t)
+    q = _checked(t, "drt", "input is not a doubly regular tournament").q
     s = t.data - t.data.T
     h = np.empty((q + 1, q + 1))
     h[0, 0] = 1
@@ -398,7 +375,7 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    q = _require_drt(t)
+    q = _checked(t, "drt", "input is not a doubly regular tournament").q
     if q == 3:
         raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")
     sign = 1.0 if branch == "plus" else -1.0
@@ -508,12 +485,8 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     if target_k > j:
         raise BuildRefused(f"input has {j} diagonal zeros, cannot reach {target_k}")
 
-    cert = certify(m, CLAIM_OMPZD, k=j)
-    if not cert.passed:
-        raise BuildRefused(
-            f"input is not an order-{n} orthogonal matrix with all {j} zeros "
-            f"on the diagonal: {cert.failures}"
-        )
+    refusal = f"input is not an order-{n} orthogonal matrix with all {j} zeros on the diagonal"
+    cert = _checked(m, CLAIM_OMPZD, refusal, k=j)
     scale = cert.scale_c if m.scale_c is None else m.scale_c
     if target_k == j:
         return RealMatrix(m.data, scale_c=scale)

@@ -50,8 +50,8 @@ class RealMatrix:
         object.__setattr__(self, "data", _frozen_array(self.data))
         if self.scale_c is not None:
             c = float(self.scale_c)
-            if not (c > 0.0):
-                raise ValueError(f"scale_c must be strictly positive, got {c}")
+            if not (0.0 < c < np.inf):
+                raise ValueError(f"scale_c must be positive and finite, got {c}")
             object.__setattr__(self, "scale_c", c)
 
     @property

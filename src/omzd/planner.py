@@ -6,11 +6,14 @@ that forbids it; every refusal, and the order cap ``MAX_ORDER``, is
 checked before anything is built.  Plans are immutable trees; ``build``
 evaluates them bottom-up through the construct module.
 
-Each stage is checked at most once.  A stage that feeds another is
-checked by the builder that consumes it, through that builder's own input
-check (``combine`` certifies its OMZD inputs, ``drt_to_skew_hadamard``
-and ``omzd_from_drt`` check their DRT, ``reduce_zeros`` its orthogonal
-input).  ``execute`` is ``build`` plus the root check with
+Each stage but Kron's factors is checked once.  A stage that feeds
+another is checked by the builder that consumes it, through its input check:
+``combine`` and ``ompzd_n_minus_1`` certify their OMZD inputs,
+``drt_to_skew_hadamard``, ``omzd_from_drt`` and ``double_drt`` (through
+the first) check their DRT, and ``reduce_zeros`` its orthogonal input.
+``kron`` is the one builder that checks nothing: a plain product promises
+no orthogonality, and the multipartite root claim covers its factors.
+``execute`` is ``build`` plus the root check with
 ``verify.certify``; ``build`` leaves the root check to its caller.
 """
 

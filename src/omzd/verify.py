@@ -265,6 +265,15 @@ _PATTERNS = {
 }
 
 
+# claim -> the tolerances it never reads, which certify refuses
+_UNREAD_TOLERANCES = {
+    CLAIM_CONFERENCE: ("res_tol",),
+    "drt": ("res_tol", "zero_tol"),
+    "skew-hadamard": ("res_tol", "zero_tol"),
+    CLAIM_ORTHOGONAL: ("zero_tol",),
+}
+
+
 def _rule_mask(n: int, on_diagonal: bool, off_diagonal: bool) -> np.ndarray:
     mask = np.full((n, n), off_diagonal)
     np.fill_diagonal(mask, on_diagonal)
@@ -279,7 +288,7 @@ def certify(
     part_size: int | None = None,
     parts: int | None = None,
     zero_tol: float | None = None,
-    res_tol: float = RES_TOL,
+    res_tol: float | None = None,
 ):
     """Check ``m`` against ``claim``, one of CLAIMS; the one map from a
     claim to its checker.
@@ -292,12 +301,23 @@ def certify(
     nowhere-zero claim, and without k the zero count the diagonal shows
     is the claim.  Returns the full OrthoCertificate, DrtVerdict or
     SkewHadamardVerdict, each with ``passed``, ``failures``, ``summary()``
-    and ``report()``.  Raises ValueError for an unknown claim, a missing
-    or non-integer parameter, or unless ``res_tol`` is finite and >= 0
-    and ``zero_tol`` is None or finite and >= 0."""
-    for label, tol in (("res_tol", res_tol), ("zero_tol", zero_tol)):
+    and ``report()``.  ``res_tol`` None means ``RES_TOL``.
+
+    Raises ValueError for an unknown claim, a missing or non-integer
+    parameter, a tolerance that is given but not finite and >= 0, or,
+    after that, a tolerance the claim never reads: conference, drt and
+    skew-hadamard take no res_tol (their checks are exact), and drt,
+    skew-hadamard and orthogonal take no zero_tol (none of them requires
+    a zero or a nonzero entry by the zero rule).
+    """
+    tolerances = {"res_tol": res_tol, "zero_tol": zero_tol}
+    for label, tol in tolerances.items():
         if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"{label} must be finite and >= 0, got {tol!r}")
+    for label in _UNREAD_TOLERANCES.get(claim, ()):
+        if tolerances[label] is not None:
+            raise ValueError(f"claim {claim!r} takes no {label}")
+    res_tol = RES_TOL if res_tol is None else res_tol
     if claim == "drt":
         return check_drt(m)
     if claim == "skew-hadamard":

@@ -832,6 +832,12 @@ GEN_PINS = [
     ("gen --kind multipartite --n 3 --m 2", "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8", None),
     ("gen --kind omzd --n 51", "a573d0457028cee7a21b05dbd96e6dde742f41051b18380e89d04a1f45848874", None),
     ("gen --kind omzd --n 251", "d02dc62bcc44b05e4bd73553b2b77197f51e52f459cf1bc8c13e0832dc7ae0c0", None),
+    # Combine(Seed(omzd,6),Seed(omzd,6)): the OMZD(6) seed is paley_conference(5)
+    (
+        "gen --kind omzd --n 10 --route prefer-recursive",
+        "a236a4841bdabdf06dbe68ce1f590b821583571d9f86f4fd10f29204e6b19e9c",
+        None,
+    ),
     (
         "gen --kind ompzd --n 201 --k 100",
         "f15da577dea1b06371f7a61c5de4fa5762772bd40d5fed9045afadd3faff65fc",
@@ -939,8 +945,12 @@ def checker_calls(monkeypatch):
     return calls
 
 
-def _stages(node) -> int:
-    return 1 + sum(_stages(child) for child in node.children)
+def _checked_stages(node) -> int:
+    """The plan's nodes less Kron's factors: kron checks nothing (the
+    multipartite root claim covers them), every other stage is checked by
+    the builder it feeds, and the root by ``execute``."""
+    below = sum(_checked_stages(child) for child in node.children)
+    return 1 + below - (len(node.children) if node.op == "kron" else 0)
 
 
 class TestEachStageCheckedOnce:
@@ -955,7 +965,7 @@ class TestEachStageCheckedOnce:
         monkeypatch.setattr(planner, "plan", recording_plan)
         code, out, _ = invoke(*argv.split())
         assert code == 0 and len(nodes) == 1
-        assert len(checker_calls) <= _stages(nodes[0])
+        assert len(checker_calls) == _checked_stages(nodes[0])
         root = decode_matrix_file(out)["matrix"].data
         assert sum(np.array_equal(m, root) for m in checker_calls) == 1
 
@@ -1007,6 +1017,30 @@ class TestVerifyTolerances:
         name = flag[2:].replace("-", "_")
         assert (code, out) == (2, "")
         assert err == f"ValueError: {name} must be finite and >= 0, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize(
+        "gen,claim,flag",
+        [
+            ("--kind conference --q 5", "conference", "--res-tol"),
+            ("--kind drt --q 7", "drt", "--res-tol"),
+            ("--kind skew-hadamard --q 7", "skew-hadamard", "--res-tol"),
+            ("--kind drt --q 7", "drt", "--zero-tol"),
+            ("--kind skew-hadamard --q 7", "skew-hadamard", "--zero-tol"),
+            ("--kind omzd --n 6", "orthogonal", "--zero-tol"),
+        ],
+    )
+    def test_unread_tolerance_is_refused(self, tmp_path, gen, claim, flag):
+        path = tmp_path / "m.json"
+        invoke("gen", *gen.split(), "--out", str(path))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", claim, flag, "1e-3")
+        assert (code, out) == (2, "")
+        assert err == f"ValueError: claim {claim!r} takes no {flag[2:].replace('-', '_')}\n"
+
+    def test_conference_reads_zero_tol(self, tmp_path):
+        path = tmp_path / "m.json"
+        invoke("gen", "--kind", "conference", "--q", "5", "--out", str(path))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "conference", "--zero-tol", "0.5")
+        assert (code, err) == (0, "") and json.loads(out)["passed"] is True
 
 
 class TestVerifyIntegerClaims:

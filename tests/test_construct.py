@@ -753,6 +753,10 @@ BUILDER_REFUSALS = {
         lambda: construct.combine(RealMatrix(np.eye(4)), construct.seed("omzd", 5)),
         r"first input failed OMZD certification: ",
     ),
+    "nm1-not-omzd": (
+        lambda: construct.ompzd_n_minus_1(RealMatrix(np.eye(4))),
+        r"^input failed OMZD certification: ",
+    ),
     "odd-order": (
         lambda: construct.symmetric_omzd(5),
         r"a symmetric OMZD\(n\) exists only for even n, got 5",

@@ -42,6 +42,12 @@ class TestRealMatrix:
         with pytest.raises(ValueError):
             RealMatrix([[1.0]], scale_c=-2.0)
 
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+    def test_scale_must_be_finite(self, scale):
+        # an infinite scale would reach the encoder, which cannot write it
+        with pytest.raises(ValueError, match=f"^scale_c must be positive and finite, got {scale}$"):
+            RealMatrix([[1.0]], scale_c=scale)
+
     def test_data_is_immutable(self):
         m = RealMatrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):

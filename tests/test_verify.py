@@ -119,11 +119,13 @@ class TestCertify:
 
     def test_exactness_on_integer_inputs(self):
         # integer-backed claims are tolerance-free: a single flipped sign
-        # must fail no matter how loose the tolerance
+        # fails, and a residual tolerance, which could loosen nothing, is
+        # refused
         bad = np.array(construct.seed("omzd", 6).data)
         bad[0, 1] = -bad[0, 1]
-        cert = certify(RealMatrix(bad), "conference", res_tol=1e6)
-        assert not cert.passed
+        assert not certify(RealMatrix(bad), "conference").passed
+        with pytest.raises(ValueError, match=r"^claim 'conference' takes no res_tol$"):
+            certify(RealMatrix(bad), "conference", res_tol=1e6)
 
 
 class TestCertifyGraph:
