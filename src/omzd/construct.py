@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import gfield
 from .errors import BuildRefused, InvalidQ
 from .numerics import RealMatrix
-from .verify import CLAIM_OMPZD, CLAIM_OMZD, certify, zero_tolerance
+from .verify import CLAIM_DRT, CLAIM_OMPZD, CLAIM_OMZD, certify, zero_tolerance
 
 __all__ = [
     "seed",
@@ -329,7 +329,7 @@ def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
     """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
     DRT(q): border the skew +-1 matrix S + I, S = T - Tᵀ, with a +1 row
     and -1 column."""
-    q = _checked(t, "drt", "input is not a doubly regular tournament").q
+    q = _checked(t, CLAIM_DRT, "input is not a doubly regular tournament").q
     s = t.data - t.data.T
     h = np.empty((q + 1, q + 1))
     h[0, 0] = 1
@@ -375,7 +375,7 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    q = _checked(t, "drt", "input is not a doubly regular tournament").q
+    q = _checked(t, CLAIM_DRT, "input is not a doubly regular tournament").q
     if q == 3:
         raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")
     sign = 1.0 if branch == "plus" else -1.0

@@ -32,7 +32,8 @@ import numpy as np
 from . import construct, planner
 from .errors import NoKnownConstruction, NonSymmetric, NotScaledInvolution
 from .numerics import RealMatrix, involution_multiplicities
-from .verify import certify_graph, certify_multipartite, zero_tolerance  # certify_multipartite is re-exported
+from .verify import CLAIM_MULTIPARTITE, CLAIM_OMPZD, certify_graph, zero_tolerance
+from .verify import certify_multipartite  # re-exported
 
 __all__ = [
     "Knn",
@@ -183,11 +184,11 @@ _NO_CONSTRUCTION = (
 def _plan(spec: GraphSpec) -> planner.PlanNode:
     """The plan whose root gives the witness of ``spec``."""
     if isinstance(spec, Gnk):
-        return planner.plan(planner.KIND_OMPZD, spec.n, spec.k)
+        return planner.plan(CLAIM_OMPZD, spec.n, spec.k)
     if isinstance(spec, Multipartite):
         if spec.n == 1:  # K_m: its diagonal is free, so no zero block is needed
-            return planner.plan(planner.KIND_OMPZD, spec.m, 0)
-        return planner.plan(planner.KIND_MULTIPARTITE, spec.n, m=spec.m)
+            return planner.plan(CLAIM_OMPZD, spec.m, 0)
+        return planner.plan(CLAIM_MULTIPARTITE, spec.n, m=spec.m)
     raise TypeError(f"unknown graph family {type(spec).__name__}")
 
 

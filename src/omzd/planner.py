@@ -3,8 +3,12 @@
 Given a kind and its parameters the planner either emits a construction
 plan that realizes the object or raises a typed refusal naming the result
 that forbids it; every refusal, and the order cap ``MAX_ORDER``, is
-checked before anything is built.  Plans are immutable trees; ``build``
-evaluates them bottom-up through the construct module.
+checked before anything is built.  Plans are immutable trees of
+``PlanNode``; ``build`` evaluates them bottom-up through the construct
+module.  Each ``_OPS`` row states an op's serial name, theorem, output
+(kind, n, k) and builder, and ``_node`` makes every node from its row.
+A node's kind is the claim its output is certified against, one of
+``verify.CLAIMS``.
 
 Each stage but Kron's factors is checked once.  A stage that feeds
 another is checked by the builder that consumes it, through its input check:
@@ -32,17 +36,19 @@ from .errors import (
     NonexistentTarget,
     ResourceLimit,
 )
-from .verify import certify
 from .gfield import prime_power_decompose
+from .verify import (
+    CLAIM_CONFERENCE,
+    CLAIM_DRT,
+    CLAIM_MULTIPARTITE,
+    CLAIM_OMPZD,
+    CLAIM_OMZD,
+    CLAIM_SKEW_HADAMARD,
+    CLAIM_SYMMETRIC_OMZD,
+    certify,
+)
 
 __all__ = [
-    "KIND_OMZD",
-    "KIND_SYMMETRIC_OMZD",
-    "KIND_OMPZD",
-    "KIND_CONFERENCE",
-    "KIND_DRT",
-    "KIND_SKEW_HADAMARD",
-    "KIND_MULTIPARTITE",
     "MAX_ORDER",
     "ROUTES",
     "PlanNode",
@@ -58,14 +64,7 @@ __all__ = [
     "BELEVITCH_NOTE",
 ]
 
-KIND_OMZD = "omzd"
-KIND_SYMMETRIC_OMZD = "symmetric-omzd"
-KIND_OMPZD = "ompzd"
-KIND_CONFERENCE = "conference"
-KIND_DRT = "drt"
-KIND_SKEW_HADAMARD = "skew-hadamard"
-KIND_MULTIPARTITE = "multipartite"
-_KINDS = (KIND_OMZD, KIND_SYMMETRIC_OMZD, KIND_OMPZD)  # the kinds with an existence table
+_KINDS = (CLAIM_OMZD, CLAIM_SYMMETRIC_OMZD, CLAIM_OMPZD)  # the kinds with an existence table
 
 ROUTE_AUTO = "auto"
 ROUTE_PREFER_DRT = "prefer-drt"
@@ -87,70 +86,88 @@ BELEVITCH_NOTE = (
 
 class _Op(NamedTuple):
     """A plan op: its name in serialized plans, the result that justifies
-    it, and its builder over (child results..., args...).  Each builder
-    looks its construct function up at call time, so a wrapper installed
-    on the module is seen."""
+    it, the (kind, n, k) it outputs over (child nodes..., args...), and its
+    builder over (child results..., args...).  Each builder looks its
+    construct function up at call time, so a wrapper installed on the
+    module is seen."""
 
     serial: str
     theorem: str
+    shape: Callable
     build: Callable
 
 
 _OPS = {
-    "seed": _Op("Seed", "catalog seed matrix", lambda *args: construct.seed(*args)),
+    "seed": _Op(
+        "Seed",
+        "catalog seed matrix",
+        lambda kind, n, k=None: (kind, n, k),
+        lambda *args: construct.seed(*args),
+    ),
     "paley": _Op(
         "Paley",
         "an odd prime power q yields a conference matrix of order q+1",
+        lambda q: (CLAIM_CONFERENCE, q + 1, None),
         lambda q: construct.paley_conference(q),
     ),
     "combine": _Op(
         "Combine",
         "unit-scale OMZD(m+1) and OMZD(n+1) splice into an OMZD(m+n)",
+        lambda a, b: (CLAIM_OMZD, a.n + b.n - 2, None),
         lambda a, b: construct.combine(a, b),
     ),
     "symmetric": _Op(
         "Symmetric",
         "for even n = 2m >= 6, [[J-I, B], [B, I-J]] with B = aI + bJ is a symmetric OMZD(n)",
+        lambda n: (CLAIM_SYMMETRIC_OMZD, n, None),
         lambda n: construct.symmetric_omzd(n),
     ),
     "paley-drt": _Op(
         "PaleyDRT",
         "a prime power q = 3 (mod 4) yields a doubly regular tournament of order q",
+        lambda q: (CLAIM_DRT, q, None),
         lambda q: construct.paley_tournament(q),
     ),
     "double": _Op(
         "Double",
         "a DRT(q) yields a DRT(2q+1) via its skew-Hadamard matrix",
+        lambda t: (CLAIM_DRT, 2 * t.n + 1, None),
         lambda t: construct.double_drt(t),
     ),
     "skew-hadamard": _Op(
         "SkewHadamard",
         "a DRT(q) is equivalent to a skew-Hadamard matrix of order q+1",
+        lambda t: (CLAIM_SKEW_HADAMARD, t.n + 1, None),
         lambda t: construct.drt_to_skew_hadamard(t),
     ),
     "omzd-from-drt": _Op(
         "OmzdFromDrt",
         "a DRT(q) with q >= 7 yields an OMZD(q) as alpha*A + J - I",
+        lambda t, branch: (CLAIM_OMZD, t.n, None),
         lambda t, branch: construct.omzd_from_drt(t, branch),
     ),
     "reduce-zeros": _Op(
         "ReduceZeros",
         "plane rotations reduce the diagonal zero count to any k <= n-2",
+        lambda m, k: (CLAIM_OMPZD, m.n, k),
         lambda m, k: construct.reduce_zeros(m, k),
     ),
-    "ompzd-nm1": _Op(
+    "ompzd-nm1": _Op(  # its arg n is the order of its OMZD(n-2) child plus 2
         "OmpzdNm1",
         "splicing a zero-cornered OMPZD(4,3) into an OMZD(n-2) gives an OMPZD(n,n-1)",
+        lambda omzd, n: (CLAIM_OMPZD, n, n - 1),
         lambda omzd, n: construct.ompzd_n_minus_1(omzd),
     ),
     "nowhere-zero": _Op(
         "NowhereZero",
         "I - (2/n)J is orthogonal with no zero entries for n >= 3",
+        lambda n: (CLAIM_OMPZD, n, 0),
         lambda n: construct.nowhere_zero_orthogonal(n),
     ),
     "kron": _Op(
         "Kron",
         "a Kronecker product of orthogonal matrices is orthogonal",
+        lambda a, b: (CLAIM_MULTIPARTITE, a.n * b.n, None),
         lambda a, b: construct.kron(a, b),
     ),
 }
@@ -159,7 +176,7 @@ _OPS = {
 @dataclass(frozen=True)
 class PlanNode:
     """One construction step, annotated with its expected output
-    (kind, n, k) and the result that justifies it."""
+    (kind, n, k); ``theorem`` is the result that justifies its op."""
 
     op: str
     args: tuple
@@ -167,70 +184,16 @@ class PlanNode:
     kind: str
     n: int
     k: int | None
-    theorem: str
+
+    @property
+    def theorem(self) -> str:
+        return _OPS[self.op].theorem
 
 
-def _node(op, args=(), children=(), *, kind, n, k=None) -> PlanNode:
-    return PlanNode(
-        op=op,
-        args=tuple(args),
-        children=tuple(children),
-        kind=kind,
-        n=n,
-        k=k,
-        theorem=_OPS[op].theorem,
-    )
-
-
-def seed_node(kind: str, n: int, k: int | None = None) -> PlanNode:
-    args = (kind, n) if k is None else (kind, n, k)
-    return _node("seed", args, kind=kind, n=n, k=k)
-
-
-def paley_node(q: int) -> PlanNode:
-    return _node("paley", (q,), kind=KIND_CONFERENCE, n=q + 1)
-
-
-def combine_node(a: PlanNode, b: PlanNode) -> PlanNode:
-    return _node("combine", (), (a, b), kind=KIND_OMZD, n=a.n + b.n - 2)
-
-
-def symmetric_node(n: int) -> PlanNode:
-    return _node("symmetric", (n,), kind=KIND_SYMMETRIC_OMZD, n=n)
-
-
-def paley_drt_node(q: int) -> PlanNode:
-    return _node("paley-drt", (q,), kind=KIND_DRT, n=q)
-
-
-def double_node(child: PlanNode) -> PlanNode:
-    return _node("double", (), (child,), kind=KIND_DRT, n=2 * child.n + 1)
-
-
-def skew_hadamard_node(child: PlanNode) -> PlanNode:
-    return _node("skew-hadamard", (), (child,), kind=KIND_SKEW_HADAMARD, n=child.n + 1)
-
-
-def omzd_from_drt_node(child: PlanNode, branch: str = "minus") -> PlanNode:
-    return _node("omzd-from-drt", (branch,), (child,), kind=KIND_OMZD, n=child.n)
-
-
-def reduce_zeros_node(child: PlanNode, target_k: int) -> PlanNode:
-    return _node("reduce-zeros", (target_k,), (child,), kind=KIND_OMPZD, n=child.n, k=target_k)
-
-
-def ompzd_nm1_node(child: PlanNode) -> PlanNode:
-    """OMPZD(n, n-1) from the plan of an OMZD(n-2)."""
-    n = child.n + 2
-    return _node("ompzd-nm1", (n,), (child,), kind=KIND_OMPZD, n=n, k=n - 1)
-
-
-def nowhere_zero_node(n: int) -> PlanNode:
-    return _node("nowhere-zero", (n,), kind=KIND_OMPZD, n=n, k=0)
-
-
-def kron_node(a: PlanNode, b: PlanNode) -> PlanNode:
-    return _node("kron", (), (a, b), kind=KIND_MULTIPARTITE, n=a.n * b.n)
+def _node(op: str, *children: PlanNode, args: tuple = ()) -> PlanNode:
+    """The node of ``op`` over ``children`` and ``args``, with the output
+    its ``_OPS`` row states."""
+    return PlanNode(op, args, children, *_OPS[op].shape(*children, *args))
 
 
 def serialize_plan(node: PlanNode) -> str:
@@ -260,12 +223,12 @@ def exists(kind: str, n: int, k: int | None = None) -> ExistenceVerdict:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
 
-    if kind == KIND_OMZD:
+    if kind == CLAIM_OMZD:
         if n in (1, 3):
             return ExistenceVerdict(False, f"omzd-existence: no OMZD({n}); OMZD(n) exists iff n is not 1 or 3")
         return ExistenceVerdict(True, f"omzd-existence: an OMZD({n}) exists (every n except 1 and 3)")
 
-    if kind == KIND_SYMMETRIC_OMZD:
+    if kind == CLAIM_SYMMETRIC_OMZD:
         if n % 2 != 0:
             return ExistenceVerdict(False, f"symmetric-omzd-existence: no symmetric OMZD({n}); odd order forces unequal +-sqrt(c) eigenvalue multiplicities")
         if n == 4:
@@ -298,18 +261,10 @@ def _drt_route(n: int, branch: str) -> PlanNode | None:
         pk = prime_power_decompose(q)
         return pk is not None and pk[0] != 2
 
-    if qualifies(n):
-        return omzd_from_drt_node(paley_drt_node(n), branch)
-    t = 1
-    while (1 << t) <= n + 1:
-        if (n + 1) % (1 << t) == 0:
-            q = (n + 1) // (1 << t) - 1
-            if qualifies(q):
-                node = paley_drt_node(q)
-                for _ in range(t):
-                    node = double_node(node)
-                return omzd_from_drt_node(node, branch)
-        t += 1
+    for t in range((n + 1).bit_length()):
+        q = ((n + 1) >> t) - 1
+        if (n + 1) % (1 << t) == 0 and qualifies(q):
+            return _node("omzd-from-drt", _tournament_plan(q, t), args=(branch,))
     return None
 
 
@@ -324,9 +279,9 @@ def _omzd_plan(n: int, route: str, branch: str) -> PlanNode:
         # a and n + 2 - a are >= 5 (never the missing order 3), and the
         # depth is about log2 n
         if n in (2, 4, 5, 6, 7):
-            return seed_node(KIND_OMZD, n)
+            return _node("seed", args=(CLAIM_OMZD, n))
         a = (n + 2) // 2
-        return combine_node(_omzd_plan(a, route, branch), _omzd_plan(n + 2 - a, route, branch))
+        return _node("combine", _omzd_plan(a, route, branch), _omzd_plan(n + 2 - a, route, branch))
     # auto: the closed-form symmetric construction for even n.  Odd n
     # takes one splice, whatever its size: a symmetric OMZD(n-3) (even
     # order, never 4 for n >= 11) with the OMZD(5) seed, so the plan has
@@ -334,30 +289,30 @@ def _omzd_plan(n: int, route: str, branch: str) -> PlanNode:
     # keeps its splice of the 7 and 4 seeds; 5 and 7 are seeds.
     if n % 2 == 0:
         if n in (2, 4):
-            return seed_node(KIND_OMZD, n)
-        return symmetric_node(n)
+            return _node("seed", args=(CLAIM_OMZD, n))
+        return _node("symmetric", args=(n,))
     if n in (5, 7):
-        return seed_node(KIND_OMZD, n)
+        return _node("seed", args=(CLAIM_OMZD, n))
     if n == 9:
-        return combine_node(seed_node(KIND_OMZD, 7), seed_node(KIND_OMZD, 4))
-    return combine_node(symmetric_node(n - 3), seed_node(KIND_OMZD, 5))
+        return _node("combine", _node("seed", args=(CLAIM_OMZD, 7)), _node("seed", args=(CLAIM_OMZD, 4)))
+    return _node("combine", _node("symmetric", args=(n - 3,)), _node("seed", args=(CLAIM_OMZD, 5)))
 
 
 def _ompzd_plan(n: int, k: int, route: str, branch: str) -> PlanNode:
     if k == n:
         return _omzd_plan(n, route, branch)
     if k == 0:
-        return nowhere_zero_node(n)
+        return _node("nowhere-zero", args=(n,))
     if k == n - 1:
         if n == 4:
-            return seed_node(KIND_OMPZD, 4, 3)
+            return _node("seed", args=(CLAIM_OMPZD, 4, 3))
         if n == 5:
-            return seed_node(KIND_OMPZD, 5, 4)
-        return ompzd_nm1_node(_omzd_plan(n - 2, ROUTE_AUTO, branch))
+            return _node("seed", args=(CLAIM_OMPZD, 5, 4))
+        return _node("ompzd-nm1", _omzd_plan(n - 2, ROUTE_AUTO, branch), args=(n,))
     # 1 <= k <= n-2
     if n == 3:
-        return seed_node(KIND_OMPZD, 3, 1)
-    return reduce_zeros_node(_omzd_plan(n, route, branch), k)
+        return _node("seed", args=(CLAIM_OMPZD, 3, 1))
+    return _node("reduce-zeros", _omzd_plan(n, route, branch), args=(k,))
 
 
 def check_order(n: int) -> None:
@@ -379,7 +334,7 @@ def check_part_count(m: int) -> None:
 
 
 def _paley_plan(q: int) -> PlanNode:
-    node = paley_node(q)
+    node = _node("paley", args=(q,))
     check_order(node.n)
     try:
         construct.check_paley_q(q)
@@ -393,11 +348,11 @@ def _tournament_plan(q: int, t: int) -> PlanNode:
     so a huge t stops at the cap."""
     if t < 0:
         raise ValueError(f"doubling count t must be >= 0, got {t}")
-    node = paley_drt_node(q)
+    node = _node("paley-drt", args=(q,))
     check_order(node.n)
     construct.check_paley_q(q, tournament=True)
     for _ in range(t):
-        node = double_node(node)
+        node = _node("double", node)
         check_order(node.n)
     return node
 
@@ -409,8 +364,8 @@ def _multipartite_plan(n: int, m: int) -> PlanNode:
     if m % 2 != 0 or m == 4:
         raise NoKnownConstruction("no construction is known for an odd part count or exactly 4 parts")
     check_order(n * m)
-    factor = seed_node(KIND_OMZD, 2) if m == 2 else symmetric_node(m)
-    return kron_node(factor, nowhere_zero_node(n))
+    factor = _node("seed", args=(CLAIM_OMZD, 2)) if m == 2 else _node("symmetric", args=(m,))
+    return _node("kron", factor, _node("nowhere-zero", args=(n,)))
 
 
 def plan(
@@ -436,26 +391,26 @@ def plan(
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    if kind == KIND_CONFERENCE:
+    if kind == CLAIM_CONFERENCE:
         return _paley_plan(q)
-    if kind == KIND_DRT:
+    if kind == CLAIM_DRT:
         return _tournament_plan(q, t)
-    if kind == KIND_SKEW_HADAMARD:
+    if kind == CLAIM_SKEW_HADAMARD:
         # a DRT order is odd and at most MAX_ORDER, so one more is too
-        return skew_hadamard_node(_tournament_plan(q, t))
-    if kind == KIND_MULTIPARTITE:
+        return _node("skew-hadamard", _tournament_plan(q, t))
+    if kind == CLAIM_MULTIPARTITE:
         return _multipartite_plan(n, m)
 
     verdict = exists(kind, n, k)
     if not verdict.exists:
         raise NonexistentTarget(verdict.reason)
     check_order(n)
-    if kind == KIND_OMZD:
+    if kind == CLAIM_OMZD:
         return _omzd_plan(n, route, branch)
-    if kind == KIND_SYMMETRIC_OMZD:
+    if kind == CLAIM_SYMMETRIC_OMZD:
         if n == 2:
-            return seed_node(KIND_OMZD, 2)
-        return symmetric_node(n)
+            return _node("seed", args=(CLAIM_OMZD, 2))
+        return _node("symmetric", args=(n,))
     return _ompzd_plan(n, k, route, branch)
 
 
@@ -486,7 +441,7 @@ def execute(node: PlanNode):
     CertificationFailed when the root fails.
     """
     result = build(node)
-    if node.kind == KIND_MULTIPARTITE:  # Kron(factor, base): factor.n parts of size base.n
+    if node.kind == CLAIM_MULTIPARTITE:  # Kron(factor, base): factor.n parts of size base.n
         factor, base = node.children
         claim = {"part_size": base.n, "parts": factor.n}
     else:

@@ -58,6 +58,9 @@ __all__ = [
     "CLAIM_SYMMETRIC_OMZD",
     "CLAIM_NOWHERE_ZERO",
     "CLAIM_ORTHOGONAL",
+    "CLAIM_DRT",
+    "CLAIM_SKEW_HADAMARD",
+    "CLAIM_MULTIPARTITE",
     "OrthoCertificate",
     "DrtVerdict",
     "SkewHadamardVerdict",
@@ -75,11 +78,14 @@ CLAIM_CONFERENCE = "conference"
 CLAIM_SYMMETRIC_OMZD = "symmetric-omzd"
 CLAIM_NOWHERE_ZERO = "nowhere-zero"
 CLAIM_ORTHOGONAL = "orthogonal"  # orthogonality only, no pattern constraint
+CLAIM_DRT = "drt"
+CLAIM_SKEW_HADAMARD = "skew-hadamard"
+CLAIM_MULTIPARTITE = "multipartite"
 
 # every claim certify accepts, in the order of the verify --claim choices
 CLAIMS = (
-    CLAIM_OMZD, CLAIM_SYMMETRIC_OMZD, CLAIM_OMPZD, CLAIM_CONFERENCE, "skew-hadamard",
-    "drt", CLAIM_NOWHERE_ZERO, "multipartite", CLAIM_ORTHOGONAL,
+    CLAIM_OMZD, CLAIM_SYMMETRIC_OMZD, CLAIM_OMPZD, CLAIM_CONFERENCE, CLAIM_SKEW_HADAMARD,
+    CLAIM_DRT, CLAIM_NOWHERE_ZERO, CLAIM_MULTIPARTITE, CLAIM_ORTHOGONAL,
 )
 
 
@@ -137,15 +143,12 @@ def _is_integral(a: np.ndarray) -> bool:
     return bool(np.all(a == np.round(a)))
 
 
-def _refuse_empty(m: RealMatrix) -> None:
-    if m.data.shape == (0, 0):
-        raise ShapeMismatch("certification needs a matrix of order >= 1, got 0x0")
-
-
 def _square_order(m: RealMatrix) -> int:
+    """The order of ``m``; raises ShapeMismatch unless it is square and not 0x0."""
     if not m.is_square:
         raise ShapeMismatch(f"certification needs a square matrix, got {m.rows}x{m.cols}")
-    _refuse_empty(m)
+    if m.order == 0:
+        raise ShapeMismatch("certification needs a matrix of order >= 1, got 0x0")
     return m.order
 
 
@@ -268,8 +271,8 @@ _PATTERNS = {
 # claim -> the tolerances it never reads, which certify refuses
 _UNREAD_TOLERANCES = {
     CLAIM_CONFERENCE: ("res_tol",),
-    "drt": ("res_tol", "zero_tol"),
-    "skew-hadamard": ("res_tol", "zero_tol"),
+    CLAIM_DRT: ("res_tol", "zero_tol"),
+    CLAIM_SKEW_HADAMARD: ("res_tol", "zero_tol"),
     CLAIM_ORTHOGONAL: ("zero_tol",),
 }
 
@@ -318,11 +321,11 @@ def certify(
         if tolerances[label] is not None:
             raise ValueError(f"claim {claim!r} takes no {label}")
     res_tol = RES_TOL if res_tol is None else res_tol
-    if claim == "drt":
+    if claim == CLAIM_DRT:
         return check_drt(m)
-    if claim == "skew-hadamard":
+    if claim == CLAIM_SKEW_HADAMARD:
         return check_skew_hadamard(m)
-    if claim == "multipartite":
+    if claim == CLAIM_MULTIPARTITE:
         if not all(type(x) is int and x >= 1 for x in (part_size, parts)):  # bool is no count
             raise ValueError("claim 'multipartite' needs a positive integer part size n and part count m")
         return certify_multipartite(m, part_size, parts, zero_tol=zero_tol, res_tol=res_tol)
@@ -394,15 +397,12 @@ def check_drt(t: RealMatrix) -> DrtVerdict:
     J - I (an orientation of the complete graph); every out-degree
     (q-1)/2; every ordered vertex pair jointly dominating exactly (q-3)/4
     others, which is the entrywise statement TTᵀ = ((q+1)/4)I + ((q-3)/4)J.
-    Raises ShapeMismatch for a 0x0 matrix.
+    Raises ShapeMismatch for a non-square or 0x0 matrix.
     """
-    _refuse_empty(t)
+    q = _square_order(t)
     a = t.data
     if not _is_integral(a):
-        return DrtVerdict(False, a.shape[0], None, None, _NOT_INTEGRAL)
-    if a.shape[0] != a.shape[1]:
-        return DrtVerdict(False, a.shape[0], None, None, ("matrix is not square",))
-    q = a.shape[0]
+        return DrtVerdict(False, q, None, None, _NOT_INTEGRAL)
     failures: list[str] = []
 
     if not np.all((a == 0) | (a == 1)):
@@ -453,14 +453,11 @@ class SkewHadamardVerdict:
 
 def check_skew_hadamard(h: RealMatrix) -> SkewHadamardVerdict:
     """Exact check of both skew-Hadamard identities on integral +-1
-    entries.  Raises ShapeMismatch for a 0x0 matrix."""
-    _refuse_empty(h)
+    entries.  Raises ShapeMismatch for a non-square or 0x0 matrix."""
+    n = _square_order(h)
     a = h.data
     if not _is_integral(a):
-        return SkewHadamardVerdict(False, a.shape[0], _NOT_INTEGRAL)
-    if a.shape[0] != a.shape[1]:
-        return SkewHadamardVerdict(False, a.shape[0], ("matrix is not square",))
-    n = a.shape[0]
+        return SkewHadamardVerdict(False, n, _NOT_INTEGRAL)
     failures: list[str] = []
     if not np.all(np.abs(a) == 1):
         failures.append("entries are not all +-1")

@@ -345,6 +345,15 @@ class TestEmptyMatrix:
                 certify(self.EMPTY, claim, part_size=1, parts=1)
 
 
+class TestNonSquareMatrix:
+    NON_SQUARE = RealMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("claim", CLAIMS)
+    def test_every_claim_raises_through_certify(self, claim):
+        with pytest.raises(ShapeMismatch, match=r"^certification needs a square matrix, got 2x3$"):
+            certify(self.NON_SQUARE, claim, part_size=1, parts=1)
+
+
 def test_certify_peak_memory():
     # |m| and then the gram, and bool masks: about 1.7 n^2 doubles here
     m = _root("omzd", 401)

@@ -430,7 +430,7 @@ class TestResourceLimits:
     def test_builder_refusal_is_an_internal_error(self, monkeypatch):
         # plan refuses every case a builder would, so a builder refusal
         # that reaches the CLI is a planner bug, not a legitimate refusal
-        monkeypatch.setattr(planner, "plan", lambda *args, **kwargs: planner.symmetric_node(4))
+        monkeypatch.setattr(planner, "plan", lambda *args, **kwargs: planner._node("symmetric", args=(4,)))
         code, out, err = invoke("gen", "--kind", "symmetric-omzd", "--n", "4")
         assert (code, out) == (2, "")
         assert err == "internal error: BuildRefused: no symmetric OMZD(4) exists\n"
@@ -786,6 +786,14 @@ class TestVerifyBadInput:
         assert code == 2 and out == ""
         assert err.startswith("ShapeMismatch: ")
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("claim", ["drt", "skew-hadamard", "omzd"])
+    def test_non_square_is_shape_mismatch_for_every_checker(self, tmp_path, claim):
+        # drt and skew-hadamard once gave a "not square" verdict and exit 1
+        doc = _matrix_doc([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        code, out, err = self._verify(tmp_path, doc, claim)
+        assert (code, out) == (2, "")
+        assert err == "ShapeMismatch: certification needs a square matrix, got 2x3\n"
 
     def test_wrong_order_multipartite_is_valid_json(self, tmp_path):
         path = tmp_path / "m.json"

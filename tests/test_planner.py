@@ -1,12 +1,21 @@
 """Existence tables, routing, plan serialization, and execution."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omzd import planner
-from omzd.errors import InvalidK, InvalidQ, NoKnownConstruction, NonexistentTarget, ResourceLimit
+from omzd.errors import (
+    InvalidK,
+    InvalidQ,
+    NoKnownConstruction,
+    NonexistentTarget,
+    OmzdError,
+    ResourceLimit,
+)
 from omzd.gfield import prime_power_decompose
 from omzd.planner import execute, exists, plan, serialize_plan
 
@@ -119,7 +128,7 @@ class TestExecute:
         assert abs(matrix.data[1, 4] - beta) <= 1e-12
 
     def test_seed_omzd2(self):
-        matrix, cert = execute(planner.seed_node("omzd", 2))
+        matrix, cert = execute(planner._node("seed", args=("omzd", 2)))
         assert matrix.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert cert.passed
 
@@ -129,12 +138,12 @@ class TestExecute:
         assert cert.passed
 
     def test_conference_root(self):
-        matrix, cert = execute(planner.paley_node(5))
+        matrix, cert = execute(planner._node("paley", args=(5,)))
         assert matrix.order == 6
         assert cert.passed and cert.scale_c == 5.0
 
     def test_tournament_root_certified(self):
-        matrix, verdict = execute(planner.paley_drt_node(7))
+        matrix, verdict = execute(planner._node("paley-drt", args=(7,)))
         assert verdict.passed and verdict.claim == "DRT(7)"
         assert (verdict.k, verdict.lam) == (3, 1)
         assert matrix.order == 7 and matrix.scale_c is None
@@ -221,6 +230,51 @@ class TestSerializeRoundTripShapes:
         node = plan("omzd", 15, route="prefer-drt")
         assert node.theorem
         assert all(child.theorem for child in node.children)
+
+
+def _plan_fingerprint(node):
+    return (
+        serialize_plan(node), node.kind, node.n, node.k, node.theorem,
+        tuple(_plan_fingerprint(child) for child in node.children),
+    )
+
+
+def _plan_grid():
+    for kind in ("omzd", "symmetric-omzd"):
+        for n in range(1, 301):
+            for route in planner.ROUTES:
+                for branch in ("minus", "plus"):
+                    yield (kind, n), {"route": route, "branch": branch}
+    for n in range(1, 61):
+        for k in range(n + 1):
+            for route in planner.ROUTES:
+                yield ("ompzd", n, k), {"route": route}
+    for kind in ("conference", "drt", "skew-hadamard"):
+        for q in range(400):
+            for t in range(3):
+                yield (kind,), {"q": q, "t": t}
+    for n in range(30):
+        for m in range(12):
+            yield ("multipartite", n), {"m": m}
+
+
+class TestPlanGridPin:
+    def test_every_plan_in_the_grid(self):
+        """Every plan, or refusal, over the grid hashes as pinned: its
+        serial form, kind, n, k and theorem at every node."""
+        digest = hashlib.sha256()
+        count = 0
+        for args, kwargs in _plan_grid():
+            try:
+                out = _plan_fingerprint(plan(*args, **kwargs))
+            except (OmzdError, ValueError) as e:
+                out = (type(e).__name__, str(e))
+            digest.update(repr((args, kwargs, out)).encode())
+            count += 1
+        assert count == 13230
+        assert digest.hexdigest() == (
+            "c3ebf2a996afa09062820a42c0f4f27521d5da17123d6d4b8fb6c80b00db16df"
+        )
 
 
 class TestEveryGenKindPlanned:
