@@ -10,6 +10,13 @@ impossible, 2 usage, unreadable input, unwritable output or internal
 error.  Output is byte-deterministic: fixed key order and
 17-significant-digit floats (exact double round-trip); decoding is exact
 too, giving the same doubles as ``json.loads``.
+
+A matrix is written in row chunks.  One sort of its 64-bit patterns gives
+its few distinct values, each formatted once; each chunk of rows finds
+its entries among them with ``np.searchsorted`` and is joined on its own.
+``gen`` (JSON and CSV) and ``certify-graph`` write the document head, the
+chunks and the tail to stdout or --out as they come, after every check
+that can refuse the document has run, so a refusal writes nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -82,38 +90,104 @@ def _fmt_number(x) -> str:
 
 
 def _dump_json(obj) -> str:
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj, end: str = "") -> Iterator[str]:
+    """The JSON text of ``obj`` then ``end``, as pieces to write in turn.
+
+    Every check that can raise (a non-finite number, a type with no JSON
+    form) runs before this returns, so no piece reaches a file or stdout
+    ahead of a refusal.  Each RealMatrix in ``obj`` comes as its row
+    chunks from _format_rows; the text around the matrices is joined into
+    as few pieces as it spans.
+    """
+    parts: list = []
+    _append_json(obj, parts)
+    parts.append(end)
+    return _merge_text(parts)
+
+
+def _append_json(obj, parts: list) -> None:
     if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, int, float)):
-        return _fmt_number(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dump_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_dump_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, RealMatrix):
-        return "[" + ",".join(_format_rows(obj.data, "[", "]")) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        parts.append("null")
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (bool, int, float)):
+        parts.append(_fmt_number(obj))
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                parts.append(",")
+            _append_json(v, parts)
+        parts.append("]")
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            parts.append(("," if i else "") + json.dumps(k) + ":")
+            _append_json(v, parts)
+        parts.append("}")
+    elif isinstance(obj, RealMatrix):
+        parts.append("[")
+        parts.append(_format_rows(obj.data, "[", "]", ","))
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _format_rows(data: np.ndarray, open_: str, close: str) -> list[str]:
-    """Each row as 17-significant-digit values between ``open_`` and
-    ``close``, with the bytes _fmt_number gives entry by entry.
+def _merge_text(parts: list) -> Iterator[str]:
+    """Yield ``parts`` in order: each run of strings joined into one piece,
+    and each row-chunk iterator chunk by chunk."""
+    run: list[str] = []
+    for part in parts:
+        if isinstance(part, str):
+            run.append(part)
+        else:
+            yield "".join(run)
+            run = []
+            yield from part
+    yield "".join(run)
+
+
+# the most entries one row chunk of _format_rows holds, unless one row has more
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Iterator[str]:
+    """The rows of ``data`` as 17-significant-digit values between
+    ``open_`` and ``close``, ``sep`` between rows, in chunks of at most
+    _CHUNK_ENTRIES entries, with the bytes _fmt_number gives entry by entry.
 
     The constructions hold few distinct values, so each distinct 64-bit
     pattern is formatted once and every row is a gather of those strings.
-    Keying on bits rather than values keeps -0.0 apart from 0.0; the
-    gather goes row by row so no n x n array of strings is held at once.
+    The distinct patterns come from one sort of all n^2 patterns, and each
+    chunk finds its entries among them with ``np.searchsorted``; the sorted
+    copy is freed first, so no n x n index or n x n array of strings is
+    held.  Keying on bits rather than values keeps -0.0 apart from 0.0.
+    The finiteness check and the index run before this returns; the chunks
+    are joined as they are read.
     """
     if not np.all(np.isfinite(data)):
         raise NonFiniteNumber("matrix entries must be finite")
-    rows, cols = data.shape
-    bits = np.ascontiguousarray(data).reshape(-1).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
+    bits = np.ascontiguousarray(data).view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    del ordered, first
     text = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
-    inverse = inverse.reshape(rows, cols)
-    return [open_ + ",".join(text[row].tolist()) + close for row in inverse]
+    rows, cols = bits.shape
+    step = max(1, _CHUNK_ENTRIES // max(1, cols))
+
+    def chunks():
+        for start in range(0, rows, step):
+            index = np.searchsorted(keys, bits[start : start + step])
+            body = sep.join([open_ + ",".join(text[row].tolist()) + close for row in index])
+            yield sep + body if start else body
+
+    return chunks()
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +201,16 @@ def encode_matrix_file(
     certificate: dict | None,
     provenance: dict,
 ) -> str:
+    return "".join(_matrix_file_pieces(kind, matrix, plan, certificate, provenance))
+
+
+def _matrix_file_pieces(
+    kind: str,
+    matrix: RealMatrix,
+    plan: str | None,
+    certificate: dict | None,
+    provenance: dict,
+) -> Iterator[str]:
     doc = {
         "kind": kind,
         "order": matrix.rows,
@@ -137,7 +221,7 @@ def encode_matrix_file(
         "certificate": certificate,
         "provenance": provenance,
     }
-    return _dump_json(doc) + "\n"
+    return _json_pieces(doc, "\n")
 
 
 def _expect(cond: bool, field: str, message: str) -> None:
@@ -319,15 +403,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # Subcommands
 # --------------------------------------------------------------------------
 
-def _emit(args, text: str, stdout) -> None:
+def _emit(args, pieces: Iterator[str], stdout) -> None:
+    """Write ``pieces`` in turn to the --out file, or to stdout."""
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as e:
             raise _FileError(f"cannot write output: {e}") from None
     else:
-        stdout.write(text)
+        stdout.writelines(pieces)
 
 
 class _Usage(Exception):
@@ -383,11 +468,11 @@ def _cmd_gen(args, stdout, stderr) -> int:
     )
     matrix, cert = planner.execute(node)
     if args.format == "csv":
-        _emit(args, matrix_to_csv(matrix), stdout)
+        pieces = _format_rows(matrix.data, "", "\n")
     else:
         provenance = {"theorem": node.theorem, "parameters": params}
-        text = encode_matrix_file(kind, matrix, planner.serialize_plan(node), cert.summary(), provenance)
-        _emit(args, text, stdout)
+        pieces = _matrix_file_pieces(kind, matrix, planner.serialize_plan(node), cert.summary(), provenance)
+    _emit(args, pieces, stdout)
     return 0
 
 
@@ -465,7 +550,7 @@ def _cmd_certify_graph(args, stdout, stderr) -> int:
         "pattern_verified": cert.pattern_verified,
         "matrix": matrix_doc,
     }
-    _emit(args, _dump_json(out) + "\n", stdout)
+    _emit(args, _json_pieces(out, "\n"), stdout)
     if cert.status != graphs.STATUS_CERTIFIED:
         stderr.write(f"{cert.status}: {cert.reason}\n")
     return 0 if cert.status == graphs.STATUS_CERTIFIED else 1

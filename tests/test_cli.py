@@ -1,10 +1,12 @@
 """CLI surface: gen/verify/plan/exists/certify-graph, persistence, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -495,21 +497,32 @@ class TestRowEncoder:
 
     @staticmethod
     def _assert_matches_oracles(data):
-        assert "[" + ",".join(_format_rows(data, "[", "]")) + "]" == _old_dump_entries(data)
+        assert "[" + "".join(_format_rows(data, "[", "]", ",")) + "]" == _old_dump_entries(data)
         expected_csv = "".join(",".join("%.17g" % x for x in row) + "\n" for row in data)
         assert "".join(_format_rows(data, "", "\n")) == expected_csv
 
     def test_both_zero_signs_stay_apart(self):
         # RealMatrix normalizes -0.0, so the raw encoder gets the mixed array
         data = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]])
-        assert _format_rows(data, "[", "]") == ["[-0,0,1]", "[0,-0,-1]"]
+        assert "".join(_format_rows(data, "[", "]", ",")) == "[-0,0,1],[0,-0,-1]"
         self._assert_matches_oracles(data)
 
     def test_values_one_ulp_apart(self):
         x = np.array([1.0 / 3.0, 1.0, -2.5, 1e-300, 5e-324])
         data = np.stack([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
-        rows = _format_rows(data, "", "")
-        assert len({value for row in rows for value in row.split(",")}) == data.size
+        values = "".join(_format_rows(data, "", "", ",")).split(",")
+        assert len(values) == len(set(values)) == data.size
+        self._assert_matches_oracles(data)
+
+    def test_rows_span_several_chunks(self):
+        # 16 rows of 4096 fill one chunk, so 40 rows make three, the last
+        # one short; a subnormal and both zero signs sit on their edges
+        data = np.random.default_rng(17).standard_normal((40, 4096))
+        assert cli._CHUNK_ENTRIES // data.shape[1] == 16
+        data[15, -1], data[16, 0], data[32, 0] = 5e-324, -0.0, -5e-324
+        data[31, -1], data[39, -1], data[0, 0] = 0.0, -0.0, 0.0
+        chunks = list(_format_rows(data, "", "\n"))
+        assert [chunk.count("\n") for chunk in chunks] == [16, 16, 8]
         self._assert_matches_oracles(data)
 
     @pytest.mark.parametrize("layout", ["fortran", "transposed"])
@@ -919,6 +932,78 @@ class TestGenPinnedBytes:
             2, "", f"ValueError: part size must be >= 1, got {n}\n"
         )
         assert built == []
+
+
+# sha256 of stdout at orders where the encoder writes many row chunks,
+# taken before it wrote them in chunks
+LARGE_PINS = [
+    ("gen --kind omzd --n 2001", "a8d4f25cf2135a1c98e723acfa0112cd40abc455aa4b60364ef7d14b073977cb"),
+    ("gen --kind ompzd --n 1201 --k 600", "4ba1359b67fb9591f9b193509c1714b09ddffe3fd9bf84b008f85e165cc2b02f"),
+    ("gen --kind ompzd --n 2001 --k 1", "35e3e0a1d5f057044077fd2bf727d4ba3d62be3022b3239e033b7914968db04d"),
+]
+
+
+class _NullSink:
+    def writelines(self, pieces):
+        for _ in pieces:
+            pass
+
+
+class TestStreamedOutput:
+    """gen and certify-graph write their documents piece by piece, to
+    stdout or to --out, and refuse before writing anything."""
+
+    @pytest.mark.parametrize("argv", [argv for argv, *_ in GEN_PINS + OUTPUT_PINS])
+    def test_out_file_matches_stdout(self, argv, tmp_path):
+        code, out, err = invoke(*argv.split())
+        assert code == 0 and err == ""
+        path = tmp_path / "out"
+        assert invoke(*argv.split(), "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv,sha", LARGE_PINS)
+    def test_large_stdout_bytes(self, argv, sha):
+        code, out, err = invoke(*argv.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_last_row_writes_nothing(self, fmt, to_file, tmp_path, monkeypatch):
+        execute = planner.execute
+
+        def last_row_inf(node):
+            matrix, verdict = execute(node)
+            data = matrix.data.copy()
+            data[-1, 0] = math.inf
+            return RealMatrix(data, scale_c=matrix.scale_c), verdict
+
+        monkeypatch.setattr(planner, "execute", last_row_inf)
+        path = tmp_path / "out"
+        # 163 rows of 401 fill one chunk: the bad row is in the third
+        argv = ["gen", "--kind", "omzd", "--n", "401", "--format", fmt] + (["--out", str(path)] if to_file else [])
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("NonFiniteNumber: ") and err.count("\n") == 1
+        assert not path.exists()
+
+    def test_encode_peak_memory(self):
+        # the document is 2.8x the matrix's bytes, so holding it whole, or
+        # its rows as one list, fails here; the sorted copy of the bit
+        # patterns is 1x, and the encoder peaked at 1.13x when this was set
+        node = planner.plan("omzd", 1001, None)
+        matrix, verdict = planner.execute(node)
+        provenance = {"theorem": node.theorem, "parameters": {"n": 1001, "route": "auto"}}
+        tracemalloc.start()
+        try:
+            pieces = cli._matrix_file_pieces(
+                "omzd", matrix, planner.serialize_plan(node), verdict.summary(), provenance
+            )
+            cli._emit(argparse.Namespace(out=None), pieces, _NullSink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * matrix.data.nbytes
 
 
 _CHECKERS = ("certify", "check_drt", "check_skew_hadamard", "certify_multipartite")
