@@ -44,7 +44,6 @@ from .planner import ExistenceVerdict, PlanNode, execute, exists, plan, serializ
 from .verify import (
     DrtVerdict,
     OrthoCertificate,
-    SkewHadamardVerdict,
     certify,
     check_drt,
     check_skew_hadamard,
@@ -62,7 +61,6 @@ __all__ = [
     "chi",
     "OrthoCertificate",
     "DrtVerdict",
-    "SkewHadamardVerdict",
     "certify",
     "check_drt",
     "check_skew_hadamard",

@@ -577,12 +577,17 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args, stdout, stderr)
+        code = _COMMANDS[args.command](args, stdout, stderr)
+        stdout.flush()
+        return code
     except _Usage as e:
         stderr.write(f"usage error: {e}\n")
         return 2
     except _FileError as e:
         stderr.write(f"{e}\n")
+        return 2
+    except OSError as e:  # --in and --out raise _FileError, so this is stdout's write or flush
+        stderr.write(f"cannot write output: {e}\n")
         return 2
     except _REFUSALS as e:
         stderr.write(f"{type(e).__name__}: {e}\n")

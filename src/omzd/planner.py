@@ -118,7 +118,8 @@ _OPS = {
     ),
     "symmetric": _Op(
         "Symmetric",
-        "for even n = 2m >= 6, [[J-I, B], [B, I-J]] with B = aI + bJ is a symmetric OMZD(n)",
+        "for even n = 2m >= 6, [[J-I, B], [B, I-J]] with B = aI + bJ is a symmetric OMZD(n), "
+        "and so is [[0, 1], [1, 0]] at n = 2",
         lambda n: (CLAIM_SYMMETRIC_OMZD, n, None),
         lambda n: construct.symmetric_omzd(n),
     ),
@@ -364,8 +365,7 @@ def _multipartite_plan(n: int, m: int) -> PlanNode:
     if m % 2 != 0 or m == 4:
         raise NoKnownConstruction("no construction is known for an odd part count or exactly 4 parts")
     check_order(n * m)
-    factor = _node("seed", args=(CLAIM_OMZD, 2)) if m == 2 else _node("symmetric", args=(m,))
-    return _node("kron", factor, _node("nowhere-zero", args=(n,)))
+    return _node("kron", _node("symmetric", args=(m,)), _node("nowhere-zero", args=(n,)))
 
 
 def plan(
@@ -408,8 +408,6 @@ def plan(
     if kind == CLAIM_OMZD:
         return _omzd_plan(n, route, branch)
     if kind == CLAIM_SYMMETRIC_OMZD:
-        if n == 2:
-            return _node("seed", args=(CLAIM_OMZD, 2))
         return _node("symmetric", args=(n,))
     return _ompzd_plan(n, k, route, branch)
 
@@ -434,8 +432,8 @@ def execute(node: PlanNode):
     """``build`` a plan and check its root once, at the default tolerances
     of ``verify.certify``, against the claim of its kind.
 
-    Returns the root RealMatrix as its builder made it, and its verdict,
-    an OrthoCertificate, DrtVerdict or SkewHadamardVerdict.  The builder
+    Returns the root RealMatrix as its builder made it, and its verdict:
+    a DrtVerdict for a tournament, else an OrthoCertificate.  The builder
     sets the scale of an integer root: q for a conference matrix, the
     order for a skew-Hadamard matrix, none for a tournament.  Raises
     CertificationFailed when the root fails.

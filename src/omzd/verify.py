@@ -9,6 +9,7 @@ the builders and the graph layer share.  The masks per claim:
 
 - omzd, symmetric-omzd (symmetric) and conference (exact): zero on the
   diagonal, nonzero off it;
+- skew-hadamard (exact): nonzero everywhere, and H + Hᵀ = 2I;
 - ompzd: nonzero off the diagonal, and exactly k zeros on it;
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
@@ -27,13 +28,13 @@ and the margin, and frees it before it makes the product MMᵀ; only the
 integrality test of an exact claim and the symmetry test of a skew
 matrix make one float n x n array more.
 
-Tournaments and skew-Hadamard matrices get exact checkers of their own,
-``check_drt`` and ``check_skew_hadamard``.  Every claim, these two
-included, takes a float64 ``RealMatrix``.  The two check integrality
-first and then their entry set, {0, 1} or +-1, before any product.
-After that every partial sum of MMᵀ is an integer of magnitude at most
-the order, which the planner caps at 4096, far below 2^53, so the
-float64 (BLAS) products are exact.  Certificates always carry the full
+Only tournaments get an exact checker of their own, ``check_drt``.
+Every claim, tournaments included, takes a float64 ``RealMatrix``.  An
+exact verdict rests on the products only once the entries are integral
+and in their set, {0, 1} for a tournament, {0, +-1} for an exact pattern
+claim.  Then every partial sum of a product is an integer of magnitude
+at most the order, which the planner caps at 4096, far below 2^53, so
+the float64 (BLAS) products are exact.  Certificates always carry the full
 diagnostic rather than short-circuiting, so callers can assert on
 specific failure kinds.  ``CLAIMS`` names every claim (a gen kind or a
 ``verify --claim`` value); ``certify`` sends each to its checker, and the
@@ -63,7 +64,6 @@ __all__ = [
     "CLAIM_MULTIPARTITE",
     "OrthoCertificate",
     "DrtVerdict",
-    "SkewHadamardVerdict",
     "certify",
     "certify_graph",
     "certify_multipartite",
@@ -296,22 +296,23 @@ def certify(
     """Check ``m`` against ``claim``, one of CLAIMS; the one map from a
     claim to its checker.
 
-    drt and skew-hadamard go to their exact checkers, multipartite to
-    ``certify_multipartite`` with ``part_size`` and ``parts``, and the
-    rest to their row of ``_PATTERNS``: masks under the zero rule of
-    ``zero_tolerance``, and max |MMᵀ - cI| <= res_tol * c * order, or 0
-    for an exact claim.  ``k`` is the zero count of ompzd: k = 0 is the
-    nowhere-zero claim, and without k the zero count the diagonal shows
-    is the claim.  Returns the full OrthoCertificate, DrtVerdict or
-    SkewHadamardVerdict, each with ``passed``, ``failures``, ``summary()``
+    drt goes to ``check_drt``, skew-hadamard to ``check_skew_hadamard``,
+    multipartite to ``certify_multipartite`` with ``part_size`` and
+    ``parts``, and the rest to their row of ``_PATTERNS``: masks under the
+    zero rule of ``zero_tolerance``, and max |MMᵀ - cI| <= res_tol * c *
+    order, or 0 for an exact claim.  ``k`` is the zero count of ompzd:
+    k = 0 is the nowhere-zero claim, and without k the zero count the
+    diagonal shows is the claim.  Returns the full OrthoCertificate, or a
+    DrtVerdict for drt, each with ``passed``, ``failures``, ``summary()``
     and ``report()``.  ``res_tol`` None means ``RES_TOL``.
 
     Raises ValueError for an unknown claim, a missing or non-integer
     parameter, a tolerance that is given but not finite and >= 0, or,
     after that, a tolerance the claim never reads: conference, drt and
     skew-hadamard take no res_tol (their checks are exact), and drt,
-    skew-hadamard and orthogonal take no zero_tol (none of them requires
-    a zero or a nonzero entry by the zero rule).
+    skew-hadamard and orthogonal take no zero_tol (the zero rule decides
+    none of their verdicts: a tournament is {0, 1} and a skew-Hadamard
+    matrix +-1 exactly, and orthogonal requires no entry).
     """
     tolerances = {"res_tol": res_tol, "zero_tol": zero_tol}
     for label, tol in tolerances.items():
@@ -347,18 +348,6 @@ def certify(
     )
 
 
-def _exact_summary(claim: str, passed: bool, min_offdiag: float) -> dict:
-    """The certificate block of an exact integer check: zero residual, and
-    the matrix is neither symmetric nor skew."""
-    return {
-        "claim": claim,
-        "passed": passed,
-        "max_residual": 0.0,
-        "min_offdiag_magnitude": min_offdiag,
-        "symmetry": "neither",
-    }
-
-
 @dataclass(frozen=True)
 class DrtVerdict:
     """Exact verdict on the doubly-regular-tournament axioms."""
@@ -374,7 +363,15 @@ class DrtVerdict:
         return f"DRT({self.q})"
 
     def summary(self) -> dict:
-        return _exact_summary(self.claim, self.passed, min_offdiag=0.0)
+        """The certificate block: an exact check, and a tournament is
+        neither symmetric nor skew."""
+        return {
+            "claim": self.claim,
+            "passed": self.passed,
+            "max_residual": 0.0,
+            "min_offdiag_magnitude": 0.0,
+            "symmetry": "neither",
+        }
 
     def report(self) -> dict:
         return {
@@ -385,9 +382,6 @@ class DrtVerdict:
             "lambda": self.lam,
             "failures": list(self.failures),
         }
-
-
-_NOT_INTEGRAL = ("entries are not integral",)
 
 
 def check_drt(t: RealMatrix) -> DrtVerdict:
@@ -402,7 +396,7 @@ def check_drt(t: RealMatrix) -> DrtVerdict:
     q = _square_order(t)
     a = t.data
     if not _is_integral(a):
-        return DrtVerdict(False, q, None, None, _NOT_INTEGRAL)
+        return DrtVerdict(False, q, None, None, ("entries are not integral",))
     failures: list[str] = []
 
     if not np.all((a == 0) | (a == 1)):
@@ -432,41 +426,16 @@ def check_drt(t: RealMatrix) -> DrtVerdict:
     return DrtVerdict(passed, q, k if passed else None, lam if passed else None, tuple(failures))
 
 
-@dataclass(frozen=True)
-class SkewHadamardVerdict:
-    """Exact verdict on HHᵀ = nI and H + Hᵀ = 2I."""
-
-    passed: bool
-    order: int
-    failures: tuple[str, ...]
-
-    @property
-    def claim(self) -> str:
-        return f"SkewHadamard({self.order})"
-
-    def summary(self) -> dict:
-        return _exact_summary(self.claim, self.passed, min_offdiag=1.0)
-
-    def report(self) -> dict:
-        return {"claim": self.claim, "passed": self.passed, "failures": list(self.failures)}
-
-
-def check_skew_hadamard(h: RealMatrix) -> SkewHadamardVerdict:
-    """Exact check of both skew-Hadamard identities on integral +-1
-    entries.  Raises ShapeMismatch for a non-square or 0x0 matrix."""
+def check_skew_hadamard(h: RealMatrix) -> OrthoCertificate:
+    """The exact certificate of a skew-Hadamard matrix: integral +-1
+    entries, HHᵀ = nI exactly, and H + Hᵀ = 2I (H - I is skew).  Raises
+    ShapeMismatch for a non-square or 0x0 matrix."""
     n = _square_order(h)
-    a = h.data
-    if not _is_integral(a):
-        return SkewHadamardVerdict(False, n, _NOT_INTEGRAL)
-    failures: list[str] = []
-    if not np.all(np.abs(a) == 1):
-        failures.append("entries are not all +-1")
-    else:
-        if not np.array_equal(a @ a.T, n * np.eye(n)):
-            failures.append("HH^T != nI")
-        if not np.array_equal(a + a.T, 2 * np.eye(n)):
-            failures.append("H + H^T != 2I")
-    return SkewHadamardVerdict(not failures, n, tuple(failures))
+    s = h.data - np.eye(n)
+    return _certify_pattern(
+        h, f"SkewHadamard({n})", _rule_mask(n, False, False), _rule_mask(n, True, True), exact=True,
+        failures=() if np.array_equal(s, -s.T) else ("H + H^T != 2I",),
+    )
 
 
 def certify_multipartite(

@@ -87,6 +87,7 @@ _REFERENCE_MASKS = {
     "omzd": ("OMZD", lambda e: e, lambda e: ~e),
     "symmetric-omzd": ("SymmetricOMZD", lambda e: e, lambda e: ~e),
     "conference": ("Conference", lambda e: e, lambda e: ~e),
+    "skew-hadamard": ("SkewHadamard({n})", np.zeros_like, np.ones_like),
     "ompzd": ("OMPZD({k})", np.zeros_like, lambda e: ~e),
     "nowhere-zero": ("NowhereZeroOrthogonal", np.zeros_like, np.ones_like),
     "orthogonal": ("Orthogonal", np.zeros_like, np.zeros_like),
@@ -99,14 +100,17 @@ def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL):
     label, zero, nonzero = _REFERENCE_MASKS[claim]
     eye = np.eye(m.order, dtype=bool)
     failures = ()
+    if claim == "skew-hadamard" and not np.array_equal(m.data + m.data.T, 2 * eye):
+        failures = ("H + H^T != 2I",)
     if claim == "ompzd":
         tol = 1e-12 * m.max_abs() if zero_tol is None else zero_tol
         zeros = int(np.sum(np.abs(np.diag(m.data)) <= tol))
         if zeros != k:
             failures = (f"expected exactly {k} diagonal zeros, found {zeros}",)
     return _reference_core(
-        m, label.format(k=k), zero(eye), nonzero(eye), exact=claim == "conference",
-        symmetric=claim == "symmetric-omzd", zero_tol=zero_tol, res_tol=res_tol, failures=failures,
+        m, label.format(k=k, n=m.order), zero(eye), nonzero(eye),
+        exact=claim in ("conference", "skew-hadamard"), symmetric=claim == "symmetric-omzd",
+        zero_tol=zero_tol, res_tol=res_tol, failures=failures,
     )
 
 
@@ -143,6 +147,9 @@ def _built():
         "symmetric-50": _root("symmetric-omzd", 50),
         "conference-6": _root("conference", q=5),
         "conference-28": _root("conference", q=27),
+        "skew-hadamard-8": _root("skew-hadamard", q=7),
+        "skew-hadamard-24": _root("skew-hadamard", q=11, t=1),
+        "sylvester-4": RealMatrix(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])),  # Hadamard, not skew
         "ompzd-11-6": _root("ompzd", 11, 6),
         "ompzd-50-3": _root("ompzd", 50, 3),
         "ompzd-13-12": _root("ompzd", 13, 12),
@@ -287,12 +294,12 @@ class TestOneEntry:
         assert got.passed != tampered
         if claim == "drt":
             assert got == check_drt(m)
-        elif claim == "skew-hadamard":
-            assert got == check_skew_hadamard(m)
         elif claim == "multipartite":
             assert got == certify_multipartite(m, kw["part_size"], kw["parts"])
         else:
             assert _fields(got) == _reference_fields(_reference_certify(m, claim, **kw))
+        if claim == "skew-hadamard":
+            assert got == check_skew_hadamard(m)
 
     @pytest.mark.parametrize(
         "claim,tolerance",

@@ -1,19 +1,24 @@
 """CLI surface: gen/verify/plan/exists/certify-graph, persistence, exit codes."""
 
 import argparse
+import errno
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omzd
 from omzd import cli, construct, planner
 from omzd.cli import (
     _dump_json,
@@ -101,6 +106,14 @@ class TestGen:
         code, _, err = invoke("gen", "--kind", "multipartite", "--n", "2", "--m", "3")
         assert code == 1
 
+    def test_symmetric_order_2_is_certified_symmetric(self):
+        code, out, err = invoke("gen", "--kind", "symmetric-omzd", "--n", "2")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["plan"] == "Symmetric(2)" and doc["entries"] == [[0, 1], [1, 0]]
+        assert doc["certificate"]["claim"] == "SymmetricOMZD"
+        assert doc["certificate"]["symmetry"] == "symmetric"
+
 
 class TestVerifyRoundTrip:
     CASES = [
@@ -170,6 +183,74 @@ class TestBadPaths:
         assert (code, out) == (2, "")
         assert err.startswith("cannot write output: ") and str(out_path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: its write, or only its flush, fails with ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def _fail(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        return self._fail() if self.failing == "write" else super().write(text)
+
+    def flush(self):
+        return self._fail() if self.failing == "flush" else super().flush()
+
+
+# one run of each command that writes to stdout
+_STDOUT_RUNS = [
+    ("gen", "--kind", "omzd", "--n", "401"),
+    ("gen", "--kind", "omzd", "--n", "5", "--format", "csv"),
+    ("plan", "--kind", "omzd", "--n", "5"),
+    ("exists", "--kind", "omzd", "--n", "5"),
+    ("certify-graph", "--family", "knn", "--n", "3"),
+]
+
+
+class TestFailedStdout:
+    """A write to stdout that fails is exit 2 with one stderr line, as a
+    failed write to --out is, not a traceback with exit 1."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", _STDOUT_RUNS, ids=" ".join)
+    def test_in_process(self, argv, failing):
+        err = io.StringIO()
+        assert run(list(argv), _FullStdout(failing), err) == 2
+        assert err.getvalue() == "cannot write output: [Errno 28] No space left on device\n"
+
+    def test_verify(self, tmp_path):
+        path = tmp_path / "m.json"
+        invoke("gen", "--kind", "omzd", "--n", "6", "--out", str(path))
+        err = io.StringIO()
+        assert run(["verify", "--in", str(path), "--claim", "omzd"], _FullStdout("write"), err) == 2
+        assert err.getvalue() == "cannot write output: [Errno 28] No space left on device\n"
+
+    @staticmethod
+    def _cli(stdout) -> subprocess.Popen:
+        src = str(Path(omzd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "omzd.cli", "gen", "--kind", "omzd", "--n", "401"]
+        return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def test_pipe_closed_early(self):
+        proc = self._cli(subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert err == "cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = self._cli(full)
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert err == "cannot write output: [Errno 28] No space left on device\n"
 
 
 class TestMatrixFile:
@@ -822,7 +903,7 @@ class TestVerifyBadInput:
 # gen stdout, sha256 of the bytes written before every kind was planned.
 # Where a deliberate change rewrote one field since, the third column
 # holds its (new, earlier) text: the new text must appear once, and the
-# pin is taken after putting the earlier text back.  Two kinds record a
+# pin is taken after putting the earlier text back.  Three kinds record a
 # plan where they recorded another, and two OMPZD files carry their
 # root's exact scale_c where they carried the gram mean.
 GEN_PINS = [
@@ -850,7 +931,11 @@ GEN_PINS = [
     ),
     ("gen --kind skew-hadamard --q 27 --t 1", "34ea54a57979597c291360376a035e1745ecd6f2534b2e9cfc93755ee44dc4db", None),
     ("gen --kind multipartite --n 5 --m 6", "4b02e1f4974102eb4989d52b06aee1dc91485ff7af6566c14da10655b19f8224", None),
-    ("gen --kind multipartite --n 3 --m 2", "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8", None),
+    (
+        "gen --kind multipartite --n 3 --m 2",
+        "9a3d61b1454df06e336b1991af7b728f6c90a6fe0bcdaa87a5ea2160b347e1d8",
+        ('"plan":"Kron(Symmetric(2),NowhereZero(3))"', '"plan":"Kron(Seed(omzd,2),NowhereZero(3))"'),
+    ),
     ("gen --kind omzd --n 51", "a573d0457028cee7a21b05dbd96e6dde742f41051b18380e89d04a1f45848874", None),
     ("gen --kind omzd --n 251", "d02dc62bcc44b05e4bd73553b2b77197f51e52f459cf1bc8c13e0832dc7ae0c0", None),
     # Combine(Seed(omzd,6),Seed(omzd,6)): the OMZD(6) seed is paley_conference(5)
@@ -1153,6 +1238,29 @@ class TestVerifyIntegerClaims:
             "lambda": None,
             "failures": ["entries are not integral"],
         }
+
+    def test_tampered_skew_hadamard_prints_full_report(self, tmp_path):
+        path = tmp_path / "h.json"
+        invoke("gen", "--kind", "skew-hadamard", "--q", "11", "--t", "1", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][0][1] = -1
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "skew-hadamard")
+        assert code == 1
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not strict JSON")
+
+        assert json.loads(out, parse_constant=refuse) == {
+            "claim": "SkewHadamard(24)",
+            "passed": False,
+            "max_residual": 2,
+            "min_offdiag_magnitude": 1,
+            "symmetry": "neither",
+            "scale_c": 24,
+            "failures": ["H + H^T != 2I", "gram deviates from cI by 2.0 (exact check)"],
+        }
+        assert err == "H + H^T != 2I; gram deviates from cI by 2.0 (exact check)\n"
 
     def test_multipartite_without_parameters_is_exit_2(self, tmp_path):
         path = tmp_path / "w.json"

@@ -93,7 +93,7 @@ class TestPlanRouting:
 
     def test_symmetric_kind(self):
         assert serialize_plan(plan("symmetric-omzd", 8)) == "Symmetric(8)"
-        assert serialize_plan(plan("symmetric-omzd", 2)) == "Seed(omzd,2)"
+        assert serialize_plan(plan("symmetric-omzd", 2)) == "Symmetric(2)"
 
     def test_branch_plus(self):
         node = plan("omzd", 7, route="prefer-drt", branch="plus")
@@ -273,7 +273,7 @@ class TestPlanGridPin:
             count += 1
         assert count == 13230
         assert digest.hexdigest() == (
-            "c3ebf2a996afa09062820a42c0f4f27521d5da17123d6d4b8fb6c80b00db16df"
+            "71f866a687d1f319329e5a58b056bd9938edbf74bcb570faae9c8d309f3c0edd"
         )
 
 
@@ -286,7 +286,7 @@ class TestEveryGenKindPlanned:
 
     def test_multipartite(self):
         assert serialize_plan(plan("multipartite", 5, m=6)) == "Kron(Symmetric(6),NowhereZero(5))"
-        assert serialize_plan(plan("multipartite", 3, m=2)) == "Kron(Seed(omzd,2),NowhereZero(3))"
+        assert serialize_plan(plan("multipartite", 3, m=2)) == "Kron(Symmetric(2),NowhereZero(3))"
 
     def test_refusals_at_plan_time(self):
         with pytest.raises(InvalidQ, match="not an odd prime power; note: a symmetric conference"):

@@ -195,7 +195,7 @@ class TestCheckSkewHadamard:
         h = construct.drt_to_skew_hadamard(RealMatrix(FANO))
         verdict = check_skew_hadamard(h)
         assert verdict.passed
-        assert verdict.order == 8
+        assert verdict.claim == "SkewHadamard(8)"
 
     def test_all_ones_fails(self):
         verdict = check_skew_hadamard(RealMatrix([[1, 1], [1, 1]]))
@@ -205,6 +205,15 @@ class TestCheckSkewHadamard:
     def test_wrong_entries_fail(self):
         verdict = check_skew_hadamard(RealMatrix([[1, 0], [0, 1]]))
         assert not verdict.passed
+
+    def test_sylvester_order_2_is_hadamard_but_not_skew(self):
+        verdict = check_skew_hadamard(RealMatrix([[1, 1], [1, -1]]))
+        assert verdict.failures == ("H + H^T != 2I",)
+        assert (verdict.scale_c, verdict.max_residual, verdict.symmetry) == (2.0, 0.0, "symmetric")
+
+    def test_order_1(self):
+        assert check_skew_hadamard(RealMatrix([[1]])).passed
+        assert check_skew_hadamard(RealMatrix([[-1]])).failures == ("H + H^T != 2I",)
 
 
 class TestSymmetricOmzdParity:
@@ -248,6 +257,17 @@ class TestClaimTable:
         assert cert.passed and cert.claim == "OMPZD(2)"
         assert cert == certify(m, "ompzd", k=2)
 
+    # claim -> the failures of a half-integer entry; the tournament check
+    # stops at integrality, the skew-Hadamard certificate reports in full
+    _NOT_INTEGRAL = {
+        "drt": ("entries are not integral",),
+        "skew-hadamard": (
+            "H + H^T != 2I",
+            "entries are not integral; exact integer check impossible",
+            "gram deviates from cI by 1.09375 (exact check)",
+        ),
+    }
+
     @pytest.mark.parametrize("claim", ["drt", "skew-hadamard"])
     def test_integer_claims_check_integrality(self, claim):
         a = FANO if claim == "drt" else construct.drt_to_skew_hadamard(RealMatrix(FANO)).data
@@ -256,7 +276,7 @@ class TestClaimTable:
         tampered = a.astype(float)
         tampered[0, 1] += 0.5
         bad = certify(RealMatrix(tampered), claim)
-        assert not bad.passed and bad.failures == ("entries are not integral",)
+        assert not bad.passed and bad.failures == self._NOT_INTEGRAL[claim]
         assert bad.report()["passed"] is False
 
     def test_multipartite_needs_integer_parameters(self):
@@ -275,7 +295,13 @@ class TestClaimTable:
             "symmetry": "neither",
         }
         h = check_skew_hadamard(construct.drt_to_skew_hadamard(RealMatrix(FANO)))
-        assert h.summary()["min_offdiag_magnitude"] == 1.0
+        assert h.summary() == {
+            "claim": "SkewHadamard(8)",
+            "passed": True,
+            "max_residual": 0.0,
+            "min_offdiag_magnitude": 1.0,
+            "symmetry": "neither",
+        }
 
     def test_builders_carry_the_integer_scales(self):
         # the scale of an integer root comes from its builder, not its verdict
