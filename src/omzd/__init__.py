@@ -42,7 +42,6 @@ from .construct import (
 )
 from .planner import ExistenceVerdict, PlanNode, execute, exists, plan, serialize_plan
 from .verify import (
-    DrtVerdict,
     OrthoCertificate,
     certify,
     check_drt,
@@ -60,7 +59,6 @@ __all__ = [
     "make_field",
     "chi",
     "OrthoCertificate",
-    "DrtVerdict",
     "certify",
     "check_drt",
     "check_skew_hadamard",

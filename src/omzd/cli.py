@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 
@@ -403,6 +405,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # Subcommands
 # --------------------------------------------------------------------------
 
+def _diagnose(stderr, text: str) -> None:
+    """Write ``text`` to stderr, as every diagnostic is written.  A stderr
+    that cannot take it (a full disk, a closed pipe) loses the text and
+    leaves the exit code the command's own."""
+    try:
+        stderr.write(text)
+    except OSError:
+        pass
+
+
 def _emit(args, pieces: Iterator[str], stdout) -> None:
     """Write ``pieces`` in turn to the --out file, or to stdout."""
     if args.out:
@@ -490,7 +502,7 @@ def _cmd_verify(args, stdout, stderr) -> int:
     )
     stdout.write(_dump_json(verdict.report()) + "\n")
     if not verdict.passed:
-        stderr.write("; ".join(verdict.failures) + "\n")
+        _diagnose(stderr, "; ".join(verdict.failures) + "\n")
     return 0 if verdict.passed else 1
 
 
@@ -513,7 +525,7 @@ def _cmd_exists(args, stdout, stderr) -> int:
     }
     stdout.write(_dump_json(out) + "\n")
     if not verdict.exists:
-        stderr.write(verdict.reason + "\n")
+        _diagnose(stderr, verdict.reason + "\n")
     return 0 if verdict.exists else 1
 
 
@@ -552,7 +564,7 @@ def _cmd_certify_graph(args, stdout, stderr) -> int:
     }
     _emit(args, _json_pieces(out, "\n"), stdout)
     if cert.status != graphs.STATUS_CERTIFIED:
-        stderr.write(f"{cert.status}: {cert.reason}\n")
+        _diagnose(stderr, f"{cert.status}: {cert.reason}\n")
     return 0 if cert.status == graphs.STATUS_CERTIFIED else 1
 
 
@@ -571,41 +583,57 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        # argparse prints usage errors and --help to sys.stderr and sys.stdout
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        # argparse prints --help to sys.stdout and usage errors to
+        # sys.stderr, and drops a write that fails; caught here, they are
+        # written as every other line is
+        parser_out, parser_err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(parser_out), contextlib.redirect_stderr(parser_err):
+                args = parser.parse_args(argv)
+        except SystemExit as e:
+            _diagnose(stderr, parser_err.getvalue())
+            if parser_out.getvalue():
+                stdout.write(parser_out.getvalue())
+                stdout.flush()
+            return int(e.code or 0)
         code = _COMMANDS[args.command](args, stdout, stderr)
         stdout.flush()
         return code
     except _Usage as e:
-        stderr.write(f"usage error: {e}\n")
+        _diagnose(stderr, f"usage error: {e}\n")
         return 2
     except _FileError as e:
-        stderr.write(f"{e}\n")
+        _diagnose(stderr, f"{e}\n")
         return 2
     except OSError as e:  # --in and --out raise _FileError, so this is stdout's write or flush
-        stderr.write(f"cannot write output: {e}\n")
+        _diagnose(stderr, f"cannot write output: {e}\n")
         return 2
     except _REFUSALS as e:
-        stderr.write(f"{type(e).__name__}: {e}\n")
+        _diagnose(stderr, f"{type(e).__name__}: {e}\n")
         return 1
     except (SchemaViolation, ShapeMismatch, NonFiniteNumber, InvalidK, ResourceLimit, ValueError) as e:
-        stderr.write(f"{type(e).__name__}: {e}\n")
+        _diagnose(stderr, f"{type(e).__name__}: {e}\n")
         return 2
     except (CertificationFailed, OmzdError) as e:
-        stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        _diagnose(stderr, f"internal error: {type(e).__name__}: {e}\n")
         return 2
     except (RecursionError, MemoryError) as e:
         limit = ResourceLimit(f"{args.command} stopped on {type(e).__name__}; the request is too large")
-        stderr.write(f"{type(limit).__name__}: {limit}\n")
+        _diagnose(stderr, f"{type(limit).__name__}: {limit}\n")
         return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # a failed write leaves its text in the stream's buffer, and the flush
+    # at exit would fail on it again and make the exit code 120; what is
+    # left goes to the null device instead
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -328,14 +328,15 @@ def symmetric_omzd(n: int) -> RealMatrix:
 def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
     """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
     DRT(q): border the skew +-1 matrix S + I, S = T - Tᵀ, with a +1 row
-    and -1 column."""
-    q = _checked(t, CLAIM_DRT, "input is not a doubly regular tournament").q
-    s = t.data - t.data.T
+    and -1 column.  ``check_drt`` certifies a tournament as exactly this
+    matrix, so the input check (BuildRefused) is the output's check too."""
+    _checked(t, CLAIM_DRT, "input is not a doubly regular tournament")
+    q = t.order
     h = np.empty((q + 1, q + 1))
-    h[0, 0] = 1
-    h[0, 1:] = 1
+    h[0] = 1
     h[1:, 0] = -1
-    h[1:, 1:] = s + np.eye(q)
+    np.subtract(t.data, t.data.T, out=h[1:, 1:])
+    np.fill_diagonal(h[1:, 1:], 1)
     return RealMatrix(h, scale_c=q + 1)
 
 
@@ -375,7 +376,8 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    q = _checked(t, CLAIM_DRT, "input is not a doubly regular tournament").q
+    _checked(t, CLAIM_DRT, "input is not a doubly regular tournament")
+    q = t.order
     if q == 3:
         raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")
     sign = 1.0 if branch == "plus" else -1.0

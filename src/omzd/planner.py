@@ -432,11 +432,12 @@ def execute(node: PlanNode):
     """``build`` a plan and check its root once, at the default tolerances
     of ``verify.certify``, against the claim of its kind.
 
-    Returns the root RealMatrix as its builder made it, and its verdict:
-    a DrtVerdict for a tournament, else an OrthoCertificate.  The builder
-    sets the scale of an integer root: q for a conference matrix, the
-    order for a skew-Hadamard matrix, none for a tournament.  Raises
-    CertificationFailed when the root fails.
+    Returns the root RealMatrix as its builder made it, and its
+    OrthoCertificate; a tournament's is that of its skew-Hadamard matrix
+    (``verify.check_drt``).  The builder sets the scale of an integer
+    root: q for a conference matrix, the order for a skew-Hadamard
+    matrix, none for a tournament.  Raises CertificationFailed when the
+    root fails.
     """
     result = build(node)
     if node.kind == CLAIM_MULTIPARTITE:  # Kron(factor, base): factor.n parts of size base.n

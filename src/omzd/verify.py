@@ -10,6 +10,11 @@ the builders and the graph layer share.  The masks per claim:
 - omzd, symmetric-omzd (symmetric) and conference (exact): zero on the
   diagonal, nonzero off it;
 - skew-hadamard (exact): nonzero everywhere, and H + Hᵀ = 2I;
+- drt (exact): a tournament T of order q is certified as its
+  skew-Hadamard matrix H, T - Tᵀ + I bordered by a +1 row and a -1
+  column, under the skew-Hadamard masks, after T's own failures
+  ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4); failures name H's
+  positions, T's (i, j) being H's (i+1, j+1);
 - ompzd: nonzero off the diagonal, and exactly k zeros on it;
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
@@ -26,19 +31,19 @@ MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  Besides
 bool masks, the core makes |M|, which serves the zero rule, the pattern
 and the margin, and frees it before it makes the product MMᵀ; only the
 integrality test of an exact claim and the symmetry test of a skew
-matrix make one float n x n array more.
+matrix make one float n x n array more, and a tournament's H is one
+(q+1) x (q+1) array more.
 
-Only tournaments get an exact checker of their own, ``check_drt``.
-Every claim, tournaments included, takes a float64 ``RealMatrix``.  An
-exact verdict rests on the products only once the entries are integral
-and in their set, {0, 1} for a tournament, {0, +-1} for an exact pattern
-claim.  Then every partial sum of a product is an integer of magnitude
-at most the order, which the planner caps at 4096, far below 2^53, so
-the float64 (BLAS) products are exact.  Certificates always carry the full
-diagnostic rather than short-circuiting, so callers can assert on
-specific failure kinds.  ``CLAIMS`` names every claim (a gen kind or a
-``verify --claim`` value); ``certify`` sends each to its checker, and the
-planner, the CLI and the builders all check through it.
+No checker lives outside the core.  Every claim, tournaments included,
+takes a float64 ``RealMatrix``.  An exact verdict rests on the product
+only once the entries are integral and in {0, +-1}.  Then every partial
+sum of it is an integer of magnitude at most the order, which the
+planner caps at 4096, far below 2^53, so the float64 (BLAS) product is
+exact.  Every certificate carries the full diagnostic rather than
+short-circuiting, so callers can assert on specific failure kinds.
+``CLAIMS`` names every claim (a gen kind or a ``verify --claim`` value);
+``certify`` sends each to its checker, and the planner, the CLI and the
+builders all check through it.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ __all__ = [
     "CLAIM_SKEW_HADAMARD",
     "CLAIM_MULTIPARTITE",
     "OrthoCertificate",
-    "DrtVerdict",
     "certify",
     "certify_graph",
     "certify_multipartite",
@@ -218,7 +222,7 @@ def _certify_pattern(
 
     if exact and not _is_integral(a):
         failures.append("entries are not integral; exact integer check impossible")
-    elif exact and not np.all(magnitude[nonzero] == 1.0):
+    elif exact and np.any((magnitude != 1.0) & nonzero):
         failures.append("required nonzero entries are not all +-1")
 
     if zero is not None:  # the margin, over |m| with its required zeros and diagonal set to inf
@@ -302,9 +306,9 @@ def certify(
     zero rule of ``zero_tolerance``, and max |MMᵀ - cI| <= res_tol * c *
     order, or 0 for an exact claim.  ``k`` is the zero count of ompzd:
     k = 0 is the nowhere-zero claim, and without k the zero count the
-    diagonal shows is the claim.  Returns the full OrthoCertificate, or a
-    DrtVerdict for drt, each with ``passed``, ``failures``, ``summary()``
-    and ``report()``.  ``res_tol`` None means ``RES_TOL``.
+    diagonal shows is the claim.  Returns the full OrthoCertificate of
+    every claim; a tournament's is that of its skew-Hadamard matrix.
+    ``res_tol`` None means ``RES_TOL``.
 
     Raises ValueError for an unknown claim, a missing or non-integer
     parameter, a tolerance that is given but not finite and >= 0, or,
@@ -348,82 +352,41 @@ def certify(
     )
 
 
-@dataclass(frozen=True)
-class DrtVerdict:
-    """Exact verdict on the doubly-regular-tournament axioms."""
+def check_drt(t: RealMatrix) -> OrthoCertificate:
+    """The exact certificate of a doubly regular tournament T of order q:
+    that of its skew-Hadamard matrix H, T - Tᵀ + I bordered by a +1 row
+    and a -1 column, after T's own failures: entries in {0, 1}, T + Tᵀ =
+    J - I, and q = 3 mod 4.
 
-    passed: bool
-    q: int
-    k: int | None
-    lam: int | None
-    failures: tuple[str, ...]
-
-    @property
-    def claim(self) -> str:
-        return f"DRT({self.q})"
-
-    def summary(self) -> dict:
-        """The certificate block: an exact check, and a tournament is
-        neither symmetric nor skew."""
-        return {
-            "claim": self.claim,
-            "passed": self.passed,
-            "max_residual": 0.0,
-            "min_offdiag_magnitude": 0.0,
-            "symmetry": "neither",
-        }
-
-    def report(self) -> dict:
-        return {
-            "claim": self.claim,
-            "passed": self.passed,
-            "q": self.q,
-            "k": self.k,
-            "lambda": self.lam,
-            "failures": list(self.failures),
-        }
-
-
-def check_drt(t: RealMatrix) -> DrtVerdict:
-    """Exact check of the tournament axioms.
-
-    Requires: integral entries, all in {0, 1}; zero diagonal; T + Tᵀ =
-    J - I (an orientation of the complete graph); every out-degree
-    (q-1)/2; every ordered vertex pair jointly dominating exactly (q-3)/4
-    others, which is the entrywise statement TTᵀ = ((q+1)/4)I + ((q-3)/4)J.
-    Raises ShapeMismatch for a non-square or 0x0 matrix.
+    For a tournament, H = C + I with C skew, so HHᵀ = CCᵀ + I, and HHᵀ =
+    (q+1)I holds iff every out-degree is (q-1)/2 and TTᵀ = ((q+1)/4)I +
+    ((q-3)/4)J.  Positions in the failures are H's: entry (i, j) of T is
+    entry (i+1, j+1) of H.  Raises ShapeMismatch for a non-square or 0x0
+    matrix.
     """
     q = _square_order(t)
     a = t.data
-    if not _is_integral(a):
-        return DrtVerdict(False, q, None, None, ("entries are not integral",))
-    failures: list[str] = []
-
-    if not np.all((a == 0) | (a == 1)):
-        failures.append("entries are not all in {0, 1}")
-        return DrtVerdict(False, q, None, None, tuple(failures))
-    if np.any(np.diag(a) != 0):
-        failures.append("diagonal is not zero")
-    j_minus_i = np.ones((q, q)) - np.eye(q)
-    if not np.array_equal(a + a.T, j_minus_i):
+    h = np.empty((q + 1, q + 1))
+    h[0] = 1.0
+    h[1:, 0] = -1.0
+    failures = []
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN entry of H, which the core rejects
+        np.subtract(a, a.T, out=h[1:, 1:])
+        np.fill_diagonal(h[1:, 1:], 1.0)
+        if np.all((a == 0) | (a == 1)):  # then T + Tᵀ = J - I iff diag(T) = 0 and H has no 0
+            oriented = np.all(h) and not np.any(np.diagonal(a))
+        else:
+            failures.append("entries are not all in {0, 1}")
+            oriented = np.array_equal(a + a.T, 1.0 - np.eye(q))
+    if not oriented:
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
     if q % 4 != 3:
         failures.append(f"order {q} is not 3 mod 4")
-    if failures:
-        return DrtVerdict(False, q, None, None, tuple(failures))
-
-    k = (q - 1) // 2
-    lam = (q - 3) // 4
-    row_sums = a.sum(axis=1)
-    if not np.all(row_sums == k):
-        failures.append(f"out-degrees {sorted(set(int(s) for s in row_sums))} != {k}")
-    joint = a @ a.T  # joint[u, w] = #{v : u->v and w->v}
-    expected = lam * j_minus_i + k * np.eye(q)
-    if not np.array_equal(joint, expected):
-        failures.append(f"joint domination counts differ from lambda = {lam}")
-
-    passed = not failures
-    return DrtVerdict(passed, q, k if passed else None, lam if passed else None, tuple(failures))
+    h = RealMatrix(h)  # a copy; the draft is freed before the core runs
+    return _certify_pattern(
+        h, f"DRT({q})", _rule_mask(q + 1, False, False), _rule_mask(q + 1, True, True),
+        exact=True, failures=tuple(failures),
+    )
 
 
 def check_skew_hadamard(h: RealMatrix) -> OrthoCertificate:

@@ -103,9 +103,13 @@ def test_criterion_4_paley_and_tournaments():
         assert np.array_equal(construct.paley_tournament(7).data, FANO)
 
         for q in (7, 11, 19, 23, 27):
-            verdict = check_drt(construct.paley_tournament(q))
+            t = construct.paley_tournament(q)
+            verdict = check_drt(t)
             assert verdict.passed, (q, verdict.failures)
-            assert (verdict.k, verdict.lam) == ((q - 1) // 2, (q - 3) // 4)
+            assert verdict.claim == f"DRT({q})"
+            k, lam = (q - 1) // 2, (q - 3) // 4
+            a = t.data.astype(np.int64)
+            assert np.array_equal(a @ a.T, (k - lam) * np.eye(q, dtype=np.int64) + lam)
 
         m = construct.omzd_from_drt(RealMatrix(FANO), "minus")
         alpha = -(5.0 - math.sqrt(5.0)) / 2.0
@@ -121,7 +125,7 @@ def test_criterion_5_doubling_chain():
         t31 = construct.double_drt(t15)
         for t, q in ((t7, 7), (t15, 15), (t31, 31)):
             verdict = check_drt(t)
-            assert verdict.passed and verdict.q == q
+            assert verdict.passed and verdict.claim == f"DRT({q})"
 
         m = construct.omzd_from_drt(t31)
         cert = certify(m, "omzd")

@@ -16,7 +16,15 @@ import pytest
 from omzd import construct, planner
 from omzd.errors import ShapeMismatch
 from omzd.numerics import RES_TOL, RealMatrix
-from omzd.verify import CLAIMS, certify, certify_graph, certify_multipartite, check_drt, check_skew_hadamard
+from omzd.verify import (
+    CLAIMS,
+    OrthoCertificate,
+    certify,
+    certify_graph,
+    certify_multipartite,
+    check_drt,
+    check_skew_hadamard,
+)
 
 # --------------------------------------------------------------------------
 # Reference
@@ -94,7 +102,31 @@ _REFERENCE_MASKS = {
 }
 
 
+def _reference_drt(m):
+    """A tournament's certificate: the core on its bordered H = T - Tᵀ + I,
+    under the skew-Hadamard masks, after T's own failures."""
+    a = m.data
+    q = m.order
+    h = np.ones((q + 1, q + 1))
+    h[1:, 0] = -1
+    h[1:, 1:] = a - a.T + np.eye(q)
+    failures = []
+    if not np.all(np.isin(a, (0, 1))):
+        failures.append("entries are not all in {0, 1}")
+    if not np.array_equal(a + a.T, np.ones((q, q)) - np.eye(q)):
+        failures.append("not an orientation of the complete graph: T + T^T != J - I")
+    if q % 4 != 3:
+        failures.append(f"order {q} is not 3 mod 4")
+    eye = np.eye(q + 1, dtype=bool)
+    return _reference_core(
+        RealMatrix(h), f"DRT({q})", np.zeros_like(eye), np.ones_like(eye),
+        exact=True, failures=tuple(failures),
+    )
+
+
 def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL):
+    if claim == "drt":
+        return _reference_drt(m)
     if claim == "ompzd" and k == 0:  # no diagonal zero: the nowhere-zero claim
         claim = "nowhere-zero"
     label, zero, nonzero = _REFERENCE_MASKS[claim]
@@ -222,7 +254,7 @@ def _diagonal_zero_count(m: RealMatrix) -> int:
 def test_every_claim_matches_the_reference(case):
     m = CASES[case]
     k = _diagonal_zero_count(m)
-    for claim in _REFERENCE_MASKS:
+    for claim in (*_REFERENCE_MASKS, "drt"):
         for kk in ((k, k + 1) if claim == "ompzd" else (None,)):
             got = certify(m, claim, k=kk)
             assert _fields(got) == _reference_fields(_reference_certify(m, claim, k=kk)), (claim, kk)
@@ -274,9 +306,9 @@ _BUILT = {
 
 
 class TestOneEntry:
-    """``certify`` is the one claim dispatcher: every claim gives the
-    verdict of its direct checker, or of the reference for a pattern
-    claim, field for field."""
+    """``certify`` is the one claim dispatcher: every claim gives an
+    OrthoCertificate, the verdict of its direct checker, or of the
+    reference for a pattern claim or a tournament, field for field."""
 
     def test_table_covers_every_claim(self):
         assert set(_BUILT) == set(CLAIMS)
@@ -291,10 +323,9 @@ class TestOneEntry:
             a[0, 1] += 1.0
             m = RealMatrix(a, scale_c=m.scale_c)
         got = certify(m, claim, **kw)
+        assert isinstance(got, OrthoCertificate)
         assert got.passed != tampered
-        if claim == "drt":
-            assert got == check_drt(m)
-        elif claim == "multipartite":
+        if claim == "multipartite":
             assert got == certify_multipartite(m, kw["part_size"], kw["parts"])
         else:
             assert _fields(got) == _reference_fields(_reference_certify(m, claim, **kw))

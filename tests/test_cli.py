@@ -185,8 +185,8 @@ class TestBadPaths:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-class _FullStdout(io.StringIO):
-    """A stdout on a full disk: its write, or only its flush, fails with ENOSPC."""
+class _FullStream(io.StringIO):
+    """A stream on a full disk: its write, or only its flush, fails with ENOSPC."""
 
     def __init__(self, failing: str):
         super().__init__()
@@ -209,7 +209,17 @@ _STDOUT_RUNS = [
     ("plan", "--kind", "omzd", "--n", "5"),
     ("exists", "--kind", "omzd", "--n", "5"),
     ("certify-graph", "--family", "knn", "--n", "3"),
+    ("--help",),
 ]
+
+
+def _cli_env(buffered: bool = False) -> dict:
+    """The environment of a CLI subprocess that imports this tree's omzd,
+    with Python's stdout and stderr buffered or not."""
+    src = str(Path(omzd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
 
 
 class TestFailedStdout:
@@ -220,22 +230,20 @@ class TestFailedStdout:
     @pytest.mark.parametrize("argv", _STDOUT_RUNS, ids=" ".join)
     def test_in_process(self, argv, failing):
         err = io.StringIO()
-        assert run(list(argv), _FullStdout(failing), err) == 2
+        assert run(list(argv), _FullStream(failing), err) == 2
         assert err.getvalue() == "cannot write output: [Errno 28] No space left on device\n"
 
     def test_verify(self, tmp_path):
         path = tmp_path / "m.json"
         invoke("gen", "--kind", "omzd", "--n", "6", "--out", str(path))
         err = io.StringIO()
-        assert run(["verify", "--in", str(path), "--claim", "omzd"], _FullStdout("write"), err) == 2
+        assert run(["verify", "--in", str(path), "--claim", "omzd"], _FullStream("write"), err) == 2
         assert err.getvalue() == "cannot write output: [Errno 28] No space left on device\n"
 
     @staticmethod
-    def _cli(stdout) -> subprocess.Popen:
-        src = str(Path(omzd.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    def _cli(stdout, buffered: bool = False) -> subprocess.Popen:
         argv = [sys.executable, "-m", "omzd.cli", "gen", "--kind", "omzd", "--n", "401"]
-        return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+        return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(buffered))
 
     def test_pipe_closed_early(self):
         proc = self._cli(subprocess.PIPE)
@@ -251,6 +259,62 @@ class TestFailedStdout:
         err = proc.stderr.read().decode()
         assert proc.wait() == 2
         assert err == "cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_buffered(self):
+        # the buffer keeps the text whose write failed; the flush at exit
+        # must not retry it, which would make the exit code 120
+        with open("/dev/full", "w") as full:
+            proc = self._cli(full, buffered=True)
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert err == "cannot write output: [Errno 28] No space left on device\n"
+
+
+class TestFailedStderr:
+    """A stderr that cannot be written loses the diagnostic, not the exit
+    code: a usage error stays 2 and a refusal or a failed verdict 1."""
+
+    @pytest.mark.parametrize(
+        "argv,code", [(("gen", "--kind", "drt"), 2), (("gen", "--kind", "drt", "--q", "5"), 1)],
+        ids=["usage-error", "refusal"],
+    )
+    def test_in_process(self, argv, code):
+        out = io.StringIO()
+        assert run(list(argv), out, _FullStream("write")) == code
+        assert out.getvalue() == ""
+
+    def test_failed_verify(self, tmp_path):
+        path = tmp_path / "t.json"
+        invoke("gen", "--kind", "drt", "--q", "7", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][0][1] = 0.5
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        assert run(["verify", "--in", str(path), "--claim", "drt"], out, _FullStream("write")) == 1
+        assert json.loads(out.getvalue())["passed"] is False
+
+    # a write that failed fails again in the flush at exit, which prints
+    # "Exception ignored" and makes the exit code 120; buffered streams
+    # keep the failed text until then, unbuffered ones do not
+    @staticmethod
+    def _cli(argv, buffered: bool, **streams) -> subprocess.CompletedProcess:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+        return subprocess.run([sys.executable, "-m", "omzd.cli", *argv], env=_cli_env(buffered), **streams)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_full_device(self, buffered):
+        with open("/dev/full", "w") as full:
+            proc = self._cli(["gen", "--kind", "drt"], buffered, stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_help_to_full_device(self, buffered):
+        with open("/dev/full", "w") as full:
+            proc = self._cli(["--help"], buffered, stdout=full)
+        assert (proc.returncode, proc.stderr) == (2, b"cannot write output: [Errno 28] No space left on device\n")
 
 
 class TestMatrixFile:
@@ -904,8 +968,10 @@ class TestVerifyBadInput:
 # Where a deliberate change rewrote one field since, the third column
 # holds its (new, earlier) text: the new text must appear once, and the
 # pin is taken after putting the earlier text back.  Three kinds record a
-# plan where they recorded another, and two OMPZD files carry their
-# root's exact scale_c where they carried the gram mean.
+# plan where they recorded another, two OMPZD files carry their root's
+# exact scale_c where they carried the gram mean, and the DRT files carry
+# the margin of the skew-Hadamard matrix their tournament is certified as.
+_DRT_MARGIN = ('"min_offdiag_magnitude":1,', '"min_offdiag_magnitude":0,')
 GEN_PINS = [
     ("gen --kind conference --q 27", "03de52fadbd363bc5dca41c751b01f670ed64ab8f046640454c3de6eabad44f2", None),
     ("gen --kind conference --q 81", "d6bda5b03b079f859265abaf2b49689f71fc9be7d10c3a5bcc6cee4b4cfde080", None),
@@ -915,10 +981,10 @@ GEN_PINS = [
     ("gen --kind conference --q 241", "b8c3fec3cbd825dfffed760103ddad26e64b0c49f33981715fef453fb9f375b5", None),
     ("gen --kind conference --q 251", "21bb12edb41a5d612ccab9d5322e6911371530cfe117740676d05af48538ee37", None),
     ("gen --kind conference --q 729", "e4faf20dcf601e0c47b19573241834b37f9d47dc68be44325022b504a45806ca", None),
-    ("gen --kind drt --q 251", "4798302943083652ccc17cbdc1fa60efa1902513fe4d56dc3638896a75f69a03", None),
-    ("gen --kind drt --q 343", "758837bb36d2d4455fc70726dc2db90ec0d093cb730eb694666d3c2fd84dfb60", None),
-    ("gen --kind drt --q 43 --t 1", "38e2e9197e98bab8b4d6091bebd30e0d3e52b9739859e307c433cc1be2c97c67", None),
-    ("gen --kind drt --q 3", "569e96f70ebc17f4c424805ef3cdbfc2f7c3afec9f47cd15034e92c221309c12", None),
+    ("gen --kind drt --q 251", "4798302943083652ccc17cbdc1fa60efa1902513fe4d56dc3638896a75f69a03", _DRT_MARGIN),
+    ("gen --kind drt --q 343", "758837bb36d2d4455fc70726dc2db90ec0d093cb730eb694666d3c2fd84dfb60", _DRT_MARGIN),
+    ("gen --kind drt --q 43 --t 1", "38e2e9197e98bab8b4d6091bebd30e0d3e52b9739859e307c433cc1be2c97c67", _DRT_MARGIN),
+    ("gen --kind drt --q 3", "569e96f70ebc17f4c424805ef3cdbfc2f7c3afec9f47cd15034e92c221309c12", _DRT_MARGIN),
     (
         "gen --kind skew-hadamard --q 11",
         "46eb94eef35440b5f23b2f9a263566fad23e344fc42d4cd4d0877e00fe4d1727",
@@ -1229,14 +1295,22 @@ class TestVerifyIntegerClaims:
         doc["entries"][0][1] = 0.5
         path.write_text(json.dumps(doc))
         code, out, err = invoke("verify", "--in", str(path), "--claim", "drt")
-        assert code == 1 and err == "entries are not integral\n"
+        # the certificate of the bordered H, whose entry (1, 2) is the 0.5
+        failures = [
+            "entries are not all in {0, 1}",
+            "not an orientation of the complete graph: T + T^T != J - I",
+            "entries are not integral; exact integer check impossible",
+            "gram deviates from cI by 0.5625 (exact check)",
+        ]
+        assert code == 1 and err == "; ".join(failures) + "\n"
         assert json.loads(out) == {
             "claim": "DRT(7)",
             "passed": False,
-            "q": 7,
-            "k": None,
-            "lambda": None,
-            "failures": ["entries are not integral"],
+            "max_residual": 0.5625,
+            "min_offdiag_magnitude": 0.5,
+            "symmetry": "neither",
+            "scale_c": 7.8125,
+            "failures": failures,
         }
 
     def test_tampered_skew_hadamard_prints_full_report(self, tmp_path):

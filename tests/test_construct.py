@@ -191,9 +191,11 @@ class TestPaleyTournament:
         assert np.array_equal(t.data, FANO.data)
 
     def test_q11(self):
-        verdict = check_drt(construct.paley_tournament(11))
-        assert verdict.passed
-        assert (verdict.k, verdict.lam) == (5, 2)
+        t = construct.paley_tournament(11)
+        verdict = check_drt(t)
+        assert verdict.passed and verdict.claim == "DRT(11)"
+        a = t.data.astype(np.int64)
+        assert np.array_equal(a @ a.T, (5 - 2) * np.eye(11, dtype=np.int64) + 2)  # k = 5, lambda = 2
 
     def test_row_sums_exact(self):
         for q in (7, 11, 19, 23, 27):
@@ -410,11 +412,12 @@ class TestSkewHadamardRoute:
 class TestDoubleDrt:
     def test_chain(self):
         t15 = construct.double_drt(FANO)
-        v15 = check_drt(t15)
-        assert v15.passed and (v15.k, v15.lam) == (7, 3)
         t31 = construct.double_drt(t15)
-        v31 = check_drt(t31)
-        assert v31.passed and (v31.k, v31.lam) == (15, 7)
+        for t, q, k, lam in ((t15, 15, 7, 3), (t31, 31, 15, 7)):
+            verdict = check_drt(t)
+            assert verdict.passed and verdict.claim == f"DRT({q})"
+            a = t.data.astype(np.int64)
+            assert np.array_equal(a @ a.T, (k - lam) * np.eye(q, dtype=np.int64) + lam)
 
     def test_drt3_doubles(self):
         assert check_drt(construct.double_drt(_drt3())).passed

@@ -145,7 +145,8 @@ class TestExecute:
     def test_tournament_root_certified(self):
         matrix, verdict = execute(planner._node("paley-drt", args=(7,)))
         assert verdict.passed and verdict.claim == "DRT(7)"
-        assert (verdict.k, verdict.lam) == (3, 1)
+        a = matrix.data.astype(np.int64)
+        assert np.array_equal(a @ a.T, (3 - 1) * np.eye(7, dtype=np.int64) + 1)  # k = 3, lambda = 1
         assert matrix.order == 7 and matrix.scale_c is None
 
     def test_order_bookkeeping(self):

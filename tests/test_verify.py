@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omzd import construct, graphs, planner
 from omzd.errors import BuildRefused, ShapeMismatch
@@ -157,8 +159,8 @@ class TestCertifyGraph:
 class TestCheckDrt:
     def test_fano(self):
         verdict = check_drt(RealMatrix(FANO))
-        assert verdict.passed
-        assert (verdict.q, verdict.k, verdict.lam) == (7, 3, 1)
+        assert verdict.passed and verdict.claim == "DRT(7)"
+        assert np.array_equal(FANO @ FANO.T, (3 - 1) * np.eye(7, dtype=np.int64) + 1)  # k = 3, lambda = 1
 
     def test_j_minus_i_is_not_an_orientation(self):
         j_minus_i = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
@@ -169,13 +171,20 @@ class TestCheckDrt:
     def test_doubled_fano(self):
         t15 = construct.double_drt(RealMatrix(FANO))
         verdict = check_drt(t15)
-        assert verdict.passed
-        assert (verdict.q, verdict.k, verdict.lam) == (15, 7, 3)
+        assert verdict.passed and verdict.claim == "DRT(15)"
+        a = t15.data.astype(np.int64)
+        assert np.array_equal(a @ a.T, (7 - 3) * np.eye(15, dtype=np.int64) + 3)  # k = 7, lambda = 3
 
     def test_rejects_bad_entries(self):
+        # 2 * Fano has entries {0, 2}, T + Tᵀ = 2(J - I) and an H with +-2
+        # off its diagonal: every failure is reported, none stops the check
         verdict = check_drt(RealMatrix(2 * FANO))
-        assert not verdict.passed
-        assert any("{0, 1}" in f for f in verdict.failures)
+        assert verdict.failures == (
+            "entries are not all in {0, 1}",
+            "not an orientation of the complete graph: T + T^T != J - I",
+            "required nonzero entries are not all +-1",
+            "gram deviates from cI by 15.75 (exact check)",
+        )
 
     def test_rejects_wrong_congruence(self):
         # the cyclic orientation of C_5 is a regular tournament but 5 != 3 mod 4
@@ -257,10 +266,14 @@ class TestClaimTable:
         assert cert.passed and cert.claim == "OMPZD(2)"
         assert cert == certify(m, "ompzd", k=2)
 
-    # claim -> the failures of a half-integer entry; the tournament check
-    # stops at integrality, the skew-Hadamard certificate reports in full
+    # claim -> the failures of a half-integer entry, each reported in full
     _NOT_INTEGRAL = {
-        "drt": ("entries are not integral",),
+        "drt": (
+            "entries are not all in {0, 1}",
+            "not an orientation of the complete graph: T + T^T != J - I",
+            "entries are not integral; exact integer check impossible",
+            "gram deviates from cI by 0.9375 (exact check)",
+        ),
         "skew-hadamard": (
             "H + H^T != 2I",
             "entries are not integral; exact integer check impossible",
@@ -287,11 +300,11 @@ class TestClaimTable:
 
     def test_summaries_of_exact_checks(self):
         drt = certify(RealMatrix(FANO.astype(float)), "drt")
-        assert drt.summary() == {
+        assert drt.summary() == {  # the summary of the bordered skew-Hadamard matrix
             "claim": "DRT(7)",
             "passed": True,
             "max_residual": 0.0,
-            "min_offdiag_magnitude": 0.0,
+            "min_offdiag_magnitude": 1.0,
             "symmetry": "neither",
         }
         h = check_skew_hadamard(construct.drt_to_skew_hadamard(RealMatrix(FANO)))
@@ -319,12 +332,13 @@ def _flip_arc(t: np.ndarray) -> np.ndarray:
 
 
 def _drt_reference(a: np.ndarray) -> bool:
-    """The DRT axioms in int64, independent of check_drt."""
+    """The DRT axioms, in int64 for an integer ``a``, independent of check_drt."""
     q = a.shape[0]
     eye = np.eye(q, dtype=np.int64)
     j_minus_i = np.ones((q, q), dtype=np.int64) - eye
     return (
         q % 4 == 3
+        and np.all((a == 0) | (a == 1))
         and np.array_equal(a + a.T, j_minus_i)
         and np.array_equal(a @ a.T, (q - 3) // 4 * j_minus_i + (q - 1) // 2 * eye)
     )
@@ -334,6 +348,34 @@ def _skew_hadamard_reference(a: np.ndarray) -> bool:
     n = a.shape[0]
     eye = np.eye(n, dtype=np.int64)
     return np.array_equal(a @ a.T, n * eye) and np.array_equal(a + a.T, 2 * eye)
+
+
+# order -> a DRT of it, which _tournaments relabels
+_DRTS = {
+    q: planner.execute(planner.plan("drt", q=p, t=t))[0].data
+    for q, p, t in ((3, 3, 0), (7, 7, 0), (11, 11, 0), (15, 7, 1))
+}
+
+
+@st.composite
+def _tournaments(draw) -> np.ndarray:
+    """A random tournament of order <= 15, or a DRT of order 3, 7, 11 or
+    15 with its vertices relabelled, and then, one time in two, one entry
+    set to 0, 1, 2, 0.5 or -1."""
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(draw(st.sampled_from(sorted(_DRTS))))))
+        a = _DRTS[len(perm)][np.ix_(perm, perm)].astype(np.int64)
+    else:
+        n = draw(st.integers(1, 15))
+        upper = np.triu_indices(n, 1)
+        a = np.zeros((n, n), dtype=np.int64)
+        a[upper] = draw(st.lists(st.integers(0, 1), min_size=len(upper[0]), max_size=len(upper[0])))
+        a.T[upper] = 1 - a[upper]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        a = a.astype(float)
+        a[i, j] = draw(st.sampled_from([0, 1, 2, 0.5, -1]))
+    return a
 
 
 class TestFloatChecksAreExact:
@@ -354,9 +396,22 @@ class TestFloatChecksAreExact:
         h[1:, 1:] = a - a.T + np.eye(a.shape[0], dtype=np.int64)
         assert check_skew_hadamard(RealMatrix(h)).passed == _skew_hadamard_reference(h) == (not flip)
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=_tournaments())
+    def test_random_tournaments_against_the_reference(self, a):
+        assert check_drt(RealMatrix(a)).passed == _drt_reference(a)
+
     def test_half_entries_are_not_integral(self):
+        # the halves cancel in T - Tᵀ, so H is integral, with zeros where
+        # the tournament's arcs belong
         verdict = check_drt(RealMatrix([[0, 0.5], [0.5, 0]]))
-        assert not verdict.passed and verdict.failures == ("entries are not integral",)
+        assert verdict.failures == (
+            "entries are not all in {0, 1}",
+            "order 2 is not 3 mod 4",
+            "off-diagonal zeros at [(1, 2), (2, 1)]",
+            "required nonzero entries are not all +-1",
+            "gram deviates from cI by 1.0 (exact check)",
+        )
 
 
 class TestSharedZeroRule:
