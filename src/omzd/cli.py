@@ -12,8 +12,11 @@ error.  Output is byte-deterministic: fixed key order and
 too, giving the same doubles as ``json.loads``.
 
 A matrix is written in row chunks.  One sort of its 64-bit patterns gives
-its few distinct values, each formatted once; each chunk of rows finds
-its entries among them with ``np.searchsorted`` and is joined on its own.
+its few distinct values, each formatted once into a table of tokens that
+carry their own separators (the text, the text after a comma, the row
+openers and the closer); each chunk of rows finds its entries among them
+with ``np.searchsorted``, and one join over its index into that table
+gives its text.
 ``gen`` (JSON and CSV) and ``certify-graph`` write the document head, the
 chunks and the tail to stdout or --out as they come, after every check
 that can refuse the document has run, so a refusal writes nothing.
@@ -162,13 +165,16 @@ def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Ite
     _CHUNK_ENTRIES entries, with the bytes _fmt_number gives entry by entry.
 
     The constructions hold few distinct values, so each distinct 64-bit
-    pattern is formatted once and every row is a gather of those strings.
-    The distinct patterns come from one sort of all n^2 patterns, and each
-    chunk finds its entries among them with ``np.searchsorted``; the sorted
-    copy is freed first, so no n x n index or n x n array of strings is
-    held.  Keying on bits rather than values keeps -0.0 apart from 0.0.
-    The finiteness check and the index run before this returns; the chunks
-    are joined as they are read.
+    pattern is formatted once, into a table of tokens that carry their own
+    separators: each value's text, the same text after a comma, the first
+    row's opener, every later row's opener (``sep + open_``) and the
+    closer.  A chunk of r rows is then an r x (cols + 2) index into that
+    table, read by one join.  The distinct patterns come from one sort of
+    all n^2 patterns, and each chunk finds its entries among them with
+    ``np.searchsorted``; the sorted copy is freed first, so no n x n index
+    or n x n array of strings is held.  Keying on bits rather than values
+    keeps -0.0 apart from 0.0.  The finiteness check and the table run
+    before this returns; the chunks are joined as they are read.
     """
     if not np.all(np.isfinite(data)):
         raise NonFiniteNumber("matrix entries must be finite")
@@ -179,15 +185,27 @@ def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Ite
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     keys = ordered[first]
     del ordered, first
-    text = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    text = ["%.17g" % x for x in keys.view(np.float64).tolist()]
+    distinct = len(text)
+    # the token table: each value after a comma, then each value alone (a
+    # row's first), then the first row's opener, every later row's and the
+    # closer
+    table = np.array(["," + t for t in text] + text + [open_, sep + open_, close], dtype=object)
+    first_open, later_open, closer = 2 * distinct, 2 * distinct + 1, 2 * distinct + 2
     rows, cols = bits.shape
     step = max(1, _CHUNK_ENTRIES // max(1, cols))
 
     def chunks():
         for start in range(0, rows, step):
-            index = np.searchsorted(keys, bits[start : start + step])
-            body = sep.join([open_ + ",".join(text[row].tolist()) + close for row in index])
-            yield sep + body if start else body
+            block = bits[start : start + step]
+            index = np.empty((len(block), cols + 2), dtype=np.intp)
+            index[:, 1:-1] = np.searchsorted(keys, block)
+            index[:, 1] += distinct
+            index[:, 0] = later_open
+            index[:, -1] = closer
+            if not start:
+                index[0, 0] = first_open
+            yield "".join(table.take(index).ravel().tolist())
 
     return chunks()
 

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import gfield
 from .errors import BuildRefused, InvalidQ
 from .numerics import RealMatrix
-from .verify import CLAIM_DRT, CLAIM_OMPZD, CLAIM_OMZD, certify, zero_tolerance
+from .verify import CLAIM_DRT, CLAIM_OMPZD, CLAIM_OMZD, bordered_tournament, certify, zero_tolerance
 
 __all__ = [
     "seed",
@@ -327,17 +327,22 @@ def symmetric_omzd(n: int) -> RealMatrix:
 
 def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
     """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
-    DRT(q): border the skew +-1 matrix S + I, S = T - Tᵀ, with a +1 row
-    and -1 column.  ``check_drt`` certifies a tournament as exactly this
-    matrix, so the input check (BuildRefused) is the output's check too."""
-    _checked(t, CLAIM_DRT, "input is not a doubly regular tournament")
-    q = t.order
-    h = np.empty((q + 1, q + 1))
-    h[0] = 1
-    h[1:, 0] = -1
-    np.subtract(t.data, t.data.T, out=h[1:, 1:])
-    np.fill_diagonal(h[1:, 1:], 1)
-    return RealMatrix(h, scale_c=q + 1)
+    DRT(q): the skew +-1 matrix S + I, S = T - Tᵀ, bordered with a +1 row
+    and -1 column (``verify.bordered_tournament``).
+
+    Only T's own failures are checked here (BuildRefused): entries in
+    {0, 1}, T + Tᵀ = J - I, and q = 3 mod 4.  The rest of T's DRT
+    certificate is the exact skew-Hadamard check of this very H, so the
+    check of the output completes it: the plan's root check
+    (``check_skew_hadamard``) certifies the input and the output in one
+    run of the core.  Called alone, it returns a matrix that is not
+    skew-Hadamard for a tournament that is not doubly regular, so a caller
+    certifies the output, or the input with ``check_drt``, before using it.
+    """
+    h, failures = bordered_tournament(t)
+    if failures:
+        raise BuildRefused(f"input is not a doubly regular tournament: {failures}")
+    return RealMatrix(h, scale_c=t.order + 1)
 
 
 def _normalize_skew_hadamard(h: np.ndarray) -> np.ndarray:
@@ -356,11 +361,12 @@ def double_drt(t: RealMatrix) -> RealMatrix:
     Routes through skew-Hadamard matrices: H of order q+1 from the
     input, then H' = [[H, H], [-Hᵀ, Hᵀ]] of order 2q+2, normalized and
     stripped of its first row and column; the +-1 core yields arcs via
-    core(i, j) = +1.  The input is checked once, by
-    ``drt_to_skew_hadamard`` (BuildRefused); the output is not checked here
-    but by whatever consumes it.
+    core(i, j) = +1.  The input is checked once, with its full DRT
+    certificate (BuildRefused), since no check of H follows; the output is
+    not checked here but by whatever consumes it.
     """
-    h = drt_to_skew_hadamard(t).data
+    _checked(t, CLAIM_DRT, "input is not a doubly regular tournament")
+    h, _ = bordered_tournament(t)  # its failures are part of the check above
     doubled = _normalize_skew_hadamard(np.block([[h, h], [-h.T, h.T]]))
     arcs = doubled[1:, 1:] == 1
     np.fill_diagonal(arcs, False)

@@ -29,6 +29,11 @@ __all__ = [
 
 RES_TOL = 1e-9
 
+# the row block of residual_scaled_identity, and the strictly lower
+# triangle of one of its diagonal blocks
+_BLOCK = 128
+_BELOW = np.tri(_BLOCK, k=-1, dtype=bool)
+
 
 def _frozen_array(values) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
@@ -86,8 +91,10 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
     noise); max_residual is max |MMᵀ - cI| over the upper triangle of the
     product, diagonal included; the lower triangle, which the product may
     round differently, is not read.  The product is the only n x n array
-    made: cI is subtracted from its diagonal, the magnitudes taken and
-    the lower triangle cleared in place.
+    made: cI is subtracted from its diagonal, and then each block of
+    _BLOCK rows, from its diagonal block on, has its magnitudes taken and
+    the lower triangle of that diagonal block cleared in place, through
+    one cached _BLOCK x _BLOCK mask.
     Both are returned even when the residual is large, and even when
     entries above about 1e154 overflow the gram: c is then inf or NaN and
     the residual NaN (an infinite cI holds inf * 0 = NaN off its
@@ -99,13 +106,18 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
     n = m.order
     with np.errstate(over="ignore", invalid="ignore"):
         g = m.data @ m.data.T
-        c = float(np.mean(np.diag(g)))
+        c = float(g.trace() / n)  # the sum and the division np.mean makes
         if not np.isfinite(c):
             return c, float("nan")
         g.flat[:: n + 1] -= c
-        np.abs(g, out=g)
-        np.copyto(g, 0.0, where=np.tri(n, k=-1, dtype=bool))  # below the diagonal
-        return c, float(np.max(g))
+        peaks = np.empty(-(-n // _BLOCK))  # one maximum per block, so a NaN still shows
+        for i, start in enumerate(range(0, n, _BLOCK)):
+            size = min(_BLOCK, n - start)
+            upper = g[start : start + size, start:]
+            np.abs(upper, out=upper)
+            np.copyto(upper[:, :size], 0.0, where=_BELOW[:size, :size])
+            peaks[i] = upper.max()
+        return c, float(peaks.max())
 
 
 def jacobi_spectrum(m: RealMatrix) -> tuple[float, ...]:

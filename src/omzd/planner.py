@@ -13,10 +13,14 @@ A node's kind is the claim its output is certified against, one of
 Each stage but Kron's factors is checked once.  A stage that feeds
 another is checked by the builder that consumes it, through its input check:
 ``combine`` and ``ompzd_n_minus_1`` certify their OMZD inputs,
-``drt_to_skew_hadamard``, ``omzd_from_drt`` and ``double_drt`` (through
-the first) check their DRT, and ``reduce_zeros`` its orthogonal input.
-``kron`` is the one builder that checks nothing: a plain product promises
-no orthogonality, and the multipartite root claim covers its factors.
+``omzd_from_drt`` and ``double_drt`` certify their DRT, and
+``reduce_zeros`` its orthogonal input.  ``drt_to_skew_hadamard`` checks
+only its tournament's own failures: the rest of a DRT's certificate is
+the exact check of its skew-Hadamard matrix, which is that builder's
+output, so the root check of a ``SkewHadamard`` plan certifies the
+tournament and the root in one run of the certificate core.  ``kron`` is
+the one builder that checks nothing: a plain product promises no
+orthogonality, and the multipartite root claim covers its factors.
 ``execute`` is ``build`` plus the root check with
 ``verify.certify``; ``build`` leaves the root check to its caller.
 """

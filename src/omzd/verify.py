@@ -13,8 +13,11 @@ the builders and the graph layer share.  The masks per claim:
 - drt (exact): a tournament T of order q is certified as its
   skew-Hadamard matrix H, T - Tᵀ + I bordered by a +1 row and a -1
   column, under the skew-Hadamard masks, after T's own failures
-  ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4); failures name H's
-  positions, T's (i, j) being H's (i+1, j+1);
+  ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4), both from
+  ``bordered_tournament``; failures name H's positions, T's (i, j)
+  being H's (i+1, j+1).  The skew-Hadamard builder checks only T's own
+  failures, and the skew-hadamard check of its output completes T's
+  certificate;
 - ompzd: nonzero off the diagonal, and exactly k zeros on it;
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
@@ -68,6 +71,7 @@ __all__ = [
     "CLAIM_SKEW_HADAMARD",
     "CLAIM_MULTIPARTITE",
     "OrthoCertificate",
+    "bordered_tournament",
     "certify",
     "certify_graph",
     "certify_multipartite",
@@ -352,17 +356,17 @@ def certify(
     )
 
 
-def check_drt(t: RealMatrix) -> OrthoCertificate:
-    """The exact certificate of a doubly regular tournament T of order q:
-    that of its skew-Hadamard matrix H, T - Tᵀ + I bordered by a +1 row
-    and a -1 column, after T's own failures: entries in {0, 1}, T + Tᵀ =
-    J - I, and q = 3 mod 4.
+def bordered_tournament(t: RealMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The skew-Hadamard matrix H of a tournament T of order q, T - Tᵀ + I
+    bordered by a +1 row and a -1 column, and T's own failures: entries in
+    {0, 1}, T + Tᵀ = J - I, and q = 3 mod 4.
 
-    For a tournament, H = C + I with C skew, so HHᵀ = CCᵀ + I, and HHᵀ =
-    (q+1)I holds iff every out-degree is (q-1)/2 and TTᵀ = ((q+1)/4)I +
-    ((q-3)/4)J.  Positions in the failures are H's: entry (i, j) of T is
-    entry (i+1, j+1) of H.  Raises ShapeMismatch for a non-square or 0x0
-    matrix.
+    T is a DRT iff it has none of these failures and H passes the exact
+    skew-Hadamard certificate: for a tournament, H = C + I with C skew, so
+    HHᵀ = CCᵀ + I, and HHᵀ = (q+1)I holds iff every out-degree is (q-1)/2
+    and TTᵀ = ((q+1)/4)I + ((q-3)/4)J.  ``check_drt`` runs that
+    certificate; ``construct.drt_to_skew_hadamard`` leaves it to the check
+    of its output.  Raises ShapeMismatch for a non-square or 0x0 matrix.
     """
     q = _square_order(t)
     a = t.data
@@ -382,10 +386,22 @@ def check_drt(t: RealMatrix) -> OrthoCertificate:
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
     if q % 4 != 3:
         failures.append(f"order {q} is not 3 mod 4")
+    return h, tuple(failures)
+
+
+def check_drt(t: RealMatrix) -> OrthoCertificate:
+    """The exact certificate of a doubly regular tournament T of order q:
+    that of its skew-Hadamard matrix H, after T's own failures (both from
+    ``bordered_tournament``).  Positions in the failures are H's: entry
+    (i, j) of T is entry (i+1, j+1) of H.  Raises ShapeMismatch for a
+    non-square or 0x0 matrix.
+    """
+    h, failures = bordered_tournament(t)
+    q = t.order
     h = RealMatrix(h)  # a copy; the draft is freed before the core runs
     return _certify_pattern(
         h, f"DRT({q})", _rule_mask(q + 1, False, False), _rule_mask(q + 1, True, True),
-        exact=True, failures=tuple(failures),
+        exact=True, failures=failures,
     )
 
 

@@ -670,6 +670,28 @@ class TestRowEncoder:
         assert [chunk.count("\n") for chunk in chunks] == [16, 16, 8]
         self._assert_matches_oracles(data)
 
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (3, 0)])
+    def test_one_row_one_column_and_no_columns(self, shape):
+        data = np.random.default_rng(23).integers(-2, 3, size=shape) / 3.0
+        if data.size:
+            data.flat[0], data.flat[-1] = -0.0, 5e-324
+        self._assert_matches_oracles(data)
+        if not data.size:
+            assert "".join(_format_rows(data, "[", "]", ",")) == "[],[],[]"
+
+    def test_row_longer_than_a_chunk(self):
+        # each chunk holds one row, so every chunk after the first opens
+        # with the row separator
+        cols = cli._CHUNK_ENTRIES + 3
+        data = np.random.default_rng(29).integers(-3, 4, size=(3, cols)) / 7.0
+        data[1, 0], data[2, -1] = -0.0, 5e-324
+        chunks = list(_format_rows(data, "[", "]", ","))
+        assert len(chunks) == 3
+        assert chunks[0].startswith("[") and not chunks[0].startswith("[[")
+        assert all(chunk.startswith(",[") and chunk.endswith("]") for chunk in chunks[1:])
+        assert [chunk.count("\n") for chunk in _format_rows(data, "", "\n")] == [1, 1, 1]
+        self._assert_matches_oracles(data)
+
     @pytest.mark.parametrize("layout", ["fortran", "transposed"])
     def test_non_contiguous_input(self, layout):
         rng = np.random.default_rng(11)
@@ -1190,11 +1212,14 @@ def checker_calls(monkeypatch):
 
 
 def _checked_stages(node) -> int:
-    """The plan's nodes less Kron's factors: kron checks nothing (the
-    multipartite root claim covers them), every other stage is checked by
-    the builder it feeds, and the root by ``execute``."""
+    """The plan's nodes less Kron's factors and SkewHadamard's tournament:
+    kron checks nothing (the multipartite root claim covers them), the
+    skew-Hadamard builder checks only its tournament's own failures (the
+    check of its output, the root, completes the tournament's), every
+    other stage is checked by the builder it feeds, and the root by
+    ``execute``."""
     below = sum(_checked_stages(child) for child in node.children)
-    return 1 + below - (len(node.children) if node.op == "kron" else 0)
+    return 1 + below - (len(node.children) if node.op in ("kron", "skew-hadamard") else 0)
 
 
 class TestEachStageCheckedOnce:
@@ -1212,6 +1237,26 @@ class TestEachStageCheckedOnce:
         assert len(checker_calls) == _checked_stages(nodes[0])
         root = decode_matrix_file(out)["matrix"].data
         assert sum(np.array_equal(m, root) for m in checker_calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv,orders",
+        [("gen --kind skew-hadamard --q 11", [12]), ("gen --kind skew-hadamard --q 7 --t 1", [8, 16])],
+    )
+    def test_skew_hadamard_core_runs(self, argv, orders, monkeypatch):
+        # one core run on H serves the tournament and the root; the doubling
+        # below it certifies its own tournament, as the order-8 H
+        from omzd import verify
+
+        shapes, core = [], verify._certify_pattern
+
+        def counted(m, *args, **kwargs):
+            shapes.append(m.data.shape)
+            return core(m, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_certify_pattern", counted)
+        code, _, err = invoke(*argv.split())
+        assert (code, err) == (0, "")
+        assert shapes == [(n, n) for n in orders]
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,26 @@ class TestResidualScaledIdentity:
             c, res = residual_scaled_identity(m)
             assert res <= 1e-9 * c * m.order
 
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_matches_the_full_triangle_bit_for_bit(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        g = a @ a.T
+        c = float(np.mean(np.diag(g)))
+        expected = float(np.max(np.triu(np.abs(g - c * np.eye(n)))))
+        assert residual_scaled_identity(RealMatrix(a)) == (c, expected)
+
+    @pytest.mark.parametrize(
+        "i,j", [(0, 299), (299, 0), (127, 128), (128, 127), (128, 129), (255, 256), (298, 299), (129, 129)]
+    )
+    def test_sees_one_entry_at_a_row_block_edge(self, i, j):
+        # M = I plus one entry gives a gram whose worst entry is at (i, j)
+        # and (j, i), or on the diagonal when i = j
+        a = np.eye(300)
+        a[i, j] += 0.5
+        c, res = residual_scaled_identity(RealMatrix(a))
+        assert c == (299.0 + (1.5**2 if i == j else 1.25)) / 300.0
+        assert res == (1.5**2 - c if i == j else 0.5)
+
 
 class TestJacobiSpectrum:
     def test_already_diagonal(self):
