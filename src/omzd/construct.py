@@ -16,8 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gfield
 from .errors import BuildRefused, InvalidQ
-from .numerics import RealMatrix
-from .verify import CLAIM_DRT, CLAIM_OMPZD, CLAIM_OMZD, bordered_tournament, certify, zero_tolerance
+from .numerics import RES_TOL, RealMatrix
+from .verify import CLAIM_DRT, CLAIM_OMPZD, CLAIM_OMZD, bordered_tournament, certify, input_failures, zero_tolerance
 
 __all__ = [
     "seed",
@@ -38,14 +38,10 @@ __all__ = [
 ]
 
 
-def _checked(m: RealMatrix, claim: str, refusal: str, **claim_args):
-    """The passed verdict of ``certify(m, claim, **claim_args)``, or
-    BuildRefused(f"{refusal}: {failures}").  Every builder that consumes a
-    plan stage checks it here, once; ``kron`` alone checks nothing."""
-    verdict = certify(m, claim, **claim_args)
-    if not verdict.passed:
-        raise BuildRefused(f"{refusal}: {verdict.failures}")
-    return verdict
+def _require(failures, refusal: str) -> None:
+    """BuildRefused(f"{refusal}: {failures}") unless there are no failures."""
+    if failures:
+        raise BuildRefused(f"{refusal}: {tuple(failures)}")
 
 
 # --------------------------------------------------------------------------
@@ -261,12 +257,32 @@ def _splice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.block([[core_b, np.outer(v, x)], [np.outer(y, u), core_c]])
 
 
-def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
-    """Splice an OMZD(m+1) and an OMZD(n+1) into an OMZD(m+n).
+def _unit_omzd(m: RealMatrix, refusal: str) -> np.ndarray:
+    """``m`` over √(its declared scale_c), a = [[0, uᵀ], [v, B]], once it
+    has no input failures and |u|² = 1, tr aaᵀ = order and Bu = 0, else
+    BuildRefused(f"{refusal}: {failures}").  Each condition is an entry, or
+    the diagonal mean, of aaᵀ - I, held to RES_TOL * order as in a's own
+    certificate.  Spliced with b = [[0, xᵀ], [y, C]] alike, S has ‖S‖² its
+    order and SSᵀ the diagonal blocks BBᵀ + |x|²vvᵀ and |u|²yyᵀ + CCᵀ; so
+    the root check, SSᵀ = cI to res_tol * c * order, completes a's and b's
+    certificates, each residual at most the root's plus this rounding."""
+    failures = input_failures(m, CLAIM_OMZD)
+    if not failures:
+        a, n = m.data / math.sqrt(m.scale_c), m.order
+        u = a[0, 1:]
+        gaps = {"|u|^2 - 1": u @ u - 1, "tr aa^T / order - 1": np.vdot(a, a) / n - 1,
+                "max |Bu|": np.max(np.abs(a[1:, 1:] @ u), initial=0.0)}
+        failures = [f"{label} = {gap:.3e}" for label, gap in gaps.items() if not abs(gap) <= RES_TOL * n]
+    _require(failures, refusal)
+    return a
 
-    Both inputs are certified and rescaled to unit scale internally.
-    Orders below 4 are rejected up front: the core of an order-2 input
-    is the 1x1 zero matrix, which would put a zero off the diagonal.
+
+def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
+    """Splice an OMZD(m+1) and an OMZD(n+1) into an OMZD(m+n) of declared
+    scale 1, its inputs scaled and checked by ``_unit_omzd``: called alone,
+    it takes an input of the right pattern that is not orthogonal.  Orders
+    below 4 are rejected up front: the core of an order-2 input is the 1x1
+    zero matrix, which would put a zero off the diagonal.
     """
     units = []
     for label, mat in (("first", m), ("second", n)):
@@ -275,23 +291,19 @@ def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
                 f"combine needs square inputs of order >= 4; {label} input is "
                 f"{mat.rows}x{mat.cols}"
             )
-        cert = _checked(mat, CLAIM_OMZD, f"{label} input failed OMZD certification")
-        units.append(mat.data / math.sqrt(cert.scale_c))  # c from the certificate's gram
+        units.append(_unit_omzd(mat, f"{label} input failed OMZD certification"))
     return RealMatrix(_splice(*units), scale_c=1.0)
 
 
 def ompzd_n_minus_1(omzd: RealMatrix) -> RealMatrix:
-    """Orthogonal matrix of order n with exactly n-1 diagonal zeros, from
-    an OMZD(n-2).
-
-    Splices the OMPZD(4,3) seed, permuted so its corner is zero (which
-    leaves its single nonzero diagonal entry inside the core), with the
-    OMZD(n-2).  The input is certified and rescaled by its certificate's
-    c; the seed's gram mean is exactly 4, so it is halved.
+    """Orthogonal matrix of order n, scale 1, with exactly n-1 diagonal
+    zeros: the OMPZD(4,3) seed, permuted so its corner is zero (which
+    leaves its single nonzero diagonal entry inside the core) and halved,
+    spliced with an OMZD(n-2), scaled and checked as ``combine``'s inputs.
     """
-    cert = _checked(omzd, CLAIM_OMZD, "input failed OMZD certification")
+    unit = _unit_omzd(omzd, "input failed OMZD certification")
     m = conjugate_permute(seed(CLAIM_OMPZD, 4, 3), [1, 0, 2, 3])  # zero corner
-    return RealMatrix(_splice(m.data / 2.0, omzd.data / math.sqrt(cert.scale_c)), scale_c=1.0)
+    return RealMatrix(_splice(m.data / 2.0, unit), scale_c=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -328,47 +340,29 @@ def symmetric_omzd(n: int) -> RealMatrix:
 def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
     """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
     DRT(q): the skew +-1 matrix S + I, S = T - Tᵀ, bordered with a +1 row
-    and -1 column (``verify.bordered_tournament``).
-
-    Only T's own failures are checked here (BuildRefused): entries in
-    {0, 1}, T + Tᵀ = J - I, and q = 3 mod 4.  The rest of T's DRT
-    certificate is the exact skew-Hadamard check of this very H, so the
-    check of the output completes it: the plan's root check
-    (``check_skew_hadamard``) certifies the input and the output in one
-    run of the core.  Called alone, it returns a matrix that is not
-    skew-Hadamard for a tournament that is not doubly regular, so a caller
-    certifies the output, or the input with ``check_drt``, before using it.
+    and -1 column (``verify.bordered_tournament``).  Only T's own failures
+    are checked here: the rest of T's DRT certificate is the exact check of
+    this very H, which the plan's root check makes.  Called alone, it takes
+    a tournament that is not doubly regular.
     """
     h, failures = bordered_tournament(t)
-    if failures:
-        raise BuildRefused(f"input is not a doubly regular tournament: {failures}")
+    _require(failures, "input is not a doubly regular tournament")
     return RealMatrix(h, scale_c=t.order + 1)
 
 
-def _normalize_skew_hadamard(h: np.ndarray) -> np.ndarray:
-    """Negate row j and column j together wherever entry (0, j) is -1,
-    which preserves H + Hᵀ = 2I and makes row 0 all +1 (and, by
-    skewness, column 0 all -1 below the corner)."""
-    d = h[0, :].copy()
-    d[0] = 1
-    return d[:, None] * h * d[None, :]
-
-
 def double_drt(t: RealMatrix) -> RealMatrix:
-    """Doubly regular tournament of order 2q + 1 from one of order q, as
-    a {0, 1} matrix with no scale.
-
-    Routes through skew-Hadamard matrices: H of order q+1 from the
-    input, then H' = [[H, H], [-Hᵀ, Hᵀ]] of order 2q+2, normalized and
-    stripped of its first row and column; the +-1 core yields arcs via
-    core(i, j) = +1.  The input is checked once, with its full DRT
-    certificate (BuildRefused), since no check of H follows; the output is
-    not checked here but by whatever consumes it.
+    """Doubly regular tournament of order 2q + 1 from one of order q, as a
+    {0, 1} matrix with no scale: its arcs are the +1 entries of the core of
+    H' = [[H, H], [-Hᵀ, Hᵀ]], written as four bool blocks, with H the
+    input's skew-Hadamard matrix, whose row 0, and so H''s, is all +1.
+    Only T's own failures are checked, by ``drt_to_skew_hadamard``:
+    H'H'ᵀ = diag(2HHᵀ, 2HᵀH), so the exact root check completes T's.
     """
-    _checked(t, CLAIM_DRT, "input is not a doubly regular tournament")
-    h, _ = bordered_tournament(t)  # its failures are part of the check above
-    doubled = _normalize_skew_hadamard(np.block([[h, h], [-h.T, h.T]]))
-    arcs = doubled[1:, 1:] == 1
+    plus = drt_to_skew_hadamard(t).data == 1
+    q = t.order
+    arcs = np.empty((2 * q + 1, 2 * q + 1), dtype=bool)
+    arcs[:q, :q], arcs[:q, q:], arcs[q:, q:] = plus[1:, 1:], plus[1:], plus.T
+    np.logical_not(plus[1:].T, out=arcs[q:, :q])  # -Hᵀ = +1 where H = -1
     np.fill_diagonal(arcs, False)
     return RealMatrix(arcs)
 
@@ -378,11 +372,12 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
 
     alpha = (-2/(q-3)) * (q - 2 +- sqrt(q - 2)) kills the all-ones
     component of the gram matrix; the surviving scale is
-    c = alpha^2 (q+1)/4 + alpha + 1.
+    c = alpha^2 (q+1)/4 + alpha + 1.  The input gets its full DRT check
+    (BuildRefused), which the OMZD check of the output does not imply.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    _checked(t, CLAIM_DRT, "input is not a doubly regular tournament")
+    _require(certify(t, CLAIM_DRT).failures, "input is not a doubly regular tournament")
     q = t.order
     if q == 3:
         raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")
@@ -476,9 +471,11 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     permuted once, moving each rotated plane to the front, the last first:
     the planes' labels from the last rotation to the first, each kept at
     its first occurrence, then the untouched labels in ascending order.
-    The input is certified (its gram mean c scales the angle floor); the
-    output keeps the input's exact scale_c when it has one, else that c,
-    and is not certified here but by whatever consumes it.
+    The input's declared scale_c sets the angle floor and is the output's,
+    and only its own failures are checked here.  The output P(MR)Pᵀ, R a
+    product of plane rotations and P a permutation, has the gram P(MMᵀ)Pᵀ,
+    so the root check completes the input's certificate: its residual is
+    at most the root's plus the rotations' rounding, against res_tol * c * n.
     """
     if not m.is_square or m.order < 4:
         raise ValueError("zero reduction needs a square input of order >= 4")
@@ -494,20 +491,19 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
         raise BuildRefused(f"input has {j} diagonal zeros, cannot reach {target_k}")
 
     refusal = f"input is not an order-{n} orthogonal matrix with all {j} zeros on the diagonal"
-    cert = _checked(m, CLAIM_OMPZD, refusal, k=j)
-    scale = cert.scale_c if m.scale_c is None else m.scale_c
+    _require(input_failures(m, CLAIM_OMPZD), refusal)
     if target_k == j:
-        return RealMatrix(m.data, scale_c=scale)
+        return m
 
     a = np.array(m.data)
     zeros = np.flatnonzero(is_zero)
     pairs = (j - target_k) // 2
     fronts = zeros[: 2 * pairs].reshape(pairs, 2)
-    _rotate_pairs(a, fronts[:, 0], fronts[:, 1], cert.scale_c)
+    _rotate_pairs(a, fronts[:, 0], fronts[:, 1], m.scale_c)
     if (j - target_k) % 2:
         partner = fronts[-1, 0] if pairs else np.flatnonzero(~is_zero)[0]
         mixed = [zeros[2 * pairs], partner]
-        _rotate_pairs(a, mixed[:1], mixed[1:], cert.scale_c)
+        _rotate_pairs(a, mixed[:1], mixed[1:], m.scale_c)
         fronts = np.vstack((fronts, mixed))
 
     order = fronts[::-1].ravel()
@@ -515,7 +511,7 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     untouched = np.ones(n, dtype=bool)
     untouched[order] = False
     labels = np.concatenate((order, np.flatnonzero(untouched)))
-    return RealMatrix(a[np.ix_(labels, labels)], scale_c=scale)
+    return RealMatrix(a[np.ix_(labels, labels)], scale_c=m.scale_c)
 
 
 # --------------------------------------------------------------------------

@@ -10,19 +10,14 @@ module.  Each ``_OPS`` row states an op's serial name, theorem, output
 A node's kind is the claim its output is certified against, one of
 ``verify.CLAIMS``.
 
-Each stage but Kron's factors is checked once.  A stage that feeds
-another is checked by the builder that consumes it, through its input check:
-``combine`` and ``ompzd_n_minus_1`` certify their OMZD inputs,
-``omzd_from_drt`` and ``double_drt`` certify their DRT, and
-``reduce_zeros`` its orthogonal input.  ``drt_to_skew_hadamard`` checks
-only its tournament's own failures: the rest of a DRT's certificate is
-the exact check of its skew-Hadamard matrix, which is that builder's
-output, so the root check of a ``SkewHadamard`` plan certifies the
-tournament and the root in one run of the certificate core.  ``kron`` is
-the one builder that checks nothing: a plain product promises no
-orthogonality, and the multipartite root claim covers its factors.
-``execute`` is ``build`` plus the root check with
-``verify.certify``; ``build`` leaves the root check to its caller.
+A plan is certified once, at its root, by ``execute`` with
+``verify.certify`` (a graph witness made from it by ``certify_graph``):
+each op maps orthogonal inputs to an orthogonal output, so that one run
+of the certificate core completes every stage's certificate, given the
+O(n²) preconditions each builder checks of its inputs and states the
+implied certificate of.  ``omzd_from_drt`` alone checks its input in
+full, which the OMZD check of its output does not imply; ``kron`` checks
+nothing, since the multipartite root claim covers its factors.
 """
 
 from __future__ import annotations
@@ -421,8 +416,8 @@ def plan(
 # --------------------------------------------------------------------------
 
 def build(node: PlanNode):
-    """Evaluate a plan bottom-up and return its root, unchecked: each inner
-    stage is checked by the builder it feeds, and the root by the caller."""
+    """Evaluate a plan bottom-up and return its root, unchecked: the
+    caller's check of the root completes every stage's certificate."""
     inputs = [build(child) for child in node.children]
     result = _OPS[node.op].build(*inputs, *node.args)
     if result.order != node.n:

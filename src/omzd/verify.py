@@ -15,9 +15,9 @@ the builders and the graph layer share.  The masks per claim:
   column, under the skew-Hadamard masks, after T's own failures
   ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4), both from
   ``bordered_tournament``; failures name H's positions, T's (i, j)
-  being H's (i+1, j+1).  The skew-Hadamard builder checks only T's own
-  failures, and the skew-hadamard check of its output completes T's
-  certificate;
+  being H's (i+1, j+1).  The builders that take a tournament but
+  ``omzd_from_drt`` check only T's own failures, and the plan's root
+  check completes T's certificate;
 - ompzd: nonzero off the diagonal, and exactly k zeros on it;
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
@@ -33,9 +33,10 @@ MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
 MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  Besides
 bool masks, the core makes |M|, which serves the zero rule, the pattern
 and the margin, and frees it before it makes the product MMᵀ; only the
-integrality test of an exact claim and the symmetry test of a skew
-matrix make one float n x n array more, and a tournament's H is one
-(q+1) x (q+1) array more.
+integrality test of an exact claim (beside |M|) and the symmetry test of
+a skew matrix (after the product) make one float n x n array more.  The
+H + Hᵀ = 2I test of a skew-Hadamard matrix makes one, freed before the
+core runs, and a tournament's H is one (q+1) x (q+1) array more.
 
 No checker lives outside the core.  Every claim, tournaments included,
 takes a float64 ``RealMatrix``.  An exact verdict rests on the product
@@ -45,8 +46,8 @@ planner caps at 4096, far below 2^53, so the float64 (BLAS) product is
 exact.  Every certificate carries the full diagnostic rather than
 short-circuiting, so callers can assert on specific failure kinds.
 ``CLAIMS`` names every claim (a gen kind or a ``verify --claim`` value);
-``certify`` sends each to its checker, and the planner, the CLI and the
-builders all check through it.
+``certify`` sends each to its checker, and the planner, the CLI and
+``omzd_from_drt`` check through it.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ __all__ = [
     "certify_multipartite",
     "check_drt",
     "check_skew_hadamard",
+    "input_failures",
     "zero_tolerance",
 ]
 
@@ -172,6 +174,36 @@ def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
     return _ZERO_SHARE * m.max_abs() if zero_tol is None else zero_tol
 
 
+def _pattern_failures(magnitude, zero, nonzero, zero_tol=None, diagonal_zeros=None) -> list[str]:
+    """The failures of |m| against the masks under the zero rule: a wrong
+    diagonal zero count, then each violation's count on the diagonal and
+    its first 8 positions off it."""
+    is_zero = magnitude <= (_ZERO_SHARE * float(np.max(magnitude)) if zero_tol is None else zero_tol)
+    found = None if diagonal_zeros is None else int(np.sum(np.diag(is_zero)))
+    failures = [] if found == diagonal_zeros else [f"expected exactly {diagonal_zeros} diagonal zeros, found {found}"]
+    for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
+        if not bad.any():
+            continue
+        on_diagonal = int(np.sum(np.diag(bad)))
+        if on_diagonal:
+            failures.append(f"{on_diagonal} diagonal entries are {word}")
+        np.fill_diagonal(bad, False)
+        positions = [(int(i), int(j)) for i, j in np.argwhere(bad)[:8]]
+        if positions:
+            failures.append(f"off-diagonal {word}s at {positions}")
+    return failures
+
+
+def input_failures(m: RealMatrix, claim: str) -> list[str]:
+    """What a builder checks, in O(n²), of an input whose orthogonality its
+    plan's root certificate implies: the pattern failures ``certify``
+    reports under ``claim``, a row of ``_PATTERNS``, and no declared scale_c."""
+    _, zero_rule, nonzero_rule, *_ = _PATTERNS[claim]
+    n = _square_order(m)
+    failures = _pattern_failures(np.abs(m.data), _rule_mask(n, *zero_rule), _rule_mask(n, *nonzero_rule))
+    return failures + (["no declared scale_c"] if m.scale_c is None else [])
+
+
 def _certify_pattern(
     m: RealMatrix,
     claim: str,
@@ -207,22 +239,7 @@ def _certify_pattern(
     min_offdiag = 0.0
     magnitude = np.abs(a)
     if zero is not None:
-        tol = _ZERO_SHARE * float(np.max(magnitude)) if zero_tol is None else zero_tol
-        is_zero = magnitude <= tol
-        if diagonal_zeros is not None:
-            found = int(np.sum(np.diag(is_zero)))
-            if found != diagonal_zeros:
-                failures.append(f"expected exactly {diagonal_zeros} diagonal zeros, found {found}")
-        for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
-            if not bad.any():
-                continue
-            on_diagonal = int(np.sum(np.diag(bad)))
-            if on_diagonal:
-                failures.append(f"{on_diagonal} diagonal entries are {word}")
-            np.fill_diagonal(bad, False)
-            positions = [(int(i), int(j)) for i, j in np.argwhere(bad)[:8]]
-            if positions:
-                failures.append(f"off-diagonal {word}s at {positions}")
+        failures += _pattern_failures(magnitude, zero, nonzero, zero_tol, diagonal_zeros)
 
     if exact and not _is_integral(a):
         failures.append("entries are not integral; exact integer check impossible")
@@ -365,8 +382,8 @@ def bordered_tournament(t: RealMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
     skew-Hadamard certificate: for a tournament, H = C + I with C skew, so
     HHᵀ = CCᵀ + I, and HHᵀ = (q+1)I holds iff every out-degree is (q-1)/2
     and TTᵀ = ((q+1)/4)I + ((q-3)/4)J.  ``check_drt`` runs that
-    certificate; ``construct.drt_to_skew_hadamard`` leaves it to the check
-    of its output.  Raises ShapeMismatch for a non-square or 0x0 matrix.
+    certificate, which builders but ``omzd_from_drt`` leave to the root's.
+    Raises ShapeMismatch for a non-square or 0x0 matrix.
     """
     q = _square_order(t)
     a = t.data
@@ -410,10 +427,14 @@ def check_skew_hadamard(h: RealMatrix) -> OrthoCertificate:
     entries, HHᵀ = nI exactly, and H + Hᵀ = 2I (H - I is skew).  Raises
     ShapeMismatch for a non-square or 0x0 matrix."""
     n = _square_order(h)
-    s = h.data - np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN sum is a failure, not a warning
+        s = h.data + h.data.T  # the one n x n array of this test, freed before the core runs
+        s.flat[:: n + 1] -= 2.0
+        failures = ("H + H^T != 2I",) if np.any(s) else ()
+    del s
     return _certify_pattern(
         h, f"SkewHadamard({n})", _rule_mask(n, False, False), _rule_mask(n, True, True), exact=True,
-        failures=() if np.array_equal(s, -s.T) else ("H + H^T != 2I",),
+        failures=failures,
     )
 
 

@@ -404,3 +404,19 @@ def test_certify_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * n * n
+
+
+def test_skew_hadamard_peak_memory():
+    # the H + Hᵀ = 2I test makes one n x n array and frees it before the
+    # core runs, whose |H| and integrality test hold two: 2.5 n^2 doubles
+    # when this was set
+    h = construct.drt_to_skew_hadamard(construct.paley_tournament(487))
+    n = h.order
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert check_skew_hadamard(h).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 8 * n * n

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from omzd import construct, gfield, planner
-from omzd.errors import BuildRefused, InvalidQ, NonexistentTarget, OmzdError
+from omzd.errors import BuildRefused, CertificationFailed, InvalidQ, NonexistentTarget, OmzdError
 from omzd.numerics import RealMatrix, residual_scaled_identity
 from omzd.verify import certify, check_drt, check_skew_hadamard
 
@@ -347,6 +347,98 @@ class TestOmpzdNMinus1:
                 planner.plan("ompzd", n, n - 1)
 
 
+def _seed5_with_bu_nonzero() -> RealMatrix:
+    # u is all ones, so negating core entry (0, 1) moves (Bu)_0 by twice
+    # it, and leaves the pattern, |u| and the trace as they were
+    m = construct.seed("omzd", 5)
+    a = np.array(m.data)
+    a[1, 2] = -a[1, 2]
+    return RealMatrix(a, scale_c=m.scale_c)
+
+
+# an OMZD input that fails one of its own preconditions, and the message
+SPLICE_INPUT_REFUSALS = {
+    "declared-scale-5": (
+        lambda: RealMatrix(construct.seed("omzd", 5).data, scale_c=5.0),
+        r"'\|u\|\^2 - 1 = -2\.000e-01', 'tr aa\^T / order - 1 = -2\.000e-01'",
+    ),
+    "no-scale": (lambda: RealMatrix(construct.seed("omzd", 5).data), r"'no declared scale_c'"),
+    "bu-nonzero": (_seed5_with_bu_nonzero, r"\('max \|Bu\| = 1\.830e-01',\)$"),
+}
+SPLICE_BUILDERS = {
+    "combine": (
+        lambda m: construct.combine(construct.seed("omzd", 6), m),
+        "^second input failed OMZD certification: ",
+    ),
+    "ompzd-n-minus-1": (construct.ompzd_n_minus_1, "^input failed OMZD certification: "),
+}
+
+
+@pytest.mark.parametrize("builder", SPLICE_BUILDERS)
+@pytest.mark.parametrize("case", SPLICE_INPUT_REFUSALS)
+def test_splice_input_refusal(builder, case):
+    build, prefix = SPLICE_BUILDERS[builder]
+    bad, message = SPLICE_INPUT_REFUSALS[case]
+    with pytest.raises(BuildRefused, match=prefix + ".*" + message):
+        build(bad())
+
+
+def _first_column_swapped(m: RealMatrix) -> RealMatrix:
+    """``m`` with entries (1, 0) and (n-1, 0) swapped: its pattern, first
+    row, core and trace stay, so every precondition a builder checks holds,
+    but it is not orthogonal unless the two entries are equal."""
+    a = np.array(m.data)
+    a[[1, -1], 0] = a[[-1, 1], 0]
+    return RealMatrix(a, scale_c=m.scale_c)
+
+
+def _regular_not_doubly_regular(t: RealMatrix) -> RealMatrix:
+    """The circulant tournament of t's order, 7 here, on the arcs i -> i+1,
+    i+2, i+3: 7 is 3 mod 4 and T + Tᵀ = J - I, but a DRT(7)'s arcs are the
+    squares {1, 2, 4}."""
+    q = t.order
+    return RealMatrix([[(j - i) % q in (1, 2, 3) for j in range(q)] for i in range(q)])
+
+
+class TestRootCertifiesInputs:
+    """A builder checks only its inputs' own preconditions: called alone, it
+    takes a wrong input it cannot tell from a right one, and the plan's
+    root check refuses the result."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: construct.combine(m, construct.seed("omzd", 5)),
+            construct.ompzd_n_minus_1,
+            lambda m: construct.reduce_zeros(m, 3),
+        ],
+    )
+    def test_builder_takes_a_non_orthogonal_input(self, build):
+        bad = _first_column_swapped(construct.symmetric_omzd(8))
+        assert not certify(bad, "omzd").passed
+        assert not certify(build(bad), "orthogonal").passed
+
+    def test_double_takes_a_regular_tournament(self):
+        t = _regular_not_doubly_regular(FANO)
+        assert not check_drt(t).passed
+        assert not check_drt(construct.double_drt(t)).passed
+
+    @pytest.mark.parametrize(
+        "stage,wrong,target",
+        [
+            ("symmetric_omzd", _first_column_swapped, {"kind": "omzd", "n": 11}),  # Combine's input
+            ("symmetric_omzd", _first_column_swapped, {"kind": "ompzd", "n": 30, "k": 29}),  # OmpzdNm1's
+            ("combine", _first_column_swapped, {"kind": "ompzd", "n": 51, "k": 20}),  # ReduceZeros'
+            ("paley_tournament", _regular_not_doubly_regular, {"kind": "drt", "q": 7, "t": 1}),  # Double's
+        ],
+    )
+    def test_no_wrong_stage_escapes_the_root_check(self, stage, wrong, target, monkeypatch):
+        build = getattr(construct, stage)
+        monkeypatch.setattr(construct, stage, lambda *args: wrong(build(*args)))
+        with pytest.raises(CertificationFailed, match=r"executed but failed certification: "):
+            planner.execute(planner.plan(**target))
+
+
 # --------------------------------------------------------------------------
 # Symmetric construction
 # --------------------------------------------------------------------------
@@ -425,6 +517,19 @@ class TestDoubleDrt:
     def test_not_drt(self):
         with pytest.raises(BuildRefused, match="not a doubly regular tournament"):
             construct.double_drt(RealMatrix(np.zeros((4, 4), dtype=np.int64)))
+
+    def test_peak_memory(self):
+        # H, then its +1 mask and the bool arcs, then the float output:
+        # 1.15 (2q+2)^2 doubles when this was set
+        t = construct.paley_tournament(487)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            construct.double_drt(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 8 * 976**2
 
 
 class TestOmzdFromDrt:
