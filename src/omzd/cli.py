@@ -8,8 +8,11 @@ diagnostics go to stderr.  Exit codes: 0 success /
 exists / certified, 1 nonexistent / verification failed / known
 impossible, 2 usage, unreadable input, unwritable output or internal
 error.  Output is byte-deterministic: fixed key order and
-17-significant-digit floats (exact double round-trip); decoding is exact
-too, giving the same doubles as ``json.loads``.
+17-significant-digit floats (exact double round-trip).  Decoding is exact
+too: ``decode_matrix_file`` parses each row of a file this module writes
+with orjson straight into one float64 array, and every other text, and
+every field outside the rows, with ``json.loads``; a text gets the
+document or the refusal the whole-text ``json.loads`` path gives it.
 
 A matrix is written in row chunks.  One sort of its 64-bit patterns gives
 its few distinct values, each formatted once into a table of tokens that
@@ -31,10 +34,12 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator
 
 import numpy as np
+import orjson
 
 from . import graphs, planner
 from .errors import (
@@ -273,44 +278,105 @@ _CERT_FIELDS = (
 )
 
 
-# the most distinct number texts one decode converts through its memo
-_MEMO_SIZE = 4096
-
-
-class _MemoFull(Exception):
-    """A file holds more than _MEMO_SIZE distinct number texts."""
-
-
-class _FloatMemo(dict):
-    """Number text -> float(text), each distinct text converted once."""
-
-    def __missing__(self, token: str) -> float:
-        if len(self) >= _MEMO_SIZE:
-            raise _MemoFull
-        value = self[token] = float(token)
-        return value
+_WS = r"[ \t\n\r]*"  # JSON whitespace, which \s would widen
+# a member "entries" up to its first row's bracket; after each row, the
+# next row's bracket; after the last row, the close of the entries and the
+# comma before the next member
+_ENTRIES_OPEN = re.compile(rf',{_WS}"entries"{_WS}:{_WS}\[{_WS}\[')
+_NEXT_ROW = re.compile(rf"{_WS},{_WS}\[")
+_ENTRIES_CLOSE = re.compile(rf"{_WS}\]{_WS},{_WS}")
 
 
 def decode_matrix_file(text: str) -> dict:
     """Parse and validate a matrix file; returns the document with the
-    entries materialized as a RealMatrix under the key "matrix".
+    entries materialized as a RealMatrix under the key "matrix" (and no
+    "entries" key).
 
-    The generated files hold few distinct values among many entries, so
-    ``json.loads`` converts each distinct number text once, through a memo
-    made for this call; ``float(text)`` is what it does by default, so the
-    doubles are the same.  A file with more than 4096 distinct number texts
-    is parsed again with plain ``json.loads``: that bounds the memo's memory,
-    and the cost of a file whose values rarely repeat, to one extra parse.
+    The row path reads the layout this module writes: ``"entries"`` after
+    the leading members, then more members.  Its head, the text before
+    ``,"entries"`` closed by a ``}``, and its tail, the text after the rows
+    opened by a ``{``, go through ``json.loads``; each row goes through
+    ``orjson.loads`` straight into one float64 array, so no nested lists
+    of floats are held.  The split is exact: a head that parses as an
+    object ends at the top level between two members, and no key repeats
+    across head, entries and tail.  Head and tail take ``json.loads``
+    because orjson reads an integer beyond the 64-bit ranges as a float,
+    where ``order``, ``k`` or a certificate field must stay an int.  A row
+    holds only numbers, for which orjson gives the doubles ``float(text)``
+    gives, as ``json.loads`` does; it refuses the texts it would read
+    otherwise (NaN, Infinity, a number that overflows a double).
+
+    At the first step of the row path that fails (no such layout, a row
+    orjson refuses or of the wrong length or types, a head or tail that is
+    not an object or repeats a key), the json path decides the text:
+    ``json.loads`` over the whole text, whose refusals keep their field and
+    message.  Both paths end in the same field checks, so a text gets one
+    document or one SchemaViolation whichever path decides it.
     """
-    try:
+    doc = _decode_rows(text)
+    if doc is None:
         try:
-            doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
-        except _MemoFull:
             doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation("$", f"not valid JSON: {e}") from None
-    except RecursionError:
-        raise SchemaViolation("$", "nested too deeply") from None
+        except json.JSONDecodeError as e:
+            raise SchemaViolation("$", f"not valid JSON: {e}") from None
+        except RecursionError:
+            raise SchemaViolation("$", "nested too deeply") from None
+    return _checked(doc)
+
+
+def _decode_rows(text: str) -> dict | None:
+    """The row path of ``decode_matrix_file``: the parsed document, its
+    entries a float64 array, or None at the first step that fails."""
+    opening = _ENTRIES_OPEN.search(text)
+    if opening is None:
+        return None
+    head = _loads_object(text[: opening.start()] + "}")
+    if head is None or "entries" in head:
+        return None
+    order, cols = head.get("order"), head.get("cols")
+    if not (type(order) is int and type(cols) is int and order >= 1 and cols >= 1):
+        return None
+    if order * cols > len(text) // 2:  # each entry takes a digit and a separator
+        return None
+    data = np.empty((order, cols))
+    start = opening.end() - 1
+    for i in range(order):
+        if i:
+            sep = _NEXT_ROW.match(text, end + 1)
+            if sep is None:
+                return None
+            start = sep.end() - 1
+        end = text.find("]", start)
+        if end < 0:
+            return None
+        try:
+            row = orjson.loads(text[start : end + 1])
+        except orjson.JSONDecodeError:
+            return None
+        if len(row) != cols or not set(map(type, row)) <= _NUMBER_TYPES:
+            return None
+        data[i] = row
+    closing = _ENTRIES_CLOSE.match(text, end + 1)
+    tail = None if closing is None else _loads_object("{" + text[closing.end() :])
+    if not tail or "entries" in tail or not tail.keys().isdisjoint(head):  # {} was a trailing comma
+        return None
+    head["entries"] = data
+    head.update(tail)
+    return head
+
+
+def _loads_object(text: str) -> dict | None:
+    """``json.loads(text)`` when that is an object, else None."""
+    try:
+        value = json.loads(text)
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _checked(doc) -> dict:
+    """The field checks of both decoding paths, in the json path's order;
+    returns ``doc`` with its "entries" replaced by "matrix"."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     for key in ("kind", "order", "cols", "scale_c", "entries", "plan", "certificate", "provenance"):
         _expect(key in doc, key, "missing field")
@@ -320,15 +386,8 @@ def decode_matrix_file(text: str) -> dict:
     _expect(doc["scale_c"] is None or _is_number(doc["scale_c"]), "scale_c", "must be a number or null")
     _expect(doc["scale_c"] is None or _is_finite(doc["scale_c"]), "scale_c", "must be finite")
     _expect(doc["scale_c"] is None or doc["scale_c"] > 0, "scale_c", "must be positive")
-    entries = doc["entries"]
-    _expect(isinstance(entries, list), "entries", "must be an array of arrays")
-    _expect(len(entries) == doc["order"], "entries", f"expected {doc['order']} rows, got {len(entries)}")
-    for i, row in enumerate(entries):
-        _expect(isinstance(row, list), f"entries[{i}]", "must be an array")
-        _expect(len(row) == doc["cols"], f"entries[{i}]", f"expected {doc['cols']} values, got {len(row)}")
-        if not set(map(type, row)) <= _NUMBER_TYPES:  # bool is its own type, so it fails here
-            for j, x in enumerate(row):
-                _expect(_is_number(x), f"entries[{i}][{j}]", "must be a number")
+    entries = doc.pop("entries")
+    data = entries if isinstance(entries, np.ndarray) else _entries_array(entries, doc["order"], doc["cols"])
     _expect(doc["plan"] is None or isinstance(doc["plan"], str), "plan", "must be a string or null")
     cert = doc["certificate"]
     if cert is not None:
@@ -344,21 +403,31 @@ def decode_matrix_file(text: str) -> dict:
     _expect(isinstance(prov.get("theorem"), str), "provenance.theorem", "must be a string")
     _expect(isinstance(prov.get("parameters"), dict), "provenance.parameters", "must be an object")
 
-    scale = None if doc["scale_c"] is None else float(doc["scale_c"])
-    try:
-        data = np.array(entries, dtype=np.float64)
-        finite = bool(np.all(np.isfinite(data)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        i, j = next(
-            (i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if not _is_finite(x)
-        )
+    if not np.all(np.isfinite(data)):
+        i, j = np.argwhere(~np.isfinite(data))[0]
         raise SchemaViolation(f"entries[{i}][{j}]", "must be finite")
     if data.size == 0:
         raise SchemaViolation("entries", "matrix must be nonempty")
+    scale = None if doc["scale_c"] is None else float(doc["scale_c"])
     doc["matrix"] = RealMatrix(data, scale_c=scale)
     return doc
+
+
+def _entries_array(entries, order: int, cols: int) -> np.ndarray:
+    """The json path's entries, checked for shape and types, as a float64
+    array; a number too large for a double is inf there."""
+    _expect(isinstance(entries, list), "entries", "must be an array of arrays")
+    _expect(len(entries) == order, "entries", f"expected {order} rows, got {len(entries)}")
+    for i, row in enumerate(entries):
+        _expect(isinstance(row, list), f"entries[{i}]", "must be an array")
+        _expect(len(row) == cols, f"entries[{i}]", f"expected {cols} values, got {len(row)}")
+        if not set(map(type, row)) <= _NUMBER_TYPES:  # bool is its own type, so it fails here
+            for j, x in enumerate(row):
+                _expect(_is_number(x), f"entries[{i}][{j}]", "must be a number")
+    try:
+        return np.array(entries, dtype=np.float64)
+    except OverflowError:
+        return np.array([[x if _is_finite(x) else math.inf for x in row] for row in entries], dtype=np.float64)
 
 
 def matrix_to_csv(matrix: RealMatrix) -> str:

@@ -472,7 +472,8 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     the planes' labels from the last rotation to the first, each kept at
     its first occurrence, then the untouched labels in ascending order.
     The input's declared scale_c sets the angle floor and is the output's,
-    and only its own failures are checked here.  The output P(MR)Pᵀ, R a
+    which the root check compares with its recovered c; only the input's
+    own failures are checked here.  The output P(MR)Pᵀ, R a
     product of plane rotations and P a permutation, has the gram P(MMᵀ)Pᵀ,
     so the root check completes the input's certificate: its residual is
     at most the root's plus the rotations' rounding, against res_tol * c * n.

@@ -436,7 +436,7 @@ def execute(node: PlanNode):
     (``verify.check_drt``).  The builder sets the scale of an integer
     root: q for a conference matrix, the order for a skew-Hadamard
     matrix, none for a tournament.  Raises CertificationFailed when the
-    root fails.
+    root fails, a declared scale that is not its recovered c included.
     """
     result = build(node)
     if node.kind == CLAIM_MULTIPARTITE:  # Kron(factor, base): factor.n parts of size base.n

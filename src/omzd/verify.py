@@ -30,7 +30,10 @@ the builders and the graph layer share.  The masks per claim:
 An exact claim must be integral with +-1 at its required nonzeros and
 MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
 ``numerics.RES_TOL``).  The residual is read over the upper triangle of
-MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  Besides
+MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  A
+declared ``scale_c`` (a file's, a plan root's, a graph witness's) of a
+matrix with MMᵀ = cI must be that c: equal to it for an exact claim,
+within res_tol * c * order otherwise.  Besides
 bool masks, the core makes |M|, which serves the zero rule, the pattern
 and the margin, and frees it before it makes the product MMᵀ; only the
 integrality test of an exact claim (beside |M|) and the symmetry test of
@@ -224,8 +227,10 @@ def _certify_pattern(
     None when the claim has no pattern of this order (its failures say
     why, and the margin is 0).  ``diagonal_zeros``, when given, is the
     exact number of diagonal zeros the claim requires; a wrong count is
-    the first failure.  min_offdiag_magnitude is the smallest off-diagonal
-    |entry| not required to be zero.
+    the first failure.  Once MMᵀ = cI holds, a declared ``m.scale_c``
+    must agree with c (exactly, for an exact claim); a matrix that fails
+    the gram check has no c to compare with.  min_offdiag_magnitude is
+    the smallest off-diagonal |entry| not required to be zero.
 
     |m| is taken once, for the zero rule (``zero_tolerance``'s, from its
     maximum), the pattern and the margin, and freed before the gram, whose
@@ -254,16 +259,18 @@ def _certify_pattern(
 
     # written so that a NaN scale or residual (an overflowing gram) fails
     c, max_residual = residual_scaled_identity(m)
+    s = m.scale_c
     if not (0.0 < c < math.inf):
         failures.append(f"recovered scale {c} is not positive and finite")
-    elif exact:
-        if max_residual != 0.0:
-            failures.append(f"gram deviates from cI by {max_residual} (exact check)")
-    elif not (max_residual <= res_tol * c * n):
+    elif exact and max_residual != 0.0:
+        failures.append(f"gram deviates from cI by {max_residual} (exact check)")
+    elif not exact and not (max_residual <= res_tol * c * n):
         failures.append(
             f"max residual {max_residual:.3e} exceeds {res_tol:.1e} * c * n = "
             f"{res_tol * c * n:.3e}"
         )
+    elif s is not None and not (s == c if exact else abs(c - s) <= res_tol * c * n):
+        failures.append(f"declared scale_c {s} differs from the recovered c {c}")
 
     symmetry = _symmetry_class(a)
     if symmetric and symmetry != "symmetric":

@@ -74,6 +74,7 @@ def _reference_core(
     elif exact and not np.all(np.abs(a[nonzero]) == 1.0):
         failures.append("required nonzero entries are not all +-1")
     c, max_residual = _reference_residual(a)
+    before_gram = len(failures)
     if not (0.0 < c < math.inf):
         failures.append(f"recovered scale {c} is not positive and finite")
     elif exact:
@@ -84,6 +85,11 @@ def _reference_core(
             f"max residual {max_residual:.3e} exceeds {res_tol:.1e} * c * n = "
             f"{res_tol * c * n:.3e}"
         )
+    declared = m.scale_c
+    if len(failures) == before_gram and declared is not None:  # MMᵀ = cI holds: c is the scale
+        agrees = declared == c if exact else abs(c - declared) <= res_tol * c * n
+        if not agrees:
+            failures.append(f"declared scale_c {declared} differs from the recovered c {c}")
     symmetry = _reference_symmetry(a)
     if symmetric and symmetry != "symmetric":
         failures.append("matrix is " + ("skew, " if symmetry == "skew" else "") + "not symmetric")
@@ -194,7 +200,8 @@ def _built():
 
 def _tampered(m: RealMatrix) -> dict:
     """Copies with one defect each, at entries that every claim requires
-    one way or the other, or that break a symmetry."""
+    one way or the other, or that break a symmetry, or in the declared
+    scale."""
     a = m.data
     top = float(np.max(np.abs(a)))
     out = {}
@@ -212,6 +219,7 @@ def _tampered(m: RealMatrix) -> dict:
     copy_with("asymmetric-inner", lambda b: b.__setitem__((2, 3), b[2, 3] * (1 + 2.0**-40)))
     copy_with("half", lambda b: b.__setitem__((0, 1), 1.5))
     copy_with("two", lambda b: b.__setitem__((0, 1), 2.0))
+    out["wrong-scale"] = RealMatrix(a, scale_c=3.0 * (m.scale_c or 1.0))  # the entries untouched
     return out
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -12,8 +13,10 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -869,32 +872,12 @@ def _gen_stdout(argv: str) -> str:
     return out
 
 
-def _float_texts(text: str) -> set[str]:
-    """The distinct number texts ``json.loads`` converts as floats."""
-    texts = set()
-    json.loads(text, parse_float=lambda token: texts.add(token) or float(token))
-    return texts
-
-
 def _assert_decodes_like_json_loads(text: str) -> None:
     doc = decode_matrix_file(text)
     plain = json.loads(text)
-    expected = RealMatrix(plain["entries"]).data
+    expected = RealMatrix(plain.pop("entries")).data
     assert np.array_equal(doc.pop("matrix").data.view(np.int64), expected.view(np.int64))
     assert repr(doc) == repr(plain)  # repr tells 1 from 1.0 and every double apart
-
-
-def _count_float_calls(monkeypatch) -> list:
-    """Swap ``float`` in omzd.cli for a counter; returns the list of what
-    each later call was given."""
-    calls = []
-
-    def counting_float(x):
-        calls.append(x)
-        return float(x)
-
-    monkeypatch.setattr(cli, "float", counting_float, raising=False)
-    return calls
 
 
 def _distinct_values(count: int, seed: int) -> list[float]:
@@ -904,8 +887,9 @@ def _distinct_values(count: int, seed: int) -> list[float]:
 
 
 class TestDecoderMemo:
-    """The decoder converts each distinct number text once, through a memo of
-    at most cli._MEMO_SIZE texts, and gives the doubles ``json.loads`` gives."""
+    """Files whose values repeat and files whose values never repeat decode
+    to the doubles ``json.loads`` gives, and to its document without
+    "entries"."""
 
     def test_gen_pin_files_decode_like_json_loads(self):
         for argv, _, _ in GEN_PINS:
@@ -918,30 +902,196 @@ class TestDecoderMemo:
         flat = [0.5] * 1500 + _distinct_values(4900, 2)
         _assert_decodes_like_json_loads(_matrix_doc(np.reshape(flat, (80, 80)).tolist()))
 
-    def test_each_distinct_text_converted_once(self, monkeypatch):
-        text = _gen_stdout("gen --kind symmetric-omzd --n 400")
-        texts = _float_texts(text)
-        assert 0 < len(texts) < 100
-        float_calls = _count_float_calls(monkeypatch)
-        decode_matrix_file(text)
-        assert len(float_calls) == len(texts) + 1  # and once for scale_c
+    def test_symmetric_file_decodes_like_json_loads(self):
+        _assert_decodes_like_json_loads(_gen_stdout("gen --kind symmetric-omzd --n 400"))
 
-    @pytest.mark.parametrize("count", [cli._MEMO_SIZE, cli._MEMO_SIZE + 1])
-    def test_memo_holds_at_most_its_size(self, monkeypatch, count):
-        text = _matrix_doc([_distinct_values(count, 3)])
-        assert len(_float_texts(text)) == count
-        float_calls = _count_float_calls(monkeypatch)
-        _assert_decodes_like_json_loads(text)
-        assert len(float_calls) == cli._MEMO_SIZE
+    def test_one_long_row_of_distinct_values(self):
+        _assert_decodes_like_json_loads(_matrix_doc([_distinct_values(4097, 3)]))
 
-    def test_memo_is_per_call(self, monkeypatch):
-        float_calls = _count_float_calls(monkeypatch)
+    def test_successive_decodes_are_independent(self):
         first = [[0.25, 0.5], [0.5, 0.25]]
         second = [[0.75, 0.5], [0.5, 0.75]]
         for entries in (first, second, first):
-            float_calls.clear()
             assert decode_matrix_file(_matrix_doc(entries))["matrix"].data.tolist() == entries
-            assert sorted(float_calls) == sorted({str(x) for row in entries for x in row})
+
+    def test_peak_memory(self):
+        # the row path parses one row at a time into one array, which the
+        # RealMatrix copies: 2.00x the matrix's bytes when this was set; a
+        # decoder holding the entries as json.loads's nested lists of floats
+        # peaks at 3.16x
+        text = _gen_stdout("gen --kind omzd --n 401")
+        assert cli._decode_rows(text) is not None
+        tracemalloc.start()
+        try:
+            decode_matrix_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 401 * 401 * 8
+
+
+def _json_path(text: str) -> dict:
+    """``decode_matrix_file`` with its row path declined: the json path alone."""
+    with mock.patch.object(cli, "_decode_rows", return_value=None):
+        return decode_matrix_file(text)
+
+
+def _outcome(decode, text: str) -> tuple:
+    """What ``decode`` makes of ``text``: the document's repr and the
+    matrix's shape, bits and scale, or the refusal's type and message."""
+    try:
+        doc = decode(text)
+    except OmzdError as e:
+        return type(e).__name__, str(e)
+    matrix = doc.pop("matrix")
+    return repr(doc), matrix.data.shape, matrix.data.tobytes(), repr(matrix.scale_c)
+
+
+def _assert_decided_as_the_json_path_decides(text: str) -> None:
+    assert _outcome(decode_matrix_file, text) == _outcome(_json_path, text)
+
+
+# gen files with non-integer entries, with integer and float entries, and
+# with integer entries and a null scale_c, each as gen writes it, as
+# json.dumps writes it and indented
+_EQUIVALENCE_ARGV = ("gen --kind ompzd --n 7 --k 3", "gen --kind omzd --n 5", "gen --kind drt --q 3")
+
+
+@functools.cache
+def _equivalence_texts() -> tuple[str, ...]:
+    texts = []
+    for argv in _EQUIVALENCE_ARGV:
+        text = _gen_stdout(argv)
+        doc = json.loads(text)
+        texts += [text, json.dumps(doc), json.dumps(doc, indent=1)]
+    return tuple(texts)
+
+
+# what a text mutation splices in: JSON's punctuation and whitespace, the
+# member name the row path looks for, and number texts orjson and json read
+# differently or refuse
+_SPLICES = st.sampled_from(
+    [" ", "\n", "\t", ",", "[", "]", "{", "}", ":", '"', '"entries"', '"entries":[[', "]],", "NaN",
+     "Infinity", "1e999", "-0", "1e-999", "18446744073709551616", "true", "null", "\\ud800", "01"]
+) | st.text(max_size=4)
+
+
+class TestDecoderPaths:
+    """The row path decides a text as the json path does: the same document
+    and bit-identical matrix, or the same refusal."""
+
+    def test_gen_files_take_the_row_path(self):
+        for text in _equivalence_texts():
+            assert cli._decode_rows(text) is not None
+            _assert_decided_as_the_json_path_decides(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_document(self, data):
+        # _mutate walks into every field, not only the entries, so a row path
+        # that skipped a field check would decide differently
+        doc = json.loads(data.draw(st.sampled_from(_equivalence_texts())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, doc)
+        form = data.draw(st.sampled_from([{"separators": (",", ":")}, {}, {"indent": 1}]))
+        _assert_decided_as_the_json_path_decides(json.dumps(doc, **form))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_text(self, data):
+        text = data.draw(st.sampled_from(_equivalence_texts()))
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(i + 8, len(text))))
+        _assert_decided_as_the_json_path_decides(text[:i] + data.draw(_SPLICES) + text[j:])
+
+    @pytest.mark.parametrize(
+        "token",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1e-999", str(2**63), str(2**64 + 1), str(-(2**63) - 1),
+         str(10**39), "1.7976931348623159e308"],
+    )
+    def test_number_in_a_row(self, token):
+        doc = json.loads(_gen_stdout("gen --kind omzd --n 5"))
+        doc["entries"][1][2] = "@"
+        _assert_decided_as_the_json_path_decides(json.dumps(doc, separators=(",", ":")).replace('"@"', token))
+
+    def test_non_finite_row_names_its_cell(self):
+        text = _gen_stdout("gen --kind omzd --n 5").replace("[1,0,", "[1,0,NaN,", 1).replace(",1,-1.3", ",-1.3", 1)
+        assert cli._decode_rows(text) is None
+        with pytest.raises(SchemaViolation, match=r"^entries\[1\]\[2\]: must be finite$"):
+            decode_matrix_file(text)
+
+    def test_wide_integer_order(self):
+        text = _gen_stdout("gen --kind omzd --n 5").replace('"order":5', f'"order":{2**64}')
+        _assert_decided_as_the_json_path_decides(text)
+        with pytest.raises(SchemaViolation, match=f"expected {2**64} rows, got 5"):
+            decode_matrix_file(text)
+
+    def test_wide_integer_parameter_stays_an_integer(self):
+        # orjson would read it as the float 1.8446744073709552e19
+        text = _gen_stdout("gen --kind ompzd --n 7 --k 3").replace('"k":3', f'"k":{2**64}')
+        assert cli._decode_rows(text) is not None
+        _assert_decided_as_the_json_path_decides(text)
+        assert decode_matrix_file(text)["provenance"]["parameters"]["k"] == 2**64
+
+    def test_lone_surrogate_theorem(self):
+        doc = json.loads(_gen_stdout("gen --kind omzd --n 5"))
+        doc["provenance"]["theorem"] = "\ud800"
+        text = json.dumps(doc)
+        assert cli._decode_rows(text) is not None
+        _assert_decided_as_the_json_path_decides(text)
+        assert decode_matrix_file(text)["provenance"]["theorem"] == "\ud800"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t[:-2] + ',"entries":[[0]]}\n',  # a repeated "entries" in the tail
+            lambda t: t[:-2] + ',"order":5}\n',  # a repeated head key in the tail
+            lambda t: '{"entries":' + t[t.index("[[") : t.index("]]") + 2] + "," + t[1 : t.index(',"entries"')] + t[t.index("]]") + 2 :],
+            lambda t: json.dumps(json.loads(t), sort_keys=True),
+            lambda t: t[: t.index("]]") + 2] + ",}",  # a trailing comma
+            lambda t: t.replace(',"entries"', ',\f"entries"'),  # \s, not JSON whitespace
+            lambda t: t.replace("],[", "],\f[", 1),
+            lambda t: "\ufeff" + t,
+            lambda t: t[: len(t) // 2],
+        ],
+        ids=[
+            "entries-repeated", "head-key-repeated", "entries-first", "sorted-keys", "trailing-comma",
+            "form-feed-before-entries", "form-feed-between-rows", "bom", "truncated",
+        ],
+    )
+    def test_layout_the_row_path_declines(self, edit):
+        text = edit(_gen_stdout("gen --kind omzd --n 5"))
+        assert cli._decode_rows(text) is None
+        _assert_decided_as_the_json_path_decides(text)
+
+    def test_entries_in_the_head_and_again_later(self):
+        text = _gen_stdout("gen --kind omzd --n 5").replace('{"kind"', '{"entries":[[1]],"kind"', 1)
+        assert cli._decode_rows(text) is None
+        _assert_decided_as_the_json_path_decides(text)
+
+    def test_size_is_capped_by_the_text_before_allocation(self):
+        text = _gen_stdout("gen --kind omzd --n 5").replace('"order":5,"cols":5', '"order":1000000,"cols":1000000')
+        assert cli._decode_rows(text) is None
+        _assert_decided_as_the_json_path_decides(text)
+
+    def test_deep_nesting(self):
+        text = "[" * 100_000
+        assert cli._decode_rows(text) is None
+        _assert_decided_as_the_json_path_decides(text)
+
+    def test_orjson_reads_json_doubles(self):
+        # the row path's premise: a row's number texts give json.loads's doubles
+        rng = np.random.default_rng(11)
+        finite_bits = rng.integers(0, 2**63 - 2**52, size=20_000, dtype=np.int64)  # below inf's pattern
+        doubles = (finite_bits.view(np.float64) * rng.choice([1.0, -1.0], 20_000)).tolist()
+        wide = [int(d) * 10 ** int(e) + int(r) for d, e, r in zip(
+            rng.integers(-9, 10, 5_000), rng.integers(18, 38, 5_000), rng.integers(0, 2**62, 5_000))]
+        tokens = ["%.17g" % x for x in doubles] + [repr(x) for x in doubles] + [str(x) for x in wide]
+        text = "[" + ",".join(tokens) + "]"
+        row = np.empty(len(tokens))
+        row[:] = orjson.loads(text)
+        expected = np.array(json.loads(text), dtype=np.float64)
+        assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
 
 class TestVerifyBadInput:
@@ -1329,6 +1479,26 @@ class TestOneZeroRule:
         smallest = json.loads(path.read_text())["certificate"]["min_offdiag_magnitude"]
         code, _, err = invoke("verify", "--in", str(path), "--claim", claim, "--zero-tol", repr(1.01 * smallest))
         assert code == 1 and err.startswith("off-diagonal zeros at [(")
+
+
+class TestDeclaredScale:
+    """verify compares a file's declared scale_c with the recovered c."""
+
+    def test_wrong_declared_scale_fails(self, tmp_path):
+        path = tmp_path / "m.json"
+        text = _gen_stdout("gen --kind omzd --n 11")
+        path.write_text(text.replace('"scale_c":1,', '"scale_c":7,', 1))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "omzd")
+        assert code == 1 and json.loads(out)["passed"] is False
+        assert err.startswith("declared scale_c 7.0 differs from the recovered c 1")
+
+    def test_exact_claim_needs_equality(self, tmp_path):
+        path = tmp_path / "m.json"
+        text = _gen_stdout("gen --kind conference --q 5")
+        assert '"scale_c":5,' in text
+        path.write_text(text.replace('"scale_c":5,', '"scale_c":5.000000000000001,', 1))
+        code, _, err = invoke("verify", "--in", str(path), "--claim", "conference")
+        assert code == 1 and err == "declared scale_c 5.000000000000001 differs from the recovered c 5.0\n"
 
 
 class TestVerifyTolerances:

@@ -439,6 +439,21 @@ class TestRootCertifiesInputs:
             planner.execute(planner.plan(**target))
 
 
+    @pytest.mark.parametrize(
+        "stage,target",
+        [
+            ("reduce_zeros", {"kind": "ompzd", "n": 51, "k": 20}),  # stamps its output from its input's scale
+            ("combine", {"kind": "omzd", "n": 11}),
+            ("symmetric_omzd", {"kind": "symmetric-omzd", "n": 8}),
+        ],
+    )
+    def test_no_wrong_declared_scale_escapes_the_root_check(self, stage, target, monkeypatch):
+        build = getattr(construct, stage)
+        monkeypatch.setattr(construct, stage, lambda *args: RealMatrix(build(*args).data, scale_c=7.0))
+        with pytest.raises(CertificationFailed, match=r"declared scale_c 7\.0 differs from the recovered c "):
+            planner.execute(planner.plan(**target))
+
+
 # --------------------------------------------------------------------------
 # Symmetric construction
 # --------------------------------------------------------------------------
