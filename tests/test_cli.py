@@ -905,8 +905,11 @@ class TestDecoderMemo:
     def test_symmetric_file_decodes_like_json_loads(self):
         _assert_decodes_like_json_loads(_gen_stdout("gen --kind symmetric-omzd --n 400"))
 
-    def test_one_long_row_of_distinct_values(self):
-        _assert_decodes_like_json_loads(_matrix_doc([_distinct_values(4097, 3)]))
+    @pytest.mark.parametrize("count", [4096, 4097])
+    def test_memo_holds_at_most_its_size(self, count):
+        # one long row in which no value repeats, at and one past the 4096
+        # distinct texts an earlier decoder memoised
+        _assert_decodes_like_json_loads(_matrix_doc([_distinct_values(count, 3)]))
 
     def test_successive_decodes_are_independent(self):
         first = [[0.25, 0.5], [0.5, 0.25]]
