@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import gfield
 from .errors import BuildRefused, InvalidQ
 from .numerics import RES_TOL, RealMatrix
-from .verify import CLAIM_DRT, CLAIM_OMPZD, CLAIM_OMZD, bordered_tournament, certify, input_failures, zero_tolerance
+from .verify import CLAIM_OMPZD, CLAIM_OMZD, bordered_tournament, input_failures, zero_tolerance
 
 __all__ = [
     "seed",
@@ -372,12 +372,25 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
 
     alpha = (-2/(q-3)) * (q - 2 +- sqrt(q - 2)) kills the all-ones
     component of the gram matrix; the surviving scale is
-    c = alpha^2 (q+1)/4 + alpha + 1.  The input gets its full DRT check
-    (BuildRefused), which the OMZD check of the output does not imply.
+    c = alpha^2 (q+1)/4 + alpha + 1.  Only T's own failures are checked
+    here (``verify.bordered_tournament``, BuildRefused): the OMZD check of
+    the output M completes T's DRT certificate.  With T + Tᵀ = J - I and
+    out-degrees r, (MMᵀ)_ii = alpha (alpha + 2) r_i + q - 1; the mean
+    out-degree is (q-1)/2, so c does not depend on T, and an irregular T
+    puts a diagonal entry |alpha (alpha + 2)| or more away from c.  For a
+    regular T, alpha's quadratic (q-3)/4 alpha^2 + (q-2) alpha + q - 2 = 0
+    gives (MMᵀ)_ij = alpha^2 ((TTᵀ)_ij - (q-3)/4) off the diagonal, all 0
+    iff T is doubly regular.  At every order the planner routes here (up
+    to MAX_ORDER = 4096, both branches) |alpha (alpha + 2)| is at least
+    3.7 and alpha^2 at least 238 times RES_TOL * c * q, both worst at
+    order 4095; the first margin stays above 2 up to order about 5 270.
+    A ReduceZeros root over M adds only its rotations' rounding to these
+    residuals.  Called alone, it takes a tournament with no own failures
+    that is not doubly regular, and its output fails the OMZD check.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    _require(certify(t, CLAIM_DRT).failures, "input is not a doubly regular tournament")
+    _require(bordered_tournament(t)[1], "input is not a doubly regular tournament")
     q = t.order
     if q == 3:
         raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")

@@ -15,9 +15,10 @@ A plan is certified once, at its root, by ``execute`` with
 each op maps orthogonal inputs to an orthogonal output, so that one run
 of the certificate core completes every stage's certificate, given the
 O(n²) preconditions each builder checks of its inputs and states the
-implied certificate of.  ``omzd_from_drt`` alone checks its input in
-full, which the OMZD check of its output does not imply; ``kron`` checks
-nothing, since the multipartite root claim covers its factors.
+implied certificate of, ``omzd_from_drt`` included (the OMZD check of
+its output implies its tournament's DRT certificate up to
+``MAX_ORDER``), so no builder runs the core; ``kron`` checks nothing,
+since the multipartite root claim covers its factors.
 """
 
 from __future__ import annotations

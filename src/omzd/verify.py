@@ -13,11 +13,11 @@ the builders and the graph layer share.  The masks per claim:
 - drt (exact): a tournament T of order q is certified as its
   skew-Hadamard matrix H, T - Tᵀ + I bordered by a +1 row and a -1
   column, under the skew-Hadamard masks, after T's own failures
-  ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4), both from
-  ``bordered_tournament``; failures name H's positions, T's (i, j)
-  being H's (i+1, j+1).  The builders that take a tournament but
-  ``omzd_from_drt`` check only T's own failures, and the plan's root
-  check completes T's certificate;
+  ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4, no declared scale_c),
+  both from ``bordered_tournament``; failures name H's positions, T's
+  (i, j) being H's (i+1, j+1).  The builders that take a tournament
+  check only T's own failures, and the plan's root check completes T's
+  certificate;
 - ompzd: nonzero off the diagonal, and exactly k zeros on it;
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
@@ -49,8 +49,8 @@ planner caps at 4096, far below 2^53, so the float64 (BLAS) product is
 exact.  Every certificate carries the full diagnostic rather than
 short-circuiting, so callers can assert on specific failure kinds.
 ``CLAIMS`` names every claim (a gen kind or a ``verify --claim`` value);
-``certify`` sends each to its checker, and the planner, the CLI and
-``omzd_from_drt`` check through it.
+``certify`` sends each to its checker, and the planner and the CLI
+check through it; no builder runs the core.
 """
 
 from __future__ import annotations
@@ -383,13 +383,14 @@ def certify(
 def bordered_tournament(t: RealMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
     """The skew-Hadamard matrix H of a tournament T of order q, T - Tᵀ + I
     bordered by a +1 row and a -1 column, and T's own failures: entries in
-    {0, 1}, T + Tᵀ = J - I, and q = 3 mod 4.
+    {0, 1}, T + Tᵀ = J - I, q = 3 mod 4, and no declared scale_c (T has
+    no c; the scale of H is q + 1).
 
     T is a DRT iff it has none of these failures and H passes the exact
     skew-Hadamard certificate: for a tournament, H = C + I with C skew, so
     HHᵀ = CCᵀ + I, and HHᵀ = (q+1)I holds iff every out-degree is (q-1)/2
     and TTᵀ = ((q+1)/4)I + ((q-3)/4)J.  ``check_drt`` runs that
-    certificate, which builders but ``omzd_from_drt`` leave to the root's.
+    certificate, which builders leave to the root's.
     Raises ShapeMismatch for a non-square or 0x0 matrix.
     """
     q = _square_order(t)
@@ -410,6 +411,8 @@ def bordered_tournament(t: RealMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
     if q % 4 != 3:
         failures.append(f"order {q} is not 3 mod 4")
+    if t.scale_c is not None:
+        failures.append(f"a tournament declares no scale_c, got {t.scale_c}")
     return h, tuple(failures)
 
 

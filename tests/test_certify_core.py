@@ -110,7 +110,8 @@ _REFERENCE_MASKS = {
 
 def _reference_drt(m):
     """A tournament's certificate: the core on its bordered H = T - Tᵀ + I,
-    under the skew-Hadamard masks, after T's own failures."""
+    under the skew-Hadamard masks, after T's own failures, one of which is
+    a declared scale: a tournament has no c."""
     a = m.data
     q = m.order
     h = np.ones((q + 1, q + 1))
@@ -123,6 +124,8 @@ def _reference_drt(m):
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
     if q % 4 != 3:
         failures.append(f"order {q} is not 3 mod 4")
+    if m.scale_c is not None:
+        failures.append(f"a tournament declares no scale_c, got {m.scale_c}")
     eye = np.eye(q + 1, dtype=bool)
     return _reference_core(
         RealMatrix(h), f"DRT({q})", np.zeros_like(eye), np.ones_like(eye),

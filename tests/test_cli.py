@@ -1219,6 +1219,23 @@ GEN_PINS = [
         "e062867f912f93b91d1233bd75ecdfa1fa765c4142a782a3a883f1659d675ba7",
         ('"plan":"OmpzdNm1(Symmetric(28),30)"', '"plan":"OmpzdNm1(30)"'),
     ),
+    # the tournament route, an OmzdFromDrt root and one under ReduceZeros,
+    # pinned while omzd_from_drt still checked its DRT in full
+    (
+        "gen --kind omzd --n 15 --route prefer-drt",
+        "52520ca07d50cd871b34d7b2455ffe7989d651bb7ed4ba9a5e7c3404c741e88e",
+        None,
+    ),
+    (
+        "gen --kind omzd --n 63 --route prefer-drt --branch plus",
+        "869d7588baae09eed9889c77e51128efd0dc0fa121e6ce027364bb18a2b88d06",
+        None,
+    ),
+    (
+        "gen --kind ompzd --n 15 --k 3 --route prefer-drt",
+        "5a98f78b47af5285c152741c345b5ebb6a651696ffd46ad460f0f9aa17e3b9a4",
+        None,
+    ),
 ]
 
 
@@ -1389,16 +1406,6 @@ def _core_runs(call):
     return runs, result
 
 
-def _core_runs_of_plan(node) -> int:
-    """The one rule: one core run, at the root, and one more per
-    OmzdFromDrt node, whose builder checks its DRT in full since the OMZD
-    check of its output does not imply it."""
-    def drt_checks(node) -> int:
-        return (node.op == "omzd-from-drt") + sum(map(drt_checks, node.children))
-
-    return 1 + drt_checks(node)
-
-
 class TestEachStageCheckedOnce:
     @pytest.mark.parametrize("argv", [argv for argv, _, _ in GEN_PINS])
     def test_checks_per_gen(self, argv, monkeypatch):
@@ -1411,7 +1418,7 @@ class TestEachStageCheckedOnce:
         monkeypatch.setattr(planner, "plan", recording_plan)
         runs, (code, out, _) = _core_runs(lambda: invoke(*argv.split()))
         assert code == 0 and len(nodes) == 1
-        assert len(runs) == _core_runs_of_plan(nodes[0])
+        assert len(runs) == 1
         root = decode_matrix_file(out)["matrix"]
         if nodes[0].kind == "drt":  # a tournament is certified as its skew-Hadamard matrix
             root = RealMatrix(bordered_tournament(root)[0])
@@ -1451,7 +1458,7 @@ class TestEachStageCheckedOnce:
         node = planner.plan("ompzd", n, k, route)
         runs, (matrix, verdict) = _core_runs(lambda: planner.execute(node))
         assert verdict.passed
-        assert len(runs) == _core_runs_of_plan(node)
+        assert len(runs) == 1
         assert np.array_equal(runs[-1], matrix.data)
 
 
@@ -1502,6 +1509,17 @@ class TestDeclaredScale:
         path.write_text(text.replace('"scale_c":5,', '"scale_c":5.000000000000001,', 1))
         code, _, err = invoke("verify", "--in", str(path), "--claim", "conference")
         assert code == 1 and err == "declared scale_c 5.000000000000001 differs from the recovered c 5.0\n"
+
+    def test_tournament_declares_no_scale(self, tmp_path):
+        # T has no c; the 8 in the report is the scale of its bordered H
+        path = tmp_path / "t.json"
+        text = _gen_stdout("gen --kind drt --q 7")
+        path.write_text(text.replace('"scale_c":null', '"scale_c":7', 1))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "drt")
+        report = json.loads(out)
+        assert code == 1 and report["passed"] is False and report["scale_c"] == 8
+        assert report["failures"] == ["a tournament declares no scale_c, got 7.0"]
+        assert err == "a tournament declares no scale_c, got 7.0\n"
 
 
 class TestVerifyTolerances:

@@ -7,11 +7,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omzd import construct, gfield, planner
 from omzd.errors import BuildRefused, CertificationFailed, InvalidQ, NonexistentTarget, OmzdError
-from omzd.numerics import RealMatrix, residual_scaled_identity
-from omzd.verify import certify, check_drt, check_skew_hadamard
+from omzd.numerics import RES_TOL, RealMatrix, residual_scaled_identity
+from omzd.verify import bordered_tournament, certify, check_drt, check_skew_hadamard
 
 FANO = RealMatrix(
     [
@@ -423,6 +425,12 @@ class TestRootCertifiesInputs:
         assert not check_drt(t).passed
         assert not check_drt(construct.double_drt(t)).passed
 
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_omzd_from_drt_takes_a_regular_tournament(self, branch):
+        t = _regular_not_doubly_regular(FANO)
+        assert not check_drt(t).passed
+        assert not certify(construct.omzd_from_drt(t, branch), "omzd").passed
+
     @pytest.mark.parametrize(
         "stage,wrong,target",
         [
@@ -430,6 +438,8 @@ class TestRootCertifiesInputs:
             ("symmetric_omzd", _first_column_swapped, {"kind": "ompzd", "n": 30, "k": 29}),  # OmpzdNm1's
             ("combine", _first_column_swapped, {"kind": "ompzd", "n": 51, "k": 20}),  # ReduceZeros'
             ("paley_tournament", _regular_not_doubly_regular, {"kind": "drt", "q": 7, "t": 1}),  # Double's
+            ("paley_tournament", _regular_not_doubly_regular, {"kind": "omzd", "n": 7, "route": "prefer-drt"}),
+            ("paley_tournament", _regular_not_doubly_regular, {"kind": "ompzd", "n": 15, "k": 3, "route": "prefer-drt"}),
         ],
     )
     def test_no_wrong_stage_escapes_the_root_check(self, stage, wrong, target, monkeypatch):
@@ -547,7 +557,56 @@ class TestDoubleDrt:
         assert peak <= 1.6 * 8 * 976**2
 
 
+# the orders q = 3 (mod 4) in [7, 63] the planner routes through a DRT(q)
+_DRT_ORDERS = [
+    q for q in range(7, 64, 4) if planner.plan("omzd", q, route="prefer-drt").op == "omzd-from-drt"
+]
+
+
+@st.composite
+def _tournaments(draw) -> RealMatrix:
+    """A tournament with no own failures, of order q = 3 (mod 4) in
+    [7, 63]: random arcs, or a relabelled planned DRT(q) with 0-3 of its
+    arcs reversed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = draw(st.sampled_from(range(7, 64, 4)))
+        upper = np.triu(rng.random((q, q)) < 0.5, 1)
+        return RealMatrix(upper | np.triu(~upper, 1).T)
+    q = draw(st.sampled_from(_DRT_ORDERS))
+    drt = planner.build(planner.plan("omzd", q, route="prefer-drt").children[0])
+    perm = rng.permutation(q)
+    a = drt.data[np.ix_(perm, perm)]
+    pairs = rng.choice(q * (q - 1) // 2, draw(st.integers(0, 3)), replace=False)
+    i, j = (side[pairs] for side in np.triu_indices(q, 1))
+    a[i, j], a[j, i] = a[j, i], a[i, j]
+    return RealMatrix(a)
+
+
 class TestOmzdFromDrt:
+    @settings(max_examples=150, deadline=None)
+    @given(t=_tournaments(), branch=st.sampled_from(["plus", "minus"]))
+    def test_output_check_is_the_drt_check(self, t, branch):
+        assert bordered_tournament(t)[1] == ()
+        assert certify(construct.omzd_from_drt(t, branch), "omzd").passed == check_drt(t).passed
+
+    def test_output_check_margin_at_every_planned_order(self):
+        # a tournament that is not doubly regular puts a gram entry at least
+        # min(|alpha (alpha + 2)|, alpha^2) away from cI (omzd_from_drt's
+        # docstring); held at twice the tolerance RES_TOL * c * q, so the
+        # rounding of the gram, and of the rotations of a ReduceZeros root,
+        # cannot close the gap
+        margins = []
+        for q in range(7, planner.MAX_ORDER + 1):
+            for branch, sign in (("plus", 1.0), ("minus", -1.0)):
+                if planner.plan("omzd", q, route="prefer-drt", branch=branch).op != "omzd-from-drt":
+                    continue
+                alpha = (-2.0 / (q - 3)) * ((q - 2) + sign * math.sqrt(q - 2.0))
+                c = alpha * alpha * (q + 1) / 4.0 + alpha + 1.0
+                gap = min(abs(alpha * (alpha + 2.0)), alpha * alpha)
+                margins.append((gap / (RES_TOL * c * q), q, branch))
+        assert min(margins)[0] > 2.0, min(margins)
+
     def test_fano_minus_branch_golden(self):
         m = construct.omzd_from_drt(FANO, "minus")
         alpha = -(5.0 - math.sqrt(5.0)) / 2.0

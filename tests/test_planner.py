@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omzd import planner
+from omzd import planner, verify
 from omzd.errors import (
     InvalidK,
     InvalidQ,
@@ -406,3 +406,36 @@ class TestPlannedSafetyNet:
     @given(n=st.integers(1, 6), m=st.sampled_from([2, 6, 8]))
     def test_multipartite_executes(self, n, m):
         _executes_stage_by_stage(plan("multipartite", n, m=m))
+
+
+def _safety_net_plans():
+    """Every plan TestPlannedSafetyNet draws from: each existing target on
+    each route, each Paley kind at t <= 2 and the multipartite plans."""
+    for kind, n, k in _EXISTING:
+        for route in planner.ROUTES:
+            yield plan(kind, n, k, route=route)
+    for q in _PALEY_Q:
+        yield plan("conference", q=q)
+        for kind in ("drt", "skew-hadamard"):
+            for t in range(3 if q % 4 == 3 else 0):
+                yield plan(kind, q=q, t=t)
+    for n in range(1, 7):
+        for m in (2, 6, 8):
+            yield plan("multipartite", n, m=m)
+
+
+def test_no_builder_runs_the_certificate_core(monkeypatch):
+    # the root's check, made after build, is a plan's one core run
+    runs, core = [], verify._certify_pattern
+
+    def counted(m, claim, *args, **kwargs):
+        runs.append(claim)
+        return core(m, claim, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_certify_pattern", counted)
+    plans = {serialize_plan(node): node for node in _safety_net_plans()}
+    for node in plans.values():
+        planner.build(node)
+    assert any(text.startswith("OmzdFromDrt(") for text in plans)
+    assert any(text.startswith("ReduceZeros(OmzdFromDrt(") for text in plans)
+    assert runs == []
