@@ -57,7 +57,7 @@ from .errors import (
 from .numerics import RealMatrix
 from .verify import CLAIMS, certify
 
-__all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file", "matrix_to_csv"]
+__all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file"]
 
 # gen kind -> the parameters it records in its provenance, in order; one
 # left unset is a usage error unless it has a default below, and so is
@@ -428,11 +428,6 @@ def _entries_array(entries, order: int, cols: int) -> np.ndarray:
         return np.array(entries, dtype=np.float64)
     except OverflowError:
         return np.array([[x if _is_finite(x) else math.inf for x in row] for row in entries], dtype=np.float64)
-
-
-def matrix_to_csv(matrix: RealMatrix) -> str:
-    """Entries-only CSV: one row per line, 17-significant-digit values."""
-    return "".join(_format_rows(matrix.data, "", "\n"))
 
 
 # --------------------------------------------------------------------------

@@ -52,16 +52,6 @@ def _seed_conference_2() -> RealMatrix:
     return RealMatrix([[0, 1], [1, 0]], scale_c=1.0)
 
 
-def _seed_conference_4() -> RealMatrix:
-    rows = [
-        [0, 1, 1, 1],
-        [-1, 0, -1, 1],
-        [-1, 1, 0, -1],
-        [-1, -1, 1, 0],
-    ]
-    return RealMatrix(rows, scale_c=3.0)
-
-
 def _seed_omzd_5() -> RealMatrix:
     # a = (-1 + sqrt(3)) / 2,  b = (-1 - sqrt(3)) / 2
     a = (-1.0 + math.sqrt(3.0)) / 2.0
@@ -141,7 +131,7 @@ def _seed_ompzd_5_4() -> RealMatrix:
 
 _CATALOG = {
     (CLAIM_OMZD, 2, None): _seed_conference_2,
-    (CLAIM_OMZD, 4, None): _seed_conference_4,
+    (CLAIM_OMZD, 4, None): lambda: paley_conference(3),
     (CLAIM_OMZD, 5, None): _seed_omzd_5,
     (CLAIM_OMZD, 6, None): lambda: paley_conference(5),
     (CLAIM_OMZD, 7, None): _seed_omzd_7,
@@ -158,7 +148,8 @@ def seed_catalog_keys() -> list[tuple[str, int, int | None]]:
 
 def seed(kind: str, n: int, k: int | None = None) -> RealMatrix:
     """Return the catalog matrix for (kind, n, k): a closed form written
-    out above, or for the OMZD(6) the Paley conference matrix of q = 5."""
+    out above, or for the OMZD(4) and OMZD(6) the Paley conference matrix
+    of q = 3 and q = 5."""
     key = (kind, n, k if kind == CLAIM_OMPZD else None)
     try:
         builder = _CATALOG[key]
@@ -480,16 +471,15 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
     With z the zero-diagonal labels in ascending order and P = deficit //
     2, pair r rotates columns (z[2r], z[2r+1]); all P pairs are disjoint
     and rotate in one batch.  The mixed rotation then takes z[2P] with
-    z[2P-2] (when P = 0, the first nonzero-diagonal label).  The result is
-    permuted once, moving each rotated plane to the front, the last first:
-    the planes' labels from the last rotation to the first, each kept at
-    its first occurrence, then the untouched labels in ascending order.
-    The input's declared scale_c sets the angle floor and is the output's,
-    which the root check compares with its recovered c; only the input's
-    own failures are checked here.  The output P(MR)Pᵀ, R a
-    product of plane rotations and P a permutation, has the gram P(MMᵀ)Pᵀ,
-    so the root check completes the input's certificate: its residual is
-    at most the root's plus the rotations' rounding, against res_tol * c * n.
+    z[2P-2] (when P = 0, the first nonzero-diagonal label).  Rows and
+    columns keep the input's labels, so the zero-diagonal labels left are
+    z[2P + d:], d = deficit mod 2, and every column the rotations do not
+    touch is the input's.  The input's declared scale_c sets the angle
+    floor and is the output's, which the root check compares with its
+    recovered c; only the input's own failures are checked here.  The
+    output MR, R a product of plane rotations, has the gram MMᵀ, so the
+    root check completes the input's certificate: its residual is at most
+    the root's plus the rotations' rounding, against res_tol * c * n.
     """
     if not m.is_square or m.order < 4:
         raise ValueError("zero reduction needs a square input of order >= 4")
@@ -518,14 +508,7 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
         partner = fronts[-1, 0] if pairs else np.flatnonzero(~is_zero)[0]
         mixed = [zeros[2 * pairs], partner]
         _rotate_pairs(a, mixed[:1], mixed[1:], m.scale_c)
-        fronts = np.vstack((fronts, mixed))
-
-    order = fronts[::-1].ravel()
-    order = order[np.sort(np.unique(order, return_index=True)[1])]
-    untouched = np.ones(n, dtype=bool)
-    untouched[order] = False
-    labels = np.concatenate((order, np.flatnonzero(untouched)))
-    return RealMatrix(a[np.ix_(labels, labels)], scale_c=m.scale_c)
+    return RealMatrix(a, scale_c=m.scale_c)
 
 
 # --------------------------------------------------------------------------

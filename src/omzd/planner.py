@@ -71,9 +71,10 @@ ROUTE_PREFER_DRT = "prefer-drt"
 ROUTE_PREFER_RECURSIVE = "prefer-recursive"
 ROUTES = (ROUTE_AUTO, ROUTE_PREFER_DRT, ROUTE_PREFER_RECURSIVE)
 
-# Largest order of any planned object or graph witness.  An order-4096
-# OMZD takes about 13 s and 1 GB of memory to build and writes 197 MB;
-# without a cap, gen --kind drt --q 7 --t 13 would ask for 34 GB.
+# Largest order of any planned object or graph witness.  gen --kind omzd
+# --n 4096 takes about 3 s and 370 MB peak RSS in one process (one BLAS
+# thread, a shared 2-CPU host) and writes 197 MB; without a cap,
+# gen --kind drt --q 7 --t 13 would ask for 34 GB.
 MAX_ORDER = 4096
 
 # Annotation only: attached to conference requests the quadratic-character

@@ -147,6 +147,50 @@ class TestSeeds:
         b = construct.seed("omzd", 7)
         assert np.array_equal(a.data, b.data)
 
+    def test_omzd4_is_paley_q3(self):
+        m = construct.seed("omzd", 4)
+        assert m.data.tobytes() == construct.paley_conference(3).data.tobytes()
+        assert m.scale_c == 3.0
+        cert = certify(m, "conference")
+        assert cert.passed, cert.failures
+
+    def test_omzd4_plans_keep_their_margins(self):
+        # every plan of order 4 <= n < 60 with the OMZD(4) seed in its tree,
+        # on any route, holds the margins of _OMZD4_PLAN_MARGINS
+        cases = set()
+        for n, route in itertools.product(range(4, 60), planner.ROUTES):
+            for kind, k in [("omzd", None)] + [("ompzd", k) for k in range(n)]:
+                try:
+                    node = planner.plan(kind, n, k, route=route)
+                except OmzdError:
+                    continue
+                text = planner.serialize_plan(node)
+                if "Seed(omzd,4)" in text and text not in cases:
+                    cases.add(text)
+                    required, offdiag = _OMZD4_PLAN_MARGINS[text]
+                    m = planner.build(node)
+                    a = np.abs(m.data)
+                    assert _required_nonzero_margin(m) >= required * (1 - 1e-12), text
+                    assert a[~np.eye(n, dtype=bool)].min() / a.max() >= offdiag * (1 - 1e-12), text
+        assert cases == set(_OMZD4_PLAN_MARGINS)
+
+
+# plan -> (required-nonzero margin, off-diagonal margin), each over max|entry|,
+# built on the OMZD(4) seed that swapped labels 2 and 3 of paley_conference(3)
+_OMZD4_PLAN_MARGINS = {
+    "Seed(omzd,4)": (1.0, 1.0),
+    "ReduceZeros(Seed(omzd,4),1)": (0.05490647993450993, 0.8773594959559405),
+    "ReduceZeros(Seed(omzd,4),2)": (0.05889572434740655, 0.8822085513051869),
+    "OmpzdNm1(Seed(omzd,4),6)": (0.22052817941653585, 0.22052817941653585),
+    "Combine(Seed(omzd,7),Seed(omzd,4))": (0.04501959397487274, 0.04501959397487274),
+    **{
+        f"ReduceZeros(Combine(Seed(omzd,7),Seed(omzd,4)),{k})": (0.0027253731083680833, 0.03620862094669994)
+        for k in (1, 2, 3, 4, 5, 7)
+    },
+    "ReduceZeros(Combine(Seed(omzd,7),Seed(omzd,4)),6)": (0.010060607235702462, 0.04354917633586664),
+    "OmpzdNm1(Combine(Seed(omzd,7),Seed(omzd,4)),11)": (0.013011756599268967, 0.013011756599268967),
+}
+
 
 # --------------------------------------------------------------------------
 # Quadratic-character constructions
@@ -747,7 +791,7 @@ class TestReduceZeros:
 
     def test_every_planned_reduction_matches_copying_reduction(self):
         # every ReduceZeros plan of order 4 <= n < 60, against the
-        # reference that rotates one pair at a time on a permuted copy
+        # reference that rotates one pair at a time on the input's labels
         cases = 0
         for n in range(4, 60):
             root = None
@@ -772,9 +816,31 @@ class TestReduceZeros:
         assert out.data.tobytes() == (ref + 0.0).tobytes()
         assert certify(out, "ompzd", k=1).passed
 
+    @pytest.mark.parametrize("case", ["even-deficit", "odd-deficit", "mixed-step-only"])
+    def test_keeps_the_input_labels(self, case):
+        # with z the input's zero-diagonal labels, P = deficit // 2 and
+        # d = deficit % 2, the rotations touch z[:2P + d] and, when P = 0,
+        # the first nonzero-diagonal label; every other column is the
+        # input's, and the zeros left are z[2P + d:]
+        m, k = {
+            "even-deficit": lambda: (construct.symmetric_omzd(50), 2),
+            "odd-deficit": lambda: (_auto_route_omzd(51), 20),
+            "mixed-step-only": lambda: (construct.reduce_zeros(construct.seed("omzd", 6), 2), 1),
+        }[case]()
+        zeros = np.flatnonzero(np.diag(m.data) == 0.0)
+        pairs, odd = divmod(len(zeros) - k, 2)
+        touched = set(zeros[: 2 * pairs + odd])
+        if odd and not pairs:
+            touched.add(np.flatnonzero(np.diag(m.data))[0])
+        out = construct.reduce_zeros(m, k)
+        assert np.array_equal(np.flatnonzero(np.diag(out.data) == 0.0), zeros[2 * pairs + odd :])
+        untouched = sorted(set(range(m.order)) - touched)
+        assert untouched
+        assert out.data[:, untouched].tobytes() == m.data[:, untouched].tobytes()
+
     def test_peak_memory(self):
         # the input's certificate, then the rotated copy with column blocks
-        # of the batch, then the permuted result
+        # of the batch, then the result's frozen copy of it
         m = _auto_route_omzd(401)
         n = m.order
         tracemalloc.start()
@@ -866,12 +932,16 @@ def _rotate_plus_theta_only(a, i, j, scale_c):
 
 
 def _reduce_zeros_copying(m: RealMatrix, target_k: int, rotate) -> np.ndarray:
-    """Reference zero reduction that permutes the whole matrix on every
-    step, moving the chosen pair to columns 0 and 1 before rotating them."""
+    """Reference zero reduction that rotates one pair at a time on a copy,
+    in place on the input's labels: the first two zero-diagonal columns
+    while two or more zeros are too many, then the first zero with the
+    first column of the last pair rotated, or with the first
+    nonzero-diagonal column when no pair was."""
     n = m.order
     zero_tol = 1e-12 * m.max_abs()
     c, _ = residual_scaled_identity(m)
     a = np.array(m.data)
+    last = None
     while True:
         diag = np.abs(np.diag(a))
         zero_pos = [i for i in range(n) if diag[i] <= zero_tol]
@@ -879,12 +949,12 @@ def _reduce_zeros_copying(m: RealMatrix, target_k: int, rotate) -> np.ndarray:
         if deficit == 0:
             return a
         if deficit >= 2:
-            front = zero_pos[:2]
+            i, j = zero_pos[:2]
+            last = i
         else:
-            front = [zero_pos[0], next(i for i in range(n) if diag[i] > zero_tol)]
-        perm = front + [i for i in range(n) if i not in front]
-        a = a[np.ix_(perm, perm)]
-        rotate(a, 0, 1, c)
+            i = zero_pos[0]
+            j = last if last is not None else next(p for p in range(n) if diag[p] > zero_tol)
+        rotate(a, i, j, c)
 
 
 # --------------------------------------------------------------------------
