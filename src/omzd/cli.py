@@ -10,7 +10,8 @@ impossible, 2 usage, unreadable input, unwritable output or internal
 error.  Output is byte-deterministic: fixed key order and
 17-significant-digit floats (exact double round-trip).  Decoding is exact
 too: ``decode_matrix_file`` parses each row of a file this module writes
-with orjson straight into one float64 array, and every other text, and
+with orjson and packs it with one ``struct.Struct`` of ``cols`` doubles
+straight into the bytes of one float64 array, and every other text, and
 every field outside the rows, with ``json.loads``; a text gets the
 document or the refusal the whole-text ``json.loads`` path gives it.
 
@@ -35,6 +36,7 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 from collections.abc import Iterator
 
@@ -296,22 +298,28 @@ def decode_matrix_file(text: str) -> dict:
     the leading members, then more members.  Its head, the text before
     ``,"entries"`` closed by a ``}``, and its tail, the text after the rows
     opened by a ``{``, go through ``json.loads``; each row goes through
-    ``orjson.loads`` straight into one float64 array, so no nested lists
-    of floats are held.  The split is exact: a head that parses as an
-    object ends at the top level between two members, and no key repeats
-    across head, entries and tail.  Head and tail take ``json.loads``
-    because orjson reads an integer beyond the 64-bit ranges as a float,
-    where ``order``, ``k`` or a certificate field must stay an int.  A row
-    holds only numbers, for which orjson gives the doubles ``float(text)``
-    gives, as ``json.loads`` does; it refuses the texts it would read
-    otherwise (NaN, Infinity, a number that overflows a double).
+    ``orjson.loads`` and one precompiled ``struct.Struct`` of ``cols``
+    doubles, which packs it into its place in one buffer of order x cols
+    float64s, so no nested lists of floats are held.  The split is exact:
+    a head that parses as an object ends at the top level between two
+    members, and no key repeats across head, entries and tail.  Head and
+    tail take ``json.loads`` because orjson reads an integer beyond the
+    64-bit ranges as a float, where ``order``, ``k`` or a certificate
+    field must stay an int.  A row holds only numbers, for which orjson
+    gives the doubles ``float(text)`` gives, as ``json.loads`` does; it
+    refuses the texts it would read otherwise (NaN, Infinity, a number
+    that overflows a double).  The struct refuses a row of any other
+    length and a string, null, array or object entry, and converts an int
+    as ``float(int)`` does; it would pack ``true`` and ``false`` as 1.0
+    and 0.0, so the row path declines rows whose text holds a ``t`` or an
+    ``f``, which no number text holds.
 
     At the first step of the row path that fails (no such layout, a row
-    orjson refuses or of the wrong length or types, a head or tail that is
-    not an object or repeats a key), the json path decides the text:
-    ``json.loads`` over the whole text, whose refusals keep their field and
-    message.  Both paths end in the same field checks, so a text gets one
-    document or one SchemaViolation whichever path decides it.
+    orjson or the struct refuses, a ``t`` or ``f`` in the rows, a head or
+    tail that is not an object or repeats a key), the json path decides
+    the text: ``json.loads`` over the whole text, whose refusals keep their
+    field and message.  Both paths end in the same field checks, so a text
+    gets one document or one SchemaViolation whichever path decides it.
     """
     doc = _decode_rows(text)
     if doc is None:
@@ -338,8 +346,9 @@ def _decode_rows(text: str) -> dict | None:
         return None
     if order * cols > len(text) // 2:  # each entry takes a digit and a separator
         return None
-    data = np.empty((order, cols))
-    start = opening.end() - 1
+    buf = bytearray(8 * order * cols)
+    pack_row = struct.Struct(f"{cols}d").pack_into
+    first = start = opening.end() - 1
     for i in range(order):
         if i:
             sep = _NEXT_ROW.match(text, end + 1)
@@ -350,17 +359,17 @@ def _decode_rows(text: str) -> dict | None:
         if end < 0:
             return None
         try:
-            row = orjson.loads(text[start : end + 1])
-        except orjson.JSONDecodeError:
+            pack_row(buf, 8 * cols * i, *orjson.loads(text[start : end + 1]))
+        except (orjson.JSONDecodeError, struct.error, OverflowError):
             return None
-        if len(row) != cols or not set(map(type, row)) <= _NUMBER_TYPES:
-            return None
-        data[i] = row
+    # the struct packs true and false as 1.0 and 0.0; no number text holds t or f
+    if text.find("t", first, end) >= 0 or text.find("f", first, end) >= 0:
+        return None
     closing = _ENTRIES_CLOSE.match(text, end + 1)
     tail = None if closing is None else _loads_object("{" + text[closing.end() :])
     if not tail or "entries" in tail or not tail.keys().isdisjoint(head):  # {} was a trailing comma
         return None
-    head["entries"] = data
+    head["entries"] = np.frombuffer(buf).reshape(order, cols)
     head.update(tail)
     return head
 
@@ -501,7 +510,7 @@ def _emit(args, pieces: Iterator[str], stdout) -> None:
     """Write ``pieces`` in turn to the --out file, or to stdout."""
     if args.out:
         try:
-            with open(args.out, "w") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         except OSError as e:
             raise _FileError(f"cannot write output: {e}") from None
@@ -519,10 +528,12 @@ class _FileError(Exception):
 
 def _read_input(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise _FileError(f"cannot read input: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaViolation("$", f"not UTF-8 text: {e}") from None
 
 
 def _kind_takes(args) -> tuple[str, ...]:

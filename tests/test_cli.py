@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -917,10 +918,11 @@ class TestDecoderMemo:
             assert decode_matrix_file(_matrix_doc(entries))["matrix"].data.tolist() == entries
 
     def test_peak_memory(self):
-        # the row path parses one row at a time into one array, which the
-        # RealMatrix copies: 2.00x the matrix's bytes when this was set; a
-        # decoder holding the entries as json.loads's nested lists of floats
-        # peaks at 3.16x
+        # the row path packs one row at a time into one buffer of doubles,
+        # which the RealMatrix copies: 2.00x the matrix's bytes when this was
+        # set; a decoder holding the entries as json.loads's nested lists of
+        # floats peaks at 3.16x, and one orjson.loads of the whole entries
+        # block at about 7.9x
         text = _gen_stdout("gen --kind omzd --n 401")
         assert cli._decode_rows(text) is not None
         tracemalloc.start()
@@ -1081,19 +1083,47 @@ class TestDecoderPaths:
         assert cli._decode_rows(text) is None
         _assert_decided_as_the_json_path_decides(text)
 
-    def test_orjson_reads_json_doubles(self):
-        # the row path's premise: a row's number texts give json.loads's doubles
+    @staticmethod
+    def _number_tokens() -> list[str]:
         rng = np.random.default_rng(11)
         finite_bits = rng.integers(0, 2**63 - 2**52, size=20_000, dtype=np.int64)  # below inf's pattern
         doubles = (finite_bits.view(np.float64) * rng.choice([1.0, -1.0], 20_000)).tolist()
         wide = [int(d) * 10 ** int(e) + int(r) for d, e, r in zip(
             rng.integers(-9, 10, 5_000), rng.integers(18, 38, 5_000), rng.integers(0, 2**62, 5_000))]
-        tokens = ["%.17g" % x for x in doubles] + [repr(x) for x in doubles] + [str(x) for x in wide]
+        return ["%.17g" % x for x in doubles] + [repr(x) for x in doubles] + [str(x) for x in wide]
+
+    def test_orjson_reads_json_doubles(self):
+        # the row path's premise: a row's number texts give json.loads's doubles
+        tokens = self._number_tokens()
         text = "[" + ",".join(tokens) + "]"
         row = np.empty(len(tokens))
         row[:] = orjson.loads(text)
         expected = np.array(json.loads(text), dtype=np.float64)
         assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+
+    def test_struct_packs_json_doubles(self):
+        # the row path's premise as it packs: one struct of n doubles over
+        # orjson's values gives json.loads's doubles, ints rounded as
+        # float(int) rounds them and the sign of -0.0 kept
+        tokens = self._number_tokens() + ["-0", "-0.0", str(2**53 + 1), str(2**63), str(2**64 + 1),
+                                          str(-(2**63) - 1), str(10**39)]
+        text = "[" + ",".join(tokens) + "]"
+        packed = struct.Struct(f"{len(tokens)}d").pack(*orjson.loads(text))
+        assert packed == np.array(json.loads(text), dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "row",
+        ["[2,-1,2,2]", "[2,-1]", "[2]", "[2,true,2]", "[2,false,2]", "[2,[-1],2]", '[2,"-1",2]', "[2,null,2]"],
+        ids=["long", "short", "one-value", "true", "false", "nested-list", "string", "null"],
+    )
+    def test_row_the_struct_or_guard_declines(self, row):
+        # the middle row of a 3-column file; a one-value row would broadcast
+        # into its row of a float64 array, and true and false would pack as
+        # 1.0 and 0.0
+        text = _SMALL_FILE.replace("[2,-1,2]", row)
+        assert text.count(row) == 1
+        assert cli._decode_rows(text) is None
+        _assert_decided_as_the_json_path_decides(text)
 
 
 class TestVerifyBadInput:
@@ -1144,6 +1174,14 @@ class TestVerifyBadInput:
         code, out, err = self._verify(tmp_path, doc, claim)
         assert (code, out) == (2, "")
         assert err == "ShapeMismatch: certification needs a square matrix, got 2x3\n"
+
+    def test_non_utf8_file_is_a_schema_violation(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(_gen_stdout("gen --kind omzd --n 5").encode().replace(b'"omzd"', b'"omzd\xff"', 1))
+        code, out, err = invoke("verify", "--in", str(path), "--claim", "omzd")
+        assert (code, out) == (2, "")
+        assert err.startswith("SchemaViolation: $: not UTF-8 text: ") and "0xff" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_wrong_order_multipartite_is_valid_json(self, tmp_path):
         path = tmp_path / "m.json"
