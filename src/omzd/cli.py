@@ -483,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--k", type=int)
 
     cg = sub.add_parser("certify-graph", help="two-eigenvalue certificate for a graph family")
-    cg.add_argument("--family", required=True, choices=("knn", "gnk", "multipartite"))
+    cg.add_argument("--family", required=True, choices=tuple(graphs.FAMILIES))
     cg.add_argument("--n", type=int, required=True)
     cg.add_argument("--k", type=int)
     cg.add_argument("--m", type=int)
@@ -622,21 +622,12 @@ def _cmd_exists(args, stdout, stderr) -> int:
     return 0 if verdict.exists else 1
 
 
-# certify-graph family -> the options it needs; it takes no other
-_GRAPH_PARAMETERS = {"knn": ("n",), "gnk": ("n", "k"), "multipartite": ("n", "m")}
-
-
 def _cmd_certify_graph(args, stdout, stderr) -> int:
-    family = args.family
-    _check_options(args, f"certify-graph --family {family}", _GRAPH_PARAMETERS[family], required=True)
-    if family == "knn":
-        spec = graphs.Knn(args.n)
-    elif family == "gnk":
-        spec = graphs.Gnk(args.n, args.k)
-    else:
-        spec = graphs.Multipartite(args.n, args.m)
-
-    cert = graphs.q2_certificate(spec)
+    """Certify (or refuse) the ``graphs.FAMILIES`` row ``--family`` names,
+    built from the options that row takes; it takes no other."""
+    make, takes = graphs.FAMILIES[args.family]
+    _check_options(args, f"certify-graph --family {args.family}", takes, required=True)
+    cert = graphs.q2_certificate(make(*(getattr(args, name) for name in takes)))
     matrix_doc = None
     if cert.matrix is not None:
         matrix_doc = {

@@ -6,8 +6,10 @@ that support.  This module certifies q(G) = 2 for K_{n,n} minus a
 matching (Gnk; K_{n,n} itself is Gnk(n, 0)) and for complete
 multipartite graphs.
 
-Every family member takes one route: a refusal table lookup, then one
-``planner.plan``, one ``planner.build`` and one ``certify_graph``; the
+A family is one spec class, which owns its mask (``graph``), ``plan``
+and ``witness`` step, plus one ``FAMILIES`` row and any ``_REFUSALS``
+entries.  Every family member takes one route: a refusal table lookup,
+then one ``spec.plan()``, ``planner.build`` and ``certify_graph``; the
 witness certificate implies the plan root's claim, so the root gets no
 check of its own.  A Gnk witness is the embedding [[0, B], [Bᵀ, 0]] of
 the planned OMPZD(n, k) B, conjugated so that its diagonal zeros come
@@ -39,6 +41,7 @@ __all__ = [
     "Knn",
     "Gnk",
     "Multipartite",
+    "FAMILIES",
     "Q2Certificate",
     "STATUS_CERTIFIED",
     "STATUS_KNOWN_IMPOSSIBLE",
@@ -89,6 +92,12 @@ class Gnk:
         empty = np.zeros_like(block)
         return _read_only(np.block([[empty, block], [block.T, empty]]))
 
+    def plan(self) -> planner.PlanNode:
+        return planner.plan(CLAIM_OMPZD, self.n, self.k)
+
+    def witness(self, root: RealMatrix) -> RealMatrix:
+        return embed_bipartite(_zeros_to_front(root))
+
 
 def Knn(n: int) -> Gnk:
     """Complete bipartite graph K_{n,n}: K_{n,n} minus the empty matching."""
@@ -115,8 +124,25 @@ class Multipartite:
         part = np.arange(self.n * self.m) // self.n
         return _read_only(part[:, None] != part[None, :])
 
+    def plan(self) -> planner.PlanNode:
+        try:
+            if self.n == 1:  # K_m: its diagonal is free, so no zero block is needed
+                return planner.plan(CLAIM_OMPZD, self.m, 0)
+            return planner.plan(CLAIM_MULTIPARTITE, self.n, m=self.m)
+        except NoKnownConstruction:
+            raise NoKnownConstruction(
+                "no construction known for an odd part count or exactly 4 parts; "
+                "conjectured to still need only 2 distinct eigenvalues"
+            ) from None
+
+    def witness(self, root: RealMatrix) -> RealMatrix:
+        return root
+
 
 GraphSpec = Gnk | Multipartite
+
+# family name -> its spec constructor and parameters, in argument order
+FAMILIES = {"knn": (Knn, ("n",)), "gnk": (Gnk, ("n", "k")), "multipartite": (Multipartite, ("n", "m"))}
 
 
 @dataclass(frozen=True)
@@ -175,41 +201,23 @@ _REFUSALS = {
     Gnk(3, 2): (STATUS_UNKNOWN, "bracketed: between 3 and 4 distinct eigenvalues; unresolved"),
 }
 
-_NO_CONSTRUCTION = (
-    "no construction known for an odd part count or exactly 4 parts; "
-    "conjectured to still need only 2 distinct eigenvalues"
-)
-
-
-def _plan(spec: GraphSpec) -> planner.PlanNode:
-    """The plan whose root gives the witness of ``spec``."""
-    if isinstance(spec, Gnk):
-        return planner.plan(CLAIM_OMPZD, spec.n, spec.k)
-    if isinstance(spec, Multipartite):
-        if spec.n == 1:  # K_m: its diagonal is free, so no zero block is needed
-            return planner.plan(CLAIM_OMPZD, spec.m, 0)
-        return planner.plan(CLAIM_MULTIPARTITE, spec.n, m=spec.m)
-    raise TypeError(f"unknown graph family {type(spec).__name__}")
-
-
 def q2_certificate(spec: GraphSpec) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
-    member, by one route: the refusal table, then one ``planner.plan``,
-    one ``planner.build`` and one ``certify_graph``.  A refusal is
-    known-impossible or unknown; a planner NoKnownConstruction is unknown.
+    member, by one route: the refusal table, then ``spec.plan()``, one
+    ``planner.build``, ``spec.witness`` of its root and one
+    ``certify_graph``.  A refusal is known-impossible or unknown; a
+    NoKnownConstruction from the plan is unknown, with its message.
     Certified results carry the witness matrix, whose adjacency mask is
     the graph's, and the distinct eigenvalue count (which must be 2)."""
     refusal = _REFUSALS.get(spec)
     if refusal is None:
         try:
-            node = _plan(spec)
-        except NoKnownConstruction:
-            refusal = (STATUS_UNKNOWN, _NO_CONSTRUCTION)
+            node = spec.plan()
+        except NoKnownConstruction as e:
+            refusal = (STATUS_UNKNOWN, str(e))
     if refusal is not None:
         return Q2Certificate(spec, *refusal)
-    root = planner.build(node)
-    witness = embed_bipartite(_zeros_to_front(root)) if isinstance(spec, Gnk) else root
-    return _certify_witness(spec, witness)
+    return _certify_witness(spec, spec.witness(planner.build(node)))
 
 
 def _certify_witness(spec: GraphSpec, witness: RealMatrix) -> Q2Certificate:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omzd
-from omzd import cli, construct, planner
+from omzd import cli, construct, graphs, planner
 from omzd.cli import (
     _dump_json,
     _fmt_number,
@@ -395,6 +395,37 @@ class TestPlanCommand:
         assert code == 1
 
 
+# a certified value of each certify-graph parameter
+_GRAPH_VALUES = {"n": "2", "k": "1", "m": "2"}
+
+
+def _family_options(family, omit=None):
+    """The options of a ``graphs.FAMILIES`` row but ``omit``, each set to
+    its ``_GRAPH_VALUES`` entry."""
+    takes = graphs.FAMILIES[family][1]
+    return [word for name in takes if name != omit for word in (f"--{name}", _GRAPH_VALUES[name])]
+
+
+def _family_grid():
+    """certify-graph argvs over small members of every family, each
+    option a family does not use, and each family with no --n."""
+    head = ("certify-graph", "--family")
+    for n in range(41):
+        yield head + ("knn", "--n", str(n))
+    for n in range(13):
+        for k in range(-1, n + 2):
+            yield head + ("gnk", "--n", str(n), "--k", str(k))
+    for n in range(7):
+        for m in range(10):
+            yield head + ("multipartite", "--n", str(n), "--m", str(m))
+    yield head + ("knn", "--n", "2", "--k", "1")
+    yield head + ("knn", "--n", "2", "--m", "1")
+    yield head + ("gnk", "--n", "2", "--k", "1", "--m", "1")
+    yield head + ("multipartite", "--n", "2", "--m", "2", "--k", "1")
+    for family in ("knn", "gnk", "multipartite"):
+        yield head + (family,)
+
+
 class TestCertifyGraph:
     def test_certified(self):
         code, out, _ = invoke("certify-graph", "--family", "gnk", "--n", "8", "--k", "5")
@@ -441,14 +472,36 @@ class TestCertifyGraph:
 
     @pytest.mark.parametrize(
         "family,option",
-        [("knn", "--k"), ("knn", "--m"), ("gnk", "--m"), ("multipartite", "--k")],
+        [(family, f"--{name}") for family, (_, takes) in graphs.FAMILIES.items() for name in "km" if name not in takes],
     )
     def test_option_the_family_does_not_use(self, family, option):
         # the output would echo the option beside a witness built without it
-        extra = {"gnk": ["--k", "1"], "multipartite": ["--m", "2"]}.get(family, [])
-        code, out, err = invoke("certify-graph", "--family", family, "--n", "2", *extra, option, "1")
+        code, out, err = invoke("certify-graph", "--family", family, *_family_options(family), option, "1")
         assert (code, out) == (2, "")
         assert err == f"usage error: certify-graph --family {family} takes no {option}\n"
+
+    @pytest.mark.parametrize(
+        "family,name",
+        [(family, name) for family, (_, takes) in graphs.FAMILIES.items() for name in takes if name != "n"],
+    )
+    def test_parameter_the_family_needs(self, family, name):
+        code, out, err = invoke("certify-graph", "--family", family, *_family_options(family, name))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: certify-graph --family {family} needs --{name}\n"
+
+    def test_family_choices_are_the_table(self):
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        family = next(a for a in sub.choices["certify-graph"]._actions if a.dest == "family")
+        assert family.choices == tuple(graphs.FAMILIES)
+
+    def test_family_grid_pinned(self, monkeypatch):
+        # 235 argvs, exit codes 0/1/2 = 149/29/57: a change to how a family
+        # is planned, built or parsed moves no exit code, stdout or stderr byte
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this width
+        h = hashlib.sha256()
+        for argv in _family_grid():
+            h.update(repr((argv, *invoke(*argv))).encode())
+        assert h.hexdigest() == "38f70b102809f6c9a663fae56176cfee19433e03938581f3789b2759c6f6cfa5"
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "cert.json"

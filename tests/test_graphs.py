@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from omzd import construct, graphs, planner, verify
-from omzd.errors import NonSymmetric, NotScaledInvolution, ResourceLimit, ShapeMismatch
+from omzd.errors import NoKnownConstruction, NonSymmetric, NotScaledInvolution, ResourceLimit, ShapeMismatch
 from omzd.graphs import (
     Gnk,
     Knn,
@@ -140,6 +140,15 @@ class TestQ2Gnk:
         cert = q2_certificate(Gnk(n, k))
         assert cert.status == STATUS_CERTIFIED, cert.reason
         assert np.array_equal(pattern_graph(cert.matrix), Gnk(n, k).graph())
+
+    def test_planner_refusal_keeps_its_message(self, monkeypatch):
+        # only Multipartite reads NoKnownConstruction as its conjecture
+        def refuse(*args, **kwargs):
+            raise NoKnownConstruction("probe")
+
+        monkeypatch.setattr(planner, "plan", refuse)
+        cert = q2_certificate(Gnk(5, 2))
+        assert (cert.status, cert.reason, cert.matrix) == (STATUS_UNKNOWN, "probe", None)
 
     def test_matching_alignment(self):
         # the k deleted edges are exactly the canonical matching slots
