@@ -299,8 +299,11 @@ def decode_matrix_file(text: str) -> dict:
     ``,"entries"`` closed by a ``}``, and its tail, the text after the rows
     opened by a ``{``, go through ``json.loads``; each row goes through
     ``orjson.loads`` and one precompiled ``struct.Struct`` of ``cols``
-    doubles, which packs it into its place in one buffer of order x cols
-    float64s, so no nested lists of floats are held.  The split is exact:
+    doubles, which packs it, through a memoryview, into its row of one
+    ``np.empty((order, cols))`` array, so no nested lists of floats are
+    held.  Either path's array is fresh, and the RealMatrix adopts it
+    (``RealMatrix._adopt``): the decoded entries are one order x cols
+    array of doubles, not two.  The split is exact:
     a head that parses as an object ends at the top level between two
     members, and no key repeats across head, entries and tail.  Head and
     tail take ``json.loads`` because orjson reads an integer beyond the
@@ -346,22 +349,23 @@ def _decode_rows(text: str) -> dict | None:
         return None
     if order * cols > len(text) // 2:  # each entry takes a digit and a separator
         return None
-    buf = bytearray(8 * order * cols)
+    data = np.empty((order, cols))
     pack_row = struct.Struct(f"{cols}d").pack_into
     first = start = opening.end() - 1
-    for i in range(order):
-        if i:
-            sep = _NEXT_ROW.match(text, end + 1)
-            if sep is None:
+    with memoryview(data).cast("B") as buf:
+        for i in range(order):
+            if i:
+                sep = _NEXT_ROW.match(text, end + 1)
+                if sep is None:
+                    return None
+                start = sep.end() - 1
+            end = text.find("]", start)
+            if end < 0:
                 return None
-            start = sep.end() - 1
-        end = text.find("]", start)
-        if end < 0:
-            return None
-        try:
-            pack_row(buf, 8 * cols * i, *orjson.loads(text[start : end + 1]))
-        except (orjson.JSONDecodeError, struct.error, OverflowError):
-            return None
+            try:
+                pack_row(buf, 8 * cols * i, *orjson.loads(text[start : end + 1]))
+            except (orjson.JSONDecodeError, struct.error, OverflowError):
+                return None
     # the struct packs true and false as 1.0 and 0.0; no number text holds t or f
     if text.find("t", first, end) >= 0 or text.find("f", first, end) >= 0:
         return None
@@ -369,7 +373,7 @@ def _decode_rows(text: str) -> dict | None:
     tail = None if closing is None else _loads_object("{" + text[closing.end() :])
     if not tail or "entries" in tail or not tail.keys().isdisjoint(head):  # {} was a trailing comma
         return None
-    head["entries"] = np.frombuffer(buf).reshape(order, cols)
+    head["entries"] = data
     head.update(tail)
     return head
 
@@ -418,7 +422,7 @@ def _checked(doc) -> dict:
     if data.size == 0:
         raise SchemaViolation("entries", "matrix must be nonempty")
     scale = None if doc["scale_c"] is None else float(doc["scale_c"])
-    doc["matrix"] = RealMatrix(data, scale_c=scale)
+    doc["matrix"] = RealMatrix._adopt(data, scale_c=scale)  # each path's own fresh array
     return doc
 
 
@@ -443,17 +447,29 @@ def _entries_array(entries, order: int, cols: int) -> np.ndarray:
 # Argument parsing
 # --------------------------------------------------------------------------
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it takes on an 80-column terminal,
+    whatever the terminal or ``COLUMNS``: usage and help bytes do not
+    depend on the environment."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls, and each call starts from the declared defaults."""
+    state between calls, and each call starts from the declared defaults.
+    It and every subparser wrap their text with ``_Formatter``."""
     parser = argparse.ArgumentParser(
         prog="omzd",
         description="Construct and certify orthogonal matrices with prescribed zero diagonals.",
+        formatter_class=_Formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_Formatter)
 
-    gen = sub.add_parser("gen", help="construct an object and emit it with its certificate")
+    gen = add_parser("gen", help="construct an object and emit it with its certificate")
     gen.add_argument("--kind", required=True, choices=GEN_KINDS)
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
@@ -465,24 +481,24 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out")
     gen.add_argument("--format", choices=("json", "csv"), default="json")
 
-    ver = sub.add_parser("verify", help="check a stored matrix against a claim")
+    ver = add_parser("verify", help="check a stored matrix against a claim")
     ver.add_argument("--in", dest="path", required=True)
     ver.add_argument("--claim", required=True, choices=CLAIMS)
     ver.add_argument("--res-tol", type=float, default=None)
     ver.add_argument("--zero-tol", type=float, default=None)
 
-    pl = sub.add_parser("plan", help="print the construction plan without executing it")
+    pl = add_parser("plan", help="print the construction plan without executing it")
     pl.add_argument("--kind", required=True, choices=planner._KINDS)
     pl.add_argument("--n", type=int, required=True)
     pl.add_argument("--k", type=int)
     pl.add_argument("--route", choices=planner.ROUTES, help="default auto")
 
-    ex = sub.add_parser("exists", help="existence verdict for (kind, n, k)")
+    ex = add_parser("exists", help="existence verdict for (kind, n, k)")
     ex.add_argument("--kind", required=True, choices=planner._KINDS)
     ex.add_argument("--n", type=int, required=True)
     ex.add_argument("--k", type=int)
 
-    cg = sub.add_parser("certify-graph", help="two-eigenvalue certificate for a graph family")
+    cg = add_parser("certify-graph", help="two-eigenvalue certificate for a graph family")
     cg.add_argument("--family", required=True, choices=tuple(graphs.FAMILIES))
     cg.add_argument("--n", type=int, required=True)
     cg.add_argument("--k", type=int)

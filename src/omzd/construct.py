@@ -17,7 +17,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import gfield
 from .errors import BuildRefused, InvalidQ
 from .numerics import RES_TOL, RealMatrix
-from .verify import CLAIM_OMPZD, CLAIM_OMZD, bordered_tournament, input_failures, zero_tolerance
+from .verify import (
+    CLAIM_OMPZD,
+    CLAIM_OMZD,
+    bordered_tournament,
+    input_failures,
+    tournament_failures,
+    zero_tolerance,
+)
 
 __all__ = [
     "seed",
@@ -223,7 +230,7 @@ def paley_conference(q: int) -> RealMatrix:
     c[0, 1:] = 1
     c[1:, 0] = 1 if q % 4 == 1 else -1
     c[1:, 1:] = core
-    return RealMatrix(c, scale_c=q)
+    return RealMatrix._adopt(c, scale_c=q)
 
 
 def paley_tournament(q: int) -> RealMatrix:
@@ -232,7 +239,7 @@ def paley_tournament(q: int) -> RealMatrix:
     Needs q = 3 (mod 4)."""
     check_paley_q(q, tournament=True)
     core = _character_core(q)
-    return RealMatrix(core == 1)
+    return RealMatrix._adopt(np.maximum(core, 0.0, out=core))  # chi = -1, 0, 1 -> 0, 0, 1
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +252,12 @@ def _splice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     columns (minus the corner) and B/C the cores."""
     u, v, core_b = a[0, 1:], a[1:, 0], a[1:, 1:]
     x, y, core_c = b[0, 1:], b[1:, 0], b[1:, 1:]
-    return np.block([[core_b, np.outer(v, x)], [np.outer(y, u), core_c]])
+    p = len(core_b)
+    out = np.empty((p + len(core_c),) * 2)  # each block is written into the one output
+    out[:p, :p], out[p:, p:] = core_b, core_c
+    np.multiply(v[:, None], x, out=out[:p, p:])
+    np.multiply(y[:, None], u, out=out[p:, :p])
+    return out
 
 
 def _unit_omzd(m: RealMatrix, refusal: str) -> np.ndarray:
@@ -283,7 +295,7 @@ def combine(m: RealMatrix, n: RealMatrix) -> RealMatrix:
                 f"{mat.rows}x{mat.cols}"
             )
         units.append(_unit_omzd(mat, f"{label} input failed OMZD certification"))
-    return RealMatrix(_splice(*units), scale_c=1.0)
+    return RealMatrix._adopt(_splice(*units), scale_c=1.0)
 
 
 def ompzd_n_minus_1(omzd: RealMatrix) -> RealMatrix:
@@ -294,7 +306,7 @@ def ompzd_n_minus_1(omzd: RealMatrix) -> RealMatrix:
     """
     unit = _unit_omzd(omzd, "input failed OMZD certification")
     m = conjugate_permute(seed(CLAIM_OMPZD, 4, 3), [1, 0, 2, 3])  # zero corner
-    return RealMatrix(_splice(m.data / 2.0, unit), scale_c=1.0)
+    return RealMatrix._adopt(_splice(m.data / 2.0, unit), scale_c=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +333,7 @@ def symmetric_omzd(n: int) -> RealMatrix:
     block_a = np.ones((m, m)) - np.eye(m)
     block_b = alpha * np.eye(m) + beta * np.ones((m, m))
     out = np.block([[block_a, block_b], [block_b, -block_a]])
-    return RealMatrix(out, scale_c=float(m * m))
+    return RealMatrix._adopt(out, scale_c=float(m * m))
 
 
 # --------------------------------------------------------------------------
@@ -332,30 +344,35 @@ def drt_to_skew_hadamard(t: RealMatrix) -> RealMatrix:
     """Skew-Hadamard matrix of order q + 1, with scale c = q + 1, from a
     DRT(q): the skew +-1 matrix S + I, S = T - Tᵀ, bordered with a +1 row
     and -1 column (``verify.bordered_tournament``).  Only T's own failures
-    are checked here: the rest of T's DRT certificate is the exact check of
-    this very H, which the plan's root check makes.  Called alone, it takes
-    a tournament that is not doubly regular.
+    (``verify.tournament_failures``) are checked here: the rest of T's DRT
+    certificate is the exact check of this very H, which the plan's root
+    check makes.  Called alone, it takes a tournament that is not doubly
+    regular.
     """
-    h, failures = bordered_tournament(t)
-    _require(failures, "input is not a doubly regular tournament")
-    return RealMatrix(h, scale_c=t.order + 1)
+    _require(tournament_failures(t), "input is not a doubly regular tournament")
+    return RealMatrix._adopt(bordered_tournament(t), scale_c=t.order + 1)
 
 
 def double_drt(t: RealMatrix) -> RealMatrix:
     """Doubly regular tournament of order 2q + 1 from one of order q, as a
     {0, 1} matrix with no scale: its arcs are the +1 entries of the core of
-    H' = [[H, H], [-Hᵀ, Hᵀ]], written as four bool blocks, with H the
-    input's skew-Hadamard matrix, whose row 0, and so H''s, is all +1.
-    Only T's own failures are checked, by ``drt_to_skew_hadamard``:
-    H'H'ᵀ = diag(2HHᵀ, 2HᵀH), so the exact root check completes T's.
+    H' = [[H, H], [-Hᵀ, Hᵀ]], with H the input's skew-Hadamard matrix
+    (``drt_to_skew_hadamard``), whose row 0, and so H''s, is all +1.  As
+    T + Tᵀ = J - I, they are, with vertex q between the two halves,
+    [[T, 0, T + I], [1ᵀ, 0, 0ᵀ], [T, 1, Tᵀ]], written block by block into
+    the output.  Only T's own failures are checked
+    (``verify.tournament_failures``): H'H'ᵀ = diag(2HHᵀ, 2HᵀH), so the
+    exact root check completes T's.
     """
-    plus = drt_to_skew_hadamard(t).data == 1
-    q = t.order
-    arcs = np.empty((2 * q + 1, 2 * q + 1), dtype=bool)
-    arcs[:q, :q], arcs[:q, q:], arcs[q:, q:] = plus[1:, 1:], plus[1:], plus.T
-    np.logical_not(plus[1:].T, out=arcs[q:, :q])  # -Hᵀ = +1 where H = -1
-    np.fill_diagonal(arcs, False)
-    return RealMatrix(arcs)
+    _require(tournament_failures(t), "input is not a doubly regular tournament")
+    a, q = t.data, t.order
+    arcs = np.empty((2 * q + 1, 2 * q + 1))
+    arcs[:q, :q] = arcs[:q, q + 1 :] = arcs[q + 1 :, :q] = a
+    arcs[q + 1 :, q + 1 :] = a.T
+    arcs[:q, q] = arcs[q, q:] = 0.0
+    arcs[q, :q] = arcs[q + 1 :, q] = 1.0
+    np.fill_diagonal(arcs[:q, q + 1 :], 1.0)
+    return RealMatrix._adopt(arcs)
 
 
 def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
@@ -364,7 +381,7 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
     alpha = (-2/(q-3)) * (q - 2 +- sqrt(q - 2)) kills the all-ones
     component of the gram matrix; the surviving scale is
     c = alpha^2 (q+1)/4 + alpha + 1.  Only T's own failures are checked
-    here (``verify.bordered_tournament``, BuildRefused): the OMZD check of
+    here (``verify.tournament_failures``, BuildRefused): the OMZD check of
     the output M completes T's DRT certificate.  With T + Tᵀ = J - I and
     out-degrees r, (MMᵀ)_ii = alpha (alpha + 2) r_i + q - 1; the mean
     out-degree is (q-1)/2, so c does not depend on T, and an irregular T
@@ -381,15 +398,17 @@ def omzd_from_drt(t: RealMatrix, branch: str = "minus") -> RealMatrix:
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    _require(bordered_tournament(t)[1], "input is not a doubly regular tournament")
+    _require(tournament_failures(t), "input is not a doubly regular tournament")
     q = t.order
     if q == 3:
         raise BuildRefused("q = 3 is excluded: the coefficient is undefined there")
     sign = 1.0 if branch == "plus" else -1.0
     alpha = (-2.0 / (q - 3)) * ((q - 2) + sign * math.sqrt(q - 2.0))
-    out = alpha * t.data + np.ones((q, q)) - np.eye(q)
+    out = np.multiply(t.data, alpha)
+    out += 1.0
+    out.flat[:: q + 1] -= 1.0  # alpha * T + J - I, in the one output array
     c = alpha * alpha * (q + 1) / 4.0 + alpha + 1.0
-    return RealMatrix(out, scale_c=c)
+    return RealMatrix._adopt(out, scale_c=c)
 
 
 # --------------------------------------------------------------------------
@@ -405,15 +424,16 @@ def nowhere_zero_orthogonal(n: int) -> RealMatrix:
         return RealMatrix([[1.0]], scale_c=1.0)
     if n == 2:
         return RealMatrix([[1.0, 1.0], [1.0, -1.0]], scale_c=2.0)
-    out = np.eye(n) - (2.0 / n) * np.ones((n, n))
-    return RealMatrix(out, scale_c=1.0)
+    out = np.full((n, n), -(2.0 / n))
+    out.flat[:: n + 1] += 1.0  # I - (2/n)J
+    return RealMatrix._adopt(out, scale_c=1.0)
 
 
 def conjugate_permute(m: RealMatrix, perm) -> RealMatrix:
     """Simultaneous row/column permutation P M Pᵀ; preserves
     orthogonality, symmetry class, and the diagonal zero multiset."""
     idx = np.asarray(perm, dtype=np.intp)
-    return RealMatrix(m.data[np.ix_(idx, idx)], scale_c=m.scale_c)
+    return RealMatrix._adopt(m.data[np.ix_(idx, idx)], scale_c=m.scale_c)
 
 
 _THETA_EXPONENTS = range(4, 41)
@@ -508,7 +528,7 @@ def reduce_zeros(m: RealMatrix, target_k: int) -> RealMatrix:
         partner = fronts[-1, 0] if pairs else np.flatnonzero(~is_zero)[0]
         mixed = [zeros[2 * pairs], partner]
         _rotate_pairs(a, mixed[:1], mixed[1:], m.scale_c)
-    return RealMatrix(a, scale_c=m.scale_c)
+    return RealMatrix._adopt(a, scale_c=m.scale_c)
 
 
 # --------------------------------------------------------------------------
@@ -521,4 +541,8 @@ def kron(a: RealMatrix, b: RealMatrix) -> RealMatrix:
     scale = None
     if a.scale_c is not None and b.scale_c is not None:
         scale = a.scale_c * b.scale_c
-    return RealMatrix(np.kron(a.data, b.data), scale_c=scale)
+    (m, n), (p, q) = a.data.shape, b.data.shape
+    out = np.empty((m * p, n * q))
+    # entry (i p + k, j q + l) is a_ij b_kl, the product np.kron takes
+    np.multiply(a.data[:, None, :, None], b.data[None, :, None, :], out=out.reshape(m, p, n, q))
+    return RealMatrix._adopt(out, scale_c=scale)

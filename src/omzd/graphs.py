@@ -180,7 +180,7 @@ def embed_bipartite(b: RealMatrix) -> RealMatrix:
     out = np.zeros((m + n, m + n))
     out[:m, m:] = b.data
     out[m:, :m] = b.data.T
-    return RealMatrix(out, scale_c=b.scale_c)
+    return RealMatrix._adopt(out, scale_c=b.scale_c)
 
 
 def _zeros_to_front(m: RealMatrix) -> RealMatrix:

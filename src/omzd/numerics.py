@@ -4,8 +4,14 @@ involution.
 Every matrix is a frozen float64 ``RealMatrix``; radical entries are
 evaluated numerically at construction time and checked against
 tolerances scaled by the matrix order and its certified scale constant.
+``RealMatrix(a)`` copies ``a``; the library's builders, which make a
+fresh array they never touch again, hand it over with
+``RealMatrix._adopt``, which freezes it in place instead.
 ``RES_TOL`` is the residual bound of every orthogonality check:
-max |MMᵀ - cI| <= RES_TOL * c * n.  ``involution_multiplicities`` counts
+max |MMᵀ - cI| <= RES_TOL * c * n.  ``residual_scaled_identity`` takes
+the gram of a matrix whose entries its caller has checked to be in
+{0, +-1} as a float32 product, exact and half the bytes of a float64
+one.  ``involution_multiplicities`` counts
 the eigenvalues of a certified symmetric M with M² = cI from its trace;
 ``jacobi_spectrum`` is a LAPACK spectrum that only the tests use, as
 their reference.
@@ -33,15 +39,30 @@ RES_TOL = 1e-9
 # triangle of one of its diagonal blocks
 _BLOCK = 128
 _BELOW = np.tri(_BLOCK, k=-1, dtype=bool)
+# a float32 holds every integer of magnitude up to this exactly
+_FLOAT32_EXACT = 2**24
 
 
 def _frozen_array(values) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"matrix data must be 2-dimensional, got ndim={a.ndim}")
-    a += 0.0  # normalizes -0.0 in place, on the one copy, so serialization is sign-stable
+    return _freeze(a)
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a += 0.0  # normalizes -0.0 in place, so serialization is sign-stable
     a.setflags(write=False)
     return a
+
+
+def _checked_scale(scale_c) -> float | None:
+    if scale_c is None:
+        return None
+    c = float(scale_c)
+    if not (0.0 < c < np.inf):
+        raise ValueError(f"scale_c must be positive and finite, got {c}")
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +74,23 @@ class RealMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data))
-        if self.scale_c is not None:
-            c = float(self.scale_c)
-            if not (0.0 < c < np.inf):
-                raise ValueError(f"scale_c must be positive and finite, got {c}")
-            object.__setattr__(self, "scale_c", c)
+        object.__setattr__(self, "scale_c", _checked_scale(self.scale_c))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, scale_c: float | None = None) -> "RealMatrix":
+        """The RealMatrix of ``a`` itself, with no copy: ``a`` must be a
+        fresh 2-dimensional float64 array, C-contiguous, writeable and
+        owning its data, which no caller writes again.  It is frozen in
+        place, -0.0 normalized as ``RealMatrix(a)`` does on its copy."""
+        if not (
+            a.ndim == 2 and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.writeable and a.base is None
+        ):
+            raise ValueError("only a fresh, C-contiguous, writeable 2-dimensional float64 array is adopted")
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", _freeze(a))
+        object.__setattr__(m, "scale_c", _checked_scale(scale_c))
+        return m
 
     @property
     def rows(self) -> int:
@@ -84,7 +117,7 @@ class RealMatrix:
         return f"RealMatrix({self.rows}x{self.cols}, scale_c={self.scale_c})"
 
 
-def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
+def residual_scaled_identity(m: RealMatrix, *, ternary: bool = False) -> tuple[float, float]:
     """Recover c and the worst deviation of MMᵀ from cI.
 
     c is the mean of the diagonal of the gram MMᵀ (averages rounding
@@ -100,10 +133,25 @@ def residual_scaled_identity(m: RealMatrix) -> tuple[float, float]:
     the residual NaN (an infinite cI holds inf * 0 = NaN off its
     diagonal), which the caller's verdict rejects, and numpy prints no
     warning.
+
+    ``ternary`` says the caller has checked that every entry is 0, 1 or
+    -1.  Below order 2^24 every partial sum of the product is then an
+    integer a float32 holds exactly, so the gram is taken as a float32
+    product of a float32 copy, exact and symmetric; c is its trace summed
+    in float64 over n, and its diagonal less c is taken in float64, so
+    both results are the float64 product's, bit for bit.
     """
     if not m.is_square:
         raise ValueError("residual against a scaled identity needs a square matrix")
     n = m.order
+    if ternary and n < _FLOAT32_EXACT:
+        a = m.data.astype(np.float32)
+        g = a @ a.T
+        del a
+        c = float(g.trace(dtype=np.float64) / n)
+        peak = float(np.max(np.abs(g.diagonal().astype(np.float64) - c)))  # g - cI's diagonal
+        g.flat[:: n + 1] = 0.0
+        return c, max(peak, float(np.abs(g, out=g).max()))
     with np.errstate(over="ignore", invalid="ignore"):
         g = m.data @ m.data.T
         c = float(g.trace() / n)  # the sum and the division np.mean makes

@@ -12,12 +12,12 @@ the builders and the graph layer share.  The masks per claim:
 - skew-hadamard (exact): nonzero everywhere, and H + Hᵀ = 2I;
 - drt (exact): a tournament T of order q is certified as its
   skew-Hadamard matrix H, T - Tᵀ + I bordered by a +1 row and a -1
-  column, under the skew-Hadamard masks, after T's own failures
-  ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4, no declared scale_c),
-  both from ``bordered_tournament``; failures name H's positions, T's
-  (i, j) being H's (i+1, j+1).  The builders that take a tournament
-  check only T's own failures, and the plan's root check completes T's
-  certificate;
+  column (``bordered_tournament``), under the skew-Hadamard masks,
+  after T's own failures ({0, 1} entries, T + Tᵀ = J - I, q = 3 mod 4,
+  no declared scale_c; ``tournament_failures``); failures name H's
+  positions, T's (i, j) being H's (i+1, j+1).  The builders that take a
+  tournament check only T's own failures, and the plan's root check
+  completes T's certificate;
 - ompzd: nonzero off the diagonal, and exactly k zeros on it;
 - nowhere-zero: nonzero everywhere;
 - orthogonal: no required entries;
@@ -27,30 +27,42 @@ the builders and the graph layer share.  The masks per claim:
   graph's non-edges off the diagonal, nonzero at its edges, and a free
   diagonal.
 
+The masks of every claim but the last two are rule pairs, a value on the
+diagonal and one off it, decided by counts: the number of entries the
+zero rule calls zero, and the diagonal's.  A violated pair alone is made
+into n x n bool masks, to name its positions.
+
 An exact claim must be integral with +-1 at its required nonzeros and
 MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
 ``numerics.RES_TOL``).  The residual is read over the upper triangle of
 MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  A
 declared ``scale_c`` (a file's, a plan root's, a graph witness's) of a
 matrix with MMᵀ = cI must be that c: equal to it for an exact claim,
-within res_tol * c * order otherwise.  Besides
-bool masks, the core makes |M|, which serves the zero rule, the pattern
-and the margin, and frees it before it makes the product MMᵀ; only the
-integrality test of an exact claim (beside |M|) and the symmetry test of
-a skew matrix (after the product) make one float n x n array more.  The
-H + Hᵀ = 2I test of a skew-Hadamard matrix makes one, freed before the
-core runs, and a tournament's H is one (q+1) x (q+1) array more.
+within res_tol * c * order otherwise.  Besides bool arrays of n² bytes,
+the core makes |M|, which serves the zero rule, the pattern and the
+margin, and frees it before it makes the product MMᵀ.  An exact claim
+counts the entries of |M| that are 1 and 0; when they are all of them,
+``np.round`` is not run, and its gram is the float32 product of a
+float32 copy of M, n² doubles in all.  Only the integrality test of an
+exact claim whose entries are not all in {0, +-1} (beside |M|) and the
+symmetry test of a skew matrix (after the product) make one float n x n
+array more.  The H + Hᵀ = 2I test of a skew-Hadamard matrix makes one,
+freed before the core runs, and a tournament's H is one (q+1) x (q+1)
+array more, which its RealMatrix adopts rather than copies.
 
 No checker lives outside the core.  Every claim, tournaments included,
 takes a float64 ``RealMatrix``.  An exact verdict rests on the product
-only once the entries are integral and in {0, +-1}.  Then every partial
-sum of it is an integer of magnitude at most the order, which the
-planner caps at 4096, far below 2^53, so the float64 (BLAS) product is
-exact.  Every certificate carries the full diagnostic rather than
-short-circuiting, so callers can assert on specific failure kinds.
-``CLAIMS`` names every claim (a gen kind or a ``verify --claim`` value);
-``certify`` sends each to its checker, and the planner and the CLI
-check through it; no builder runs the core.
+only once the entries are in {0, +-1}, with +-1 at the required
+nonzeros.  Then every partial sum of it is an integer of magnitude at
+most the order, which the planner caps at 4096, far below 2^24, so the
+float32 (BLAS) product is exact, and c and the residual, read from it in
+float64, are the float64 product's bit for bit.  An exact claim whose
+entries fail those tests has failed already; it takes the float64
+product for its report.  Every certificate carries the full diagnostic
+rather than short-circuiting, so callers can assert on specific failure
+kinds.  ``CLAIMS`` names every claim (a gen kind or a ``verify --claim``
+value); ``certify`` sends each to its checker, and the planner and the
+CLI check through it; no builder runs the core.
 """
 
 from __future__ import annotations
@@ -82,6 +94,7 @@ __all__ = [
     "check_drt",
     "check_skew_hadamard",
     "input_failures",
+    "tournament_failures",
     "zero_tolerance",
 ]
 
@@ -177,13 +190,37 @@ def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
     return _ZERO_SHARE * m.max_abs() if zero_tol is None else zero_tol
 
 
-def _pattern_failures(magnitude, zero, nonzero, zero_tol=None, diagonal_zeros=None) -> list[str]:
-    """The failures of |m| against the masks under the zero rule: a wrong
-    diagonal zero count, then each violation's count on the diagonal and
-    its first 8 positions off it."""
-    is_zero = magnitude <= (_ZERO_SHARE * float(np.max(magnitude)) if zero_tol is None else zero_tol)
-    found = None if diagonal_zeros is None else int(np.sum(np.diag(is_zero)))
-    failures = [] if found == diagonal_zeros else [f"expected exactly {diagonal_zeros} diagonal zeros, found {found}"]
+def _covers(rule, total: int, diagonal: int, n: int) -> bool:
+    """Whether every position a rule pair (on the diagonal, off it)
+    requires holds a property that ``total`` entries hold, ``diagonal``
+    of them on the diagonal."""
+    on, off = rule
+    return (not on or diagonal == n) and (not off or total - diagonal == n * n - n)
+
+
+def _avoids(rule, total: int, diagonal: int) -> bool:
+    """Whether no position a rule pair requires holds that property."""
+    on, off = rule
+    return (not on or diagonal == 0) and (not off or total == diagonal)
+
+
+def _pattern_failures(magnitude, zero, nonzero, tol, diagonal_zeros=None) -> list[str]:
+    """The failures of |m| against the masks under the zero rule
+    |entry| <= tol: a wrong diagonal zero count, then each violation's
+    count on the diagonal and its first 8 positions off it.
+
+    A mask is an n x n bool array or a rule pair, its value (on the
+    diagonal, off it).  Rule pairs are decided from the number of zeros
+    and the diagonal's; their masks are made only to word a violation."""
+    n = len(magnitude)
+    found = int(np.count_nonzero(np.diagonal(magnitude) <= tol))
+    failures = [] if diagonal_zeros in (None, found) else [f"expected exactly {diagonal_zeros} diagonal zeros, found {found}"]
+    if isinstance(zero, tuple):
+        total = int(np.count_nonzero(magnitude <= tol))
+        if _covers(zero, total, found, n) and _avoids(nonzero, total, found):
+            return failures
+        zero, nonzero = _rule_mask(n, *zero), _rule_mask(n, *nonzero)
+    is_zero = magnitude <= tol
     for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
         if not bad.any():
             continue
@@ -202,16 +239,17 @@ def input_failures(m: RealMatrix, claim: str) -> list[str]:
     plan's root certificate implies: the pattern failures ``certify``
     reports under ``claim``, a row of ``_PATTERNS``, and no declared scale_c."""
     _, zero_rule, nonzero_rule, *_ = _PATTERNS[claim]
-    n = _square_order(m)
-    failures = _pattern_failures(np.abs(m.data), _rule_mask(n, *zero_rule), _rule_mask(n, *nonzero_rule))
+    _square_order(m)
+    magnitude = np.abs(m.data)
+    failures = _pattern_failures(magnitude, zero_rule, nonzero_rule, _ZERO_SHARE * float(np.max(magnitude)))
     return failures + (["no declared scale_c"] if m.scale_c is None else [])
 
 
 def _certify_pattern(
     m: RealMatrix,
     claim: str,
-    zero: np.ndarray | None,
-    nonzero: np.ndarray | None,
+    zero: np.ndarray | tuple[bool, bool] | None,
+    nonzero: np.ndarray | tuple[bool, bool] | None,
     *,
     exact: bool = False,
     symmetric: bool = False,
@@ -223,42 +261,56 @@ def _certify_pattern(
     """The certificate core of every real claim: pattern, gram and
     symmetry, each checked once, after the claim's own ``failures``.
 
-    ``zero`` and ``nonzero`` are the required masks of a square ``m``, or
-    None when the claim has no pattern of this order (its failures say
-    why, and the margin is 0).  ``diagonal_zeros``, when given, is the
-    exact number of diagonal zeros the claim requires; a wrong count is
-    the first failure.  Once MMᵀ = cI holds, a declared ``m.scale_c``
-    must agree with c (exactly, for an exact claim); a matrix that fails
-    the gram check has no c to compare with.  min_offdiag_magnitude is
-    the smallest off-diagonal |entry| not required to be zero.
+    ``zero`` and ``nonzero`` are the required masks of a square ``m``,
+    each an n x n bool array or a rule pair (its value on the diagonal,
+    off it; an exact claim gives pairs), or None when the claim has no
+    pattern of this order (its failures say why, and the margin is 0).
+    No rule pair requires zeros off the diagonal.  ``diagonal_zeros``,
+    when given, is the exact number of diagonal zeros the claim requires;
+    a wrong count is the first failure.  Once MMᵀ = cI holds, a declared
+    ``m.scale_c`` must agree with c (exactly, for an exact claim); a
+    matrix that fails the gram check has no c to compare with.
+    min_offdiag_magnitude is the smallest off-diagonal |entry| not
+    required to be zero.
 
     |m| is taken once, for the zero rule (``zero_tolerance``'s, from its
     maximum), the pattern and the margin, and freed before the gram, whose
     residual ``residual_scaled_identity`` reads in place over its upper
-    triangle.  The offending positions are looked up only when a mask is
-    violated.
+    triangle.  An exact claim counts the entries of |m| that are 1 and 0:
+    when they are all of them, the entries are integral, so ``np.round``
+    is skipped, and once the required nonzeros are +-1 too the gram is the
+    exact float32 product.  The offending positions are looked up only
+    when a mask is violated.
     """
     a = m.data
     n = m.order
     failures = list(failures)
     min_offdiag = 0.0
     magnitude = np.abs(a)
+    ternary = float32_gram = False  # every entry is 0, 1 or -1; and the exact tests passed
+    if exact:
+        ones = int(np.count_nonzero(magnitude == 1.0))
+        ternary = ones + int(np.count_nonzero(magnitude == 0.0)) == n * n
     if zero is not None:
-        failures += _pattern_failures(magnitude, zero, nonzero, zero_tol, diagonal_zeros)
+        tol = _ZERO_SHARE * float(np.max(magnitude)) if zero_tol is None else zero_tol
+        failures += _pattern_failures(magnitude, zero, nonzero, tol, diagonal_zeros)
 
-    if exact and not _is_integral(a):
+    if exact and not (ternary or _is_integral(a)):
         failures.append("entries are not integral; exact integer check impossible")
-    elif exact and np.any((magnitude != 1.0) & nonzero):
+    elif exact and not _covers(nonzero, ones, int(np.count_nonzero(np.diagonal(magnitude) == 1.0)), n):
         failures.append("required nonzero entries are not all +-1")
+    else:
+        float32_gram = ternary
 
     if zero is not None:  # the margin, over |m| with its required zeros and diagonal set to inf
-        np.copyto(magnitude, math.inf, where=zero)
+        if not isinstance(zero, tuple):
+            np.copyto(magnitude, math.inf, where=zero)
         np.fill_diagonal(magnitude, math.inf)
         min_offdiag = float(np.min(magnitude))
     del magnitude
 
     # written so that a NaN scale or residual (an overflowing gram) fails
-    c, max_residual = residual_scaled_identity(m)
+    c, max_residual = residual_scaled_identity(m, ternary=float32_gram)
     s = m.scale_c
     if not (0.0 < c < math.inf):
         failures.append(f"recovered scale {c} is not positive and finite")
@@ -287,16 +339,19 @@ def _certify_pattern(
     )
 
 
+# the rule pairs of no entry and of every entry
+_NOWHERE, _EVERYWHERE = (False, False), (True, True)
+
 # claim -> (label, required-zero mask, required-nonzero mask, exact, symmetric);
-# each mask is given by its value (on the diagonal, off it), and an entry in
-# neither is free; an exact claim holds MMᵀ = cI exactly on integral entries
+# each mask is a rule pair, its value (on the diagonal, off it), and an entry
+# in neither is free; an exact claim holds MMᵀ = cI exactly on integral entries
 _PATTERNS = {
     CLAIM_OMZD: ("OMZD", (True, False), (False, True), False, False),
     CLAIM_SYMMETRIC_OMZD: ("SymmetricOMZD", (True, False), (False, True), False, True),
     CLAIM_CONFERENCE: ("Conference", (True, False), (False, True), True, False),
-    CLAIM_OMPZD: ("OMPZD({k})", (False, False), (False, True), False, False),  # and exactly k diagonal zeros
-    CLAIM_NOWHERE_ZERO: ("NowhereZeroOrthogonal", (False, False), (True, True), False, False),
-    CLAIM_ORTHOGONAL: ("Orthogonal", (False, False), (False, False), False, False),
+    CLAIM_OMPZD: ("OMPZD({k})", _NOWHERE, (False, True), False, False),  # and exactly k diagonal zeros
+    CLAIM_NOWHERE_ZERO: ("NowhereZeroOrthogonal", _NOWHERE, _EVERYWHERE, False, False),
+    CLAIM_ORTHOGONAL: ("Orthogonal", _NOWHERE, _NOWHERE, False, False),
 }
 
 
@@ -372,40 +427,36 @@ def certify(
     if claim not in _PATTERNS:
         raise ValueError(f"unknown claim {claim!r}")
     label, zero_rule, nonzero_rule, exact, symmetric = _PATTERNS[claim]
-    n = _square_order(m)
+    _square_order(m)
     return _certify_pattern(
-        m, label.format(k=k), _rule_mask(n, *zero_rule), _rule_mask(n, *nonzero_rule),
+        m, label.format(k=k), zero_rule, nonzero_rule,
         exact=exact, symmetric=symmetric, zero_tol=zero_tol, res_tol=res_tol,
         diagonal_zeros=k if claim == CLAIM_OMPZD else None,
     )
 
 
-def bordered_tournament(t: RealMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The skew-Hadamard matrix H of a tournament T of order q, T - Tᵀ + I
-    bordered by a +1 row and a -1 column, and T's own failures: entries in
-    {0, 1}, T + Tᵀ = J - I, q = 3 mod 4, and no declared scale_c (T has
-    no c; the scale of H is q + 1).
+def tournament_failures(t: RealMatrix) -> tuple[str, ...]:
+    """A tournament T's own failures: entries in {0, 1}, T + Tᵀ = J - I,
+    order q = 3 mod 4, and no declared scale_c (T has no c; the scale of
+    its skew-Hadamard matrix is q + 1).
 
-    T is a DRT iff it has none of these failures and H passes the exact
-    skew-Hadamard certificate: for a tournament, H = C + I with C skew, so
-    HHᵀ = CCᵀ + I, and HHᵀ = (q+1)I holds iff every out-degree is (q-1)/2
-    and TTᵀ = ((q+1)/4)I + ((q-3)/4)J.  ``check_drt`` runs that
-    certificate, which builders leave to the root's.
-    Raises ShapeMismatch for a non-square or 0x0 matrix.
+    T is a DRT iff it has none of these failures and its
+    ``bordered_tournament`` H passes the exact skew-Hadamard certificate:
+    for a tournament, H = C + I with C skew, so HHᵀ = CCᵀ + I, and
+    HHᵀ = (q+1)I holds iff every out-degree is (q-1)/2 and
+    TTᵀ = ((q+1)/4)I + ((q-3)/4)J.  ``check_drt`` runs that certificate,
+    which builders leave to the root's.  Raises ShapeMismatch for a
+    non-square or 0x0 matrix.
     """
     q = _square_order(t)
     a = t.data
-    h = np.empty((q + 1, q + 1))
-    h[0] = 1.0
-    h[1:, 0] = -1.0
     failures = []
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN entry of H, which the core rejects
-        np.subtract(a, a.T, out=h[1:, 1:])
-        np.fill_diagonal(h[1:, 1:], 1.0)
-        if np.all((a == 0) | (a == 1)):  # then T + Tᵀ = J - I iff diag(T) = 0 and H has no 0
-            oriented = np.all(h) and not np.any(np.diagonal(a))
-        else:
-            failures.append("entries are not all in {0, 1}")
+    if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) == q * q:
+        # then T + Tᵀ = J - I iff diag(T) = 0 and T differs from Tᵀ off it
+        oriented = not np.any(np.diagonal(a)) and np.count_nonzero(a != a.T) == q * q - q
+    else:
+        failures.append("entries are not all in {0, 1}")
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which equals nothing
             oriented = np.array_equal(a + a.T, 1.0 - np.eye(q))
     if not oriented:
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
@@ -413,23 +464,34 @@ def bordered_tournament(t: RealMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
         failures.append(f"order {q} is not 3 mod 4")
     if t.scale_c is not None:
         failures.append(f"a tournament declares no scale_c, got {t.scale_c}")
-    return h, tuple(failures)
+    return tuple(failures)
+
+
+def bordered_tournament(t: RealMatrix) -> np.ndarray:
+    """The skew-Hadamard matrix H of a tournament T of order q, a fresh
+    (q+1) x (q+1) array: T - Tᵀ + I bordered by a +1 row and a -1 column.
+    Raises ShapeMismatch for a non-square or 0x0 matrix."""
+    q = _square_order(t)
+    a = t.data
+    h = np.empty((q + 1, q + 1))
+    h[0] = 1.0
+    h[1:, 0] = -1.0
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN entry of H, which the core rejects
+        np.subtract(a, a.T, out=h[1:, 1:])
+    np.fill_diagonal(h[1:, 1:], 1.0)
+    return h
 
 
 def check_drt(t: RealMatrix) -> OrthoCertificate:
     """The exact certificate of a doubly regular tournament T of order q:
-    that of its skew-Hadamard matrix H, after T's own failures (both from
-    ``bordered_tournament``).  Positions in the failures are H's: entry
-    (i, j) of T is entry (i+1, j+1) of H.  Raises ShapeMismatch for a
-    non-square or 0x0 matrix.
+    that of its skew-Hadamard matrix H (``bordered_tournament``), after
+    T's own failures (``tournament_failures``).  Positions in the failures
+    are H's: entry (i, j) of T is entry (i+1, j+1) of H.  Raises
+    ShapeMismatch for a non-square or 0x0 matrix.
     """
-    h, failures = bordered_tournament(t)
-    q = t.order
-    h = RealMatrix(h)  # a copy; the draft is freed before the core runs
-    return _certify_pattern(
-        h, f"DRT({q})", _rule_mask(q + 1, False, False), _rule_mask(q + 1, True, True),
-        exact=True, failures=failures,
-    )
+    failures = tournament_failures(t)
+    h = RealMatrix._adopt(bordered_tournament(t))
+    return _certify_pattern(h, f"DRT({t.order})", _NOWHERE, _EVERYWHERE, exact=True, failures=failures)
 
 
 def check_skew_hadamard(h: RealMatrix) -> OrthoCertificate:
@@ -442,10 +504,7 @@ def check_skew_hadamard(h: RealMatrix) -> OrthoCertificate:
         s.flat[:: n + 1] -= 2.0
         failures = ("H + H^T != 2I",) if np.any(s) else ()
     del s
-    return _certify_pattern(
-        h, f"SkewHadamard({n})", _rule_mask(n, False, False), _rule_mask(n, True, True), exact=True,
-        failures=failures,
-    )
+    return _certify_pattern(h, f"SkewHadamard({n})", _NOWHERE, _EVERYWHERE, exact=True, failures=failures)
 
 
 def certify_multipartite(

@@ -1,19 +1,21 @@
 """The certificate core against a plain reference that builds every
-intermediate as a full array (the mirrored gram, cI, the off-diagonal
-gather): the same certificate, field for field and bit for bit, on built
-matrices and on tampered copies of them; ``certify`` giving every claim
-the verdict of its checker; plus the refusal of an empty matrix and the
-memory the core takes."""
+intermediate as a full array (the mirrored float64 gram, cI, the
+off-diagonal gather): the same certificate, field for field and bit for
+bit, on built matrices and on tampered copies of them, the exact objects
+among them certified through the float32 gram; ``certify`` giving every
+claim the verdict of its checker; plus the refusal of an empty matrix and
+the memory the core takes."""
 
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from omzd import construct, planner
+from omzd import construct, planner, verify
 from omzd.errors import ShapeMismatch
 from omzd.numerics import RES_TOL, RealMatrix
 from omzd.verify import (
@@ -188,8 +190,14 @@ def _built():
         "symmetric-50": _root("symmetric-omzd", 50),
         "conference-6": _root("conference", q=5),
         "conference-28": _root("conference", q=27),
+        "conference-82": _root("conference", q=81),
+        "conference-252": _root("conference", q=251),
         "skew-hadamard-8": _root("skew-hadamard", q=7),
         "skew-hadamard-24": _root("skew-hadamard", q=11, t=1),
+        "skew-hadamard-200": _root("skew-hadamard", q=199),
+        "drt-7": _root("drt", q=7),
+        "drt-43": _root("drt", q=43),
+        "drt-87": _root("drt", q=43, t=1),
         "sylvester-4": RealMatrix(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])),  # Hadamard, not skew
         "ompzd-11-6": _root("ompzd", 11, 6),
         "ompzd-50-3": _root("ompzd", 50, 3),
@@ -203,8 +211,8 @@ def _built():
 
 def _tampered(m: RealMatrix) -> dict:
     """Copies with one defect each, at entries that every claim requires
-    one way or the other, or that break a symmetry, or in the declared
-    scale."""
+    one way or the other, or that break a symmetry, flip a sign or reverse
+    a tournament's arc (i, j) = (1, 2), or in the declared scale."""
     a = m.data
     top = float(np.max(np.abs(a)))
     out = {}
@@ -215,6 +223,8 @@ def _tampered(m: RealMatrix) -> dict:
         out[label] = RealMatrix(b)
 
     copy_with("zero-off", lambda b: b.__setitem__((0, 1), 0.0))
+    copy_with("flip-off", lambda b: b.__setitem__((0, 1), -b[0, 1]))
+    copy_with("swap-pair", lambda b: b.__setitem__(((1, 2), (2, 1)), b[(2, 1), (1, 2)]))  # a tournament's arc
     copy_with("zero-diag", lambda b: b.__setitem__((1, 1), 0.0))
     copy_with("bump-diag", lambda b: b.__setitem__((0, 0), b[0, 0] + 1e-6 * top))
     copy_with("bump-off", lambda b: b.__setitem__((0, 1), b[0, 1] + 1e-6 * top))
@@ -294,6 +304,75 @@ def test_tolerances_match_the_reference(case, zero_tol, res_tol):
         got = certify(m, claim, k=3, zero_tol=zero_tol, res_tol=res_tol)
         ref = _reference_certify(m, claim, k=3, zero_tol=zero_tol, res_tol=res_tol)
         assert _fields(got) == _reference_fields(ref), claim
+
+
+def _gram_routes(monkeypatch) -> list[bool]:
+    """The ``ternary`` flag of each gram the core takes from now on: True
+    is the float32 product."""
+    routes, residual = [], verify.residual_scaled_identity
+
+    def spy(m, *, ternary=False):
+        routes.append(ternary)
+        return residual(m, ternary=ternary)
+
+    monkeypatch.setattr(verify, "residual_scaled_identity", spy)
+    return routes
+
+
+# exact built matrices and their claims
+_EXACT = [
+    ("conference-28", "conference"),
+    ("conference-252", "conference"),
+    ("skew-hadamard-200", "skew-hadamard"),
+    ("drt-43", "drt"),
+    ("drt-87", "drt"),
+]
+
+
+@pytest.mark.parametrize("name,claim", _EXACT, ids=[name for name, _ in _EXACT])
+def test_exact_claims_take_the_float32_gram_only_on_unit_entries(monkeypatch, name, claim):
+    # a flipped sign (for a tournament, -1 in T, or a reversed arc) keeps
+    # the entries in {0, +-1} and fails through the float32 gram; a zeroed
+    # or perturbed entry takes the float64 one; either way the certificate
+    # is the reference's, bit for bit
+    routes = _gram_routes(monkeypatch)
+    cases = [("", True), ("flip-off", True), ("zero-off", False), ("bump-off", False)]
+    for label, float32 in cases + ([("swap-pair", True)] if claim == "drt" else []):
+        m = CASES[f"{name}/{label}" if label else name]
+        got = certify(m, claim)
+        assert (routes.pop(), got.passed) == (float32, not label), label
+        assert _fields(got) == _reference_fields(_reference_certify(m, claim)), label
+
+
+def _unmirrored_residual(a: np.ndarray) -> tuple[float, float]:
+    # the float64 gram, read whole: on entries in {0, +-1} it is exact and
+    # symmetric, so this is _reference_residual's result with a third of
+    # its n x n arrays
+    g = a @ a.T
+    c = float(np.mean(np.diag(g)))
+    g.flat[:: len(a) + 1] -= c
+    return c, float(np.max(np.abs(g, out=g)))
+
+
+@pytest.fixture(scope="module")
+def skew_hadamard_4096():
+    # the largest order a plan builds (MAX_ORDER): DRT(127) doubled 5 times
+    return _root("skew-hadamard", q=127, t=5)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["built", "flipped"])
+def test_float32_gram_at_max_order_matches_the_float64_one(monkeypatch, skew_hadamard_4096, flip):
+    m = skew_hadamard_4096
+    assert m.order == planner.MAX_ORDER
+    if flip:
+        a = np.array(m.data)
+        a[5, 9] = -a[5, 9]
+        m = RealMatrix(a, scale_c=m.scale_c)
+    routes = _gram_routes(monkeypatch)
+    got = certify(m, "skew-hadamard")
+    assert routes == [True] and got.passed != flip
+    monkeypatch.setattr(sys.modules[__name__], "_reference_residual", _unmirrored_residual)
+    assert _fields(got) == _reference_fields(_reference_certify(m, "skew-hadamard"))
 
 
 def test_overflowing_gram_keeps_nan_residual():
@@ -404,7 +483,8 @@ class TestNonSquareMatrix:
 
 
 def test_certify_peak_memory():
-    # |m| and then the gram, and bool masks: about 1.7 n^2 doubles here
+    # |m| and one bool array from it, then the gram: 1.13 n^2 doubles when
+    # this was set; n x n bool rule masks would add 0.25
     m = _root("omzd", 401)
     n = m.order
     tracemalloc.start()
@@ -414,13 +494,14 @@ def test_certify_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * n * n
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_skew_hadamard_peak_memory():
     # the H + Hᵀ = 2I test makes one n x n array and frees it before the
-    # core runs, whose |H| and integrality test hold two: 2.5 n^2 doubles
-    # when this was set
+    # core runs, which holds |H| and one bool array from it, and then the
+    # float32 copy of H and its float32 gram: 1.13 n^2 doubles when this
+    # was set; an np.round integrality test beside |H| would add 1
     h = construct.drt_to_skew_hadamard(construct.paley_tournament(487))
     n = h.order
     tracemalloc.start()
@@ -430,4 +511,4 @@ def test_skew_hadamard_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * 8 * n * n
+    assert peak <= 1.5 * 8 * n * n

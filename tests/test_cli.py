@@ -497,11 +497,27 @@ class TestCertifyGraph:
     def test_family_grid_pinned(self, monkeypatch):
         # 235 argvs, exit codes 0/1/2 = 149/29/57: a change to how a family
         # is planned, built or parsed moves no exit code, stdout or stderr byte
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this width
+        monkeypatch.delenv("COLUMNS", raising=False)
         h = hashlib.sha256()
         for argv in _family_grid():
             h.update(repr((argv, *invoke(*argv))).encode())
         assert h.hexdigest() == "38f70b102809f6c9a663fae56176cfee19433e03938581f3789b2759c6f6cfa5"
+
+    @pytest.mark.parametrize(
+        "argv", [("certify-graph", "--family", "knn"), ("gen", "--bogus"), ("verify",), ("frobnicate",)]
+    )
+    def test_usage_error_bytes_do_not_depend_on_columns(self, monkeypatch, argv):
+        # argparse wraps to the terminal width, which COLUMNS sets; the
+        # parser wraps at a fixed 78 columns instead
+        results = []
+        for columns in ("40", "200", None):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            results.append(invoke(*argv))
+        assert results[0][0] == 2 and results[0][2].startswith("usage: omzd")
+        assert results[0] == results[1] == results[2]
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "cert.json"
@@ -971,11 +987,11 @@ class TestDecoderMemo:
             assert decode_matrix_file(_matrix_doc(entries))["matrix"].data.tolist() == entries
 
     def test_peak_memory(self):
-        # the row path packs one row at a time into one buffer of doubles,
-        # which the RealMatrix copies: 2.00x the matrix's bytes when this was
-        # set; a decoder holding the entries as json.loads's nested lists of
-        # floats peaks at 3.16x, and one orjson.loads of the whole entries
-        # block at about 7.9x
+        # the row path packs one row at a time into one array of doubles,
+        # which the RealMatrix adopts: 1.13x the matrix's bytes when this was
+        # set, and a copy of it would add 1x; a decoder holding the entries
+        # as json.loads's nested lists of floats peaks at 3.16x, and one
+        # orjson.loads of the whole entries block at about 7.9x
         text = _gen_stdout("gen --kind omzd --n 401")
         assert cli._decode_rows(text) is not None
         tracemalloc.start()
@@ -984,7 +1000,7 @@ class TestDecoderMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * 401 * 401 * 8
+        assert peak <= 1.3 * 401 * 401 * 8
 
 
 def _json_path(text: str) -> dict:
@@ -1515,7 +1531,7 @@ class TestEachStageCheckedOnce:
         assert len(runs) == 1
         root = decode_matrix_file(out)["matrix"]
         if nodes[0].kind == "drt":  # a tournament is certified as its skew-Hadamard matrix
-            root = RealMatrix(bordered_tournament(root)[0])
+            root = RealMatrix(bordered_tournament(root))
         assert np.array_equal(runs[-1], root.data)  # the last run is the root's
 
     @pytest.mark.parametrize(

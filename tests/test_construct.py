@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from omzd import construct, gfield, planner
 from omzd.errors import BuildRefused, CertificationFailed, InvalidQ, NonexistentTarget, OmzdError
 from omzd.numerics import RES_TOL, RealMatrix, residual_scaled_identity
-from omzd.verify import bordered_tournament, certify, check_drt, check_skew_hadamard
+from omzd.verify import bordered_tournament, certify, check_drt, check_skew_hadamard, tournament_failures
 
 FANO = RealMatrix(
     [
@@ -371,6 +371,21 @@ class TestCombine:
         with pytest.raises(ValueError):
             construct.combine(construct.seed("omzd", 2), construct.seed("omzd", 5))
 
+    def test_peak_memory(self):
+        # the scaled first input, then the output its blocks are written
+        # into, which the RealMatrix adopts: 2.02 n^2 doubles when this was
+        # set; np.block's row temporaries or a copy of the output would each
+        # add 1
+        a, b = construct.symmetric_omzd(398), construct.seed("omzd", 5)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            construct.combine(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 8 * 401**2
+
 
 class TestOmpzdNMinus1:
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 12])
@@ -588,8 +603,8 @@ class TestDoubleDrt:
             construct.double_drt(RealMatrix(np.zeros((4, 4), dtype=np.int64)))
 
     def test_peak_memory(self):
-        # H, then its +1 mask and the bool arcs, then the float output:
-        # 1.15 (2q+2)^2 doubles when this was set
+        # the output, written block by block from T and adopted, and T's
+        # bool tests: 1.00 (2q+2)^2 doubles when this was set
         t = construct.paley_tournament(487)
         tracemalloc.start()
         try:
@@ -598,7 +613,23 @@ class TestDoubleDrt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * 8 * 976**2
+        assert peak <= 1.2 * 8 * 976**2
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 19, 43])
+    def test_arcs_are_the_plus_entries_of_the_doubled_h(self, q):
+        # the +1 entries of the core of H' = [[H, H], [-Hᵀ, Hᵀ]], H the
+        # input's skew-Hadamard matrix, for a Paley DRT and for it with the
+        # arc between vertices 0 and 1 reversed (T's own tests pass, and it
+        # is not a DRT)
+        drt = construct.paley_tournament(q)
+        reversed_arc = np.array(drt.data)
+        reversed_arc[[0, 1], [1, 0]] = reversed_arc[[1, 0], [0, 1]]
+        for t in (drt, RealMatrix(reversed_arc)):
+            h = bordered_tournament(t)
+            doubled = np.block([[h, h], [-h.T, h.T]])
+            plus = (doubled[1:, 1:] == 1).astype(float)
+            np.fill_diagonal(plus, 0.0)
+            assert construct.double_drt(t).data.tobytes() == plus.tobytes()
 
 
 # the orders q = 3 (mod 4) in [7, 63] the planner routes through a DRT(q)
@@ -631,8 +662,23 @@ class TestOmzdFromDrt:
     @settings(max_examples=150, deadline=None)
     @given(t=_tournaments(), branch=st.sampled_from(["plus", "minus"]))
     def test_output_check_is_the_drt_check(self, t, branch):
-        assert bordered_tournament(t)[1] == ()
+        assert tournament_failures(t) == ()
         assert certify(construct.omzd_from_drt(t, branch), "omzd").passed == check_drt(t).passed
+
+    def test_peak_memory(self):
+        # T's own tests make q x q bool arrays only, and the output is
+        # alpha * T + J - I in one array the RealMatrix adopts: 1.01 q^2
+        # doubles when this was set; building T's H, or copying the output,
+        # would add 1
+        t = construct.paley_tournament(487)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            construct.omzd_from_drt(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * 487**2
 
     def test_output_check_margin_at_every_planned_order(self):
         # a tournament that is not doubly regular puts a gram entry at least
@@ -839,8 +885,10 @@ class TestReduceZeros:
         assert out.data[:, untouched].tobytes() == m.data[:, untouched].tobytes()
 
     def test_peak_memory(self):
-        # the input's certificate, then the rotated copy with column blocks
-        # of the batch, then the result's frozen copy of it
+        # the input's pattern test, then the rotated copy with the column
+        # blocks of the batch, which the result adopts: 3.43 n^2 doubles
+        # when this was set, the blocks' temporaries of 2^15 entries each
+        # being 0.2 n^2 at this order
         m = _auto_route_omzd(401)
         n = m.order
         tracemalloc.start()
@@ -985,6 +1033,12 @@ class TestKron:
         for i in range(6):
             block = out.data[3 * i : 3 * i + 3, 3 * i : 3 * i + 3]
             assert np.all(block == 0.0)
+
+    def test_entries_are_np_kron_s(self):
+        a = construct.symmetric_omzd(6)
+        b = RealMatrix(np.random.default_rng(3).standard_normal((3, 4)))
+        for x, y in ((a, b), (b, a), (b, b)):
+            assert construct.kron(x, y).data.tobytes() == RealMatrix(np.kron(x.data, y.data)).data.tobytes()
 
     def test_scale_propagation(self):
         a = construct.seed("omzd", 4)

@@ -72,6 +72,59 @@ class TestRealMatrix:
         assert peak <= 1.1 * 8 * n * n
 
 
+class TestAdopt:
+    """``RealMatrix._adopt`` freezes the builder's own array in place."""
+
+    def test_the_array_itself_becomes_read_only(self):
+        a = np.array([[-0.0, 1.0], [1.0, 0.0]])
+        m = RealMatrix._adopt(a, scale_c=1)
+        assert m.data is a and not a.flags.writeable and m.scale_c == 1.0
+        assert math.copysign(1.0, a[0, 0]) == 1.0
+        with pytest.raises(ValueError):
+            a[0, 1] = 5.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.zeros((3, 3))[:2],  # a view
+            lambda: np.asfortranarray(np.zeros((3, 3))),
+            lambda: np.zeros((3, 3), dtype=np.float32),
+            lambda: np.zeros(3),
+            lambda: RealMatrix(np.zeros((3, 3))).data,  # already frozen
+        ],
+        ids=["view", "fortran", "float32", "1-d", "read-only"],
+    )
+    def test_refuses_what_it_cannot_own(self, make):
+        with pytest.raises(ValueError, match="^only a fresh, C-contiguous, writeable"):
+            RealMatrix._adopt(make())
+
+    def test_scale_is_checked(self):
+        with pytest.raises(ValueError, match="^scale_c must be positive and finite, got 0.0$"):
+            RealMatrix._adopt(np.zeros((2, 2)), scale_c=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: construct.paley_conference(13),
+            lambda: construct.paley_tournament(11),
+            lambda: construct.drt_to_skew_hadamard(construct.paley_tournament(7)),
+            lambda: construct.double_drt(construct.paley_tournament(7)),
+            lambda: construct.omzd_from_drt(construct.paley_tournament(11)),
+            lambda: construct.combine(construct.seed("omzd", 6), construct.seed("omzd", 5)),
+            lambda: construct.symmetric_omzd(8),
+            lambda: construct.nowhere_zero_orthogonal(5),
+            lambda: construct.reduce_zeros(construct.symmetric_omzd(8), 3),
+            lambda: construct.kron(construct.symmetric_omzd(6), construct.nowhere_zero_orthogonal(3)),
+            lambda: construct.conjugate_permute(construct.seed("omzd", 5), [4, 3, 2, 1, 0]),
+        ],
+    )
+    def test_builder_outputs_are_read_only(self, build):
+        m = build()
+        assert not m.data.flags.writeable and m.data.flags.c_contiguous
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 7.0
+
+
 class TestResidualScaledIdentity:
     def test_identity(self):
         assert residual_scaled_identity(RealMatrix(np.eye(3))) == (1.0, 0.0)

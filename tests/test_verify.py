@@ -104,7 +104,7 @@ class TestCertify:
         # a NaN residual with a finite scale must fail the comparison
         m = RealMatrix([[0.0, 1.0], [1.0, 0.0]])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omzd.verify.residual_scaled_identity", lambda _m: (1.0, float("nan")))
+            mp.setattr("omzd.verify.residual_scaled_identity", lambda _m, **_: (1.0, float("nan")))
             cert = certify(m, "omzd")
         assert not cert.passed
         assert any("max residual nan" in f for f in cert.failures)
