@@ -1431,6 +1431,16 @@ LARGE_PINS = [
     ("gen --kind omzd --n 2001", "a8d4f25cf2135a1c98e723acfa0112cd40abc455aa4b60364ef7d14b073977cb"),
     ("gen --kind ompzd --n 1201 --k 600", "4ba1359b67fb9591f9b193509c1714b09ddffe3fd9bf84b008f85e165cc2b02f"),
     ("gen --kind ompzd --n 2001 --k 1", "35e3e0a1d5f057044077fd2bf727d4ba3d62be3022b3239e033b7914968db04d"),
+    # integer-valued matrices over many chunks, taken before the encoder
+    # wrote them through int64; the conference JSON is in GEN_PINS
+    ("gen --kind conference --q 729 --format csv", "03f2a441e8f5d5df1390108e939f1181a400a2a46a28ee5aaa68c55c72afec8c"),
+    ("gen --kind drt --q 7 --t 7", "62055a7959b3efdb498a1468607472c33498401e8cf89f501380f13ad81145e4"),
+    ("gen --kind drt --q 7 --t 7 --format csv", "2afa90d7f7d9dffb12edbb944f45379c71bdb21bc1f3cdb5e91099fb2acca72d"),
+    ("gen --kind skew-hadamard --q 127 --t 3", "9025db45791b14e1c8d849529322b656318599c287905b25cf8ff18bf9f9218f"),
+    (
+        "gen --kind skew-hadamard --q 127 --t 3 --format csv",
+        "ae79280b51ee2ef0dde7a389e1792280eb9df4f0019e3979a042d78408fbbe07",
+    ),
 ]
 
 
