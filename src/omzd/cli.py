@@ -16,11 +16,16 @@ every field outside the rows, with ``json.loads``; a text gets the
 document or the refusal the whole-text ``json.loads`` path gives it.
 
 A matrix is written in row chunks.  One sort of its 64-bit patterns gives
-its few distinct values, each formatted once into a table of tokens that
-carry their own separators (the text, the text after a comma, the row
-openers and the closer); each chunk of rows finds its entries among them
-with ``np.searchsorted``, and one join over its index into that table
-gives its text.
+its few distinct values, and they choose the path.  When all of them are
+integers below 2^53 in magnitude and none is -0.0 (the Paley, tournament
+and skew-Hadamard objects), each chunk is orjson's text of its rows cast
+to int64: below 2^53 a double is exact as an int64, and "%.17g" prints
+the same digits, while -0.0 prints "-0", which no int64 gives.  Any other
+matrix has each distinct value formatted once into a table of tokens
+that carry their own separators (the text, the text after a comma, the
+row openers and the closer); each chunk of rows finds its entries among
+them with ``np.searchsorted``, and one join over its index into that
+table gives its text.
 ``gen`` (JSON and CSV) and ``certify-graph`` write the document head, the
 chunks and the tail to stdout or --out as they come, after every check
 that can refuse the document has run, so a refusal writes nothing.
@@ -164,6 +169,8 @@ def _merge_text(parts: list) -> Iterator[str]:
 
 # the most entries one row chunk of _format_rows holds, unless one row has more
 _CHUNK_ENTRIES = 1 << 16
+# every integer below this in magnitude is exact as a double and as an int64
+_EXACT_INT = 2.0**53
 
 
 def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Iterator[str]:
@@ -171,28 +178,74 @@ def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Ite
     ``open_`` and ``close``, ``sep`` between rows, in chunks of at most
     _CHUNK_ENTRIES entries, with the bytes _fmt_number gives entry by entry.
 
-    The constructions hold few distinct values, so each distinct 64-bit
-    pattern is formatted once, into a table of tokens that carry their own
-    separators: each value's text, the same text after a comma, the first
-    row's opener, every later row's opener (``sep + open_``) and the
-    closer.  A chunk of r rows is then an r x (cols + 2) index into that
-    table, read by one join.  The distinct patterns come from one sort of
-    all n^2 patterns, and each chunk finds its entries among them with
-    ``np.searchsorted``; the sorted copy is freed first, so no n x n index
-    or n x n array of strings is held.  Keying on bits rather than values
-    keeps -0.0 apart from 0.0.  The finiteness check and the table run
-    before this returns; the chunks are joined as they are read.
+    One sort of all n^2 64-bit patterns gives the distinct ones, and they
+    alone choose the path.  When each is an integer below 2^53 in
+    magnitude and none is -0.0, a chunk is orjson's text of its rows cast
+    to int64: such a double is exact as an int64, and "%.17g" prints it as
+    the same plain digits, with no point or exponent.  -0.0 prints "-0",
+    which no int64 gives, so it keeps the other path.  In JSON framing the
+    chunk is that text less its outer brackets; in any other its row
+    breaks ``],[`` become ``close + sep + open_``.
+
+    Any other matrix is written from a table of tokens that carry their
+    own separators: each distinct pattern's text, the same text after a
+    comma, the first row's opener, every later row's opener
+    (``sep + open_``) and the closer.  A chunk of r rows is then an
+    r x (cols + 2) index into that table, found with ``np.searchsorted``
+    among the distinct patterns, and read by one join.  Keying on bits
+    rather than values keeps -0.0 apart from 0.0.
+
+    The sorted copy is freed before the first chunk, so neither path holds
+    an n x n index, int64 copy or array of strings.  The finiteness check
+    and the choice of path run before this returns; the chunks are made as
+    they are read.
     """
     if not np.all(np.isfinite(data)):
         raise NonFiniteNumber("matrix entries must be finite")
-    bits = np.ascontiguousarray(data).view(np.int64)
+    values = np.ascontiguousarray(data)
+    bits = values.view(np.int64)
     ordered = np.sort(bits, axis=None)
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     keys = ordered[first]
     del ordered, first
-    text = ["%.17g" % x for x in keys.view(np.float64).tolist()]
+    distinct = keys.view(np.float64).tolist()
+    step = max(1, _CHUNK_ENTRIES // max(1, bits.shape[1]))
+    if _exact_integers(distinct):
+        return _integer_chunks(values, step, open_, close, sep)
+    return _table_chunks(bits, keys, distinct, step, open_, close, sep)
+
+
+def _exact_integers(distinct: list[float]) -> bool:
+    """Whether every one of ``distinct`` is an integer below 2^53 in
+    magnitude, and none is -0.0; it stops at the first that is not."""
+    return all(
+        x.is_integer() and abs(x) < _EXACT_INT and not (x == 0 and math.copysign(1.0, x) < 0) for x in distinct
+    )
+
+
+def _integer_chunks(values: np.ndarray, step: int, open_: str, close: str, sep: str) -> Iterator[str]:
+    """The integer path of _format_rows: ``step`` rows a chunk, each
+    orjson's text of the rows as int64."""
+    json_framing = (open_, close, sep) == ("[", "]", ",")
+    between = close + sep + open_
+    for start in range(0, len(values), step):
+        block = values[start : start + step].astype(np.int64)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        if json_framing:
+            yield ("," if start else "") + text[1:-1]
+        else:
+            yield (sep + open_ if start else open_) + text[2:-2].replace("],[", between) + close
+
+
+def _table_chunks(
+    bits: np.ndarray, keys: np.ndarray, values: list[float], step: int, open_: str, close: str, sep: str
+) -> Iterator[str]:
+    """The token-table path of _format_rows: ``step`` rows a chunk, each
+    one join over its rows' indices into the table of the texts of
+    ``values``, the doubles whose patterns are ``keys``."""
+    text = ["%.17g" % x for x in values]
     distinct = len(text)
     # the token table: each value after a comma, then each value alone (a
     # row's first), then the first row's opener, every later row's and the
@@ -200,21 +253,16 @@ def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Ite
     table = np.array(["," + t for t in text] + text + [open_, sep + open_, close], dtype=object)
     first_open, later_open, closer = 2 * distinct, 2 * distinct + 1, 2 * distinct + 2
     rows, cols = bits.shape
-    step = max(1, _CHUNK_ENTRIES // max(1, cols))
-
-    def chunks():
-        for start in range(0, rows, step):
-            block = bits[start : start + step]
-            index = np.empty((len(block), cols + 2), dtype=np.intp)
-            index[:, 1:-1] = np.searchsorted(keys, block)
-            index[:, 1] += distinct
-            index[:, 0] = later_open
-            index[:, -1] = closer
-            if not start:
-                index[0, 0] = first_open
-            yield "".join(table.take(index).ravel().tolist())
-
-    return chunks()
+    for start in range(0, rows, step):
+        block = bits[start : start + step]
+        index = np.empty((len(block), cols + 2), dtype=np.intp)
+        index[:, 1:-1] = np.searchsorted(keys, block)
+        index[:, 1] += distinct
+        index[:, 0] = later_open
+        index[:, -1] = closer
+        if not start:
+            index[0, 0] = first_open
+        yield "".join(table.take(index).ravel().tolist())
 
 
 # --------------------------------------------------------------------------

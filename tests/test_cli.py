@@ -782,6 +782,18 @@ class TestRowEncoder:
         assert [chunk.count("\n") for chunk in _format_rows(data, "", "\n")] == [1, 1, 1]
         self._assert_matches_oracles(data)
 
+    def test_integer_row_longer_than_a_chunk(self):
+        # the int64 path, one row a chunk; and a Fortran-ordered input
+        cols = cli._CHUNK_ENTRIES + 3
+        data = np.random.default_rng(31).integers(-3, 4, size=(3, cols)).astype(np.float64)
+        chunks = list(_format_rows(data, "[", "]", ","))
+        assert len(chunks) == 3
+        assert chunks[0].startswith("[") and not chunks[0].startswith("[[")
+        assert all(chunk.startswith(",[") and chunk.endswith("]") for chunk in chunks[1:])
+        assert [chunk.count("\n") for chunk in _format_rows(data, "", "\n")] == [1, 1, 1]
+        self._assert_matches_oracles(data)
+        self._assert_matches_oracles(np.asfortranarray(data[:, :9]))
+
     @pytest.mark.parametrize("layout", ["fortran", "transposed"])
     def test_non_contiguous_input(self, layout):
         rng = np.random.default_rng(11)
@@ -806,6 +818,48 @@ class TestRowEncoder:
                 _fmt_number(bad)
             with pytest.raises(NonFiniteNumber):
                 _dump_json(RealMatrix([[0.0, bad]]))
+
+    # integers on both sides of 2^53, where the int64 path stops, and one
+    # "%.17g" prints with an exponent; with their negatives, and -0.0
+    _EDGE_INTEGERS = [0.0, 1.0, 7.0, 2.0**53 - 1, 2.0**53, 1e16, 1e17]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(3, 0), (9, 1), (1, 9), (5, 7), (33, 4096)]),
+        palette=st.lists(st.sampled_from(_EDGE_INTEGERS + [-x for x in _EDGE_INTEGERS[1:]]), min_size=1, max_size=4),
+        negative_zeros=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integer_values_at_the_int64_path_edge(self, shape, palette, negative_zeros, seed):
+        # (33, 4096) spans three chunks, the last of one row; up to three
+        # -0.0s land on random entries
+        rng = np.random.default_rng(seed)
+        data = rng.choice(palette, size=shape)
+        if data.size:
+            data.flat[rng.integers(0, data.size, size=negative_zeros)] = -0.0
+        with mock.patch.object(cli.orjson, "dumps", wraps=orjson.dumps) as dumps:
+            self._assert_matches_oracles(data)
+        exact = np.all(np.abs(data) < 2.0**53) and not np.any(np.signbit(data) & (data == 0))
+        assert dumps.called == exact
+
+    @pytest.mark.parametrize(
+        "argv,integer",
+        [
+            ("gen --kind conference --q 27", True),
+            ("gen --kind drt --q 7 --t 1", True),
+            ("gen --kind skew-hadamard --q 11", True),
+            ("gen --kind omzd --n 4", True),  # the OMZD(4) seed, Paley q = 3
+            ("gen --kind omzd --n 51", False),
+            ("gen --kind ompzd --n 51 --k 20", False),
+            ("certify-graph --family knn --n 40", False),
+        ],
+    )
+    def test_integer_objects_take_the_int64_path(self, argv, integer, monkeypatch):
+        dumps = mock.Mock(wraps=orjson.dumps)
+        monkeypatch.setattr(cli.orjson, "dumps", dumps)
+        code, out, err = invoke(*argv.split())
+        assert code == 0 and err == ""
+        assert dumps.call_count == (1 if integer else 0)
 
 
 class TestDecoderRejects:
