@@ -183,9 +183,10 @@ def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Ite
     magnitude and none is -0.0, a chunk is orjson's text of its rows cast
     to int64: such a double is exact as an int64, and "%.17g" prints it as
     the same plain digits, with no point or exponent.  -0.0 prints "-0",
-    which no int64 gives, so it keeps the other path.  In JSON framing the
-    chunk is that text less its outer brackets; in any other its row
-    breaks ``],[`` become ``close + sep + open_``.
+    which no int64 gives, so it keeps the other path.  The chunk is that
+    text less its outer ``[[`` and ``]]``, with its row breaks ``],[``
+    made ``close + sep + open_`` (which JSON framing leaves as they are)
+    and the same openers and closer as the other path.
 
     Any other matrix is written from a table of tokens that carry their
     own separators: each distinct pattern's text, the same text after a
@@ -228,15 +229,11 @@ def _exact_integers(distinct: list[float]) -> bool:
 def _integer_chunks(values: np.ndarray, step: int, open_: str, close: str, sep: str) -> Iterator[str]:
     """The integer path of _format_rows: ``step`` rows a chunk, each
     orjson's text of the rows as int64."""
-    json_framing = (open_, close, sep) == ("[", "]", ",")
     between = close + sep + open_
     for start in range(0, len(values), step):
         block = values[start : start + step].astype(np.int64)
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        if json_framing:
-            yield ("," if start else "") + text[1:-1]
-        else:
-            yield (sep + open_ if start else open_) + text[2:-2].replace("],[", between) + close
+        yield (sep + open_ if start else open_) + text[2:-2].replace("],[", between) + close
 
 
 def _table_chunks(

@@ -771,34 +771,27 @@ class TestRowEncoder:
 
     def test_row_longer_than_a_chunk(self):
         # each chunk holds one row, so every chunk after the first opens
-        # with the row separator
+        # with the row separator; on both paths: sevenths with -0.0 and a
+        # subnormal, and integers
         cols = cli._CHUNK_ENTRIES + 3
-        data = np.random.default_rng(29).integers(-3, 4, size=(3, cols)) / 7.0
-        data[1, 0], data[2, -1] = -0.0, 5e-324
-        chunks = list(_format_rows(data, "[", "]", ","))
-        assert len(chunks) == 3
-        assert chunks[0].startswith("[") and not chunks[0].startswith("[[")
-        assert all(chunk.startswith(",[") and chunk.endswith("]") for chunk in chunks[1:])
-        assert [chunk.count("\n") for chunk in _format_rows(data, "", "\n")] == [1, 1, 1]
-        self._assert_matches_oracles(data)
+        sevenths = np.random.default_rng(29).integers(-3, 4, size=(3, cols)) / 7.0
+        sevenths[1, 0], sevenths[2, -1] = -0.0, 5e-324
+        integers = np.random.default_rng(31).integers(-3, 4, size=(3, cols)).astype(np.float64)
+        for data in (sevenths, integers):
+            chunks = list(_format_rows(data, "[", "]", ","))
+            assert len(chunks) == 3
+            assert chunks[0].startswith("[") and not chunks[0].startswith("[[")
+            assert all(chunk.startswith(",[") and chunk.endswith("]") for chunk in chunks[1:])
+            assert [chunk.count("\n") for chunk in _format_rows(data, "", "\n")] == [1, 1, 1]
+            self._assert_matches_oracles(data)
 
-    def test_integer_row_longer_than_a_chunk(self):
-        # the int64 path, one row a chunk; and a Fortran-ordered input
-        cols = cli._CHUNK_ENTRIES + 3
-        data = np.random.default_rng(31).integers(-3, 4, size=(3, cols)).astype(np.float64)
-        chunks = list(_format_rows(data, "[", "]", ","))
-        assert len(chunks) == 3
-        assert chunks[0].startswith("[") and not chunks[0].startswith("[[")
-        assert all(chunk.startswith(",[") and chunk.endswith("]") for chunk in chunks[1:])
-        assert [chunk.count("\n") for chunk in _format_rows(data, "", "\n")] == [1, 1, 1]
-        self._assert_matches_oracles(data)
-        self._assert_matches_oracles(np.asfortranarray(data[:, :9]))
-
-    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "fortran-integer"])
     def test_non_contiguous_input(self, layout):
         rng = np.random.default_rng(11)
         base = rng.integers(-3, 4, size=(7, 5)) / rng.integers(1, 4, size=(7, 5))
-        data = np.asfortranarray(base) if layout == "fortran" else base.T
+        if layout == "fortran-integer":  # the int64 path
+            base = rng.integers(-3, 4, size=(7, 5)).astype(np.float64)
+        data = base.T if layout == "transposed" else np.asfortranarray(base)
         assert not data.flags.c_contiguous
         self._assert_matches_oracles(data)
         assert _dump_json(RealMatrix(data)) == _old_dump_entries(data)
