@@ -9,9 +9,10 @@ fresh array they never touch again, hand it over with
 ``RealMatrix._adopt``, which freezes it in place instead.
 ``RES_TOL`` is the residual bound of every orthogonality check:
 max |MMᵀ - cI| <= RES_TOL * c * n.  ``residual_scaled_identity`` takes
-the gram of a matrix whose entries its caller has checked to be in
-{0, +-1} as a float32 product, exact and half the bytes of a float64
-one.  ``involution_multiplicities`` counts
+one product, the gram MMᵀ, which numpy's BLAS ``syrk`` makes exactly
+symmetric, and reads it whole; of a matrix whose entries its caller has
+checked to be in {0, +-1} it is a float32 product, exact and half the
+bytes of a float64 one.  ``involution_multiplicities`` counts
 the eigenvalues of a certified symmetric M with M² = cI from its trace;
 ``jacobi_spectrum`` is a LAPACK spectrum that only the tests use, as
 their reference.
@@ -35,10 +36,6 @@ __all__ = [
 
 RES_TOL = 1e-9
 
-# the row block of residual_scaled_identity, and the strictly lower
-# triangle of one of its diagonal blocks
-_BLOCK = 128
-_BELOW = np.tri(_BLOCK, k=-1, dtype=bool)
 # a float32 holds every integer of magnitude up to this exactly
 _FLOAT32_EXACT = 2**24
 
@@ -121,51 +118,40 @@ def residual_scaled_identity(m: RealMatrix, *, ternary: bool = False) -> tuple[f
     """Recover c and the worst deviation of MMᵀ from cI.
 
     c is the mean of the diagonal of the gram MMᵀ (averages rounding
-    noise); max_residual is max |MMᵀ - cI| over the upper triangle of the
-    product, diagonal included; the lower triangle, which the product may
-    round differently, is not read.  The product is the only n x n array
-    made: cI is subtracted from its diagonal, and then each block of
-    _BLOCK rows, from its diagonal block on, has its magnitudes taken and
-    the lower triangle of that diagonal block cleared in place, through
-    one cached _BLOCK x _BLOCK mask.
+    noise); max_residual is max |MMᵀ - cI| over the whole product.  numpy
+    takes ``a @ a.T`` of one buffer with BLAS ``syrk`` and mirrors one
+    triangle onto the other, so the product is exactly symmetric and the
+    whole of it has the maximum of its upper triangle; were it ever
+    taken another way, the maximum of the whole could only be larger, a
+    stricter bound.  The product is the only n x n array made: its
+    diagonal less c is taken in float64, and the diagonal is then
+    cleared and the magnitudes taken in place.
     Both are returned even when the residual is large, and even when
     entries above about 1e154 overflow the gram: c is then inf or NaN and
-    the residual NaN (an infinite cI holds inf * 0 = NaN off its
-    diagonal), which the caller's verdict rejects, and numpy prints no
-    warning.
+    the residual NaN, which the caller's verdict rejects, and numpy
+    prints no warning.
 
     ``ternary`` says the caller has checked that every entry is 0, 1 or
     -1.  Below order 2^24 every partial sum of the product is then an
-    integer a float32 holds exactly, so the gram is taken as a float32
-    product of a float32 copy, exact and symmetric; c is its trace summed
-    in float64 over n, and its diagonal less c is taken in float64, so
-    both results are the float64 product's, bit for bit.
+    integer a float32 holds exactly, so the gram is taken as the product
+    of a float32 copy, exact and half the bytes; c is its trace summed
+    in float64 over n, so both results are the float64 product's, bit
+    for bit.
     """
     if not m.is_square:
         raise ValueError("residual against a scaled identity needs a square matrix")
     n = m.order
-    if ternary and n < _FLOAT32_EXACT:
-        a = m.data.astype(np.float32)
-        g = a @ a.T
-        del a
-        c = float(g.trace(dtype=np.float64) / n)
-        peak = float(np.max(np.abs(g.diagonal().astype(np.float64) - c)))  # g - cI's diagonal
-        g.flat[:: n + 1] = 0.0
-        return c, max(peak, float(np.abs(g, out=g).max()))
+    a = m.data.astype(np.float32) if ternary and n < _FLOAT32_EXACT else m.data
     with np.errstate(over="ignore", invalid="ignore"):
-        g = m.data @ m.data.T
-        c = float(g.trace() / n)  # the sum and the division np.mean makes
+        g = a @ a.T
+        c = float(g.trace(dtype=np.float64) / n)  # the sum and the division np.mean makes
         if not np.isfinite(c):
             return c, float("nan")
-        g.flat[:: n + 1] -= c
-        peaks = np.empty(-(-n // _BLOCK))  # one maximum per block, so a NaN still shows
-        for i, start in enumerate(range(0, n, _BLOCK)):
-            size = min(_BLOCK, n - start)
-            upper = g[start : start + size, start:]
-            np.abs(upper, out=upper)
-            np.copyto(upper[:, :size], 0.0, where=_BELOW[:size, :size])
-            peaks[i] = upper.max()
-        return c, float(peaks.max())
+        peak = float(np.max(np.abs(g.diagonal().astype(np.float64) - c)))  # g - cI's diagonal
+        g.flat[:: n + 1] = 0.0
+        # max keeps its first argument unless the second is larger, so a
+        # NaN off the diagonal is the residual
+        return c, max(float(np.abs(g, out=g).max()), peak)
 
 
 def jacobi_spectrum(m: RealMatrix) -> tuple[float, ...]:

@@ -34,8 +34,8 @@ into n x n bool masks, to name its positions.
 
 An exact claim must be integral with +-1 at its required nonzeros and
 MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
-``numerics.RES_TOL``).  The residual is read over the upper triangle of
-MMᵀ, diagonal included (``numerics.residual_scaled_identity``).  A
+``numerics.RES_TOL``).  The residual is read over the whole of MMᵀ, one
+exactly symmetric product (``numerics.residual_scaled_identity``).  A
 declared ``scale_c`` (a file's, a plan root's, a graph witness's) of a
 matrix with MMᵀ = cI must be that c: equal to it for an exact claim,
 within res_tol * c * order otherwise.  Besides bool arrays of n² bytes,
@@ -456,7 +456,8 @@ def tournament_failures(t: RealMatrix) -> tuple[str, ...]:
         oriented = not np.any(np.diagonal(a)) and np.count_nonzero(a != a.T) == q * q - q
     else:
         failures.append("entries are not all in {0, 1}")
-        with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which equals nothing
+        # a sum that overflows is inf, and inf + -inf NaN: neither is in J - I
+        with np.errstate(over="ignore", invalid="ignore"):
             oriented = np.array_equal(a + a.T, 1.0 - np.eye(q))
     if not oriented:
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
@@ -476,7 +477,9 @@ def bordered_tournament(t: RealMatrix) -> np.ndarray:
     h = np.empty((q + 1, q + 1))
     h[0] = 1.0
     h[1:, 0] = -1.0
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN entry of H, which the core rejects
+    # a difference that overflows is an inf entry of H, and inf - inf a NaN
+    # one, which the core rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(a, a.T, out=h[1:, 1:])
     np.fill_diagonal(h[1:, 1:], 1.0)
     return h

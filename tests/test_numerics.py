@@ -149,20 +149,39 @@ class TestResidualScaledIdentity:
             c, res = residual_scaled_identity(m)
             assert res <= 1e-9 * c * m.order
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
-    def test_matches_the_full_triangle_bit_for_bit(self, n):
-        a = np.random.default_rng(n).standard_normal((n, n))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "n", [*range(1, 70), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000, 1023, 1500, 2047, 2049]
+    )
+    def test_the_gram_is_exactly_symmetric(self, n, dtype):
+        # numpy takes a @ a.T of one C-contiguous buffer with BLAS syrk and
+        # mirrors one triangle, the premise of reading the product whole
+        a = np.random.default_rng(n).standard_normal((n, n)).astype(dtype)
+        g = a @ a.T
+        assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize(
+        "n,ternary",
+        [
+            *(pytest.param(n, False, id=str(n)) for n in (1, 2, 64, 127, 128, 129, 300, 513, 1000)),
+            pytest.param(300, True, id="300-ternary"),
+        ],
+    )
+    def test_matches_the_full_triangle_bit_for_bit(self, n, ternary):
+        rng = np.random.default_rng(n)
+        a = rng.integers(-1, 2, (n, n)).astype(np.float64) if ternary else rng.standard_normal((n, n))
         g = a @ a.T
         c = float(np.mean(np.diag(g)))
         expected = float(np.max(np.triu(np.abs(g - c * np.eye(n)))))
-        assert residual_scaled_identity(RealMatrix(a)) == (c, expected)
+        assert residual_scaled_identity(RealMatrix(a), ternary=ternary) == (c, expected)
 
     @pytest.mark.parametrize(
         "i,j", [(0, 299), (299, 0), (127, 128), (128, 127), (128, 129), (255, 256), (298, 299), (129, 129)]
     )
     def test_sees_one_entry_at_a_row_block_edge(self, i, j):
         # M = I plus one entry gives a gram whose worst entry is at (i, j)
-        # and (j, i), or on the diagonal when i = j
+        # and (j, i), or on the diagonal when i = j; the product is read
+        # whole, and these positions sit at the edges of BLAS tiles
         a = np.eye(300)
         a[i, j] += 0.5
         c, res = residual_scaled_identity(RealMatrix(a))

@@ -92,10 +92,10 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(RealMatrix(np.eye(2)), "unitary")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("claim", ["omzd", "orthogonal", "conference"])
     def test_overflowing_gram_fails(self, claim):
-        # the gram of 1e200·(J - I) overflows: c = inf, residual NaN
+        # the gram of 1e200·(J - I) overflows: c = inf, residual NaN, and
+        # numpy prints no warning
         cert = certify(RealMatrix(1e200 * (np.ones((3, 3)) - np.eye(3))), claim)
         assert not cert.passed
         assert any("not positive and finite" in f for f in cert.failures)
@@ -184,6 +184,21 @@ class TestCheckDrt:
             "not an orientation of the complete graph: T + T^T != J - I",
             "required nonzero entries are not all +-1",
             "gram deviates from cI by 15.75 (exact check)",
+        )
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.full((7, 7), 1e308), np.triu(np.full((7, 7), 1e308), 1) - np.tril(np.full((7, 7), 1e308), -1)],
+        ids=["sum-overflows", "difference-overflows"],
+    )
+    def test_overflowing_entries_fail_without_a_warning(self, t):
+        # T + Tᵀ overflows for the first, T - Tᵀ for the second; pytest makes
+        # a numpy RuntimeWarning an error
+        verdict = check_drt(RealMatrix(t))
+        assert not verdict.passed
+        assert verdict.failures[:2] == (
+            "entries are not all in {0, 1}",
+            "not an orientation of the complete graph: T + T^T != J - I",
         )
 
     def test_rejects_wrong_congruence(self):
