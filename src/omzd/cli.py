@@ -15,6 +15,15 @@ straight into the bytes of one float64 array, and every other text, and
 every field outside the rows, with ``json.loads``; a text gets the
 document or the refusal the whole-text ``json.loads`` path gives it.
 
+An argv that is a subcommand's name then ``--option value`` pairs, each
+option an exact option string of that subcommand given once, each value
+not starting with ``-`` and taken by its option's type and choices, and
+every required option given, is parsed by ``_fast_args`` from the
+options ``_build_parser`` declares, into the Namespace ``parse_args``
+would return.  argparse decides every other argv (help, usage errors,
+abbreviations, ``--option=value``, dash-leading values, repeated
+options), with its own output and exit code.
+
 A matrix is written in row chunks.  One sort of its 64-bit patterns gives
 its few distinct values, and they choose the path.  When all of them are
 integers below 2^53 in magnitude and none is -0.0 (the Paley, tournament
@@ -553,6 +562,72 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _option_table() -> dict[str, tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]]]:
+    """Subcommand -> (option string -> its action, dest -> the value
+    ``parse_args`` gives it when the option is absent, the dests of the
+    required options), read from ``_build_parser()``'s subparsers.
+
+    An option enters the table when it stores one value (every option
+    ``_build_parser`` declares but help); the defaults hold the
+    subcommand's name under the subparsers' dest, and each str default
+    passed through its option's type, as argparse passes it."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, subparser in sub.choices.items():
+        options, defaults, required = {}, {sub.dest: name}, set()
+        for action in subparser._actions:
+            if type(action) is argparse._StoreAction and action.nargs is None:
+                options.update(dict.fromkeys(action.option_strings, action))
+            if action.dest is argparse.SUPPRESS or action.default is argparse.SUPPRESS:
+                continue
+            default = action.default
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            defaults[action.dest] = default
+            if action.required:
+                required.add(action.dest)
+        table[name] = (options, defaults, frozenset(required))
+    return table
+
+
+def _fast_args(argv) -> argparse.Namespace | None:
+    """The Namespace ``_build_parser().parse_args(argv)`` returns, for an
+    argv it takes without a word: a list or tuple of str, a subcommand's
+    name, then ``--option value`` pairs, each option an exact option
+    string of that subcommand (no abbreviation, no ``--option=value``)
+    given once, each value not starting with ``-`` and taken by the
+    option's type and choices, and every required option given.  None
+    for every other argv, at the first step that fails; argparse decides
+    it, with its own help, error text and exit code.
+    """
+    if type(argv) not in (list, tuple) or len(argv) % 2 == 0 or type(argv[0]) is not str:
+        return None
+    entry = _option_table().get(argv[0])
+    if entry is None:
+        return None
+    options, defaults, required = entry
+    args = argparse.Namespace()
+    fields = vars(args)
+    fields.update(defaults)
+    given = set()
+    for i in range(1, len(argv), 2):
+        option, text = argv[i], argv[i + 1]
+        action = options.get(option) if type(option) is str else None
+        if action is None or action.dest in given or type(text) is not str or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse words as a refusal
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        fields[action.dest] = value
+        given.add(action.dest)
+    return args if required <= given else None
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -726,21 +801,22 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        # argparse prints --help to sys.stdout and usage errors to
-        # sys.stderr, and drops a write that fails; caught here, they are
-        # written as every other line is
-        parser_out, parser_err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(parser_out), contextlib.redirect_stderr(parser_err):
-                args = parser.parse_args(argv)
-        except SystemExit as e:
-            _diagnose(stderr, parser_err.getvalue())
-            if parser_out.getvalue():
-                stdout.write(parser_out.getvalue())
-                stdout.flush()
-            return int(e.code or 0)
+        args = _fast_args(argv)
+        if args is None:
+            # argparse prints --help to sys.stdout and usage errors to
+            # sys.stderr, and drops a write that fails; caught here, they
+            # are written as every other line is
+            parser_out, parser_err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(parser_out), contextlib.redirect_stderr(parser_err):
+                    args = _build_parser().parse_args(argv)
+            except SystemExit as e:
+                _diagnose(stderr, parser_err.getvalue())
+                if parser_out.getvalue():
+                    stdout.write(parser_out.getvalue())
+                    stdout.flush()
+                return int(e.code or 0)
         code = _COMMANDS[args.command](args, stdout, stderr)
         stdout.flush()
         return code

@@ -335,7 +335,15 @@ def check_part_count(m: int) -> None:
         raise ValueError(f"part count must be >= 2, got {m}")
 
 
+def _check_q(q: int) -> None:
+    """Raise ValueError when a prime power q is below 2, a usage error
+    rather than a q the prime-power test refuses."""
+    if q < 2:
+        raise ValueError(f"prime power q must be >= 2, got {q}")
+
+
 def _paley_plan(q: int) -> PlanNode:
+    _check_q(q)
     node = _node("paley", args=(q,))
     check_order(node.n)
     try:
@@ -350,6 +358,7 @@ def _tournament_plan(q: int, t: int) -> PlanNode:
     so a huge t stops at the cap."""
     if t < 0:
         raise ValueError(f"doubling count t must be >= 0, got {t}")
+    _check_q(q)
     node = _node("paley-drt", args=(q,))
     check_order(node.n)
     construct.check_paley_q(q, tournament=True)
@@ -386,9 +395,9 @@ def plan(
     conference, drt and skew-hadamard take the prime power q and t
     doublings; multipartite takes the part size n and the part count m.
     Refusals (NonexistentTarget, InvalidQ, NoKnownConstruction, InvalidK),
-    ValueError for a negative t, a part size below 1 or a part count
-    below 2, and ResourceLimit for an order above MAX_ORDER are raised
-    here, before anything is built.
+    ValueError for a q below 2, a negative t, a part size below 1 or a
+    part count below 2, and ResourceLimit for an order above MAX_ORDER
+    are raised here, before anything is built.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")

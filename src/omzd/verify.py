@@ -4,8 +4,9 @@ Every real claim is an orthogonal pattern and goes through one
 certificate core, which takes a required-zero mask, a required-nonzero
 mask (an entry in neither is free) and two flags, ``exact`` and
 ``symmetric``.  An entry counts as zero iff |entry| <= zero_tol, by
-default the zero rule of ``zero_tolerance``, 1e-12 * max|entry|, which
-the builders and the graph layer share.  The masks per claim:
+default the zero rule of ``zero_tolerance``, 1e-12 * max|entry| over
+the finite entries, which the builders and the graph layer share.  The
+masks per claim:
 
 - omzd, symmetric-omzd (symmetric) and conference (exact): zero on the
   diagonal, nonzero off it;
@@ -184,10 +185,20 @@ _ZERO_SHARE = 1e-12  # the default zero tolerance over max|entry|
 def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
     """The zero rule: an entry of ``m`` counts as zero iff |entry| <= this.
 
-    ``zero_tol`` when given, else 1e-12 * max|entry|; matrices built by
-    this library write exact 0.0 at zero positions.
+    ``zero_tol`` when given, else 1e-12 * max|entry| over the finite
+    entries (``_finite_max``); matrices built by this library write exact
+    0.0 at zero positions.
     """
-    return _ZERO_SHARE * m.max_abs() if zero_tol is None else zero_tol
+    return _ZERO_SHARE * _finite_max(np.abs(m.data)) if zero_tol is None else zero_tol
+
+
+def _finite_max(magnitude: np.ndarray) -> float:
+    """The largest finite entry of ``magnitude``, an |M|, or 0.0 if it has
+    none: one inf or NaN entry must not make every entry a zero."""
+    top = float(np.max(magnitude, initial=0.0))
+    if math.isfinite(top):
+        return top
+    return float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
 
 
 def _covers(rule, total: int, diagonal: int, n: int) -> bool:
@@ -241,7 +252,7 @@ def input_failures(m: RealMatrix, claim: str) -> list[str]:
     _, zero_rule, nonzero_rule, *_ = _PATTERNS[claim]
     _square_order(m)
     magnitude = np.abs(m.data)
-    failures = _pattern_failures(magnitude, zero_rule, nonzero_rule, _ZERO_SHARE * float(np.max(magnitude)))
+    failures = _pattern_failures(magnitude, zero_rule, nonzero_rule, _ZERO_SHARE * _finite_max(magnitude))
     return failures + (["no declared scale_c"] if m.scale_c is None else [])
 
 
@@ -274,9 +285,9 @@ def _certify_pattern(
     required to be zero.
 
     |m| is taken once, for the zero rule (``zero_tolerance``'s, from its
-    maximum), the pattern and the margin, and freed before the gram, whose
-    residual ``residual_scaled_identity`` reads in place over its upper
-    triangle.  An exact claim counts the entries of |m| that are 1 and 0:
+    largest finite entry), the pattern and the margin, and freed before
+    the gram, whose residual ``residual_scaled_identity`` reads in place.
+    An exact claim counts the entries of |m| that are 1 and 0:
     when they are all of them, the entries are integral, so ``np.round``
     is skipped, and once the required nonzeros are +-1 too the gram is the
     exact float32 product.  The offending positions are looked up only
@@ -292,7 +303,7 @@ def _certify_pattern(
         ones = int(np.count_nonzero(magnitude == 1.0))
         ternary = ones + int(np.count_nonzero(magnitude == 0.0)) == n * n
     if zero is not None:
-        tol = _ZERO_SHARE * float(np.max(magnitude)) if zero_tol is None else zero_tol
+        tol = _ZERO_SHARE * _finite_max(magnitude) if zero_tol is None else zero_tol
         failures += _pattern_failures(magnitude, zero, nonzero, tol, diagonal_zeros)
 
     if exact and not (ternary or _is_integral(a)):

@@ -1,6 +1,7 @@
 """CLI surface: gen/verify/plan/exists/certify-graph, persistence, exit codes."""
 
 import argparse
+import contextlib
 import errno
 import functools
 import hashlib
@@ -19,7 +20,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import omzd
@@ -1452,6 +1453,13 @@ class TestGenPinnedBytes:
             ("gen --kind multipartite --n 3 --m 1", 2, "ValueError: part count must be >= 2, got 1"),
             ("gen --kind multipartite --n 3 --m -2", 2, "ValueError: part count must be >= 2, got -2"),
             ("gen --kind drt --q 7 --t -1", 2, "ValueError: doubling count t must be >= 0, got -1"),
+            # a q below 2 is a usage error, before the prime-power test
+            ("gen --kind conference --q 0", 2, "ValueError: prime power q must be >= 2, got 0"),
+            ("gen --kind conference --q -3", 2, "ValueError: prime power q must be >= 2, got -3"),
+            ("gen --kind drt --q 0", 2, "ValueError: prime power q must be >= 2, got 0"),
+            ("gen --kind drt --q -3 --t 1", 2, "ValueError: prime power q must be >= 2, got -3"),
+            ("gen --kind skew-hadamard --q 1", 2, "ValueError: prime power q must be >= 2, got 1"),
+            ("gen --kind skew-hadamard --q -3", 2, "ValueError: prime power q must be >= 2, got -3"),
             ("gen --kind multipartite --n 0 --m 2", 2, "ValueError: part size must be >= 1, got 0"),
             ("gen --kind multipartite --n 3", 2, "usage error: gen --kind multipartite needs --m"),
             ("gen --kind drt", 2, "usage error: gen --kind drt needs --q"),
@@ -1813,3 +1821,127 @@ class TestVerifyIntegerClaims:
         code, out, err = invoke("verify", "--in", str(path), "--claim", "ompzd")
         assert (code, out) == (2, "")
         assert err == f"ValueError: claim 'ompzd' needs a non-negative integer zero count k, got {k!r}\n"
+
+
+# every subparser of the CLI, read from the parser itself, so the argv
+# alphabet below grows with each option added there
+_SUBPARSERS = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+_SUB_OPTIONS = {name: [a for a in p._actions if a.option_strings] for name, p in _SUBPARSERS.items()}
+# abbreviations, --opt=value, help and unknown options, which argparse decides
+_ODD_OPTIONS = ["--ki", "--fam", "--cl", "--res", "--kind=omzd", "--n=11", "--family=knn", "-h", "--help", "--bogus"]
+# invalid choices, and number texts int and float read in their own ways
+_ODD_VALUES = ["hadamard", "", "0", "2", "3", "6", "11", "-3", "+5", "5_0", " 6", "inf", "nan", "1e-3"]
+_ARGV_WORDS = sorted(
+    {*_SUBPARSERS, "frobnicate", *_ODD_OPTIONS, *_ODD_VALUES}
+    | {s for actions in _SUB_OPTIONS.values() for a in actions for s in a.option_strings}
+    | {c for actions in _SUB_OPTIONS.values() for a in actions for c in a.choices or ()}
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly a subcommand and ``--option value`` pairs: its required
+    options and a few more, each option string exact or odd, each value
+    a choice or an odd text, in any order; now and then a word dropped or
+    added or an option repeated, or any words at all."""
+    # hypothesis draws small integers most, so 0 keeps an argv well formed
+    if draw(st.integers(0, 5)) == 5:
+        return draw(st.lists(st.sampled_from(_ARGV_WORDS), max_size=7))
+    command = draw(st.sampled_from([*_SUBPARSERS, "frobnicate"]))
+    actions = _SUB_OPTIONS.get(command, [])
+    picked = [a for a in actions if a.required and draw(st.integers(0, 9)) < 9]
+    if actions:
+        picked += [a for a in draw(st.lists(st.sampled_from(actions), max_size=3, unique=True)) if a not in picked]
+    pairs = []
+    for action in picked:  # mostly its own option string, and a choice where it has them
+        options = action.option_strings if draw(st.integers(0, 9)) < 9 else _ODD_OPTIONS
+        values = action.choices if action.choices and draw(st.integers(0, 4)) < 4 else _ODD_VALUES
+        pairs.append([draw(st.sampled_from(options)), draw(st.sampled_from(values))])
+    argv = [command, *(word for pair in draw(st.permutations(pairs)) for word in pair)]
+    edit = draw(st.integers(0, 9))
+    if edit == 9 and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif edit == 8:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ARGV_WORDS)))
+    elif edit == 7 and pairs:  # an option given twice
+        argv += draw(st.sampled_from(pairs))
+    return argv
+
+
+def _fields(namespace) -> list:
+    """Each field of ``namespace`` with its type and repr: 5 and 5.0 differ,
+    and NaN equals NaN."""
+    return sorted((name, type(value).__name__, repr(value)) for name, value in vars(namespace).items())
+
+
+def _outcome(argv, fast: bool = True):
+    """run(argv)'s exit code, stdout and stderr, or the type and text of
+    what it raises; with ``fast`` False, argparse parses every argv."""
+    patch = contextlib.nullcontext() if fast else mock.patch.object(cli, "_fast_args", lambda argv: None)
+    out, err = io.StringIO(), io.StringIO()
+    with patch:
+        try:
+            return run(argv, out, err), out.getvalue(), err.getvalue()
+        except Exception as e:
+            return type(e).__name__, str(e)
+
+
+class TestFastArgs:
+    """run takes a well-formed argv through cli._fast_args, without
+    argparse; what it returns and writes is what argparse would give."""
+
+    def test_table_holds_every_option_of_every_subparser(self):
+        table = cli._option_table()
+        assert table.keys() == _SUBPARSERS.keys()
+        for name, actions in _SUB_OPTIONS.items():
+            options, defaults, required = table[name]
+            stores = [a for a in actions if not isinstance(a, argparse._HelpAction)]
+            assert options == {s: a for a in stores for s in a.option_strings}
+            assert defaults.keys() == {"command"} | {a.dest for a in stores}
+            assert required == {a.dest for a in stores if a.required}
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_argvs())
+    def test_accepted_argv_parse_as_argparse_parses_them(self, argv):
+        fast = cli._fast_args(argv)
+        if fast is None:
+            return
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            slow = cli._build_parser().parse_args(argv)
+        assert _fields(fast) == _fields(slow)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argvs())
+    def test_run_writes_what_argparse_would(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # an --out value is a path
+        assert _outcome(argv) == _outcome(argv, fast=False)
+
+    @pytest.mark.parametrize("argv", [argv for argv, *_ in GEN_PINS + OUTPUT_PINS + LARGE_PINS])
+    def test_pinned_argv_take_the_fast_path(self, argv):
+        words = argv.split()
+        assert cli._fast_args(words) is not None
+        assert _outcome(words) == _outcome(words, fast=False)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "omzd", "--n", 11],
+            ["gen", "--kind", b"omzd", "--n", "11"],
+            [None],
+            ["gen", "--kind", "omzd", "--n", "11", "--n", "12"],
+            ["gen", "--kind", "omzd", "--n", "-3"],
+            ["gen", "--kind=omzd", "--n", "11"],
+            ["gen", "--ki", "omzd", "--n", "11"],
+            ["gen", "--kind", "omzd", "--n", "11", "-h"],
+            ["verify", "--claim", "omzd"],
+            [],
+        ],
+    )
+    def test_other_argv_go_to_argparse(self, argv):
+        assert cli._fast_args(argv) is None
+        assert _outcome(argv) == _outcome(argv, fast=False)
+
+    def test_a_tuple_takes_the_fast_path(self):
+        argv = ("gen", "--kind", "omzd", "--n", "11")
+        assert cli._fast_args(argv) == cli._build_parser().parse_args(argv)
+        assert _outcome(argv) == _outcome(list(argv), fast=False)

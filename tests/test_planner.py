@@ -262,7 +262,9 @@ def _plan_grid():
 class TestPlanGridPin:
     def test_every_plan_in_the_grid(self):
         """Every plan, or refusal, over the grid hashes as pinned: its
-        serial form, kind, n, k and theorem at every node."""
+        serial form, kind, n, k and theorem at every node.  Since q < 2
+        became a ValueError, the 18 Paley rows of q = 0 and 1 hash that
+        refusal where they hashed InvalidQ; no other row moved."""
         digest = hashlib.sha256()
         count = 0
         for args, kwargs in _plan_grid():
@@ -274,7 +276,7 @@ class TestPlanGridPin:
             count += 1
         assert count == 13230
         assert digest.hexdigest() == (
-            "71f866a687d1f319329e5a58b056bd9938edbf74bcb570faae9c8d309f3c0edd"
+            "e4362f30d4b7652c73d8b3a6a86a1ce13fd7a85f1537fd879b76419f3c407aaa"
         )
 
 
@@ -296,6 +298,10 @@ class TestEveryGenKindPlanned:
             plan("drt", q=13)
         with pytest.raises(InvalidQ, match="not an odd prime power"):
             plan("skew-hadamard", q=2, t=1)
+        for kind in ("conference", "drt", "skew-hadamard"):
+            for q in (1, 0, -3):
+                with pytest.raises(ValueError, match=f"^prime power q must be >= 2, got {q}$"):
+                    plan(kind, q=q)
         for m in (3, 4, 5):
             with pytest.raises(NoKnownConstruction, match="odd part count or exactly 4 parts"):
                 plan("multipartite", 2, m=m)

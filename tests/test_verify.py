@@ -1,5 +1,7 @@
 """Certification: pattern, orthogonality, symmetry, tournament axioms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from omzd.verify import (
     certify_graph,
     check_drt,
     check_skew_hadamard,
+    input_failures,
     zero_tolerance,
 )
 
@@ -199,6 +202,18 @@ class TestCheckDrt:
         assert verdict.failures[:2] == (
             "entries are not all in {0, 1}",
             "not an orientation of the complete graph: T + T^T != J - I",
+        )
+
+    def test_an_infinite_entry_leaves_the_zero_rule_finite(self):
+        # a_ij = 1e308 and a_ji = -1e308: H holds inf off its diagonal and 1
+        # on it, and the zero rule, taken from the largest finite |entry|,
+        # calls none of them zero; the failures are T's own and the gram's
+        t = np.triu(np.full((7, 7), 1e308), 1) - np.tril(np.full((7, 7), 1e308), -1)
+        assert check_drt(RealMatrix(t)).failures == (
+            "entries are not all in {0, 1}",
+            "not an orientation of the complete graph: T + T^T != J - I",
+            "required nonzero entries are not all +-1",
+            "recovered scale inf is not positive and finite",
         )
 
     def test_rejects_wrong_congruence(self):
@@ -451,6 +466,19 @@ class TestSharedZeroRule:
         with pytest.raises(BuildRefused, match="^input has 5 diagonal zeros, cannot reach 6$"):
             construct.reduce_zeros(m, 6)
         assert graphs._zeros_to_front(m).data[5, 5] == m.data[0, 0]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_entry_leaves_the_zero_rule_finite(self, bad):
+        # the zero rule reads the largest finite |entry|: one non-finite
+        # entry makes no other entry a zero, for certify and builders alike
+        m = construct.symmetric_omzd(6)
+        a = np.array(m.data)
+        a[0, 1] = bad
+        tampered = RealMatrix(a, scale_c=m.scale_c)
+        assert zero_tolerance(tampered) == zero_tolerance(m)
+        assert input_failures(tampered, "omzd") == []
+        failures = certify(tampered, "omzd").failures
+        assert failures and not any("zero" in f for f in failures)
 
     def test_pattern_graph_default_drops_a_tiny_entry(self):
         m = construct.symmetric_omzd(6)
