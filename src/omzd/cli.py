@@ -531,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--t", type=int, help="tournament doublings (default 0)")
     gen.add_argument("--m", type=int, help="part count for multipartite")
     gen.add_argument("--route", choices=planner.ROUTES, help="default auto")
-    gen.add_argument("--branch", choices=("plus", "minus"), help="with --route prefer-drt; default minus")
+    gen.add_argument("--branch", choices=planner.BRANCHES, help="with --route prefer-drt; default minus")
     gen.add_argument("--out")
     gen.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -132,11 +132,12 @@ def residual_scaled_identity(m: RealMatrix, *, ternary: bool = False) -> tuple[f
     prints no warning.
 
     ``ternary`` says the caller has checked that every entry is 0, 1 or
-    -1.  Below order 2^24 every partial sum of the product is then an
-    integer a float32 holds exactly, so the gram is taken as the product
-    of a float32 copy, exact and half the bytes; c is its trace summed
-    in float64 over n, so both results are the float64 product's, bit
-    for bit.
+    -1, the one rule an exact claim puts on its entries, which a matrix
+    failing the claim's zero pattern can still meet.  Below order 2^24
+    every partial sum of the product is then an integer a float32 holds
+    exactly, so the gram is taken as the product of a float32 copy, exact
+    and half the bytes; c is its trace summed in float64 over n, so both
+    results are the float64 product's, bit for bit.
     """
     if not m.is_square:
         raise ValueError("residual against a scaled identity needs a square matrix")

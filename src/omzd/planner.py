@@ -51,6 +51,7 @@ from .verify import (
 __all__ = [
     "MAX_ORDER",
     "ROUTES",
+    "BRANCHES",
     "PlanNode",
     "ExistenceVerdict",
     "check_order",
@@ -70,6 +71,7 @@ ROUTE_AUTO = "auto"
 ROUTE_PREFER_DRT = "prefer-drt"
 ROUTE_PREFER_RECURSIVE = "prefer-recursive"
 ROUTES = (ROUTE_AUTO, ROUTE_PREFER_DRT, ROUTE_PREFER_RECURSIVE)
+BRANCHES = ("plus", "minus")  # the sign of omzd-from-drt's alpha
 
 # Largest order of any planned object or graph witness.  gen --kind omzd
 # --n 4096 takes about 3 s and 370 MB peak RSS in one process (one BLAS
@@ -395,12 +397,14 @@ def plan(
     conference, drt and skew-hadamard take the prime power q and t
     doublings; multipartite takes the part size n and the part count m.
     Refusals (NonexistentTarget, InvalidQ, NoKnownConstruction, InvalidK),
-    ValueError for a q below 2, a negative t, a part size below 1 or a
-    part count below 2, and ResourceLimit for an order above MAX_ORDER
-    are raised here, before anything is built.
+    ValueError for an unknown route or branch, a q below 2, a negative t,
+    a part size below 1 or a part count below 2, and ResourceLimit for an
+    order above MAX_ORDER are raised here, before anything is built.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
+    if branch not in BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}")
     if kind == CLAIM_CONFERENCE:
         return _paley_plan(q)
     if kind == CLAIM_DRT:

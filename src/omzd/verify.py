@@ -33,37 +33,37 @@ diagonal and one off it, decided by counts: the number of entries the
 zero rule calls zero, and the diagonal's.  A violated pair alone is made
 into n x n bool masks, to name its positions.
 
-An exact claim must be integral with +-1 at its required nonzeros and
-MMᵀ = cI exactly; the others hold it within res_tol * c * order (default
+An exact claim requires every position zero or nonzero, so its one rule
+on entries is that each is 0, 1 or -1 (ternary), and it holds MMᵀ = cI
+exactly; the others hold it within res_tol * c * order (default
 ``numerics.RES_TOL``).  The residual is read over the whole of MMᵀ, one
 exactly symmetric product (``numerics.residual_scaled_identity``).  A
 declared ``scale_c`` (a file's, a plan root's, a graph witness's) of a
 matrix with MMᵀ = cI must be that c: equal to it for an exact claim,
 within res_tol * c * order otherwise.  Besides bool arrays of n² bytes,
-the core makes |M|, which serves the zero rule, the pattern and the
-margin, and frees it before it makes the product MMᵀ.  An exact claim
-counts the entries of |M| that are 1 and 0; when they are all of them,
-``np.round`` is not run, and its gram is the float32 product of a
-float32 copy of M, n² doubles in all.  Only the integrality test of an
-exact claim whose entries are not all in {0, +-1} (beside |M|) and the
-symmetry test of a skew matrix (after the product) make one float n x n
-array more.  The H + Hᵀ = 2I test of a skew-Hadamard matrix makes one,
-freed before the core runs, and a tournament's H is one (q+1) x (q+1)
-array more, which its RealMatrix adopts rather than copies.
+the core makes |M|, which serves the zero rule, the pattern, the exact
+rule and the margin, and frees it before it makes the product MMᵀ.  An
+exact claim counts the entries of |M| that are 1 and 0; when they are
+all of them, its gram is the float32 product of a float32 copy of M, n²
+doubles in all.  Only the symmetry test of a skew matrix (after the
+product) makes one float n x n array more.  The H + Hᵀ = 2I test of a skew-Hadamard
+matrix makes one, freed before the core runs, and a tournament's H is
+one (q+1) x (q+1) array more, which its RealMatrix adopts rather than
+copies.
 
 No checker lives outside the core.  Every claim, tournaments included,
 takes a float64 ``RealMatrix``.  An exact verdict rests on the product
-only once the entries are in {0, +-1}, with +-1 at the required
-nonzeros.  Then every partial sum of it is an integer of magnitude at
-most the order, which the planner caps at 4096, far below 2^24, so the
-float32 (BLAS) product is exact, and c and the residual, read from it in
-float64, are the float64 product's bit for bit.  An exact claim whose
-entries fail those tests has failed already; it takes the float64
-product for its report.  Every certificate carries the full diagnostic
-rather than short-circuiting, so callers can assert on specific failure
-kinds.  ``CLAIMS`` names every claim (a gen kind or a ``verify --claim``
-value); ``certify`` sends each to its checker, and the planner and the
-CLI check through it; no builder runs the core.
+only once the entries are in {0, +-1}.  Then every partial sum of it is
+an integer of magnitude at most the order, which the planner caps at
+4096, far below 2^24, so the float32 (BLAS) product is exact, and c and
+the residual, read from it in float64, are the float64 product's bit
+for bit.  An exact claim whose entries are not ternary has failed
+already; it takes the float64 product for its report.  Every certificate
+carries the full diagnostic rather than short-circuiting, so callers can
+assert on specific failure kinds.  ``CLAIMS`` names every claim (a gen
+kind or a ``verify --claim`` value); ``certify`` sends each to its
+checker, and the planner and the CLI check through it; no builder runs
+the core.
 """
 
 from __future__ import annotations
@@ -166,10 +166,6 @@ def _symmetry_class(a: np.ndarray) -> str:
     return "neither"
 
 
-def _is_integral(a: np.ndarray) -> bool:
-    return bool(np.all(a == np.round(a)))
-
-
 def _square_order(m: RealMatrix) -> int:
     """The order of ``m``; raises ShapeMismatch unless it is square and not 0x0."""
     if not m.is_square:
@@ -185,20 +181,20 @@ _ZERO_SHARE = 1e-12  # the default zero tolerance over max|entry|
 def zero_tolerance(m: RealMatrix, zero_tol: float | None = None) -> float:
     """The zero rule: an entry of ``m`` counts as zero iff |entry| <= this.
 
-    ``zero_tol`` when given, else 1e-12 * max|entry| over the finite
-    entries (``_finite_max``); matrices built by this library write exact
-    0.0 at zero positions.
+    ``zero_tol`` when given, else ``_zero_rule`` of |m|; matrices built
+    by this library write exact 0.0 at zero positions.
     """
-    return _ZERO_SHARE * _finite_max(np.abs(m.data)) if zero_tol is None else zero_tol
+    return _zero_rule(np.abs(m.data)) if zero_tol is None else zero_tol
 
 
-def _finite_max(magnitude: np.ndarray) -> float:
-    """The largest finite entry of ``magnitude``, an |M|, or 0.0 if it has
-    none: one inf or NaN entry must not make every entry a zero."""
+def _zero_rule(magnitude: np.ndarray) -> float:
+    """The default zero tolerance of an |M|, ``magnitude``: 1e-12 times its
+    largest finite entry, or 0.0 if it has none; one inf or NaN entry must
+    not make every entry a zero."""
     top = float(np.max(magnitude, initial=0.0))
-    if math.isfinite(top):
-        return top
-    return float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
+    if not math.isfinite(top):
+        top = float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
+    return _ZERO_SHARE * top
 
 
 def _covers(rule, total: int, diagonal: int, n: int) -> bool:
@@ -252,7 +248,7 @@ def input_failures(m: RealMatrix, claim: str) -> list[str]:
     _, zero_rule, nonzero_rule, *_ = _PATTERNS[claim]
     _square_order(m)
     magnitude = np.abs(m.data)
-    failures = _pattern_failures(magnitude, zero_rule, nonzero_rule, _ZERO_SHARE * _finite_max(magnitude))
+    failures = _pattern_failures(magnitude, zero_rule, nonzero_rule, _zero_rule(magnitude))
     return failures + (["no declared scale_c"] if m.scale_c is None else [])
 
 
@@ -284,34 +280,27 @@ def _certify_pattern(
     min_offdiag_magnitude is the smallest off-diagonal |entry| not
     required to be zero.
 
-    |m| is taken once, for the zero rule (``zero_tolerance``'s, from its
-    largest finite entry), the pattern and the margin, and freed before
-    the gram, whose residual ``residual_scaled_identity`` reads in place.
-    An exact claim counts the entries of |m| that are 1 and 0:
-    when they are all of them, the entries are integral, so ``np.round``
-    is skipped, and once the required nonzeros are +-1 too the gram is the
-    exact float32 product.  The offending positions are looked up only
-    when a mask is violated.
+    |m| is taken once, for the zero rule (``_zero_rule``), the pattern,
+    the exact rule and the margin, and freed before the gram, whose
+    residual ``residual_scaled_identity`` reads in place.  Every position
+    of an exact claim is required zero or nonzero, so its one rule on
+    entries is that they are ternary, each 0, 1 or -1: the entries of |m|
+    that are 1 and 0 are all n² of them.  A ternary matrix takes the
+    exact float32 gram, whether or not its pattern holds; any other fails
+    the exact claim and takes the float64 gram for its report.  The
+    offending positions are looked up only when a mask is violated.
     """
     a = m.data
     n = m.order
     failures = list(failures)
     min_offdiag = 0.0
     magnitude = np.abs(a)
-    ternary = float32_gram = False  # every entry is 0, 1 or -1; and the exact tests passed
-    if exact:
-        ones = int(np.count_nonzero(magnitude == 1.0))
-        ternary = ones + int(np.count_nonzero(magnitude == 0.0)) == n * n
     if zero is not None:
-        tol = _ZERO_SHARE * _finite_max(magnitude) if zero_tol is None else zero_tol
+        tol = _zero_rule(magnitude) if zero_tol is None else zero_tol
         failures += _pattern_failures(magnitude, zero, nonzero, tol, diagonal_zeros)
-
-    if exact and not (ternary or _is_integral(a)):
-        failures.append("entries are not integral; exact integer check impossible")
-    elif exact and not _covers(nonzero, ones, int(np.count_nonzero(np.diagonal(magnitude) == 1.0)), n):
-        failures.append("required nonzero entries are not all +-1")
-    else:
-        float32_gram = ternary
+    ternary = exact and int(np.count_nonzero(magnitude == 1.0) + np.count_nonzero(magnitude == 0.0)) == n * n
+    if exact and not ternary:
+        failures.append("entries are not all 0 or +-1; exact check impossible")
 
     if zero is not None:  # the margin, over |m| with its required zeros and diagonal set to inf
         if not isinstance(zero, tuple):
@@ -321,7 +310,7 @@ def _certify_pattern(
     del magnitude
 
     # written so that a NaN scale or residual (an overflowing gram) fails
-    c, max_residual = residual_scaled_identity(m, ternary=float32_gram)
+    c, max_residual = residual_scaled_identity(m, ternary=ternary)
     s = m.scale_c
     if not (0.0 < c < math.inf):
         failures.append(f"recovered scale {c} is not positive and finite")
@@ -355,7 +344,7 @@ _NOWHERE, _EVERYWHERE = (False, False), (True, True)
 
 # claim -> (label, required-zero mask, required-nonzero mask, exact, symmetric);
 # each mask is a rule pair, its value (on the diagonal, off it), and an entry
-# in neither is free; an exact claim holds MMᵀ = cI exactly on integral entries
+# in neither is free; an exact claim holds MMᵀ = cI exactly on entries 0, 1 or -1
 _PATTERNS = {
     CLAIM_OMZD: ("OMZD", (True, False), (False, True), False, False),
     CLAIM_SYMMETRIC_OMZD: ("SymmetricOMZD", (True, False), (False, True), False, True),
@@ -509,8 +498,8 @@ def check_drt(t: RealMatrix) -> OrthoCertificate:
 
 
 def check_skew_hadamard(h: RealMatrix) -> OrthoCertificate:
-    """The exact certificate of a skew-Hadamard matrix: integral +-1
-    entries, HHᵀ = nI exactly, and H + Hᵀ = 2I (H - I is skew).  Raises
+    """The exact certificate of a skew-Hadamard matrix: +-1 entries,
+    HHᵀ = nI exactly, and H + Hᵀ = 2I (H - I is skew).  Raises
     ShapeMismatch for a non-square or 0x0 matrix."""
     n = _square_order(h)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN sum is a failure, not a warning

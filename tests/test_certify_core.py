@@ -2,9 +2,11 @@
 intermediate as a full array (the mirrored float64 gram, cI, the
 off-diagonal gather): the same certificate, field for field and bit for
 bit, on built matrices and on tampered copies of them, the exact objects
-among them certified through the float32 gram; ``certify`` giving every
-claim the verdict of its checker; plus the refusal of an empty matrix and
-the memory the core takes."""
+among them certified through the float32 gram; the one ternary rule of
+the exact claims giving the verdicts of the integrality and +-1 tests it
+replaced, on random small matrices and tournaments; ``certify`` giving
+every claim the verdict of its checker; plus the refusal of an empty
+matrix and the memory the core takes."""
 
 import math
 import struct
@@ -14,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omzd import construct, planner, verify
 from omzd.errors import ShapeMismatch
@@ -49,9 +53,34 @@ def _reference_symmetry(a: np.ndarray) -> str:
     return "neither"
 
 
+_NOT_TERNARY = "entries are not all 0 or +-1; exact check impossible"
+
+
+def _ternary_rule(a, nonzero):
+    """The exact claims' rule on entries: every one is 0, 1 or -1."""
+    return [] if np.all(np.isin(np.abs(a), (0.0, 1.0))) else [_NOT_TERNARY]
+
+
+# the two messages of the rule that _ternary_rule replaced
+_PARENT_MESSAGES = (
+    "entries are not integral; exact integer check impossible",
+    "required nonzero entries are not all +-1",
+)
+
+
+def _parent_rule(a, nonzero):
+    """The rule _ternary_rule replaced: integral entries, and +-1 at the
+    required nonzeros."""
+    if not np.all(a == np.round(a)):
+        return [_PARENT_MESSAGES[0]]
+    if not np.all(np.abs(a[nonzero]) == 1.0):
+        return [_PARENT_MESSAGES[1]]
+    return []
+
+
 def _reference_core(
     m, claim, zero, nonzero, *, exact=False, symmetric=False, zero_tol=None, res_tol=RES_TOL,
-    failures=(),
+    failures=(), exact_rule=_ternary_rule,
 ):
     a = m.data
     n = len(a)
@@ -59,7 +88,8 @@ def _reference_core(
     min_offdiag = 0.0
     if zero is not None:
         magnitude = np.abs(a)
-        tol = 1e-12 * float(np.max(np.abs(a))) if zero_tol is None else zero_tol
+        top = float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))  # the largest finite
+        tol = 1e-12 * top if zero_tol is None else zero_tol
         is_zero = magnitude <= tol
         off = ~np.eye(n, dtype=bool)
         for bad, word in ((zero & ~is_zero, "nonzero"), (nonzero & is_zero, "zero")):
@@ -71,10 +101,8 @@ def _reference_core(
                 failures.append(f"off-diagonal {word}s at {positions}")
         free = magnitude[off & ~zero]
         min_offdiag = float(np.min(free)) if free.size else math.inf
-    if exact and not np.all(a == np.round(a)):
-        failures.append("entries are not integral; exact integer check impossible")
-    elif exact and not np.all(np.abs(a[nonzero]) == 1.0):
-        failures.append("required nonzero entries are not all +-1")
+    if exact:
+        failures += exact_rule(a, nonzero)
     c, max_residual = _reference_residual(a)
     before_gram = len(failures)
     if not (0.0 < c < math.inf):
@@ -110,7 +138,7 @@ _REFERENCE_MASKS = {
 }
 
 
-def _reference_drt(m):
+def _reference_drt(m, exact_rule=_ternary_rule):
     """A tournament's certificate: the core on its bordered H = T - Tᵀ + I,
     under the skew-Hadamard masks, after T's own failures, one of which is
     a declared scale: a tournament has no c."""
@@ -118,11 +146,14 @@ def _reference_drt(m):
     q = m.order
     h = np.ones((q + 1, q + 1))
     h[1:, 0] = -1
-    h[1:, 1:] = a - a.T + np.eye(q)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf entry: inf - inf is NaN
+        h[1:, 1:] = a - a.T
+        np.fill_diagonal(h[1:, 1:], 1)  # a_ii - a_ii + 1, which is 1 for an infinite a_ii too
+        oriented = np.array_equal(a + a.T, np.ones((q, q)) - np.eye(q))
     failures = []
     if not np.all(np.isin(a, (0, 1))):
         failures.append("entries are not all in {0, 1}")
-    if not np.array_equal(a + a.T, np.ones((q, q)) - np.eye(q)):
+    if not oriented:
         failures.append("not an orientation of the complete graph: T + T^T != J - I")
     if q % 4 != 3:
         failures.append(f"order {q} is not 3 mod 4")
@@ -131,20 +162,21 @@ def _reference_drt(m):
     eye = np.eye(q + 1, dtype=bool)
     return _reference_core(
         RealMatrix(h), f"DRT({q})", np.zeros_like(eye), np.ones_like(eye),
-        exact=True, failures=tuple(failures),
+        exact=True, failures=tuple(failures), exact_rule=exact_rule,
     )
 
 
-def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL):
+def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL, exact_rule=_ternary_rule):
     if claim == "drt":
-        return _reference_drt(m)
+        return _reference_drt(m, exact_rule)
     if claim == "ompzd" and k == 0:  # no diagonal zero: the nowhere-zero claim
         claim = "nowhere-zero"
     label, zero, nonzero = _REFERENCE_MASKS[claim]
     eye = np.eye(m.order, dtype=bool)
     failures = ()
-    if claim == "skew-hadamard" and not np.array_equal(m.data + m.data.T, 2 * eye):
-        failures = ("H + H^T != 2I",)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if claim == "skew-hadamard" and not np.array_equal(m.data + m.data.T, 2 * eye):
+            failures = ("H + H^T != 2I",)
     if claim == "ompzd":
         tol = 1e-12 * m.max_abs() if zero_tol is None else zero_tol
         zeros = int(np.sum(np.abs(np.diag(m.data)) <= tol))
@@ -153,7 +185,7 @@ def _reference_certify(m, claim, k=None, zero_tol=None, res_tol=RES_TOL):
     return _reference_core(
         m, label.format(k=k, n=m.order), zero(eye), nonzero(eye),
         exact=claim in ("conference", "skew-hadamard"), symmetric=claim == "symmetric-omzd",
-        zero_tol=zero_tol, res_tol=res_tol, failures=failures,
+        zero_tol=zero_tol, res_tol=res_tol, failures=failures, exact_rule=exact_rule,
     )
 
 
@@ -331,17 +363,100 @@ _EXACT = [
 
 @pytest.mark.parametrize("name,claim", _EXACT, ids=[name for name, _ in _EXACT])
 def test_exact_claims_take_the_float32_gram_only_on_unit_entries(monkeypatch, name, claim):
-    # a flipped sign (for a tournament, -1 in T, or a reversed arc) keeps
-    # the entries in {0, +-1} and fails through the float32 gram; a zeroed
-    # or perturbed entry takes the float64 one; either way the certificate
-    # is the reference's, bit for bit
+    # a flipped sign (for a tournament, -1 in T, or a reversed arc) or a
+    # zeroed entry keeps the entries in {0, +-1} and fails through the
+    # float32 gram; a perturbed entry takes the float64 one; either way the
+    # certificate is the reference's, bit for bit
     routes = _gram_routes(monkeypatch)
-    cases = [("", True), ("flip-off", True), ("zero-off", False), ("bump-off", False)]
+    cases = [("", True), ("flip-off", True), ("zero-off", True), ("bump-off", False)]
     for label, float32 in cases + ([("swap-pair", True)] if claim == "drt" else []):
         m = CASES[f"{name}/{label}" if label else name]
         got = certify(m, claim)
         assert (routes.pop(), got.passed) == (float32, not label), label
         assert _fields(got) == _reference_fields(_reference_certify(m, claim)), label
+
+
+# the exact claims, each with its parent-rule reference
+_EXACT_CLAIMS = ("conference", "skew-hadamard", "drt")
+_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+# exact objects of order <= 9, which _small_matrices edits: Paley
+# conference matrices, skew-Hadamard matrices and DRTs
+_SMALL_EXACT = [
+    *(_root("conference", q=q).data for q in (3, 5, 7)),
+    *(_root("skew-hadamard", q=q).data for q in (3, 7)),
+    *(_root("drt", q=q).data for q in (3, 7)),
+]
+
+
+@st.composite
+def _edits(draw, a: np.ndarray) -> np.ndarray:
+    """``a`` with up to three entries set to values of _VALUES, and one
+    time in eight one more entry set to inf or -inf."""
+    a = np.array(a, dtype=float)
+    n = len(a)
+    position = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        a[draw(position)] = draw(st.sampled_from(_VALUES))
+    if draw(st.integers(0, 7)) == 0:
+        a[draw(position)] = draw(st.sampled_from((math.inf, -math.inf)))
+    return a
+
+
+@st.composite
+def _small_matrices(draw) -> np.ndarray:
+    """A square matrix of order 1-9: entries drawn from _VALUES, an exact
+    object, or a tournament, each then edited by _edits."""
+    source = draw(st.sampled_from(("values", "exact", "tournament")))
+    if source == "exact":
+        a = draw(st.sampled_from(_SMALL_EXACT))
+    elif source == "values":
+        n = draw(st.integers(1, 9))
+        a = np.array(draw(st.lists(st.sampled_from(_VALUES), min_size=n * n, max_size=n * n))).reshape(n, n)
+    else:
+        n = draw(st.integers(1, 9))
+        upper = np.triu_indices(n, 1)
+        a = np.zeros((n, n))
+        a[upper] = draw(st.lists(st.integers(0, 1), min_size=len(upper[0]), max_size=len(upper[0])))
+        a.T[upper] = 1 - a[upper]
+    return draw(_edits(a))
+
+
+def _without(failures, messages) -> tuple:
+    return tuple(f for f in failures if f not in messages)
+
+
+def _verdict_fields(cert) -> tuple:
+    """The fields the exact rule must not move; a NaN is any NaN."""
+    return (
+        cert.passed, *("nan" if math.isnan(x) else _bits(x) for x in (cert.scale_c, cert.max_residual)),
+        _bits(cert.min_offdiag_magnitude), cert.symmetry,
+    )
+
+
+def _assert_parent_verdict(m):
+    """Each exact claim on ``m`` gives the reference's certificate, and the
+    verdict of the parent rule, whose failures differ only by the rule's
+    own messages."""
+    for claim in _EXACT_CLAIMS:
+        got = certify(m, claim)
+        ref, parent = (
+            OrthoCertificate(*_reference_certify(m, claim, exact_rule=rule)) for rule in (_ternary_rule, _parent_rule)
+        )
+        assert (_verdict_fields(got), got.failures) == (_verdict_fields(ref), ref.failures), claim
+        assert _verdict_fields(got) == _verdict_fields(parent), claim
+        assert _without(got.failures, (_NOT_TERNARY,)) == _without(parent.failures, _PARENT_MESSAGES), claim
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_small_matrices())
+def test_the_ternary_rule_keeps_the_parent_verdicts(a):
+    _assert_parent_verdict(RealMatrix(a))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_ternary_rule_keeps_the_parent_verdicts_on_every_case(case):
+    _assert_parent_verdict(CASES[case])
 
 
 def _unmirrored_residual(a: np.ndarray) -> tuple[float, float]:

@@ -1753,7 +1753,7 @@ class TestVerifyIntegerClaims:
         failures = [
             "entries are not all in {0, 1}",
             "not an orientation of the complete graph: T + T^T != J - I",
-            "entries are not integral; exact integer check impossible",
+            "entries are not all 0 or +-1; exact check impossible",
             "gram deviates from cI by 0.5625 (exact check)",
         ]
         assert code == 1 and err == "; ".join(failures) + "\n"

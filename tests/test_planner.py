@@ -110,6 +110,13 @@ class TestPlanRouting:
         with pytest.raises(ValueError):
             plan("omzd", 9, route="fastest")
 
+    @pytest.mark.parametrize("n", [15, 16], ids=["drt-route", "symmetric-route"])
+    def test_bad_branch(self, n):
+        # refused before anything is built, whether or not the plan would
+        # have reached the OMZD-from-DRT stage that reads the branch
+        with pytest.raises(ValueError, match="^unknown branch 'sideways'$"):
+            plan("omzd", n, route="prefer-drt", branch="sideways")
+
 
 class TestExecute:
     def test_omzd11(self):

@@ -85,7 +85,7 @@ class TestCertify:
     def test_conference_rejects_non_integral(self):
         cert = certify(construct.seed("omzd", 5), "conference")
         assert not cert.passed
-        assert any("not integral" in f for f in cert.failures)
+        assert "entries are not all 0 or +-1; exact check impossible" in cert.failures
 
     def test_non_square_raises(self):
         with pytest.raises(ShapeMismatch):
@@ -185,7 +185,7 @@ class TestCheckDrt:
         assert verdict.failures == (
             "entries are not all in {0, 1}",
             "not an orientation of the complete graph: T + T^T != J - I",
-            "required nonzero entries are not all +-1",
+            "entries are not all 0 or +-1; exact check impossible",
             "gram deviates from cI by 15.75 (exact check)",
         )
 
@@ -212,7 +212,7 @@ class TestCheckDrt:
         assert check_drt(RealMatrix(t)).failures == (
             "entries are not all in {0, 1}",
             "not an orientation of the complete graph: T + T^T != J - I",
-            "required nonzero entries are not all +-1",
+            "entries are not all 0 or +-1; exact check impossible",
             "recovered scale inf is not positive and finite",
         )
 
@@ -301,12 +301,12 @@ class TestClaimTable:
         "drt": (
             "entries are not all in {0, 1}",
             "not an orientation of the complete graph: T + T^T != J - I",
-            "entries are not integral; exact integer check impossible",
+            "entries are not all 0 or +-1; exact check impossible",
             "gram deviates from cI by 0.9375 (exact check)",
         ),
         "skew-hadamard": (
             "H + H^T != 2I",
-            "entries are not integral; exact integer check impossible",
+            "entries are not all 0 or +-1; exact check impossible",
             "gram deviates from cI by 1.09375 (exact check)",
         ),
     }
@@ -432,14 +432,14 @@ class TestFloatChecksAreExact:
         assert check_drt(RealMatrix(a)).passed == _drt_reference(a)
 
     def test_half_entries_are_not_integral(self):
-        # the halves cancel in T - Tᵀ, so H is integral, with zeros where
-        # the tournament's arcs belong
+        # the halves cancel in T - Tᵀ, so H is ternary, with zeros where
+        # the tournament's arcs belong: the pattern names them, and H meets
+        # the exact rule on entries
         verdict = check_drt(RealMatrix([[0, 0.5], [0.5, 0]]))
         assert verdict.failures == (
             "entries are not all in {0, 1}",
             "order 2 is not 3 mod 4",
             "off-diagonal zeros at [(1, 2), (2, 1)]",
-            "required nonzero entries are not all +-1",
             "gram deviates from cI by 1.0 (exact check)",
         )
 
