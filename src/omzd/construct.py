@@ -330,9 +330,11 @@ def symmetric_omzd(n: int) -> RealMatrix:
     m = n // 2
     alpha = math.sqrt(m * m - 1.0)
     beta = (-alpha + math.sqrt(2.0 * m - 1.0)) / m
-    block_a = np.ones((m, m)) - np.eye(m)
-    block_b = alpha * np.eye(m) + beta * np.ones((m, m))
-    out = np.block([[block_a, block_b], [block_b, -block_a]])
+    out = np.full((n, n), beta)  # each block is written into the one output
+    out[:m, :m], out[m:, m:] = 1.0, -1.0
+    np.fill_diagonal(out, 0.0)
+    i = np.arange(m)
+    out[i, m + i] = out[m + i, i] = alpha + beta
     return RealMatrix._adopt(out, scale_c=float(m * m))
 
 

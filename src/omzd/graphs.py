@@ -7,11 +7,11 @@ matching (Gnk; K_{n,n} itself is Gnk(n, 0)) and for complete
 multipartite graphs.
 
 A family is one spec class, which owns its mask (``graph``), ``plan``
-and ``witness`` step, plus one ``FAMILIES`` row and any ``_REFUSALS``
-entries.  Every family member takes one route: a refusal table lookup,
-then one ``spec.plan()``, ``planner.build`` and ``certify_graph``; the
-witness certificate implies the plan root's claim, so the root gets no
-check of its own.  A Gnk witness is the embedding [[0, B], [Bᵀ, 0]] of
+and ``witness`` step, plus one ``FAMILIES`` row.  Every family member
+takes one route: one ``spec.plan()``, whose planner refusal is the
+family's, then one ``planner.build`` and ``certify_graph``; the witness
+certificate implies the plan root's claim, so the root gets no check of
+its own.  A Gnk witness is the embedding [[0, B], [Bᵀ, 0]] of
 the planned OMPZD(n, k) B, conjugated so that its diagonal zeros come
 first.  A multipartite witness is the planned matrix itself:
 Kron(symmetric OMZD(m), nowhere-zero(n)), or for K_m, whose diagonal is
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import construct, planner
-from .errors import NoKnownConstruction, NonSymmetric, NotScaledInvolution
+from .errors import NoKnownConstruction, NonexistentTarget, NonSymmetric, NotScaledInvolution
 from .numerics import RealMatrix, involution_multiplicities
 from .verify import CLAIM_MULTIPARTITE, CLAIM_OMPZD, certify_graph, zero_tolerance
 from .verify import certify_multipartite  # re-exported
@@ -70,7 +70,17 @@ def _check_part_size(spec) -> None:
 
 @dataclass(frozen=True)
 class Gnk:
-    """K_{n,n} minus the canonical matching {i, i'} for i = 0..k-1."""
+    """K_{n,n} minus the canonical matching {i, i'} for i = 0..k-1.
+
+    q(Gnk) = 2 exactly when an OMPZD(n, k) exists (Ahmadi et al., ELA 26
+    (2013)): a symmetric A with Gnk's pattern is [[D₁, B], [Bᵀ, D₂]], D₁
+    and D₂ diagonal, and A² = cI gives (d₁ᵢ + d₂ⱼ)·bᵢⱼ = 0 on every edge,
+    which on a connected Gnk forces D₁ = dI and D₂ = -dI; then BBᵀ =
+    (c - d²)I, so B is a scaled OMPZD(n, k).  Conversely, an OMPZD(n, k) B
+    gives the witness [[0, B], [Bᵀ, 0]].  The disconnected members fit the
+    same rule: Gnk(1, 1) is edgeless (q = 1), and Gnk(2, 2) is two edges,
+    with OMPZD(2, 2) = [[0, 1], [1, 0]].
+    """
 
     n: int
     k: int
@@ -87,13 +97,17 @@ class Gnk:
     def graph(self) -> np.ndarray:
         """Adjacency mask [[0, B], [Bᵀ, 0]], B all True but its first k
         diagonal entries."""
-        block = np.ones((self.n, self.n), dtype=bool)
-        block[np.arange(self.k), np.arange(self.k)] = False
-        empty = np.zeros_like(block)
-        return _read_only(np.block([[empty, block], [block.T, empty]]))
+        n, matched = self.n, np.arange(self.k)
+        mask = np.zeros((2 * n, 2 * n), dtype=bool)  # each block is written into the one mask
+        mask[:n, n:] = mask[n:, :n] = True
+        mask[matched, n + matched] = mask[n + matched, matched] = False
+        return _read_only(mask)
 
     def plan(self) -> planner.PlanNode:
-        return planner.plan(CLAIM_OMPZD, self.n, self.k)
+        try:
+            return planner.plan(CLAIM_OMPZD, self.n, self.k)
+        except NonexistentTarget as e:
+            raise NonexistentTarget(f"q(Gnk) = 2 exactly when an OMPZD(n, k) exists; {e}") from None
 
     def witness(self, root: RealMatrix) -> RealMatrix:
         return embed_bipartite(_zeros_to_front(root))
@@ -189,34 +203,20 @@ def _zeros_to_front(m: RealMatrix) -> RealMatrix:
     return construct.conjugate_permute(m, np.argsort(nonzero, kind="stable"))
 
 
-# Every refusal: the graphs whose q is known not to be 2, and the one
-# left open.  All other Gnk have an OMPZD(n, k) witness.
-_REFUSALS = {
-    Gnk(1, 1): (
-        STATUS_KNOWN_IMPOSSIBLE,
-        "deleting the matching empties the graph: it has no edges, so one eigenvalue suffices",
-    ),
-    Gnk(2, 1): (STATUS_KNOWN_IMPOSSIBLE, "the graph is the 4-vertex path, which needs 4 distinct eigenvalues"),
-    Gnk(3, 3): (STATUS_KNOWN_IMPOSSIBLE, "the graph is the 6-cycle, which needs 3 distinct eigenvalues"),
-    Gnk(3, 2): (STATUS_UNKNOWN, "bracketed: between 3 and 4 distinct eigenvalues; unresolved"),
-}
-
 def q2_certificate(spec: GraphSpec) -> Q2Certificate:
     """Produce (or refuse) a two-distinct-eigenvalue witness for a family
-    member, by one route: the refusal table, then ``spec.plan()``, one
-    ``planner.build``, ``spec.witness`` of its root and one
-    ``certify_graph``.  A refusal is known-impossible or unknown; a
-    NoKnownConstruction from the plan is unknown, with its message.
-    Certified results carry the witness matrix, whose adjacency mask is
-    the graph's, and the distinct eigenvalue count (which must be 2)."""
-    refusal = _REFUSALS.get(spec)
-    if refusal is None:
-        try:
-            node = spec.plan()
-        except NoKnownConstruction as e:
-            refusal = (STATUS_UNKNOWN, str(e))
-    if refusal is not None:
-        return Q2Certificate(spec, *refusal)
+    member, by one route: ``spec.plan()``, one ``planner.build``,
+    ``spec.witness`` of its root and one ``certify_graph``.  A
+    NonexistentTarget from the plan is known-impossible and a
+    NoKnownConstruction unknown, each with its message.  Certified results
+    carry the witness matrix, whose adjacency mask is the graph's, and the
+    distinct eigenvalue count (which must be 2)."""
+    try:
+        node = spec.plan()
+    except NonexistentTarget as e:
+        return Q2Certificate(spec, STATUS_KNOWN_IMPOSSIBLE, str(e))
+    except NoKnownConstruction as e:
+        return Q2Certificate(spec, STATUS_UNKNOWN, str(e))
     return _certify_witness(spec, spec.witness(planner.build(node)))
 
 

@@ -36,7 +36,6 @@ from .errors import (
     NonexistentTarget,
     ResourceLimit,
 )
-from .gfield import prime_power_decompose
 from .verify import (
     CLAIM_CONFERENCE,
     CLAIM_DRT,
@@ -258,17 +257,15 @@ def _drt_route(n: int, branch: str) -> PlanNode | None:
     q = 3 (mod 4), q >= 7 (t = 0 means n itself qualifies)."""
     if n % 2 == 0 or n < 7:
         return None
-
-    def qualifies(q: int) -> bool:
-        if q < 7 or q % 4 != 3:
-            return False
-        pk = prime_power_decompose(q)
-        return pk is not None and pk[0] != 2
-
     for t in range((n + 1).bit_length()):
         q = ((n + 1) >> t) - 1
-        if (n + 1) % (1 << t) == 0 and qualifies(q):
-            return _node("omzd-from-drt", _tournament_plan(q, t), args=(branch,))
+        if (n + 1) % (1 << t) != 0 or q < 7:
+            continue
+        try:
+            construct.check_paley_q(q, tournament=True)
+        except InvalidQ:
+            continue
+        return _node("omzd-from-drt", _tournament_plan(q, t), args=(branch,))
     return None
 
 

@@ -357,7 +357,7 @@ _PATTERNS = {
 
 # claim -> the tolerances it never reads, which certify refuses
 _UNREAD_TOLERANCES = {
-    CLAIM_CONFERENCE: ("res_tol",),
+    CLAIM_CONFERENCE: ("res_tol", "zero_tol"),
     CLAIM_DRT: ("res_tol", "zero_tol"),
     CLAIM_SKEW_HADAMARD: ("res_tol", "zero_tol"),
     CLAIM_ORTHOGONAL: ("zero_tol",),
@@ -395,11 +395,10 @@ def certify(
 
     Raises ValueError for an unknown claim, a missing or non-integer
     parameter, a tolerance that is given but not finite and >= 0, or,
-    after that, a tolerance the claim never reads: conference, drt and
-    skew-hadamard take no res_tol (their checks are exact), and drt,
-    skew-hadamard and orthogonal take no zero_tol (the zero rule decides
-    none of their verdicts: a tournament is {0, 1} and a skew-Hadamard
-    matrix +-1 exactly, and orthogonal requires no entry).
+    after that, a tolerance the claim never reads: the exact claims,
+    conference, drt and skew-hadamard, take neither tolerance (each entry
+    must be 0 or +-1 exactly, and MMᵀ = cI exactly), and orthogonal takes
+    no zero_tol (it requires no entry).
     """
     tolerances = {"res_tol": res_tol, "zero_tol": zero_tol}
     for label, tol in tolerances.items():

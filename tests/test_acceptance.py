@@ -169,9 +169,7 @@ def test_criterion_7_graph_certificates():
         for n in range(1, 13):
             for k in range(0, n + 1):
                 cert = graphs.q2_certificate(graphs.Gnk(n, k))
-                if (n, k) == (3, 2):
-                    assert cert.status == graphs.STATUS_UNKNOWN
-                elif (n, k) in exceptional:
+                if (n, k) in exceptional:
                     assert cert.status == graphs.STATUS_KNOWN_IMPOSSIBLE
                 else:
                     assert cert.status == graphs.STATUS_CERTIFIED, (n, k, cert.reason)

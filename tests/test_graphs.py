@@ -121,14 +121,25 @@ class TestQ2Knn:
 
 class TestQ2Gnk:
     def test_exceptional_pairs(self):
-        assert q2_certificate(Gnk(1, 1)).status == STATUS_KNOWN_IMPOSSIBLE
-        assert q2_certificate(Gnk(2, 1)).status == STATUS_KNOWN_IMPOSSIBLE
-        c33 = q2_certificate(Gnk(3, 3))
-        assert c33.status == STATUS_KNOWN_IMPOSSIBLE
-        assert "6-cycle" in c33.reason
-        c32 = q2_certificate(Gnk(3, 2))
-        assert c32.status == STATUS_UNKNOWN
-        assert "between 3 and 4" in c32.reason
+        # the four pairs with no OMPZD(n, k), refused by the planner's table
+        for n, k in [(1, 1), (2, 1), (3, 2), (3, 3)]:
+            cert = q2_certificate(Gnk(n, k))
+            assert (cert.status, cert.matrix) == (STATUS_KNOWN_IMPOSSIBLE, None)
+            assert cert.reason == (
+                "q(Gnk) = 2 exactly when an OMPZD(n, k) exists; "
+                f"ompzd-existence: no OMPZD({n},{k}); the exceptions are (1,1), (2,1), (3,2), (3,3)"
+            )
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_certified_exactly_when_ompzd_exists(self, n):
+        # q(Gnk) = 2 iff an OMPZD(n, k) exists: one theorem, one table
+        for k in range(n + 1):
+            cert = q2_certificate(Gnk(n, k))
+            if planner.exists("ompzd", n, k).exists:
+                assert cert.status == STATUS_CERTIFIED, (n, k, cert.reason)
+            else:
+                assert cert.status == STATUS_KNOWN_IMPOSSIBLE
+                assert f"OMPZD({n},{k})" in cert.reason
 
     def test_gnk85(self):
         cert = q2_certificate(Gnk(8, 5))
@@ -268,7 +279,7 @@ class TestGraphMask:
 # witnesses of both plan routes (K_m for n = 1, Kron above), and K_m for
 # every m <= 8
 _LAPACK_SPECS = (
-    [Gnk(n, k) for n in range(1, 9) for k in range(n + 1) if Gnk(n, k) not in graphs._REFUSALS]
+    [Gnk(n, k) for n in range(1, 9) for k in range(n + 1) if planner.exists("ompzd", n, k).exists]
     + [Knn(n) for n in range(9, 41)]
     + [Multipartite(n, m) for m in (2, 6, 8) for n in (1, 2, 3)]
     + [Multipartite(1, m) for m in (3, 4, 5, 7)]

@@ -124,13 +124,18 @@ class TestCertify:
 
     def test_exactness_on_integer_inputs(self):
         # integer-backed claims are tolerance-free: a single flipped sign
-        # fails, and a residual tolerance, which could loosen nothing, is
-        # refused
+        # fails, and either tolerance, which could only loosen the check, is
+        # refused; a zero_tol of 5 would call the nonzero diagonal of the
+        # order-1 [[1]] zero, and pass it
         bad = np.array(construct.seed("omzd", 6).data)
         bad[0, 1] = -bad[0, 1]
         assert not certify(RealMatrix(bad), "conference").passed
         with pytest.raises(ValueError, match=r"^claim 'conference' takes no res_tol$"):
             certify(RealMatrix(bad), "conference", res_tol=1e6)
+        one = RealMatrix([[1.0]])
+        assert not certify(one, "conference").passed
+        with pytest.raises(ValueError, match=r"^claim 'conference' takes no zero_tol$"):
+            certify(one, "conference", zero_tol=5.0)
 
 
 class TestCertifyGraph:
