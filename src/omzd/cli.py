@@ -1,13 +1,14 @@
 """Command-line interface, matrix persistence, and certificate reporting.
 
 ``gen`` plans every kind with ``planner.plan``, builds it with
-``planner.execute`` (which checks the result once) and writes it;
-``verify`` checks a stored matrix with ``verify.certify``.  All
-machine output (JSON) goes to stdout unless --out is given; all
-diagnostics go to stderr.  Exit codes: 0 success /
-exists / certified, 1 nonexistent / verification failed / known
-impossible, 2 usage, unreadable input, unwritable output or internal
-error.  Output is byte-deterministic: fixed key order and
+``planner.execute`` (which checks the result once) and writes it; a gen
+document's ``provenance.parameters`` are the options it was planned
+from, so ``gen --kind`` with them rebuilds its bytes.  ``verify`` checks
+a stored matrix with ``verify.certify``.  All machine output (JSON) goes
+to stdout unless --out is given; all diagnostics go to stderr.  Exit
+codes: 0 success / exists / certified, 1 nonexistent / verification
+failed / known impossible, 2 usage, unreadable input, unwritable output
+or internal error.  Output is byte-deterministic: fixed key order and
 17-significant-digit floats (exact double round-trip).  Decoding is exact
 too: ``decode_matrix_file`` parses each row of a file this module writes
 with orjson and packs it with one ``struct.Struct`` of ``cols`` doubles
@@ -75,14 +76,14 @@ from .verify import CLAIMS, certify
 
 __all__ = ["run", "main", "encode_matrix_file", "decode_matrix_file"]
 
-# gen kind -> the parameters it records in its provenance, in order; one
-# left unset is a usage error unless it has a default below, and so is
-# any other of _KIND_OPTIONS set; exists and plan read the OMZD kinds'
-# entries
+# gen kind -> the options it takes, records in its provenance and is
+# planned from, in order, and --branch after --route prefer-drt; one left
+# unset is a usage error unless it has a default below, and so is any
+# other of _KIND_OPTIONS set; exists and plan read the OMZD kinds' rows
 _GEN_PARAMETERS = {
     "omzd": ("n", "route"),
     "symmetric-omzd": ("n",),
-    "ompzd": ("n", "k"),
+    "ompzd": ("n", "k", "route"),
     "conference": ("q",),
     "drt": ("q", "t"),
     "skew-hadamard": ("q", "t"),
@@ -673,11 +674,10 @@ def _read_input(path: str) -> str:
 
 
 def _kind_takes(args) -> tuple[str, ...]:
-    """The options ``args.kind`` takes in gen, plan or exists."""
-    if args.kind not in ("omzd", "ompzd"):
-        return _GEN_PARAMETERS[args.kind]
+    """The options ``args.kind`` takes in gen, plan or exists: its
+    ``_GEN_PARAMETERS`` row, and --branch after --route prefer-drt."""
     prefer_drt = getattr(args, "route", None) == planner.ROUTE_PREFER_DRT
-    return _GEN_PARAMETERS[args.kind] + (("route", "branch") if prefer_drt else ("route",))
+    return _GEN_PARAMETERS[args.kind] + (("branch",) if prefer_drt else ())
 
 
 def _check_options(args, head: str, takes: tuple[str, ...], required: bool) -> None:
@@ -699,14 +699,10 @@ def _check_options(args, head: str, takes: tuple[str, ...], required: bool) -> N
 
 def _cmd_gen(args, stdout, stderr) -> int:
     kind = args.kind
-    _check_options(args, f"gen --kind {kind}", _kind_takes(args), required=True)
-    params = {name: getattr(args, name) for name in _GEN_PARAMETERS[kind]}
-    if kind == "omzd" and args.route == planner.ROUTE_PREFER_DRT:
-        params["branch"] = args.branch
-
-    node = planner.plan(
-        kind, args.n, args.k, route=args.route, branch=args.branch, q=args.q, t=args.t, m=args.m
-    )
+    takes = _kind_takes(args)
+    _check_options(args, f"gen --kind {kind}", takes, required=True)
+    params = {name: getattr(args, name) for name in takes}
+    node = planner.plan(kind, **params)
     matrix, cert = planner.execute(node)
     if args.format == "csv":
         pieces = _format_rows(matrix.data, "", "\n")

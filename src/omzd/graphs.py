@@ -121,7 +121,8 @@ def Knn(n: int) -> Gnk:
 @dataclass(frozen=True)
 class Multipartite:
     """Complete multipartite graph with m parts of size n, vertices in
-    consecutive blocks of n."""
+    consecutive blocks of n.  The planner's refusal for parts of size 2 or
+    more (no symmetric OMZD(m)) gains the conjecture that q(G) is still 2."""
 
     n: int
     m: int
@@ -143,11 +144,8 @@ class Multipartite:
             if self.n == 1:  # K_m: its diagonal is free, so no zero block is needed
                 return planner.plan(CLAIM_OMPZD, self.m, 0)
             return planner.plan(CLAIM_MULTIPARTITE, self.n, m=self.m)
-        except NoKnownConstruction:
-            raise NoKnownConstruction(
-                "no construction known for an odd part count or exactly 4 parts; "
-                "conjectured to still need only 2 distinct eigenvalues"
-            ) from None
+        except NoKnownConstruction as e:
+            raise NoKnownConstruction(f"{e}; conjectured to still need only 2 distinct eigenvalues") from None
 
     def witness(self, root: RealMatrix) -> RealMatrix:
         return root

@@ -368,11 +368,16 @@ def _tournament_plan(q: int, t: int) -> PlanNode:
 
 
 def _multipartite_plan(n: int, m: int) -> PlanNode:
-    """Kron(symmetric OMZD(m), nowhere-zero(n)): m parts of size n."""
+    """Kron(symmetric OMZD(m), nowhere-zero(n)): m parts of size n.  With
+    no symmetric OMZD(m), parts of size 1, whose blocks are the diagonal,
+    are NonexistentTarget, and larger parts NoKnownConstruction."""
     check_part_size(n)
     check_part_count(m)
-    if m % 2 != 0 or m == 4:
-        raise NoKnownConstruction("no construction is known for an odd part count or exactly 4 parts")
+    verdict = exists(CLAIM_SYMMETRIC_OMZD, m)
+    if not verdict.exists:
+        if n == 1:
+            raise NonexistentTarget(f"parts of size 1 make a multipartite matrix a symmetric OMZD({m}); {verdict.reason}")
+        raise NoKnownConstruction(f"no construction is known without a symmetric OMZD({m}) factor; {verdict.reason}")
     check_order(n * m)
     return _node("kron", _node("symmetric", args=(m,)), _node("nowhere-zero", args=(n,)))
 

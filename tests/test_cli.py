@@ -427,6 +427,15 @@ def _family_grid():
         yield head + (family,)
 
 
+def _factorless_multipartite(argv):
+    """A multipartite argv of ``_family_grid`` with parts of size >= 2 and
+    a part count that has no symmetric OMZD: odd, or 4."""
+    if argv[2] != "multipartite" or argv[3::2] != ("--n", "--m"):
+        return False
+    n, m = int(argv[4]), int(argv[6])
+    return n >= 2 and m >= 2 and (m % 2 == 1 or m == 4)
+
+
 class TestCertifyGraph:
     def test_certified(self):
         code, out, _ = invoke("certify-graph", "--family", "gnk", "--n", "8", "--k", "5")
@@ -497,12 +506,20 @@ class TestCertifyGraph:
 
     def test_family_grid_pinned(self, monkeypatch):
         # 235 argvs, exit codes 0/1/2 = 149/29/57: a change to how a family
-        # is planned, built or parsed moves no exit code, stdout or stderr byte
+        # is planned, built or parsed moves no exit code, stdout or stderr
+        # byte.  The 25 multipartite argvs of parts of size >= 2 and a part
+        # count with no symmetric OMZD (odd, or 4) moved in their reason
+        # alone, since it is the symmetric-OMZD table's; the other 210 hash
+        # as they did before
         monkeypatch.delenv("COLUMNS", raising=False)
-        h = hashlib.sha256()
+        whole, kept = hashlib.sha256(), hashlib.sha256()
         for argv in _family_grid():
-            h.update(repr((argv, *invoke(*argv))).encode())
-        assert h.hexdigest() == "c0458b734c4eb14d3a23c9744cf61f2e397f92eec6378bb272541918abee861a"
+            result = repr((argv, *invoke(*argv))).encode()
+            whole.update(result)
+            if not _factorless_multipartite(argv):
+                kept.update(result)
+        assert whole.hexdigest() == "7eb6836e3991d29c86b559c412bc922176e2ea75e381640919262be6dbea172d"
+        assert kept.hexdigest() == "8700bd95301648944b25791401cce2835a1aaabedabfdeae36ef627891fd22dd"
 
     @pytest.mark.parametrize(
         "argv", [("certify-graph", "--family", "knn"), ("gen", "--bogus"), ("verify",), ("frobnicate",)]
@@ -1422,6 +1439,31 @@ OUTPUT_PINS = [
 ]
 
 
+# gen records and plans each kind from its one options row, so an ompzd
+# file's provenance parameters end with its route, and after prefer-drt
+# its branch, which none of its pins was taken with: argv -> the member
+# added, which must end the parameters and is taken out before the pin
+# is compared.  No other byte of these files moved.
+ROUTE_RECORDED = {
+    "gen --kind ompzd --n 201 --k 100": ',"route":"auto"',
+    "gen --kind ompzd --n 51 --k 20": ',"route":"auto"',
+    "gen --kind ompzd --n 30 --k 29": ',"route":"auto"',
+    "gen --kind ompzd --n 15 --k 3 --route prefer-drt": ',"route":"prefer-drt","branch":"minus"',
+    "gen --kind ompzd --n 1201 --k 600": ',"route":"auto"',
+    "gen --kind ompzd --n 2001 --k 1": ',"route":"auto"',
+}
+
+
+def _pinned_text(argv, out):
+    """``out`` with the ``ROUTE_RECORDED`` member of ``argv``, if any,
+    taken out of the end of its provenance parameters."""
+    member = ROUTE_RECORDED.get(argv)
+    if member is None:
+        return out
+    assert out.count(member) == 1 and out.endswith(member + "}}}\n")
+    return out.replace(member, "")
+
+
 class TestGenPinnedBytes:
     @pytest.mark.parametrize("argv,sha", OUTPUT_PINS)
     def test_other_stdout_bytes(self, argv, sha):
@@ -1439,7 +1481,7 @@ class TestGenPinnedBytes:
             new, old = change
             assert out.count(new) == 1
             out = out.replace(new, old)
-        assert hashlib.sha256(out.encode()).hexdigest() == sha
+        assert hashlib.sha256(_pinned_text(argv, out).encode()).hexdigest() == sha
 
     @pytest.mark.parametrize(
         "argv,code,message",
@@ -1447,8 +1489,12 @@ class TestGenPinnedBytes:
             ("gen --kind conference --q 21", 1, "InvalidQ: q = 21 is not an odd prime power; note: a symmetric"),
             ("gen --kind drt --q 5", 1, "InvalidQ: q = 5 is not 3 mod 4"),
             ("gen --kind skew-hadamard --q 15", 1, "InvalidQ: q = 15 is not an odd prime power"),
-            ("gen --kind multipartite --n 3 --m 3", 1, "NoKnownConstruction: no construction is known for an odd part count or exactly 4 parts"),
-            ("gen --kind multipartite --n 3 --m 4", 1, "NoKnownConstruction: no construction is known"),
+            # a part count with no symmetric OMZD(m) has that table's reason:
+            # with parts of size 1 the claim is a symmetric OMZD(m)'s
+            ("gen --kind multipartite --n 3 --m 3", 1, "NoKnownConstruction: no construction is known without a symmetric OMZD(3) factor; symmetric-omzd-existence: no symmetric OMZD(3); odd order"),
+            ("gen --kind multipartite --n 3 --m 4", 1, "NoKnownConstruction: no construction is known without a symmetric OMZD(4) factor; symmetric-omzd-order-4: a symmetric OMZD(4) does not exist\n"),
+            ("gen --kind multipartite --n 1 --m 4", 1, "NonexistentTarget: parts of size 1 make a multipartite matrix a symmetric OMZD(4); symmetric-omzd-order-4: a symmetric OMZD(4) does not exist\n"),
+            ("gen --kind multipartite --n 1 --m 5", 1, "NonexistentTarget: parts of size 1 make a multipartite matrix a symmetric OMZD(5); symmetric-omzd-existence: no symmetric OMZD(5); odd order"),
             ("gen --kind multipartite --n 3 --m 0", 2, "ValueError: part count must be >= 2, got 0"),
             ("gen --kind multipartite --n 3 --m 1", 2, "ValueError: part count must be >= 2, got 1"),
             ("gen --kind multipartite --n 3 --m -2", 2, "ValueError: part count must be >= 2, got -2"),
@@ -1478,6 +1524,44 @@ class TestGenPinnedBytes:
             2, "", f"ValueError: part size must be >= 1, got {n}\n"
         )
         assert built == []
+
+
+def _provenance_grid():
+    """gen argvs of the OMZD kinds at orders 9 to 31 and zero counts from 1
+    to n, under every route and, after prefer-drt, either branch; then one
+    argv of each other kind."""
+    routes = [("--route", planner.ROUTE_AUTO), ("--route", planner.ROUTE_PREFER_RECURSIVE)]
+    routes += [("--route", planner.ROUTE_PREFER_DRT, "--branch", branch) for branch in planner.BRANCHES]
+    for n in (9, 12, 15, 23, 31):
+        heads = [("gen", "--kind", "omzd", "--n", str(n))]
+        heads += [("gen", "--kind", "ompzd", "--n", str(n), "--k", str(k)) for k in (1, n // 2, n - 2, n - 1, n)]
+        for head in heads:
+            for route in routes:
+                yield head + route
+    for argv in (
+        "gen --kind conference --q 13",
+        "gen --kind drt --q 11 --t 1",
+        "gen --kind skew-hadamard --q 7 --t 1",
+        "gen --kind multipartite --n 2 --m 6",
+        "gen --kind symmetric-omzd --n 10",
+    ):
+        yield tuple(argv.split())
+
+
+class TestProvenanceRebuilds:
+    @pytest.mark.parametrize(
+        "argv", [tuple(argv.split()) for argv, *_ in GEN_PINS] + list(_provenance_grid()), ids=" ".join
+    )
+    def test_parameters_rebuild_the_bytes(self, argv):
+        # gen --kind <kind>, then each recorded parameter as its option,
+        # writes the document again
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        rebuilt = ["gen", "--kind", doc["kind"]]
+        for name, value in doc["provenance"]["parameters"].items():
+            rebuilt += [f"--{name}", str(value)]
+        assert invoke(*rebuilt) == (0, out, "")
 
 
 # sha256 of stdout at orders where the encoder writes many row chunks,
@@ -1521,7 +1605,7 @@ class TestStreamedOutput:
     def test_large_stdout_bytes(self, argv, sha):
         code, out, err = invoke(*argv.split())
         assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == MOVED_PINS.get(argv, sha)
+        assert hashlib.sha256(_pinned_text(argv, out).encode()).hexdigest() == MOVED_PINS.get(argv, sha)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("to_file", [False, True])

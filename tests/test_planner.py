@@ -271,7 +271,11 @@ class TestPlanGridPin:
         """Every plan, or refusal, over the grid hashes as pinned: its
         serial form, kind, n, k and theorem at every node.  Since q < 2
         became a ValueError, the 18 Paley rows of q = 0 and 1 hash that
-        refusal where they hashed InvalidQ; no other row moved."""
+        refusal where they hashed InvalidQ.  Since the multipartite plan
+        reads the symmetric-OMZD table, its 174 rows of a part count 3,
+        4, 5, 7, 9 or 11 hash that table's refusal: NonexistentTarget for
+        the 6 of part size 1, and a NoKnownConstruction with the new text
+        for the 168 of part size >= 2.  No other row moved."""
         digest = hashlib.sha256()
         count = 0
         for args, kwargs in _plan_grid():
@@ -283,7 +287,7 @@ class TestPlanGridPin:
             count += 1
         assert count == 13230
         assert digest.hexdigest() == (
-            "e4362f30d4b7652c73d8b3a6a86a1ce13fd7a85f1537fd879b76419f3c407aaa"
+            "e26eb5a7fec7398fc541322a280fb03cf15249ee8d75ba909b6ed72fe63ba455"
         )
 
 
@@ -309,9 +313,21 @@ class TestEveryGenKindPlanned:
             for q in (1, 0, -3):
                 with pytest.raises(ValueError, match=f"^prime power q must be >= 2, got {q}$"):
                     plan(kind, q=q)
+        # a part count with no symmetric OMZD(m) is refused by that table:
+        # parts of size 1 make the claim a symmetric OMZD(m)'s, so none
+        # exists; for larger parts no construction is known
         for m in (3, 4, 5):
-            with pytest.raises(NoKnownConstruction, match="odd part count or exactly 4 parts"):
+            reason = exists("symmetric-omzd", m).reason
+            with pytest.raises(NonexistentTarget) as refusal:
+                plan("multipartite", 1, m=m)
+            assert str(refusal.value) == (
+                f"parts of size 1 make a multipartite matrix a symmetric OMZD({m}); {reason}"
+            )
+            with pytest.raises(NoKnownConstruction) as refusal:
                 plan("multipartite", 2, m=m)
+            assert str(refusal.value) == (
+                f"no construction is known without a symmetric OMZD({m}) factor; {reason}"
+            )
 
     def test_parameter_ranges_at_plan_time(self):
         for kind in ("drt", "skew-hadamard"):
