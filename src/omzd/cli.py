@@ -31,11 +31,17 @@ integers below 2^53 in magnitude and none is -0.0 (the Paley, tournament
 and skew-Hadamard objects), each chunk is orjson's text of its rows cast
 to int64: below 2^53 a double is exact as an int64, and "%.17g" prints
 the same digits, while -0.0 prints "-0", which no int64 gives.  Any other
-matrix has each distinct value formatted once into a table of tokens
-that carry their own separators (the text, the text after a comma, the
-row openers and the closer); each chunk of rows finds its entries among
-them with ``np.searchsorted``, and one join over its index into that
-table gives its text.
+matrix has each distinct value formatted once, into a table of tokens
+that carry their own separators: the text of every run of g values, each
+led by its comma, the text of each value alone (a row's first entry),
+the row openers and the closer.  g is as large as it can be while there
+is at most one run token per 16 entries, so never more than 4 096 of
+them: with d distinct values and c columns it is the largest g up to
+c - 1 with d^g * 16 at most the matrix's or one chunk's entry count, and
+1 when there is none.  Each chunk of rows finds its entries among the
+values with ``np.searchsorted``, reads each run of g indices as one
+base-d number, the run's token, and one join over its index into that
+table gives its text: one table lookup per g entries.
 ``gen`` (JSON and CSV) and ``certify-graph`` write the document head, the
 chunks and the tail to stdout or --out as they come, after every check
 that can refuse the document has run, so a refusal writes nothing.
@@ -47,6 +53,7 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -181,6 +188,13 @@ def _merge_text(parts: list) -> Iterator[str]:
 _CHUNK_ENTRIES = 1 << 16
 # every integer below this in magnitude is exact as a double and as an int64
 _EXACT_INT = 2.0**53
+# the table path's grams are as long as they can be while there is at most
+# one gram token per this many entries of the matrix, or of one chunk, so
+# at most _CHUNK_ENTRIES // 16 = 4096 of them.  Over the 200 matrices of
+# the seed-1 splice benchmark ops (best of 5 each, 2-CPU x86-64 host), the
+# encode totals were 139 ms with one entry a token, and 113.0, 112.6 and
+# 119.6 ms with this at 8, 16 and 32
+_ENTRIES_PER_TOKEN = 16
 
 
 def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Iterator[str]:
@@ -199,12 +213,19 @@ def _format_rows(data: np.ndarray, open_: str, close: str, sep: str = "") -> Ite
     and the same openers and closer as the other path.
 
     Any other matrix is written from a table of tokens that carry their
-    own separators: each distinct pattern's text, the same text after a
-    comma, the first row's opener, every later row's opener
-    (``sep + open_``) and the closer.  A chunk of r rows is then an
-    r x (cols + 2) index into that table, found with ``np.searchsorted``
-    among the distinct patterns, and read by one join.  Keying on bits
-    rather than values keeps -0.0 apart from 0.0.
+    own separators: the text of every run of g of its d distinct values,
+    each led by its comma (the grams), those of the r = (cols - 1) mod g
+    values that end a row, each distinct value's text alone (a row's
+    first), the first row's opener, every later row's opener
+    (``sep + open_``) and the closer.  g is the largest width up to
+    cols - 1 with d^g * _ENTRIES_PER_TOKEN at most min(rows * cols,
+    _CHUNK_ENTRIES), and 1 when no width is (one value a token), so
+    there are at most 4 096 g-grams whenever g > 1; they are built in
+    time linear in their text.  A chunk of r rows is then an
+    r x (3 + ceil((cols - 1) / g)) index into that table: its rows'
+    ``np.searchsorted`` indices among the distinct patterns, each gram's
+    read as base-d digits, and read by one join.  Keying on bits rather than values
+    keeps -0.0 apart from 0.0.
 
     The sorted copy is freed before the first chunk, so neither path holds
     an n x n index, int64 copy or array of strings.  The finiteness check
@@ -246,30 +267,79 @@ def _integer_chunks(values: np.ndarray, step: int, open_: str, close: str, sep: 
         yield (sep + open_ if start else open_) + text[2:-2].replace("],[", between) + close
 
 
+def _gram_width(distinct: int, rows: int, cols: int) -> int:
+    """The g of _table_chunks: the largest g <= cols - 1 with
+    distinct^g * _ENTRIES_PER_TOKEN <= min(rows * cols, _CHUNK_ENTRIES),
+    and 1 when none is."""
+    budget = min(rows * cols, _CHUNK_ENTRIES) // _ENTRIES_PER_TOKEN
+    if distinct == 1:  # every power is 1, so only cols - 1 bounds g
+        return max(1, cols - 1) if budget else 1
+    g = 1
+    while g < cols - 1 and distinct ** (g + 1) <= budget:
+        g += 1
+    return g
+
+
 def _table_chunks(
     bits: np.ndarray, keys: np.ndarray, values: list[float], step: int, open_: str, close: str, sep: str
 ) -> Iterator[str]:
     """The token-table path of _format_rows: ``step`` rows a chunk, each
-    one join over its rows' indices into the table of the texts of
-    ``values``, the doubles whose patterns are ``keys``."""
-    text = ["%.17g" % x for x in values]
-    distinct = len(text)
-    # the token table: each value after a comma, then each value alone (a
-    # row's first), then the first row's opener, every later row's and the
-    # closer
-    table = np.array(["," + t for t in text] + text + [open_, sep + open_, close], dtype=object)
-    first_open, later_open, closer = 2 * distinct, 2 * distinct + 1, 2 * distinct + 2
+    one join over its rows' indices into a table of the texts of runs of
+    g of ``values``, the doubles whose patterns are ``keys``.
+
+    With d = len(values), a row's last cols - 1 entries fall into full
+    grams of g and one rest gram of r = (cols - 1) mod g; the table holds
+    the d^g g-grams and the d^r r-grams, each entry led by its comma, in
+    ``itertools.product`` order, then each value alone (a row's first
+    entry), the first row's opener, every later row's and the closer.  A
+    gram's code is the ``np.searchsorted`` indices of its entries read as
+    base-d digits, most significant first, which is its place in that
+    order.  ``cols`` is at least 1: with no entries there are no values,
+    and the integer path takes the matrix.
+    """
+    distinct = len(values)
     rows, cols = bits.shape
+    g = _gram_width(distinct, rows, cols)
+    full, rest = divmod(cols - 1, g)
+    text = ["%.17g" % x for x in values]
+    after = ["," + t for t in text]
+    grams = _gram_tokens(after, g)
+    rests = _gram_tokens(after, rest) if rest else []
+    table = np.array(grams + rests + text + [open_, sep + open_, close], dtype=object)
+    rest_base, first_base = len(grams), len(grams) + len(rests)
+    first_open, later_open, closer = len(table) - 3, len(table) - 2, len(table) - 1
+    # (opener, first entry, full gram codes, the rest gram's code, closer)
+    width = 3 + full + (rest > 0)
     for start in range(0, rows, step):
-        block = bits[start : start + step]
-        index = np.empty((len(block), cols + 2), dtype=np.intp)
-        index[:, 1:-1] = np.searchsorted(keys, block)
-        index[:, 1] += distinct
+        digits = np.searchsorted(keys, bits[start : start + step])
+        count = len(digits)
+        index = np.empty((count, width), dtype=np.intp)
         index[:, 0] = later_open
+        np.add(digits[:, 0], first_base, out=index[:, 1])
+        _gram_codes(digits[:, 1 : 1 + full * g].reshape(count, full, g), distinct, index[:, 2 : 2 + full])
+        if rest:
+            _gram_codes(digits[:, 1 + full * g :].reshape(count, 1, rest), distinct, index[:, 2 + full : 3 + full])
+            index[:, 2 + full] += rest_base
         index[:, -1] = closer
         if not start:
             index[0, 0] = first_open
         yield "".join(table.take(index).ravel().tolist())
+
+
+def _gram_tokens(after: list[str], width: int) -> list[str]:
+    """The text of every run of ``width`` of ``after``, in
+    ``itertools.product`` order; one join a run keeps it linear in the
+    text, where chained ``+`` would copy a run's prefix once per entry."""
+    return list(map("".join, itertools.product(after, repeat=width)))
+
+
+def _gram_codes(digits: np.ndarray, base: int, out: np.ndarray) -> None:
+    """Write into ``out`` each row of ``digits``' last axis read as one
+    number in ``base``, most significant digit first (Horner's rule)."""
+    out[...] = digits[..., 0]
+    for i in range(1, digits.shape[-1]):
+        out *= base
+        out += digits[..., i]
 
 
 # --------------------------------------------------------------------------

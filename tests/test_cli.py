@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import omzd
@@ -749,10 +749,18 @@ class TestRowEncoder:
         assert '"entries":' + _old_dump_entries(m.data) + ',"plan"' in text
 
     @staticmethod
-    def _assert_matches_oracles(data):
-        assert "[" + "".join(_format_rows(data, "[", "]", ",")) + "]" == _old_dump_entries(data)
+    def _assert_same_text(got, expected):
+        # pytest's own diff of two texts of megabytes takes minutes, so a
+        # failure shows the first difference and its neighbourhood
+        if got != expected:
+            at = len(os.path.commonprefix([got, expected]))
+            pytest.fail(f"texts differ at {at}: {got[at - 30 : at + 30]!r} != {expected[at - 30 : at + 30]!r}")
+
+    @classmethod
+    def _assert_matches_oracles(cls, data):
+        cls._assert_same_text("[" + "".join(_format_rows(data, "[", "]", ",")) + "]", _old_dump_entries(data))
         expected_csv = "".join(",".join("%.17g" % x for x in row) + "\n" for row in data)
-        assert "".join(_format_rows(data, "", "\n")) == expected_csv
+        cls._assert_same_text("".join(_format_rows(data, "", "\n")), expected_csv)
 
     def test_both_zero_signs_stay_apart(self):
         # RealMatrix normalizes -0.0, so the raw encoder gets the mixed array
@@ -871,6 +879,133 @@ class TestRowEncoder:
         code, out, err = invoke(*argv.split())
         assert code == 0 and err == ""
         assert dumps.call_count == (1 if integer else 0)
+
+    # doubles the gram tokens must keep apart or print exactly: both zero
+    # signs, subnormals, the ends of the exact integers, huge and tiny
+    # magnitudes, and a third
+    _EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.0**53, -(2.0**53)]
+    _EDGE_DOUBLES += [1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0]
+
+    @staticmethod
+    def _one_gram_shape(distinct):
+        # cols = g + 1 makes a row its first entry and one full gram, with
+        # enough rows that the chunk, not the matrix, bounds the table; one
+        # value makes g = cols - 1 whatever cols is
+        g = 4 if distinct == 1 else cli._gram_width(distinct, 1, 1 << 20)
+        rows = -(-cli._CHUNK_ENTRIES // (g + 1)) + 1
+        assert cli._gram_width(distinct, rows, g + 1) == g
+        return rows, g + 1
+
+    # a failing matrix of up to 163 840 entries would shrink for minutes,
+    # so the first failing example is reported as drawn
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    )
+    @given(
+        palette=st.lists(
+            st.one_of(st.sampled_from(_EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=70,
+            unique_by=lambda x: struct.pack("<d", x),
+        ),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40), st.sampled_from([0, 1, 2, 3, 40])),
+            st.just("one gram"),
+            st.sampled_from([(16, 4096), (40, 4096)]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_tokens_match_entry_by_entry_dump(self, palette, shape, seed):
+        # (16, 4096) fills one chunk and (40, 4096) makes three; d^g and
+        # 4095 mod g then give full grams alone or with a rest gram
+        if shape == "one gram":
+            shape = self._one_gram_shape(len(palette))
+        rng = np.random.default_rng(seed)
+        data = rng.choice(np.array(palette), size=shape)
+        if data.size >= len(palette):  # every value present, so d is the palette's size
+            data.flat[rng.permutation(data.size)[: len(palette)]] = palette
+        self._assert_matches_oracles(data)
+
+    @staticmethod
+    def _record_grams(monkeypatch) -> list:
+        """The (width, tokens) of every gram table _table_chunks builds."""
+        made = []
+        real = cli._gram_tokens
+
+        def record(after, width):
+            tokens = real(after, width)
+            made.append((width, tokens))
+            return tokens
+
+        monkeypatch.setattr(cli, "_gram_tokens", record)
+        return made
+
+    @pytest.mark.parametrize(
+        "distinct,rows,cols,g",
+        [
+            (5000, 251, 251, 1),  # no width fits: one value a token
+            (64, 4095, 4095, 2),  # 64^2 = 4096 tokens, the most
+            (65, 4095, 4095, 1),
+            (2, 4096, 4, 3),  # cols - 1 bounds it
+            (2, 40, 40, 6),  # the matrix's 1 600 entries bound it, not a chunk's
+            (3, 4, 4, 1),  # 16 entries allow one token: no width fits
+            (1, 16, 4096, 4095),
+            (1, 3, 5, 1),
+            (1, 5, 1, 1),
+        ],
+    )
+    def test_gram_width_rule(self, distinct, rows, cols, g):
+        assert cli._gram_width(distinct, rows, cols) == g
+
+    @pytest.mark.parametrize("kind,params,distinct,g", [("omzd", {"n": 251}, 11, 3), ("ompzd", {"n": 251, "k": 120}, 56, 2)])
+    def test_gram_width_of_splice_outputs(self, kind, params, distinct, g, monkeypatch):
+        matrix, _ = planner.execute(planner.plan(kind, **params))
+        assert len(np.unique(matrix.data)) == distinct
+        assert cli._gram_width(distinct, 251, 251) == g
+        made = self._record_grams(monkeypatch)
+        self._assert_matches_oracles(matrix.data)
+        rest = 250 % g  # the rest gram's width, none when 0
+        one_framing = [(g, distinct**g)] + ([(rest, distinct**rest)] if rest else [])
+        assert [(w, len(tokens)) for w, tokens in made] == one_framing * 2
+
+    def test_many_values_keep_one_value_a_token(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        palette = rng.standard_normal(1000)
+        data = rng.choice(palette, size=(251, 251))
+        distinct = len(np.unique(data))
+        assert cli._gram_width(distinct, 251, 251) == 1
+        made = self._record_grams(monkeypatch)
+        self._assert_matches_oracles(data)
+        values = np.unique(data.view(np.int64)).view(np.float64)
+        assert made == [(1, ["," + "%.17g" % x for x in values])] * 2
+
+    @pytest.mark.parametrize("distinct", [*range(1, 71), 100, 4095])
+    def test_order_4095_table_bound(self, distinct, monkeypatch):
+        # the table is built before the first chunk, so one chunk of a
+        # broadcast row shows it without an order-4095 array
+        row = (np.arange(4095) % distinct + 0.5) / 7.0
+        bits = np.broadcast_to(row.view(np.int64), (4095, 4095))
+        keys = np.unique(row.view(np.int64))
+        assert len(keys) == distinct
+        made = self._record_grams(monkeypatch)
+        step = cli._CHUNK_ENTRIES // 4095
+        chunk = next(cli._table_chunks(bits, keys, keys.view(np.float64).tolist(), step, "[", "]", ","))
+        assert chunk == ",".join("[" + ",".join("%.17g" % x for x in row) + "]" for _ in range(step))
+        width, grams = made[0]
+        assert width == cli._gram_width(distinct, 4095, 4095)
+        assert len(grams) == distinct**width
+        assert width == 1 or len(grams) <= cli._CHUNK_ENTRIES // 16
+
+    def test_one_value_table_is_linear_in_cols(self, monkeypatch):
+        # g = cols - 1, so the one gram is a whole row less its first entry
+        data = np.full((16, 4096), 1.0 / 3.0)
+        made = self._record_grams(monkeypatch)
+        self._assert_matches_oracles(data)
+        token = ",0.33333333333333331"
+        assert made == [(4095, [token * 4095])] * 2
 
 
 class TestDecoderRejects:
